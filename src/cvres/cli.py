@@ -104,17 +104,6 @@ def _grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
-def dump_operator_csv(path, entries: np.ndarray) -> None:
-    """Debug dump: row-major (row, col, re, im) in the package index convention."""
-    dim = entries.shape[0]
-    rows = [
-        [i, j, float(np.real(entries[i, j])), float(np.imag(entries[i, j]))]
-        for i in range(dim)
-        for j in range(dim)
-    ]
-    _write_csv(path, ["row", "col", "re", "im"], rows)
-
-
 # ---------------------------------------------------------------------------
 # monotone
 # ---------------------------------------------------------------------------
@@ -207,17 +196,22 @@ def cmd_monotone(args) -> int:
 # figure
 # ---------------------------------------------------------------------------
 
-def _noisy_fock_row(task) -> list:
+def _noisy_fock_row(task) -> tuple[list, bool]:
     p, nu, n, cutoff = task
     spec = StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, cutoff)
     # the emitted cert_bits column covers the truncation deficit honestly
     rho = make_state(spec, deficit_tol=1e-4)
     res = nc.fock_diagonal_ncm(rho, energy=exact_energy(spec))
     cert = res.lower.certificate["truncation_correction_bits"]
-    return [p, nu, n, res.lower.value, res.upper.value, cert]
+    return [p, nu, n, res.lower.value, res.upper.value, cert], res.lower.converged
 
 
-def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list]]:
+def _collect(results: list[tuple[list, bool]]) -> tuple[list[list], bool]:
+    """Split (row, converged) pairs into the rows and whether every row converged."""
+    return [row for row, _ in results], all(ok for _, ok in results)
+
+
+def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list], bool]:
     header = ["p", "nu", "n", "lower_bits", "upper_bits", "cert_bits"]
     cutoff = args.cutoff or 40
     if args.name == "noisy-fock-fixed-n":
@@ -230,18 +224,19 @@ def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list]]:
         ns = [int(x) for x in (_grid(args.n_grid) if args.n_grid else [1, 2, 3, 4])]
         ps = _grid(args.p_grid) if args.p_grid else list(np.linspace(0.05, 0.95, 19))
         tasks = [(p, nu, n, cutoff) for n in ns for p in ps]
-    return header, _map_ordered(_noisy_fock_row, tasks, threads)
+    rows, converged = _collect(_map_ordered(_noisy_fock_row, tasks, threads))
+    return header, rows, converged
 
 
-def _cat_row(task) -> list:
+def _cat_row(task) -> tuple[list, bool]:
     alpha, sign, cutoff, cfg = task
     spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
     rho = make_state(spec, deficit_tol=1e-7)
     lo, hi = nc.bound_sandwich(rho, cfg, spec=spec)
-    return [alpha, sign, lo.value, hi.value]
+    return [alpha, sign, lo.value, hi.value], lo.converged and hi.converged
 
 
-def _figure_cat(args, threads: int) -> tuple[list[str], list[list]]:
+def _figure_cat(args, threads: int) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.4, 2.4, 11))
     signs = [args.sign] if args.sign else ["+", "-"]
     cfg = nc.OptimizerConfig()
@@ -250,7 +245,8 @@ def _figure_cat(args, threads: int) -> tuple[list[str], list[list]]:
         for a in alphas:
             cutoff = args.cutoff or rates.required_cat_cutoff(a, 1e-9)
             tasks.append((a, sign, cutoff, cfg))
-    return ["alpha", "sign", "lower_bits", "upper_bits"], _map_ordered(_cat_row, tasks, threads)
+    rows, converged = _collect(_map_ordered(_cat_row, tasks, threads))
+    return ["alpha", "sign", "lower_bits", "upper_bits"], rows, converged
 
 
 def _squeezed_row(task) -> list:
@@ -265,7 +261,7 @@ def _squeezed_row(task) -> list:
     return [r, g_lower.value, up_th.value, up_sq.value, up_en.value]
 
 
-def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list]]:
+def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list], bool]:
     rs = _grid(args.r_grid) if args.r_grid else list(np.linspace(0.1, 1.5, 8))
     tasks = []
     for r in rs:
@@ -273,29 +269,29 @@ def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list]]:
         tasks.append((r, cutoff))
     header = ["r", "lower_bits", "upper_thermal_bits", "upper_sq_thermal_bits",
               "upper_energy_bits"]
-    return header, _map_ordered(_squeezed_row, tasks, threads)
+    return header, _map_ordered(_squeezed_row, tasks, threads), True
 
 
-def _figure_protocols(args, threads: int) -> tuple[list[str], list[list]]:
+def _figure_protocols(args, threads: int) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.5, 2.0, 7))
     tasks = [t for t in ("amplify", "dilute") if args.task in (None, t)]
     rows = []
     for task in tasks:
         for row in rates.protocol_figure_data(task, alphas):
             rows.append([row["alpha"], row["task"], row["lower_rate"], row["upper_rate"]])
-    return ["alpha", "task", "lower_rate", "upper_rate"], rows
+    return ["alpha", "task", "lower_rate", "upper_rate"], rows, True
 
 
 def cmd_figure(args) -> int:
     threads = _thread_count(args)
     if args.name in ("noisy-fock-fixed-n", "noisy-fock-fixed-nu"):
-        header, rows = _figure_noisy_fock(args, threads)
+        header, rows, converged = _figure_noisy_fock(args, threads)
     elif args.name == "cat":
-        header, rows = _figure_cat(args, threads)
+        header, rows, converged = _figure_cat(args, threads)
     elif args.name == "squeezed":
-        header, rows = _figure_squeezed(args, threads)
+        header, rows, converged = _figure_squeezed(args, threads)
     elif args.name == "protocols":
-        header, rows = _figure_protocols(args, threads)
+        header, rows, converged = _figure_protocols(args, threads)
     else:
         raise UsageError(f"unknown figure {args.name!r}; valid names: {', '.join(FIGURE_NAMES)}")
     if args.nats:
@@ -304,7 +300,7 @@ def cmd_figure(args) -> int:
                 if h.endswith("_bits") and isinstance(v, float):
                     row[i] = v * math.log(2.0)
     _write_csv(args.output, header, rows)
-    return 0
+    return 0 if converged else 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Entropic functionals on truncated states.
 
 All reported values are in bits; natural logs are used internally where
-convenient. The measured relative entropy is computed by concave ascent over
+convenient. The measured relative entropy is computed by gradient ascent over
 L = exp(H): every iterate is feasible in the variational program, so the
 returned value is always a valid lower bound on the true quantity.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln, roots_laguerre
 
 from .errors import UsageError
-from .fock_core import DensityOperator, coherent_vector, dephase
+from .fock_core import DensityOperator, coherent_vector
 
 LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
@@ -91,20 +91,70 @@ class OptimizerReport:
         )
 
 
-def _exp_frechet(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """exp(h), the gradient of Tr[weight exp(h)] wrt h, and the trace itself."""
+def exp_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(h) for Hermitian h, returned with the eigensystem (evals, vecs) of h."""
     evals, vecs = np.linalg.eigh(h)
-    exp_vals = np.exp(evals)
-    diff = evals[:, None] - evals[None, :]
-    small = np.abs(diff) < 1e-12
-    denom = np.where(small, 1.0, diff)
-    phi = np.where(small, np.exp(0.5 * (evals[:, None] + evals[None, :])),
-                   (exp_vals[:, None] - exp_vals[None, :]) / denom)
+    with np.errstate(over="ignore"):
+        expm_h = (vecs * np.exp(evals)) @ vecs.conj().T
+    return 0.5 * (expm_h + expm_h.conj().T), evals, vecs
+
+
+def exp_frechet_gradient(evals: np.ndarray, vecs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Gradient of Tr[weight exp(h)] with respect to Hermitian h, from the eigensystem of h."""
+    with np.errstate(over="ignore"):
+        exp_vals = np.exp(evals)
+        diff = evals[:, None] - evals[None, :]
+        small = np.abs(diff) < 1e-12
+        denom = np.where(small, 1.0, diff)
+        phi = np.where(
+            small,
+            np.exp(0.5 * (evals[:, None] + evals[None, :])),
+            (exp_vals[:, None] - exp_vals[None, :]) / denom,
+        )
     w_tilde = vecs.conj().T @ weight @ vecs
     grad = vecs @ (phi * w_tilde) @ vecs.conj().T
-    grad = 0.5 * (grad + grad.conj().T)
-    expm = (vecs * exp_vals) @ vecs.conj().T
-    return expm, grad, float(np.real(np.trace(weight @ expm)))
+    return 0.5 * (grad + grad.conj().T)
+
+
+def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
+    """Backtracking gradient ascent shared by every exp(H) variational bound.
+
+    ``evaluate(x)`` returns ``(value, aux)`` and ``gradient(x, aux)`` the ascent
+    direction at x, reusing whatever ``evaluate`` left in aux.  A step is taken
+    when it passes the Armijo test; the step doubles after a success and halves
+    on each rejection.  Returns ``(best_x, best_value, best_aux, report)``.
+    """
+    x = x0
+    value, aux = evaluate(x)
+    best_x, best_value, best_aux = x, value, aux
+    step = 0.5
+    iters = 0
+    converged = False
+    gnorm = 0.0
+    for iters in range(1, max_iters + 1):
+        grad = gradient(x, aux)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-13:
+            converged = True
+            break
+        for _ in range(30):
+            x_try = x + step * grad
+            value_try, aux_try = evaluate(x_try)
+            if value_try > value + 1e-6 * step * gnorm**2:
+                break
+            step *= 0.5
+        else:
+            converged = True
+            break
+        gain = value_try - value
+        x, value, aux = x_try, value_try, aux_try
+        if value > best_value:
+            best_x, best_value, best_aux = x, value, aux
+        step = min(step * 2.0, 1e4)
+        if 0.0 <= gain < objective_tol:
+            converged = True
+            break
+    return best_x, best_value, best_aux, OptimizerReport(best_value, iters, converged, gnorm)
 
 
 def measured_relative_entropy(
@@ -114,22 +164,18 @@ def measured_relative_entropy(
 ) -> tuple[float, OptimizerReport]:
     """Variational lower value of the measured relative entropy, in bits.
 
-    Maximizes Tr[rho ln L] + 1 - Tr[sigma L] over L = exp(H) by gradient ascent
-    with backtracking; the reported number is Tr[rho log2 L] - log2 Tr[sigma L]
-    at the best iterate, which never exceeds the true measured relative entropy.
+    Maximizes Tr[rho log2 L] - log2 Tr[sigma L] over L = exp(H) with the shared
+    backtracking ascent.  Every H is feasible, so the value at the best iterate
+    never exceeds the true measured relative entropy.
     """
     if rho.modes != sigma.modes or rho.cutoff != sigma.cutoff:
         raise UsageError("measured_relative_entropy requires matching shapes")
     if sigma.trace() <= 0.0:
         raise UsageError("sigma must have positive trace")
-    tol = getattr(cfg, "objective_tol", 1e-10)
-    max_iters = getattr(cfg, "max_iters", 600)
     delta = 1e-9
-
     rho_m = rho.entries
     sig_m = sigma.entries
-    dim = rho_m.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(rho_m.shape[0])
 
     def log_reg(mat):
         evals, vecs = np.linalg.eigh(mat)
@@ -139,43 +185,19 @@ def measured_relative_entropy(
     h = log_reg(rho_m + delta * eye) - log_reg(sig_m + delta * eye)
     h = 0.5 * (h + h.conj().T)
 
-    def value_bits(h_mat):
-        expm, grad, tr_sig = _exp_frechet(h_mat, sig_m)
+    def evaluate(h_mat):
+        expm_h, evals, vecs = exp_hermitian(h_mat)
+        tr_sig = max(float(np.real(np.trace(sig_m @ expm_h))), 1e-300)
         lin = float(np.real(np.trace(rho_m @ h_mat)))
-        obj_nats = lin + 1.0 - tr_sig
-        report_bits = LOG2E * (lin - math.log(max(tr_sig, 1e-300)))
-        return obj_nats, report_bits, grad
+        return LOG2E * (lin - math.log(tr_sig)), (tr_sig, evals, vecs)
 
-    obj, best_bits, grad = value_bits(h)
-    step = 1.0
-    iters = 0
-    converged = False
-    gnorm = 0.0
-    for iters in range(1, max_iters + 1):
-        direction = rho_m - grad
-        gnorm = float(np.linalg.norm(direction))
-        if gnorm < 1e-14:
-            converged = True
-            break
-        improved = False
-        for _ in range(40):
-            h_try = h + step * direction
-            obj_try, bits_try, grad_try = value_bits(h_try)
-            if obj_try > obj + 1e-4 * step * gnorm**2:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        gain = bits_try - best_bits
-        h, obj, grad = h_try, obj_try, grad_try
-        best_bits = max(best_bits, bits_try)
-        step = min(step * 2.0, 1e6)
-        if 0.0 <= gain < tol:
-            converged = True
-            break
-    return best_bits, OptimizerReport(best_bits, iters, converged, gnorm)
+    def gradient(h_mat, aux):
+        tr_sig, evals, vecs = aux
+        return LOG2E * (rho_m - exp_frechet_gradient(evals, vecs, sig_m) / tr_sig)
+
+    _, best_bits, _, report = ascend(evaluate, gradient, h, getattr(cfg, "max_iters", 600),
+                                     getattr(cfg, "objective_tol", 1e-10))
+    return best_bits, report
 
 
 def husimi_q(rho: DensityOperator, alpha) -> float:
@@ -312,8 +334,3 @@ def husimi_sup(rho: DensityOperator, *, tol: float = 1e-9) -> float:
 
     cert = coherent_sup_certified(rho.entries, tol=tol)
     return cert.value / math.pi
-
-
-def dephased_relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """KL of the Fock-diagonal parts, i.e. the value after the dephasing channel."""
-    return kl_divergence(dephase(rho).diagonal(), dephase(sigma).diagonal())

@@ -328,11 +328,3 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise UsageError("trace_distance requires matching modes and cutoff")
     evals = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(np.sum(np.abs(evals)))
-
-
-def expectation(rho: DensityOperator, observable: TruncatedOperator) -> complex:
-    return complex(np.trace(rho.entries @ observable.entries))
-
-
-def identity_operator(modes: int, cutoff: int) -> TruncatedOperator:
-    return TruncatedOperator(modes, cutoff, np.eye(cutoff**modes), hermitian=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +29,9 @@ from .entropies import (
     LN2,
     LOG2E,
     OptimizerReport,
+    ascend,
+    exp_frechet_gradient,
+    exp_hermitian,
     husimi_sup,
     relative_entropy,
     von_neumann_entropy,
@@ -100,7 +103,6 @@ class OptimizerConfig:
     max_iters: int = 300
     objective_tol: float = 1e-8  # bits
     inner_tol: float = 1e-9  # relative slack allowed in the certified inner sup
-    radius_policy: str = "auto"
     symmetry: str = "auto"  # auto | none | phase | reflection
 
     def __post_init__(self):
@@ -267,26 +269,6 @@ def coherent_sup_certified(
 # generic variational lower bound (gradient ascent on H with L = exp(H))
 # ---------------------------------------------------------------------------
 
-def _exp_frechet_weighted(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(h) and the gradient of Tr[weight exp(h)] with respect to Hermitian h."""
-    evals, vecs = np.linalg.eigh(h)
-    with np.errstate(over="ignore"):
-        exp_vals = np.exp(evals)
-        diff = evals[:, None] - evals[None, :]
-        small = np.abs(diff) < 1e-12
-        denom = np.where(small, 1.0, diff)
-        phi = np.where(
-            small,
-            np.exp(0.5 * (evals[:, None] + evals[None, :])),
-            (exp_vals[:, None] - exp_vals[None, :]) / denom,
-        )
-    w_tilde = vecs.conj().T @ weight @ vecs
-    grad = vecs @ (phi * w_tilde) @ vecs.conj().T
-    grad = 0.5 * (grad + grad.conj().T)
-    expm_h = (vecs * exp_vals) @ vecs.conj().T
-    return 0.5 * (expm_h + expm_h.conj().T), grad
-
-
 def _coherent_witness_weight(entries: np.ndarray, t_star: float) -> np.ndarray:
     d = entries.shape[0]
     k = np.arange(d)
@@ -302,56 +284,32 @@ def _coherent_witness_weight(entries: np.ndarray, t_star: float) -> np.ndarray:
 
 def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float, CertifiedSup, OptimizerReport]:
     delta = 1e-9
-    dim = rho_m.shape[0]
     evals, vecs = np.linalg.eigh(rho_m)
     h = (vecs * np.log(np.maximum(evals, delta))) @ vecs.conj().T
     h = 0.5 * (h + h.conj().T)
 
     def evaluate(h_mat, tol=None, splits=400):
-        l_mat, _ = _exp_frechet_weighted(h_mat, np.zeros_like(h_mat))
+        l_mat, evals, vecs = exp_hermitian(h_mat)
         cert = coherent_sup_certified(l_mat, tol=tol or max(cfg.inner_tol, 3e-7),
                                       max_splits=splits)
-        lin = float(np.real(np.trace(rho_m @ h_mat)))
+        aux = (cert, l_mat, evals, vecs)
         if cert.value <= 0.0:
-            return -math.inf, cert, l_mat, lin
-        return LOG2E * lin - math.log2(cert.value), cert, l_mat, lin
+            return -math.inf, aux
+        lin = float(np.real(np.trace(rho_m @ h_mat)))
+        return LOG2E * lin - math.log2(cert.value), aux
 
-    value, cert, l_mat, _ = evaluate(h)
-    best_value, best_cert, best_h = value, cert, h
-    step = 0.5
-    iters = 0
-    converged = False
-    gnorm = 0.0
-    for iters in range(1, cfg.max_iters + 1):
+    def gradient(h_mat, aux):
+        cert, l_mat, evals, vecs = aux
         weight = _coherent_witness_weight(l_mat, cert.argmax_t)
-        _, grad_tr = _exp_frechet_weighted(h, weight)
-        grad = LOG2E * (rho_m - grad_tr / max(cert.value, 1e-300))
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-13:
-            converged = True
-            break
-        improved = False
-        for _ in range(30):
-            value_try, cert_try, l_try, _ = evaluate(h + step * grad)
-            if value_try > value + 1e-6 * step * gnorm**2:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        gain = value_try - value
-        h, value, cert, l_mat = h + step * grad, value_try, cert_try, l_try
-        if value > best_value:
-            best_value, best_cert, best_h = value, cert, h
-        step = min(step * 2.0, 1e4)
-        if 0.0 <= gain < cfg.objective_tol:
-            converged = True
-            break
-    final_value, final_cert, _, _ = evaluate(best_h, tol=cfg.inner_tol, splits=20000)
+        grad_tr = exp_frechet_gradient(evals, vecs, weight)
+        return LOG2E * (rho_m - grad_tr / max(cert.value, 1e-300))
+
+    best_h, best_value, (best_cert, *_), report = ascend(
+        evaluate, gradient, h, cfg.max_iters, cfg.objective_tol)
+    final_value, (final_cert, *_) = evaluate(best_h, tol=cfg.inner_tol, splits=20000)
     if final_value >= best_value:
         best_value, best_cert = final_value, final_cert
-    return best_value, best_cert, OptimizerReport(best_value, iters, converged, gnorm)
+    return best_value, best_cert, replace(report, value_bits=best_value)
 
 
 def _gamma_ascent_diagonal(
@@ -367,46 +325,22 @@ def _gamma_ascent_diagonal(
         ell = np.exp(h_vec)
         cert = coherent_sup_certified(np.diag(ell), tol=cfg.inner_tol, max_splits=4000)
         if cert.value <= 0.0:
-            return -math.inf, cert, ell
-        return LOG2E * float(np.dot(p, h_vec)) - math.log2(cert.value), cert, ell
+            return -math.inf, (cert, ell)
+        return LOG2E * float(np.dot(p, h_vec)) - math.log2(cert.value), (cert, ell)
 
-    value, cert, ell = evaluate(h)
-    best_value, best_cert = value, cert
-    step = 0.5
-    iters = 0
-    converged = False
-    gnorm = 0.0
-    for iters in range(1, cfg.max_iters + 1):
+    def gradient(h_vec, aux):
+        cert, ell = aux
         t = cert.argmax_t
         if t <= 0.0:
             pois = np.zeros(d)
             pois[0] = 1.0
         else:
             pois = np.exp(k * math.log(t) - t - log_fact)
-        grad = LOG2E * (p - pois * ell / max(cert.value, 1e-300))
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-13:
-            converged = True
-            break
-        improved = False
-        for _ in range(30):
-            value_try, cert_try, ell_try = evaluate(h + step * grad)
-            if value_try > value + 1e-6 * step * gnorm**2:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        gain = value_try - value
-        h, value, cert, ell = h + step * grad, value_try, cert_try, ell_try
-        if value > best_value:
-            best_value, best_cert = value, cert
-        step = min(step * 2.0, 1e4)
-        if 0.0 <= gain < cfg.objective_tol:
-            converged = True
-            break
-    return best_value, best_cert, OptimizerReport(best_value, iters, converged, gnorm)
+        return LOG2E * (p - pois * ell / max(cert.value, 1e-300))
+
+    _, best_value, (best_cert, _), report = ascend(
+        evaluate, gradient, h, cfg.max_iters, cfg.objective_tol)
+    return best_value, best_cert, report
 
 
 def gamma_lower_bound(
@@ -862,14 +796,6 @@ def gaussian_bounds(gd: GaussianDescriptor, entropy_bits: float) -> tuple[Monoto
     )
 
 
-def _squeeze_matrix(s: float, cutoff: int) -> np.ndarray:
-    k = np.arange(cutoff - 2)
-    a2 = np.zeros((cutoff, cutoff))
-    a2[k, k + 2] = np.sqrt((k + 1.0) * (k + 2.0))
-    gen = 0.5 * s * (a2 - a2.T)
-    return expm(gen)
-
-
 def squeezed_thermal_closed_form(r: float, s: float) -> float:
     """Printed closed form log2(1+N(s)) + 2 sinh^2(r-s) log2(1+1/N(s))."""
     n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
@@ -927,34 +853,30 @@ def classical_ansatz_upper_bound(
         meta["ansatz_description"] = f"thermal ansatz, best nu={best_param:.6g}"
     elif family == "squeezed_thermal":
         ss = np.asarray(grid if grid is not None else np.linspace(0.01, 2.5, 120), dtype=float)
-        pad = min(d + 20, 4 * d)
-        ent_pad = np.zeros((pad, pad), dtype=complex)
-        ent_pad[:d, :d] = rho_n.entries
         s_bits = von_neumann_entropy(rho_n)
-        number_op = np.diag(np.arange(pad, dtype=float))
+        ent = rho_n.entries
+        mean = float(np.dot(np.arange(d), np.real(np.diagonal(ent))))
+        k = np.arange(d - 2)
+        re_a2 = float(np.dot(np.sqrt((k + 1.0) * (k + 2.0)), np.real(np.diagonal(ent, offset=2))))
+
+        def d_squeezed(s: float) -> float:
+            # D(rho||sigma_s) via the analytic log of sigma_s = S tau_N S^T:
+            # log2 sigma = -log2(1+N) + log2(N/(1+N)) S n S^T, and the squeezed-frame
+            # mean photon number is Tr[rho S n S^T] = cosh(2s)<n> + sinh^2 s + sinh(2s) Re<a^2>
+            n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
+            frame_energy = (math.cosh(2.0 * s) * mean + math.sinh(s) ** 2
+                            + math.sinh(2.0 * s) * re_a2)
+            return -s_bits + math.log2(1 + n_s) - frame_energy * math.log2(n_s / (1 + n_s))
+
         for s in ss:
             if s <= 0:
                 continue
-            n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
-            # D(rho||sigma_s) via the analytic log of sigma_s = S tau_N S^T:
-            # log2 sigma = -log2(1+N) + log2(N/(1+N)) S n S^T, so only the
-            # squeezed-frame mean photon number of rho is needed
-            sq = _squeeze_matrix(s, pad)
-            frame_energy = float(np.real(np.trace(ent_pad @ (sq @ number_op @ sq.T))))
-            val = (-s_bits + math.log2(1 + n_s)
-                   - frame_energy * math.log2(n_s / (1 + n_s)))
+            val = d_squeezed(float(s))
             if val < best:
                 best, best_param = val, float(s)
         if best_param is not None:
-            res = minimize_scalar(
-                lambda s: (-s_bits + math.log2(1 + 0.5 * (math.exp(2 * s) - 1))
-                           - float(np.real(np.trace(ent_pad @ (
-                               _squeeze_matrix(s, pad) @ number_op
-                               @ _squeeze_matrix(s, pad).T))))
-                           * math.log2((math.exp(2 * s) - 1) / (math.exp(2 * s) + 1))),
-                bounds=(max(best_param - 0.1, 1e-3), best_param + 0.1),
-                method="bounded",
-            )
+            res = minimize_scalar(d_squeezed, method="bounded",
+                                  bounds=(max(best_param - 0.1, 1e-3), best_param + 0.1))
             if res.fun < best:
                 best, best_param = float(res.fun), float(res.x)
         meta["ansatz_description"] = f"squeezed-thermal ansatz, best s={best_param}"

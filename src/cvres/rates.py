@@ -139,8 +139,10 @@ def _one_round_branches(n: int, lam: float) -> tuple[float, float, float]:
 def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
     """Beam-split against vacuum, photon-count the ancilla, recurse on zero counts.
 
-    One count heralds |n-1>; the geometric recursion over zero-count rounds is
-    summed to machine precision with the exactly simulated branch data.
+    One count heralds |n-1>.  The success probability is linear in the input
+    mixture and vacuum never heralds, so the zero-count recursion is the
+    geometric series p P1 (1 + P0 + P0^2 + ...) = p P1 / (1 - P0), summed in
+    closed form with the exactly simulated branch data P0 and P1.
     """
     if n < 2:
         raise UsageError("fock_dilution needs n >= 2")
@@ -149,17 +151,7 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
     if not (0.0 < lam < 1.0):
         raise DegenerateParameterError("transmissivity must lie strictly inside (0, 1)")
     p0_fock, p1_fock, fid = _one_round_branches(n, lam)
-    lam_n = p0_fock  # simulated lam^n
-    p_t = p
-    prefix = 1.0
-    success = 0.0
-    rounds = 0
-    while prefix > 1e-18 and rounds < 10_000_000:
-        success += prefix * p_t * p1_fock
-        stay = p_t * lam_n + (1.0 - p_t)
-        prefix *= stay
-        p_t = p_t * lam_n / stay
-        rounds += 1
+    success = p * p1_fock / (1.0 - p0_fock)
     return ProtocolOutcome(
         success_probability=success,
         copies_in=Fraction(1),
@@ -167,7 +159,7 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
         rate_lower_bound=success,
         output_fidelity_check=fid,
         details={
-            "rounds_summed": rounds,
+            "rounds_summed": 0,
             "p0_fock_simulated": p0_fock,
             "p1_fock_simulated": p1_fock,
             "closed_form": closed_form_ps(n, p, lam),

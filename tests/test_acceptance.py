@@ -2,10 +2,11 @@
 
 Criterion 8's Fock-dilution closed-form clause is known-red: the reference
 expression in closed_form_ps contradicts the protocol's own recursion for
-p < 1 (it equals the loop value started from the once-filtered state, and the
-first-round success probability alone exceeds it). The simulator is faithful
-to the protocol, matches the expression at p = 1 and in the transmissivity
-limit, and the assertion is kept as stated rather than weakened.
+p < 1 (it equals the exact series p*P1/(1 - P0) started from the
+once-filtered state, and the first-round success probability alone exceeds
+it). The simulator is faithful to the protocol, matches the expression at
+p = 1 and in the transmissivity limit, and the assertion is kept as stated
+rather than weakened.
 """
 
 import math

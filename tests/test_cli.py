@@ -126,6 +126,24 @@ class TestFigure:
         assert float(row[3]) == pytest.approx(expected, abs=1e-5)
         assert float(row[4]) == pytest.approx(expected, abs=1e-5)
 
+    def test_unconverged_row_exit_2(self, capsys, monkeypatch):
+        from cvres import nonclassicality as nc
+
+        def unconverged(rho, cfg=None, *, energy=None, tol_bits=1e-7):
+            cert = {"truncation_correction_bits": 0.0}
+            lower = nc.MonotoneBound("NCM", "lower", 0.1, cert, converged=False)
+            upper = nc.MonotoneBound("NC", "upper", 0.2, cert, converged=False)
+            return nc.FockDiagonalResult(lower, upper, 0.15, 0.1)
+
+        monkeypatch.setattr(nc, "fock_diagonal_ncm", unconverged)
+        code, out, _ = run_cli(
+            ["figure", "--name", "noisy-fock-fixed-n", "--n", "2", "--nu-grid", "2",
+             "--p-grid", "0.1", "--format", "csv"],
+            capsys,
+        )
+        assert code == 2
+        assert out.strip().split("\n")[1].split(",")[3:5] == ["0.1", "0.2"]
+
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(["figure", "--name", "bogus"], capsys)
         assert code == 1

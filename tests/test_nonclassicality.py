@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, fock_state, pure_state
+from cvres.entropies import von_neumann_entropy
 from cvres.states import StateSpec, gaussian_descriptor, make_state
 from cvres.nonclassicality import (
     MonotoneBound,
@@ -261,6 +262,43 @@ class TestClassicalAnsatz:
         )
         raw = up.value - up.certificate["truncation_correction_bits"]
         assert raw == pytest.approx(res.fun, abs=1e-6)
+
+    @pytest.mark.parametrize("case", [(0.3, 40), (0.9, 80), "random"])
+    def test_squeezed_thermal_frame_energy_identity(self, case):
+        # reference: the squeezed-frame energy Tr[rho S n S^T] by an expm padded
+        # far enough past the cutoff that its own truncation error is negligible
+        from scipy.linalg import expm
+
+        if case == "random":
+            rng = np.random.default_rng(4)
+            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            mat = g @ g.conj().T
+            rho = DensityOperator.from_matrix(mat / np.trace(mat), 1, 8)
+        else:
+            rho = make_state(StateSpec("squeezed", {"r": case[0]}, case[1]), deficit_tol=1e-5)
+        rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
+        d = rho.cutoff
+        pad = d + 200
+        ent_pad = np.zeros((pad, pad), dtype=complex)
+        ent_pad[:d, :d] = rho_n.entries
+        k = np.arange(pad - 2)
+        a2 = np.zeros((pad, pad))
+        a2[k, k + 2] = np.sqrt((k + 1.0) * (k + 2.0))
+        number_op = np.diag(np.arange(pad, dtype=float))
+        s_bits = von_neumann_entropy(rho_n)
+
+        def d_reference(s):
+            sq = expm(0.5 * s * (a2 - a2.T))
+            frame = float(np.real(np.trace(ent_pad @ sq @ number_op @ sq.T)))
+            n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
+            return -s_bits + math.log2(1 + n_s) - frame * math.log2(n_s / (1 + n_s))
+
+        grid = [0.05, 0.3, 0.8]
+        up = classical_ansatz_upper_bound(rho, "squeezed_thermal", grid=grid)
+        raw = up.value - up.certificate["truncation_correction_bits"]
+        best_s = float(up.certificate["ansatz_description"].split("best s=")[1])
+        assert raw == pytest.approx(d_reference(best_s), abs=1e-9)
+        assert raw <= min(d_reference(s) for s in grid) + 1e-9
 
 
 @pytest.mark.slow

@@ -87,9 +87,10 @@ class TestFockDilution:
             fock_dilution(1, 1.0, 0.5)
 
     def test_monte_carlo_cross_check(self):
-        exact = fock_dilution(2, 1.0, 0.5).success_probability
-        sampled = fock_dilution_monte_carlo(2, 1.0, 0.5, shots=4000, seed=3)
-        assert abs(sampled - exact) < 0.03
+        for p in (1.0, 0.5):
+            exact = fock_dilution(2, p, 0.5).success_probability
+            sampled = fock_dilution_monte_carlo(2, p, 0.5, shots=4000, seed=3)
+            assert abs(sampled - exact) < 0.03
 
 
 class TestCatAmplification:
