@@ -162,11 +162,7 @@ def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
 
 def cmd_monotone(args) -> int:
     rho, spec = _load_state(args.state)
-    cfg = nc.OptimizerConfig(
-        cutoff=getattr(rho, "cutoff", 30),
-        max_iters=args.max_iters,
-        objective_tol=args.tol,
-    )
+    cfg = nc.OptimizerConfig(max_iters=args.max_iters, objective_tol=args.tol)
     selectors = [w.strip() for w in args.which.split(",") if w.strip()]
     if not selectors:
         raise UsageError("--which must name at least one bound")

@@ -122,7 +122,9 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
     ``evaluate(x)`` returns ``(value, aux)`` and ``gradient(x, aux)`` the ascent
     direction at x, reusing whatever ``evaluate`` left in aux.  A step is taken
     when it passes the Armijo test; the step doubles after a success and halves
-    on each rejection.  Returns ``(best_x, best_value, best_aux, report)``.
+    on each rejection.  When no step passes, the ascent stops and reports
+    convergence only if the squared gradient norm is within ``objective_tol``.
+    Returns ``(best_x, best_value, best_aux, report)``.
     """
     x = x0
     value, aux = evaluate(x)
@@ -144,7 +146,7 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
                 break
             step *= 0.5
         else:
-            converged = True
+            converged = gnorm**2 <= objective_tol
             break
         gain = value_try - value
         x, value, aux = x_try, value_try, aux_try

@@ -99,7 +99,6 @@ def fock_closed_form(n: int) -> float:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    cutoff: int = 30
     max_iters: int = 300
     objective_tol: float = 1e-8  # bits
     inner_tol: float = 1e-9  # relative slack allowed in the certified inner sup
@@ -359,7 +358,7 @@ def gamma_lower_bound(
     if rho.modes != 1:
         raise UsageError("gamma_lower_bound operates on single-mode states; use product "
                          "ansatz helpers for tensor inputs")
-    cfg = cfg or OptimizerConfig(cutoff=rho.cutoff)
+    cfg = cfg or OptimizerConfig()
     rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
     if cfg.symmetry == "phase" or (cfg.symmetry == "auto" and rho.fock_diagonal):
         raw, cert, report = _gamma_ascent_diagonal(np.clip(rho_n.diagonal(), 0.0, None), cfg)
@@ -402,7 +401,7 @@ def cat_gamma_lower_bound(
     alpha -> -alpha reflection, so it splits into a 2x2 even block (cat+ and
     the orthogonalized vacuum) and a scalar odd block.
     """
-    cfg = cfg or OptimizerConfig(cutoff=cutoff)
+    cfg = cfg or OptimizerConfig()
     rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff), deficit_tol=1e-6)
     psi = cat_amplitudes(alpha, sign, cutoff)
     b_plus = cat_amplitudes(alpha, "+", cutoff)
@@ -693,7 +692,7 @@ def fock_diagonal_ncm(
 
     if effective_gap(primal_bits) > 2 * tol_bits:
         # dual-informed L is not tight enough on its own; ascend the primal directly
-        cfg_p = cfg or OptimizerConfig(cutoff=full, max_iters=800, objective_tol=1e-10)
+        cfg_p = cfg or OptimizerConfig(max_iters=800, objective_tol=1e-10)
         ascent_bits, cert_a, _ = _gamma_ascent_diagonal(p_full, cfg_p, h0=h_full)
         if ascent_bits > primal_bits:
             primal_bits, cert = ascent_bits, cert_a
@@ -1003,7 +1002,7 @@ def bound_sandwich(
     closed forms and classical-family ansatz bounds.  A nonempty interval is
     enforced loudly.
     """
-    cfg = cfg or OptimizerConfig(cutoff=rho.cutoff)
+    cfg = cfg or OptimizerConfig()
     energy = exact_energy(spec) if spec is not None else rho.energy
     lowers: list[MonotoneBound] = []
     uppers: list[MonotoneBound] = [energy_upper_bound(energy, rho.modes)]

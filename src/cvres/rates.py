@@ -1,8 +1,9 @@
 """Transformation-rate bounds and exact linear-optics protocol simulation.
 
-Protocols are simulated by exact linear algebra on the truncated two-mode
-space (branch probabilities are inner products, so sampling would only add
-noise); a seeded Monte Carlo mode exists purely as a cross-check.
+Protocols are simulated through the beam-splitter identities, never through a
+dense two-mode unitary, so the joint state is a d x d amplitude matrix.  Branch
+probabilities are inner products with it, so sampling would only add noise; a
+seeded Monte Carlo mode exists purely as a cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .entropies import relative_entropy
 from .errors import DegenerateParameterError, InsufficientCutoffError, UsageError
-from .fock_core import DensityOperator, beam_splitter_unitary
+from .fock_core import DensityOperator, beam_splitter_fock_column, coherent_vector
 from .nonclassicality import (
     MonotoneBound,
     OptimizerConfig,
@@ -23,7 +24,7 @@ from .nonclassicality import (
     bound_sandwich_product,
     fock_closed_form,
 )
-from .states import StateSpec, cat_amplitudes, make_state, thermal_weights
+from .states import StateSpec, cat_amplitudes, cat_norm, make_state, thermal_weights
 
 
 @dataclass(frozen=True)
@@ -75,24 +76,16 @@ def rate_upper_bound(src_upper: MonotoneBound, tgt_lower: MonotoneBound) -> Rate
 # thermodynamics
 # ---------------------------------------------------------------------------
 
-def thermal_state_for_beta(beta: float, cutoff: int) -> DensityOperator:
-    if beta <= 0:
-        raise UsageError("inverse temperature must be positive")
-    nu = 1.0 / (math.exp(beta) - 1.0)
-    w = thermal_weights(nu, cutoff)
-    return DensityOperator.from_matrix(np.diag(w.astype(complex)), 1, cutoff, validate=False)
-
-
 def free_energy(rho: DensityOperator, beta: float) -> float:
     """D(rho || gamma_beta) in bits, with the photon-number Hamiltonian."""
-    if rho.modes != 1:
-        gamma1 = thermal_state_for_beta(beta, rho.cutoff)
-        ent = gamma1.entries
-        for _ in range(rho.modes - 1):
-            ent = np.kron(ent, gamma1.entries)
-        gamma = DensityOperator.from_matrix(ent, rho.modes, rho.cutoff, validate=False)
-    else:
-        gamma = thermal_state_for_beta(beta, rho.cutoff)
+    if beta <= 0:
+        raise UsageError("inverse temperature must be positive")
+    w1 = thermal_weights(1.0 / (math.exp(beta) - 1.0), rho.cutoff)
+    w = w1
+    for _ in range(rho.modes - 1):
+        w = np.kron(w, w1)
+    gamma = DensityOperator.from_matrix(np.diag(w.astype(complex)), rho.modes, rho.cutoff,
+                                        validate=False)
     rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
     return relative_entropy(rho_n, gamma)
 
@@ -119,21 +112,14 @@ def closed_form_ps(n: int, p: float, lam: float) -> float:
 
 
 def _one_round_branches(n: int, lam: float) -> tuple[float, float, float]:
-    """Simulated ancilla-count branches for |n,0>: returns (P0, P1, fidelity of the
-    one-count output against |n-1>)."""
-    d = n + 1
-    u = beam_splitter_unitary(lam, d)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[n * d + 0] = 1.0
-    out = (u.entries @ vec).reshape(d, d)
-    amp0 = out[:, 0]
-    amp1 = out[:, 1]
-    p0 = float(np.sum(np.abs(amp0) ** 2))
-    p1 = float(np.sum(np.abs(amp1) ** 2))
-    target = np.zeros(d, dtype=complex)
-    target[n - 1] = 1.0
-    fid = float(np.abs(np.vdot(target, amp1)) ** 2 / p1) if p1 > 0 else 0.0
-    return p0, p1, fid
+    """Ancilla-count branches for |n,0>: returns (P0, P1, fidelity of the one-count
+    output against |n-1>).
+
+    U|n,0> = sum_l c_l |n-l, l>, so l ancilla counts leave exactly |n-l> with
+    probability c_l^2.  Photon number is conserved, so the fidelity is 1.
+    """
+    c = beam_splitter_fock_column(n, lam)
+    return float(c[0] ** 2), float(c[1] ** 2), 1.0
 
 
 def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
@@ -168,24 +154,24 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
 
 
 def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: int = 0) -> float:
-    """Sampled success frequency; exists only to cross-check the exact path."""
+    """Sampled success frequency; exists only to cross-check the exact path.
+
+    Each shot draws |n> with probability p, else vacuum, which never heralds;
+    |n> then runs count rounds until one count (success) or more (failure).
+    """
     p0_fock, p1_fock, _ = _one_round_branches(n, lam)
     rng = np.random.default_rng(seed)
-    lam_n = p0_fock
     hits = 0
     for _ in range(shots):
-        p_t = p
+        if rng.random() >= p:
+            continue
         for _ in range(10_000):
             r = rng.random()
-            p0 = p_t * lam_n + (1.0 - p_t)
-            p1 = p_t * p1_fock
-            if r < p1:
+            if r < p1_fock:
                 hits += 1
                 break
-            if r < p1 + p0:
-                p_t = p_t * lam_n / p0
-                continue
-            break
+            if r >= p1_fock + p0_fock:
+                break
     return hits / shots
 
 
@@ -215,6 +201,16 @@ def _check_cutoff(alpha: float, cutoff: int | None) -> int:
     return cutoff
 
 
+def _balanced_split(terms, d: int) -> np.ndarray:
+    """sum_k w_k U|a_k>|b_k> at transmissivity 1/2 as a d x d matrix (rows: first
+    mode), from U|a>|b> = |(a+b)/sqrt2>|(b-a)/sqrt2> for real a and b."""
+    joint = np.zeros((d, d))
+    for w, a, b in terms:
+        left, right = (np.real(coherent_vector(x / math.sqrt(2.0), d)[0]) for x in (a + b, b - a))
+        joint += w * np.outer(left, right)
+    return joint
+
+
 def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, ProtocolOutcome]:
     """Two small even cats to one large one through a balanced beam splitter.
 
@@ -226,11 +222,11 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
     if alpha <= 0:
         raise UsageError("alpha must be positive")
     d = _check_cutoff(alpha, cutoff)
-    psi = cat_amplitudes(alpha, "+", d)
     target = cat_amplitudes(math.sqrt(2.0) * alpha, "+", d)
     target = target / np.linalg.norm(target)
-    u = beam_splitter_unitary(0.5, d)
-    joint = (u.entries @ np.kron(psi, psi)).reshape(d, d)
+    # cat x cat = sum over s, t = +-1 of |s alpha>|t alpha> / N^2
+    w = 1.0 / cat_norm(alpha, "+") ** 2
+    joint = _balanced_split([(w, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)], d)
 
     a2 = alpha * alpha
     c2 = math.cosh(2.0 * a2)
@@ -284,15 +280,14 @@ def cat_dilution(alpha: float, cutoff: int | None = None) -> ProtocolOutcome:
     if alpha <= 0:
         raise UsageError("alpha must be positive")
     d = _check_cutoff(alpha, cutoff)
-    psi_big = cat_amplitudes(math.sqrt(2.0) * alpha, "+", d)
     plus = cat_amplitudes(alpha, "+", d)
     plus = plus / np.linalg.norm(plus)
     minus = cat_amplitudes(alpha, "-", d)
     minus = minus / np.linalg.norm(minus)
-    u = beam_splitter_unitary(0.5, d)
-    vac = np.zeros(d)
-    vac[0] = 1.0
-    joint = (u.entries @ np.kron(psi_big, vac)).reshape(d, d)
+    # big cat x vacuum = (|sqrt2 alpha>|0> + |-sqrt2 alpha>|0>) / N_big
+    big = math.sqrt(2.0) * alpha
+    w = 1.0 / cat_norm(big, "+")
+    joint = _balanced_split([(w, big, 0.0), (w, -big, 0.0)], d)
     amp_plus = joint @ plus
     amp_minus = joint @ minus
     p_plus = float(np.sum(np.abs(amp_plus) ** 2))

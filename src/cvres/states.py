@@ -138,16 +138,21 @@ def thermal_weights(nu: float, cutoff: int) -> np.ndarray:
     return np.exp(math.log(1.0 / (1.0 + nu)) + k * math.log(ratio))
 
 
+def cat_norm(alpha: float, sign: str) -> float:
+    """Norm N of |alpha> +- |-alpha>, so the cat is (|alpha> +- |-alpha>) / N."""
+    norm_sq = 2.0 * (1.0 + (1.0 if sign == "+" else -1.0) * math.exp(-2.0 * alpha * alpha))
+    if norm_sq <= 0.0:
+        raise UsageError("odd cat state needs alpha != 0")
+    return math.sqrt(norm_sq)
+
+
 def cat_amplitudes(alpha: float, sign: str, cutoff: int) -> np.ndarray:
     """Normalized-before-truncation cat amplitudes on Fock levels < cutoff."""
     a = float(alpha)
     plus, _ = coherent_vector(a, cutoff)
     minus, _ = coherent_vector(-a, cutoff)
     s = 1.0 if sign == "+" else -1.0
-    norm_sq = 2.0 * (1.0 + s * math.exp(-2.0 * a * a))
-    if norm_sq <= 0.0:
-        raise UsageError("odd cat state needs alpha != 0")
-    return np.real(plus + s * minus) / math.sqrt(norm_sq)
+    return np.real(plus + s * minus) / cat_norm(a, sign)
 
 
 def squeezed_amplitudes(r: float, cutoff: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_02_noisy_fock_curve():
 
 def test_criterion_03_generic_gamma_vs_exact():
     t0 = time.time()
-    bound = gamma_lower_bound(fock_state(1, 20), OptimizerConfig(cutoff=20, symmetry="none"))
+    bound = gamma_lower_bound(fock_state(1, 20), OptimizerConfig(symmetry="none"))
     elapsed = time.time() - t0
     ok = bound.value >= LOG2E - 1e-4 and elapsed < 30.0
     assert report(3, f"generic ascent on |1><1| gives {bound.value:.6f}", ok, elapsed, 30)
@@ -249,7 +249,7 @@ def test_criterion_09_rate_tightness():
 def test_criterion_10_sandwich_soundness():
     t0 = time.time()
     d = 50
-    cfg = OptimizerConfig(cutoff=d)
+    cfg = OptimizerConfig()
     ok = True
 
     def check_state(spec, deficit_tol=1e-6):
@@ -281,7 +281,7 @@ def test_criterion_10_sandwich_soundness():
 
     lo_cat, hi_cat = bound_sandwich(
         make_state(StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60), deficit_tol=1e-7),
-        OptimizerConfig(cutoff=60),
+        OptimizerConfig(),
         spec=StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60),
     )
     width = hi_cat.value - lo_cat.value

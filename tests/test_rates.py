@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from cvres.errors import DegenerateParameterError, UsageError
-from cvres.fock_core import DensityOperator, fock_state, tensor_states
-from cvres.states import StateSpec, make_state
+from cvres.fock_core import DensityOperator, beam_splitter_unitary, fock_state, tensor_states
+from cvres.states import StateSpec, cat_amplitudes, make_state
 from cvres.nonclassicality import MonotoneBound, fock_closed_form
+from cvres import rates
 from cvres.rates import (
     ProtocolOutcome,
+    _one_round_branches,
     cat_amplification,
     cat_amplification_formulas,
     cat_dilution,
@@ -94,7 +96,8 @@ class TestFockDilution:
 
 
 class TestCatAmplification:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    # alpha = 4 has d = 136, out of reach of a dense d^2 x d^2 beam splitter
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 4.0])
     def test_matches_formulas(self, alpha):
         sims = cat_amplification(alpha)
         forms = cat_amplification_formulas(alpha)
@@ -124,7 +127,7 @@ class TestCatAmplification:
 
 
 class TestCatDilution:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 4.0])
     def test_branches_match_formulas(self, alpha):
         out = cat_dilution(alpha)
         forms = cat_dilution_formulas(alpha)
@@ -138,6 +141,57 @@ class TestCatDilution:
 
     def test_rate_vanishes_at_small_alpha(self):
         assert cat_dilution(0.05).rate_lower_bound < 1e-4
+
+
+class TestDenseReference:
+    """The beam-splitter identities against contracting the dense unitary.
+
+    Each protocol is run twice: once as is, and once with its joint amplitude
+    matrix replaced by the dense unitary applied to the product input, so the
+    heralds and the contraction are shared and only the joint state differs.
+    """
+
+    @staticmethod
+    def run_dense(monkeypatch, protocol, alpha, left, right):
+        def dense_split(terms, d):
+            u = beam_splitter_unitary(0.5, d)
+            return (u.entries @ np.kron(left(d), right(d))).reshape(d, d)
+
+        with monkeypatch.context() as m:
+            m.setattr(rates, "_balanced_split", dense_split)
+            return protocol(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_cat_amplification(self, monkeypatch, alpha):
+        small = lambda d: cat_amplitudes(alpha, "+", d)
+        dense = self.run_dense(monkeypatch, cat_amplification, alpha, small, small)
+        sims = cat_amplification(alpha)
+        for name in ("ours", "lund"):
+            assert sims[name].success_probability == pytest.approx(
+                dense[name].success_probability, abs=1e-10)
+            assert sims[name].output_fidelity_check == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_cat_dilution(self, monkeypatch, alpha):
+        big = lambda d: cat_amplitudes(math.sqrt(2.0) * alpha, "+", d)
+        vac = lambda d: np.eye(d)[0]
+        dense = self.run_dense(monkeypatch, cat_dilution, alpha, big, vac)
+        sim = cat_dilution(alpha)
+        for key in ("branch_plus", "branch_minus"):
+            assert sim.details[key] == pytest.approx(dense.details[key], abs=1e-10)
+        assert sim.output_fidelity_check == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    def test_fock_branches(self, n, lam):
+        d = n + 1
+        vec = np.zeros(d * d, dtype=complex)
+        vec[n * d] = 1.0
+        out = (beam_splitter_unitary(lam, d).entries @ vec).reshape(d, d)
+        p0, p1, fid = _one_round_branches(n, lam)
+        assert p0 == pytest.approx(float(np.sum(np.abs(out[:, 0]) ** 2)), abs=1e-10)
+        assert p1 == pytest.approx(float(np.sum(np.abs(out[:, 1]) ** 2)), abs=1e-10)
+        assert fid == pytest.approx(abs(out[n - 1, 1]) ** 2 / p1, abs=1e-10)
 
 
 class TestProtocolOutcome:
