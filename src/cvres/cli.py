@@ -405,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, fmt=True, nats=True):
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker count (default ${THREADS_ENV} or machine)")
-        p.add_argument("--nats", action="store_true", help="convert bit outputs to nats")
+        if fmt:  # figure always writes CSV
+            p.add_argument("--format", choices=("csv", "json"), default="json")
+        if nats:  # protocol outputs carry no bits
+            p.add_argument("--nats", action="store_true", help="convert bit outputs to nats")
 
     p_mono = sub.add_parser("monotone", help="certified bounds for one state")
     p_mono.add_argument("--state", required=True,
@@ -434,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--nu", type=float, default=None)
     p_fig.add_argument("--sign", choices=("+", "-"), default=None)
     p_fig.add_argument("--task", choices=("amplify", "dilute"), default=None)
-    common(p_fig)
+    p_fig.add_argument("--threads", type=int, default=None,
+                       help=f"worker count (default ${THREADS_ENV} or machine)")
+    common(p_fig, fmt=False)
     p_fig.set_defaults(func=cmd_figure)
 
     p_proto = sub.add_parser("protocol", help="exact protocol simulation")
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto.add_argument("--lam", type=float, default=0.5)
     p_proto.add_argument("--alpha", type=float, default=1.0)
     p_proto.add_argument("--cutoff", type=int, default=None)
-    common(p_proto)
+    common(p_proto, nats=False)
     p_proto.set_defaults(func=cmd_protocol)
 
     p_cert = sub.add_parser("certify", help="truncation certificate and corrected interval")

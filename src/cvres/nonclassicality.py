@@ -17,11 +17,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
@@ -101,12 +100,11 @@ def fock_closed_form(n: int) -> float:
 class OptimizerConfig:
     max_iters: int = 300
     objective_tol: float = 1e-8  # bits
-    inner_tol: float = 1e-9  # relative slack allowed in the certified inner sup
     symmetry: str = "auto"  # auto | none | phase | reflection
 
     def __post_init__(self):
-        if self.objective_tol <= 0 or self.inner_tol <= 0:
-            raise UsageError("tolerances must be positive")
+        if self.objective_tol <= 0:
+            raise UsageError("objective_tol must be positive")
         if self.symmetry not in ("auto", "none", "phase", "reflection"):
             raise UsageError(f"unknown symmetry tag {self.symmetry!r}")
 
@@ -176,23 +174,43 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def coherent_sup_certified(
-    entries, *, tol: float = 1e-10, max_splits: int = 20000, op_norm: float | None = None
-) -> CertifiedSup:
+SUP_MAX_SPLITS = 20000  # branch-and-bound budget of one certified supremum
+INNER_TOL = 1e-9  # relative slack of the certified inner sup in every lower-bound engine
+
+
+def _curvature_table(
+    powers: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents e, coefficients c_e and bound coefficients of F''(t) = e^(-t) sum_e c_e t^e.
+
+    Each W_s t^p of F(t) = e^(-t) sum_s W_s t^p contributes W_s [p(p-1) t^(p-2)
+    - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so equal ones match
+    exactly and opposite signs cancel.  |c_e| + 1e-14 sum|terms of e| covers the
+    rounding of c_e, so sum_e bound_e max t^e e^(-t) bounds |F''| on a segment.
+    """
+    exps = np.concatenate([powers - 2.0, powers - 1.0, powers])
+    terms = np.concatenate([weights * powers * (powers - 1.0), -2.0 * weights * powers, weights])
+    keep = terms != 0.0
+    exps, index = np.unique(exps[keep], return_inverse=True)
+    coefs = np.bincount(index, weights=terms[keep])
+    mags = np.bincount(index, weights=np.abs(terms[keep]))
+    return exps, coefs, np.abs(coefs) + 1e-14 * mags
+
+
+def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     """Certified upper bound on sup over all alpha in C of <alpha|L|alpha>.
 
-    Works on the absolute-coefficient envelope e^(-t) sum_s W_s t^(s/2), which
-    dominates the target for every phase of alpha; the segment bounds combine
-    per-monomial maxima (each t^p e^(-t) peaks at t = p) with a derivative
-    bound, refined by bisection until within ``tol`` (relative) of an attained
-    envelope value.  Beyond the largest power the envelope decreases, so the
-    search radius t <= d-1 is exhaustive; the operator norm caps the result
-    since truncated coherent vectors have norm at most one.
+    Works on the absolute-coefficient envelope F(t) = e^(-t) sum_s W_s t^(s/2),
+    which dominates the target for every phase of alpha; the segment bounds
+    combine per-monomial maxima (each t^p e^(-t) peaks at t = p) with the
+    curvature bound of ``_curvature_table``, refined by bisection until within
+    ``tol`` (relative) of an attained envelope value.  Beyond the largest power
+    the envelope decreases, so the search radius t <= d-1 is exhaustive; the
+    largest eigenvalue of L caps the result since truncated coherent vectors
+    have norm at most one.
     """
     entries = np.asarray(entries)
-    if op_norm is None:
-        op_norm = float(np.max(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T))))
-    cap = max(op_norm, 0.0)
+    cap = max(float(np.max(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)))), 0.0)
     ln_w = _envelope_log_weights(entries)
     powers = 0.5 * np.arange(ln_w.size)
     finite = np.isfinite(ln_w)
@@ -202,6 +220,7 @@ def coherent_sup_certified(
     powers = powers[finite]
     t_max = max(float(powers[-1]), 1.0)
     weights = np.exp(ln_w)
+    curve_exps, _, curve_bound = _curvature_table(powers, weights)
 
     def envelope(t: float) -> float:
         if t <= 0.0:
@@ -212,7 +231,6 @@ def coherent_sup_certified(
 
     def monomial_max(shift: np.ndarray, a: float, b: float) -> np.ndarray:
         """max of t^shift e^(-t) over [a, b]; negative shifts are decreasing in t."""
-        shift = np.asarray(shift, dtype=float)
         out = np.empty_like(shift)
         neg = shift < 0.0
         if np.any(neg):
@@ -224,16 +242,7 @@ def coherent_sup_certified(
 
     def segment_bound(a: float, b: float) -> float:
         peak = float(np.dot(weights, monomial_max(powers, a, b)))
-        # curvature bound: |(t^p e^(-t))''| <= |p(p-1)| t^(p-2) + 2p t^(p-1) + t^p (x e^(-t))
-        coeff = np.abs(powers * (powers - 1.0))
-        curve = monomial_max(powers, a, b).copy()
-        lead = coeff > 0.0
-        if np.any(lead):
-            curve[lead] = curve[lead] + coeff[lead] * monomial_max(powers[lead] - 2.0, a, b)
-        lin = powers > 0.0
-        if np.any(lin):
-            curve[lin] = curve[lin] + 2.0 * powers[lin] * monomial_max(powers[lin] - 1.0, a, b)
-        d2 = float(np.dot(weights, curve))
+        d2 = float(np.dot(curve_bound, monomial_max(curve_exps, a, b)))
         smooth = max(envelope(a), envelope(b)) + 0.125 * (b - a) ** 2 * d2
         return min(peak, smooth) if math.isfinite(smooth) else peak
 
@@ -247,7 +256,7 @@ def coherent_sup_certified(
     heap = []
     for a, b in zip(probes[:-1], probes[1:]):
         heapq.heappush(heap, (-segment_bound(a, b), a, b))
-    for _ in range(max_splits):
+    for _ in range(SUP_MAX_SPLITS):
         neg_bound, a, b = heap[0]
         bound = min(-neg_bound, cap)
         if bound - best <= tol * max(best, 1e-300) + 1e-300:
@@ -287,10 +296,9 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
     h = (vecs * np.log(np.maximum(evals, delta))) @ vecs.conj().T
     h = 0.5 * (h + h.conj().T)
 
-    def evaluate(h_mat, tol=None, splits=400):
+    def evaluate(h_mat):
         l_mat, evals, vecs = exp_hermitian(h_mat)
-        cert = coherent_sup_certified(l_mat, tol=tol or max(cfg.inner_tol, 3e-7),
-                                      max_splits=splits)
+        cert = coherent_sup_certified(l_mat, tol=INNER_TOL)
         aux = (cert, l_mat, evals, vecs)
         if cert.value <= 0.0:
             return -math.inf, aux
@@ -303,12 +311,9 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
         grad_tr = exp_frechet_gradient(evals, vecs, weight)
         return LOG2E * (rho_m - grad_tr / max(cert.value, 1e-300))
 
-    best_h, best_value, (best_cert, *_), report = ascend(
+    _, best_value, (best_cert, *_), report = ascend(
         evaluate, gradient, h, cfg.max_iters, cfg.objective_tol)
-    final_value, (final_cert, *_) = evaluate(best_h, tol=cfg.inner_tol, splits=20000)
-    if final_value >= best_value:
-        best_value, best_cert = final_value, final_cert
-    return best_value, best_cert, replace(report, value_bits=best_value)
+    return best_value, best_cert, report
 
 
 def _gamma_ascent_diagonal(
@@ -322,7 +327,7 @@ def _gamma_ascent_diagonal(
 
     def evaluate(h_vec):
         ell = np.exp(h_vec)
-        cert = coherent_sup_certified(np.diag(ell), tol=cfg.inner_tol, max_splits=4000)
+        cert = coherent_sup_certified(np.diag(ell), tol=INNER_TOL)
         if cert.value <= 0.0:
             return -math.inf, (cert, ell)
         return LOG2E * float(np.dot(p, h_vec)) - math.log2(cert.value), (cert, ell)
@@ -393,7 +398,6 @@ def cat_gamma_lower_bound(
     alpha: float,
     sign: str,
     cutoff: int,
-    cfg: OptimizerConfig | None = None,
 ) -> MonotoneBound:
     """Reflection-symmetric lower bound for cat states.
 
@@ -401,7 +405,6 @@ def cat_gamma_lower_bound(
     alpha -> -alpha reflection, so it splits into a 2x2 even block (cat+ and
     the orthogonalized vacuum) and a scalar odd block.
     """
-    cfg = cfg or OptimizerConfig()
     rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff), deficit_tol=1e-6)
     psi = cat_amplitudes(alpha, sign, cutoff)
     b_plus = cat_amplitudes(alpha, "+", cutoff)
@@ -422,42 +425,35 @@ def cat_gamma_lower_bound(
     coords = basis @ psi
     outside = max(0.0, float(np.dot(psi, psi) - np.dot(coords, coords)))
 
-    def objective(x, tol=3e-7, splits=300):
+    best = (-math.inf, None)
+
+    def objective(x):
+        # the clipped log L is both exponentiated and traced, so every point is feasible;
+        # only the top is clipped, since a floor would flatten the objective and stall the search
+        nonlocal best
+        x = np.minimum(x, 50.0)
         if even_dim == 2:
-            s_even = np.array([[x[0], x[1]], [x[1], x[2]]])
-            m_even = expm(s_even)
-            log_even = s_even
-            odd = math.exp(min(x[3], 50.0))
-            log_odd = x[3]
-            m = np.block([
-                [m_even, np.zeros((2, 1))],
-                [np.zeros((1, 2)), np.array([[odd]])],
-            ])
-            log_m = np.block([
-                [log_even, np.zeros((2, 1))],
-                [np.zeros((1, 2)), np.array([[log_odd]])],
-            ])
+            log_m = np.array([[x[0], x[1], 0.0], [x[1], x[2], 0.0], [0.0, 0.0, x[3]]])
         else:
-            m = np.diag([math.exp(x[0]), math.exp(x[1])])
-            log_m = np.diag([x[0], x[1]])
-        l_mat = basis.T @ m @ basis
-        cert = coherent_sup_certified(l_mat, tol=tol, max_splits=splits)
+            log_m = np.diag(x)
+        m, _, _ = exp_hermitian(log_m)
+        cert = coherent_sup_certified(basis.T @ m @ basis, tol=INNER_TOL)
         lin = float(coords @ log_m @ coords) * LOG2E + outside * math.log2(floor)
-        return lin - math.log2(cert.value + floor), cert
+        value = lin - math.log2(cert.value + floor)
+        if value > best[0]:
+            best = (value, cert)
+        return -value
 
     x0 = np.array([0.0, 0.0, -8.0, -8.0]) if sign == "+" else np.array([-8.0, 0.0, -8.0, 0.0])
     if even_dim == 1:
         x0 = np.array([0.0, -8.0]) if sign == "+" else np.array([-8.0, 0.0])
     res = minimize(
-        lambda x: -objective(x)[0],
+        objective,
         x0,
         method="Nelder-Mead",
         options={"maxiter": 250, "xatol": 1e-6, "fatol": 1e-9},
     )
-    raw, cert = objective(res.x, tol=cfg.inner_tol, splits=20000)
-    raw0, cert0 = objective(x0, tol=cfg.inner_tol, splits=20000)
-    if raw0 > raw:
-        raw, cert = raw0, cert0
+    raw, cert = best
     eps = truncation_epsilon(rho)
     energy = exact_energy(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff))
     correction = truncation_certificate(eps, energy, 1)
@@ -1021,7 +1017,7 @@ def bound_sandwich(
                                     {"ansatz_description": "Fock closed form"}))
     if fam == "cat":
         lowers.append(cat_gamma_lower_bound(float(spec.params["alpha"]), spec.params["sign"],
-                                            rho.cutoff, cfg))
+                                            rho.cutoff))
         a = float(spec.params["alpha"])
         uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture",
                                                    points=[a, -a, 0.0], energy=energy))

@@ -115,7 +115,7 @@ class TestFigure:
     def test_noisy_fock_schema_and_values(self, capsys):
         code, out, _ = run_cli(
             ["figure", "--name", "noisy-fock-fixed-nu", "--nu", "0", "--n-grid", "1",
-             "--p-grid", "0.25,0.5", "--cutoff", "12", "--format", "csv"],
+             "--p-grid", "0.25,0.5", "--cutoff", "12"],
             capsys,
         )
         assert code == 0
@@ -138,7 +138,7 @@ class TestFigure:
         monkeypatch.setattr(nc, "fock_diagonal_ncm", unconverged)
         code, out, _ = run_cli(
             ["figure", "--name", "noisy-fock-fixed-n", "--n", "2", "--nu-grid", "2",
-             "--p-grid", "0.1", "--format", "csv"],
+             "--p-grid", "0.1"],
             capsys,
         )
         assert code == 2
@@ -150,8 +150,7 @@ class TestFigure:
         assert "noisy-fock-fixed-n" in err and "protocols" in err
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
-        args = ["figure", "--name", "squeezed", "--r-grid", "0.25,0.5", "--cutoff", "40",
-                "--format", "csv"]
+        args = ["figure", "--name", "squeezed", "--r-grid", "0.25,0.5", "--cutoff", "40"]
         paths = []
         for i in range(2):
             p = tmp_path / f"out{i}.csv"
@@ -166,8 +165,7 @@ class TestFigure:
 
     def test_squeezed_r1_row(self, capsys):
         code, out, _ = run_cli(
-            ["figure", "--name", "squeezed", "--r-grid", "1.0", "--cutoff", "60",
-             "--format", "csv"],
+            ["figure", "--name", "squeezed", "--r-grid", "1.0", "--cutoff", "60"],
             capsys,
         )
         assert code == 0
@@ -178,7 +176,7 @@ class TestFigure:
     def test_cat_schema(self, capsys):
         code, out, _ = run_cli(
             ["figure", "--name", "cat", "--alpha-grid", "1.0", "--sign", "+",
-             "--cutoff", "30", "--format", "csv"],
+             "--cutoff", "30"],
             capsys,
         )
         assert code == 0
@@ -198,7 +196,7 @@ class TestFigure:
 
     def test_threads_flag_matches_serial(self, tmp_path):
         args = ["figure", "--name", "noisy-fock-fixed-nu", "--nu", "0", "--n-grid", "1",
-                "--p-grid", "0.2,0.4,0.6", "--cutoff", "10", "--format", "csv"]
+                "--p-grid", "0.2,0.4,0.6", "--cutoff", "10"]
         serial = tmp_path / "serial.csv"
         threaded = tmp_path / "threaded.csv"
         assert main(args + ["--output", str(serial), "--threads", "1"]) == 0
@@ -210,8 +208,7 @@ class TestFigure:
 class TestProtocolFigure:
     def test_schema_and_soundness(self, capsys):
         code, out, _ = run_cli(
-            ["figure", "--name", "protocols", "--alpha-grid", "0.8", "--task", "dilute",
-             "--format", "csv"],
+            ["figure", "--name", "protocols", "--alpha-grid", "0.8", "--task", "dilute"],
             capsys,
         )
         assert code == 0
@@ -279,3 +276,16 @@ class TestCertify:
         assert code == 0
         value = out.strip().split("\n")[1].split(",")[-1]
         assert value == "1.06345708"  # %.9g
+
+
+@pytest.mark.parametrize("argv", [
+    ["monotone", "--state", FOCK1, "--threads", "2"],
+    ["protocol", "--task", "cat-amplify", "--nats"],
+    ["certify", "--epsilon", "0.1", "--energy", "1", "--threads", "2"],
+    ["figure", "--name", "squeezed", "--format", "json"],
+])
+def test_unread_flags_rejected(argv, capsys):
+    # each command registers only the flags it reads
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 
+from cvres import nonclassicality
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
 from cvres.entropies import von_neumann_entropy
@@ -11,6 +12,8 @@ from cvres.states import StateSpec, gaussian_descriptor, make_state
 from cvres.nonclassicality import (
     MonotoneBound,
     OptimizerConfig,
+    _curvature_table,
+    _envelope_log_weights,
     basel_divergence_bound,
     bound_sandwich,
     bound_sandwich_product,
@@ -64,6 +67,95 @@ class TestCoherentSup:
         v1 = coherent_sup_certified(l_mat).value
         v2 = coherent_sup_certified(7.3 * l_mat).value
         assert abs(math.log2(v2 / v1) - math.log2(7.3)) < 1e-10
+
+
+def _displaced_fock1(beta: complex, d: int, pad: int = 60) -> np.ndarray:
+    """Truncated D(beta)|1> = (a^dagger - conj(beta))|beta>, whose amplitudes alternate in sign."""
+    coh, _ = coherent_vector(beta, pad)
+    raised = np.zeros(pad, dtype=complex)
+    raised[1:] = np.sqrt(np.arange(1, pad)) * coh[:-1]
+    return (raised - np.conj(beta) * coh)[:d]
+
+
+def _sup_test_matrix(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind.startswith("random"):
+        d = int(kind[len("random"):])
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return g @ g.conj().T
+    if kind == "displaced":
+        beta = complex(*rng.uniform(-1.2, 1.2, size=2))
+        vec = _displaced_fock1(beta, 20)
+        return np.outer(vec, vec.conj()) + 1e-3 * np.eye(20)
+    d = int(kind[len("flat"):])
+    return np.diag(1.0 + 1e-3 * rng.random(d)).astype(complex)
+
+
+SUP_KINDS = ["random6", "random12", "random24", "displaced", "flat20", "flat40"]
+
+
+class TestCertifiedSupSoundness:
+    @pytest.mark.parametrize("tol", [3e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("kind", SUP_KINDS)
+    def test_sampled_values_below_certificate(self, kind, tol):
+        for seed in range(2):
+            l_mat = _sup_test_matrix(kind, seed)
+            d = l_mat.shape[0]
+            cert = coherent_sup_certified(l_mat, tol=tol)
+            best = cert.value - cert.gap
+            assert cert.gap <= tol * best
+            rng = np.random.default_rng(100 + seed)
+            radius = rng.uniform(0.0, math.sqrt(d) + 1.0, size=300)
+            alphas = radius * np.exp(2j * math.pi * rng.random(300))
+            ring = math.sqrt(cert.argmax_t) * np.exp(2j * math.pi * np.arange(32) / 32)
+            alphas = np.append(alphas, ring)
+
+            def value(x):
+                v, _ = coherent_vector(complex(x[0], x[1]), d)
+                return float(np.real(np.vdot(v, l_mat @ v)))
+
+            samples = [value((z.real, z.imag)) for z in alphas]
+            assert max(samples) <= cert.value * (1 + 1e-12)
+            # polish the best sample into a local maximum, which a loose certificate misses
+            start = alphas[int(np.argmax(samples))]
+            res = minimize(lambda x: -value(x), [start.real, start.imag], method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 2000})
+            assert -res.fun <= cert.value * (1 + 1e-12)
+
+
+class TestCurvatureTable:
+    @pytest.mark.parametrize("kind", SUP_KINDS)
+    def test_matches_finite_differences(self, kind):
+        ln_w = _envelope_log_weights(_sup_test_matrix(kind, 0))
+        powers = 0.5 * np.arange(ln_w.size)
+        finite = np.isfinite(ln_w)
+        powers, weights = powers[finite], np.exp(ln_w[finite])
+        exps, coefs, bound = _curvature_table(powers, weights)
+
+        def envelope(t):
+            return math.exp(-t) * float(np.sum(weights * t**powers))
+
+        def seg_max(q, a, b):
+            # max of t^q e^(-t) over [a, b], a > 0
+            t_star = np.clip(q, a, b)
+            return np.exp(q * np.log(t_star) - t_star)
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a, b = np.sort(rng.uniform(0.5, float(powers[-1]), size=2))
+            table_bound = float(np.dot(bound, seg_max(exps, a, b)))
+            # the same bound taken term by term, which cannot see cancellation
+            termwise = float(np.dot(weights, (
+                np.abs(powers * (powers - 1.0)) * seg_max(powers - 2.0, a, b)
+                + 2.0 * powers * seg_max(powers - 1.0, a, b) + seg_max(powers, a, b))))
+            assert table_bound <= termwise * (1 + 1e-12)
+            for t in np.linspace(a, b, 7):
+                h = 1e-3 * t
+                fd = (-envelope(t + 2 * h) + 16 * envelope(t + h) - 30 * envelope(t)
+                      + 16 * envelope(t - h) - envelope(t - 2 * h)) / (12 * h * h)
+                exact = math.exp(-t) * float(np.dot(coefs, t**exps))
+                assert abs(fd - exact) <= 1e-6 * termwise
+                assert abs(exact) <= table_bound
 
 
 class TestFockClosedForm:
@@ -182,6 +274,19 @@ class TestCatReflection:
         # as alpha -> 0 the odd cat approaches |1>, whose value is log2(e)
         bound = cat_gamma_lower_bound(0.25, "-", 30)
         assert bound.value > 1.2
+
+    def test_out_of_range_point_stays_feasible(self, monkeypatch):
+        # at x[3] = 60 the odd block must be exponentiated and traced at the same clipped value
+        x_far = np.array([-8.0, 0.0, -8.0, 60.0])
+
+        def fake_minimize(fun, x0, **kwargs):
+            return OptimizeResult(x=x_far, fun=fun(x_far), success=True)
+
+        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "-"}, 35), deficit_tol=1e-6)
+        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[0.3, -0.3, 0.0])
+        monkeypatch.setattr(nonclassicality, "minimize", fake_minimize)
+        lo = cat_gamma_lower_bound(0.3, "-", 35)
+        assert lo.value <= up.value
 
 
 class TestEnergyBound:
