@@ -271,11 +271,9 @@ def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list], bool]:
 def _figure_protocols(args, threads: int) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.5, 2.0, 7))
     tasks = [t for t in ("amplify", "dilute") if args.task in (None, t)]
-    rows = []
-    for task in tasks:
-        for row in rates.protocol_figure_data(task, alphas):
-            rows.append([row["alpha"], row["task"], row["lower_rate"], row["upper_rate"]])
-    return ["alpha", "task", "lower_rate", "upper_rate"], rows, True
+    data = [row for task in tasks for row in rates.protocol_figure_data(task, alphas)]
+    rows = [[row["alpha"], row["task"], row["lower_rate"], row["upper_rate"]] for row in data]
+    return ["alpha", "task", "lower_rate", "upper_rate"], rows, all(r["converged"] for r in data)
 
 
 def cmd_figure(args) -> int:
@@ -375,6 +373,7 @@ def cmd_certify(args) -> int:
     cert = nc.truncation_certificate(eps, energy, modes)
     payload = {"epsilon": eps, "energy": energy, "modes": modes,
                "certificate_bits": _bits_out(cert, args.nats)}
+    converged = True
     if args.state:
         from cvres.states import FockDiagonalState
 
@@ -382,6 +381,7 @@ def cmd_certify(args) -> int:
         if isinstance(rho, FockDiagonalState):
             raise UsageError("certify --state does not support the basel family")
         lo, hi = nc.bound_sandwich(rho, spec=spec)
+        converged = lo.converged and hi.converged
         payload["corrected_interval"] = [
             _bits_out(max(0.0, lo.value - cert), args.nats),
             _bits_out(hi.value + cert, args.nats),
@@ -391,7 +391,7 @@ def cmd_certify(args) -> int:
         _write_csv(args.output, list(flat), [list(flat.values())])
     else:
         _write_json(args.output, payload)
-    return 0
+    return 0 if converged else 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ truncation certificate m*eps*g(2E/(m*eps)) + g(eps).
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -164,13 +163,12 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     j = np.arange(d)
     with np.errstate(divide="ignore"):
         ln_c = np.log(mag) - 0.5 * (gammaln(j + 1)[:, None] + gammaln(j + 1)[None, :])
-    flipped = np.fliplr(ln_c)
+    by_s = np.full((2 * d - 1, d), -np.inf)  # row s = j + k holds the terms of W_s
+    by_s[j[:, None] + j[None, :], j[:, None]] = ln_c
+    m = np.max(by_s, axis=1)
     out = np.full(2 * d - 1, -np.inf)
-    for s in range(2 * d - 1):
-        diag = np.diagonal(flipped, offset=d - 1 - s)
-        m = np.max(diag)
-        if np.isfinite(m):
-            out[s] = m + math.log(np.sum(np.exp(diag - m)))
+    ok = np.isfinite(m)
+    out[ok] = m[ok] + np.log(np.sum(np.exp(by_s[ok] - m[ok, None]), axis=1))
     return out
 
 
@@ -197,14 +195,23 @@ def _curvature_table(
     return exps, coefs, np.abs(coefs) + 1e-14 * mags
 
 
+def _monomial_max(exps: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max of t^e e^(-t) over [lo_i, hi_i] (rows, lo > 0) for each exponent e (columns),
+    attained at t = e clipped into the segment."""
+    t = np.minimum(np.maximum(exps, lo[:, None]), hi[:, None])
+    return np.exp(exps * np.log(t) - t)
+
+
 def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     """Certified upper bound on sup over all alpha in C of <alpha|L|alpha>.
 
     Works on the absolute-coefficient envelope F(t) = e^(-t) sum_s W_s t^(s/2),
     which dominates the target for every phase of alpha; the segment bounds
-    combine per-monomial maxima (each t^p e^(-t) peaks at t = p) with the
-    curvature bound of ``_curvature_table``, refined by bisection until within
-    ``tol`` (relative) of an attained envelope value.  Beyond the largest power
+    combine per-monomial maxima with the curvature bound of ``_curvature_table``.
+    Each level of the branch-and-bound retires the segments whose bound is within
+    ``tol`` (relative) of the best attained envelope value and bisects all the
+    others in a few (segments x exponents) array passes; the result is the
+    largest bound of any segment, live or retired.  Beyond the largest power
     the envelope decreases, so the search radius t <= d-1 is exhaustive; the
     largest eigenvalue of L caps the result since truncated coherent vectors
     have norm at most one.
@@ -222,54 +229,47 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     weights = np.exp(ln_w)
     curve_exps, _, curve_bound = _curvature_table(powers, weights)
 
-    def envelope(t: float) -> float:
-        if t <= 0.0:
-            return float(np.exp(ln_w[0])) if powers[0] == 0.0 else 0.0
-        vals = ln_w + powers * math.log(t) - t
-        m = float(np.max(vals))
-        return math.exp(m) * float(np.sum(np.exp(vals - m)))
+    def envelope_at(t: np.ndarray) -> np.ndarray:
+        # t > 0 only: at t = 0 the constant term would meet 0 * log 0
+        vals = ln_w + powers * np.log(t)[:, None] - t[:, None]
+        m = vals.max(axis=1)
+        return np.exp(m) * np.exp(vals - m[:, None]).sum(axis=1)
 
-    def monomial_max(shift: np.ndarray, a: float, b: float) -> np.ndarray:
-        """max of t^shift e^(-t) over [a, b]; negative shifts are decreasing in t."""
-        out = np.empty_like(shift)
-        neg = shift < 0.0
-        if np.any(neg):
-            out[neg] = np.inf if a <= 0.0 else np.exp(shift[neg] * math.log(a) - a)
-        pos = ~neg
-        t_star = np.clip(shift[pos], max(a, 1e-300), b)
-        out[pos] = np.exp(np.where(shift[pos] > 0.0, shift[pos] * np.log(t_star), 0.0) - t_star)
-        return out
+    def segment_bounds(a, b, fa, fb):
+        lo = np.maximum(a, 1e-300)
+        peak = _monomial_max(powers, lo, b) @ weights
+        # F'' is unbounded at t = 0 only when a half-integer power leaves a negative exponent
+        at_zero = (a <= 0.0) & (curve_exps[0] < 0.0)
+        d2 = _monomial_max(curve_exps, np.where(at_zero, b, lo), b) @ curve_bound
+        smooth = np.where(at_zero, np.inf, np.maximum(fa, fb) + 0.125 * (b - a) ** 2 * d2)
+        return np.minimum(peak, smooth)
 
-    def segment_bound(a: float, b: float) -> float:
-        peak = float(np.dot(weights, monomial_max(powers, a, b)))
-        d2 = float(np.dot(curve_bound, monomial_max(curve_exps, a, b)))
-        smooth = max(envelope(a), envelope(b)) + 0.125 * (b - a) ** 2 * d2
-        return min(peak, smooth) if math.isfinite(smooth) else peak
-
-    probes = sorted(set([0.0, t_max] + [float(p) for p in powers if 0.0 < p <= t_max]))
-    best = -1.0
-    best_t = 0.0
-    for t in probes:
-        v = envelope(t)
-        if v > best:
-            best, best_t = v, t
-    heap = []
-    for a, b in zip(probes[:-1], probes[1:]):
-        heapq.heappush(heap, (-segment_bound(a, b), a, b))
-    for _ in range(SUP_MAX_SPLITS):
-        neg_bound, a, b = heap[0]
-        bound = min(-neg_bound, cap)
-        if bound - best <= tol * max(best, 1e-300) + 1e-300:
+    probes = np.unique(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
+    values = np.concatenate([[weights[0] if powers[0] == 0.0 else 0.0], envelope_at(probes[1:])])
+    i_best = int(np.argmax(values))
+    best, best_t = float(values[i_best]), float(probes[i_best])
+    a, b, fa, fb = probes[:-1], probes[1:], values[:-1], values[1:]
+    bound = segment_bounds(a, b, fa, fb)
+    retired = 0.0
+    splits = 0
+    while a.size:
+        live = np.minimum(bound, cap) - best > tol * max(best, 1e-300) + 1e-300
+        if not live.all():
+            retired = max(retired, float(bound[~live].max()))
+            a, b, fa, fb, bound = a[live], b[live], fa[live], fb[live], bound[live]
+        if not a.size or splits + a.size > SUP_MAX_SPLITS:
             break
-        heapq.heappop(heap)
+        splits += a.size
         mid = 0.5 * (a + b)
-        v = envelope(mid)
-        if v > best:
-            best, best_t = v, mid
-        heapq.heappush(heap, (-segment_bound(a, mid), a, mid))
-        heapq.heappush(heap, (-segment_bound(mid, b), mid, b))
-    certified = min(max(-heap[0][0], best), cap) if heap else min(best, cap)
-    certified = max(certified, 0.0)
+        f_mid = envelope_at(mid)
+        i_mid = int(f_mid.argmax())
+        if f_mid[i_mid] > best:
+            best, best_t = float(f_mid[i_mid]), float(mid[i_mid])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+        bound = segment_bounds(a, b, fa, fb)
+    top = max(best, retired, float(bound.max()) if a.size else 0.0)
+    certified = max(min(top, cap), 0.0)
     return CertifiedSup(certified, best_t, t_max, max(0.0, certified - min(best, certified)))
 
 
@@ -1064,18 +1064,21 @@ def bound_sandwich_product(
     parts: Sequence[tuple[DensityOperator, StateSpec | None]],
     cfg: OptimizerConfig | None = None,
 ) -> tuple[MonotoneBound, MonotoneBound]:
-    """Interval for an explicit tensor product from per-factor intervals.
+    """Interval for an explicit tensor product from per-factor sandwiches."""
+    return product_interval([bound_sandwich(rho, cfg, spec=spec) for rho, spec in parts])
+
+
+def product_interval(
+    intervals: Sequence[tuple[MonotoneBound, MonotoneBound]],
+) -> tuple[MonotoneBound, MonotoneBound]:
+    """Interval for an explicit tensor product from per-factor (lower, upper) intervals.
 
     The lower endpoint adds factor lower bounds (the product ansatz is feasible
     and its objective additive); the upper endpoint adds factor upper bounds.
     """
-    if not parts:
+    if not intervals:
         raise UsageError("need at least one factor")
-    lowers, uppers = [], []
-    for rho, spec in parts:
-        lo, hi = bound_sandwich(rho, cfg, spec=spec)
-        lowers.append(lo)
-        uppers.append(hi)
+    lowers, uppers = zip(*intervals)
     return (
         MonotoneBound(
             "NCM",

@@ -144,6 +144,24 @@ class TestFigure:
         assert code == 2
         assert out.strip().split("\n")[1].split(",")[3:5] == ["0.1", "0.2"]
 
+    @pytest.mark.parametrize("task, code", [("amplify", 0), ("dilute", 2)])
+    def test_protocol_row_reads_only_its_own_flags(self, task, code, capsys, monkeypatch):
+        # only the odd cat's lower bound is unconverged, and only the dilution target reads it
+        from cvres import nonclassicality as nc
+        from cvres import rates
+
+        def interval(alpha, sign, cutoff, cfg):
+            return (nc.MonotoneBound("NCM", "lower", 1.0, converged=sign == "+"),
+                    nc.MonotoneBound("NC", "upper", 2.0))
+
+        monkeypatch.setattr(rates, "_cat_interval", interval)
+        got, out, _ = run_cli(
+            ["figure", "--name", "protocols", "--alpha-grid", "0.3", "--task", task], capsys
+        )
+        assert got == code
+        assert float(out.strip().split("\n")[1].split(",")[3]) == pytest.approx(
+            2.0 if task == "amplify" else 1.0)
+
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(["figure", "--name", "bogus"], capsys)
         assert code == 1
@@ -218,6 +236,29 @@ class TestProtocolFigure:
         assert task == "dilute"
         assert float(upper) >= float(lower) > 0
 
+    def test_each_cat_bound_once(self, tmp_path, monkeypatch):
+        # (0.3, +) and (0.3 sqrt2, +) serve both tasks; with (0.3, -) that is 3 bounds, not 5
+        from cvres import nonclassicality as nc
+        from cvres import rates
+
+        calls = []
+        real = nc.cat_gamma_lower_bound
+
+        def counted(alpha, sign, cutoff):
+            calls.append((alpha, sign, cutoff))
+            return real(alpha, sign, cutoff)
+
+        monkeypatch.setattr(nc, "cat_gamma_lower_bound", counted)
+        args = ["figure", "--name", "protocols", "--alpha-grid", "0.3"]
+        cached, uncached = tmp_path / "cached.csv", tmp_path / "uncached.csv"
+        rates._cat_interval.cache_clear()
+        assert main(args + ["--output", str(cached)]) == 0
+        assert len(calls) == len(set(calls)) == 3
+        monkeypatch.setattr(rates, "_cat_interval", rates._cat_interval.__wrapped__)
+        assert main(args + ["--output", str(uncached)]) == 0
+        assert len(calls) == 3 + 5
+        assert cached.read_bytes() == uncached.read_bytes()
+
 
 class TestProtocolCmd:
     def test_cat_dilute(self, capsys):
@@ -268,6 +309,21 @@ class TestCertify:
         doc = json.loads(out)
         lo, hi = doc["corrected_interval"]
         assert lo <= math.log2(math.e) <= hi
+
+    def test_unconverged_interval_exit_2(self, capsys, monkeypatch):
+        from cvres import nonclassicality as nc
+
+        def unconverged(rho, cfg=None, *, spec=None, include_generic=None):
+            return (nc.MonotoneBound("NCM", "lower", 1.0, converged=False),
+                    nc.MonotoneBound("NC", "upper", 2.0))
+
+        monkeypatch.setattr(nc, "bound_sandwich", unconverged)
+        code, out, _ = run_cli(
+            ["certify", "--epsilon", "0.01", "--energy", "1", "--state", FOCK1], capsys
+        )
+        assert code == 2
+        lo, hi = json.loads(out)["corrected_interval"]
+        assert lo < 1.0 < 2.0 < hi  # still emitted, widened by the certificate
 
     def test_float_formatting_nine_digits(self, capsys):
         code, out, _ = run_cli(

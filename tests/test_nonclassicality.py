@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
+from scipy.special import gammaln
 
 from cvres import nonclassicality
 from cvres.errors import UsageError
@@ -94,33 +95,59 @@ def _sup_test_matrix(kind: str, seed: int) -> np.ndarray:
 SUP_KINDS = ["random6", "random12", "random24", "displaced", "flat20", "flat40"]
 
 
+def _envelope(l_mat: np.ndarray, t: float) -> float:
+    """e^(-t) v^T |L| v with v_j = t^(j/2)/sqrt(j!), the phase-blind envelope at t."""
+    j = np.arange(l_mat.shape[0])
+    v = np.exp(0.5 * j * math.log(t) - 0.5 * gammaln(j + 1)) if t > 0 else (j == 0) * 1.0
+    return math.exp(-t) * float(v @ np.abs(l_mat) @ v)
+
+
+def _largest_coherent_value(l_mat: np.ndarray, cert, seed: int) -> float:
+    """Largest <alpha|L|alpha> over random and ring samples, polished by Nelder-Mead."""
+    d = l_mat.shape[0]
+    rng = np.random.default_rng(100 + seed)
+    radius = rng.uniform(0.0, math.sqrt(d) + 1.0, size=300)
+    alphas = radius * np.exp(2j * math.pi * rng.random(300))
+    ring = math.sqrt(cert.argmax_t) * np.exp(2j * math.pi * np.arange(32) / 32)
+    alphas = np.append(alphas, ring)
+
+    def value(x):
+        v, _ = coherent_vector(complex(x[0], x[1]), d)
+        return float(np.real(np.vdot(v, l_mat @ v)))
+
+    samples = [value((z.real, z.imag)) for z in alphas]
+    # polish the best sample into a local maximum, which a loose certificate misses
+    start = alphas[int(np.argmax(samples))]
+    res = minimize(lambda x: -value(x), [start.real, start.imag], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 2000})
+    return max(max(samples), -res.fun)
+
+
 class TestCertifiedSupSoundness:
     @pytest.mark.parametrize("tol", [3e-7, 1e-9, 1e-12])
     @pytest.mark.parametrize("kind", SUP_KINDS)
     def test_sampled_values_below_certificate(self, kind, tol):
         for seed in range(2):
             l_mat = _sup_test_matrix(kind, seed)
-            d = l_mat.shape[0]
             cert = coherent_sup_certified(l_mat, tol=tol)
             best = cert.value - cert.gap
             assert cert.gap <= tol * best
-            rng = np.random.default_rng(100 + seed)
-            radius = rng.uniform(0.0, math.sqrt(d) + 1.0, size=300)
-            alphas = radius * np.exp(2j * math.pi * rng.random(300))
-            ring = math.sqrt(cert.argmax_t) * np.exp(2j * math.pi * np.arange(32) / 32)
-            alphas = np.append(alphas, ring)
+            # within tol of the envelope value attained at argmax_t (or below it, at the cap)
+            assert cert.value <= _envelope(l_mat, cert.argmax_t) * (1 + tol + 1e-12)
+            assert _largest_coherent_value(l_mat, cert, seed) <= cert.value * (1 + 1e-12)
 
-            def value(x):
-                v, _ = coherent_vector(complex(x[0], x[1]), d)
-                return float(np.real(np.vdot(v, l_mat @ v)))
-
-            samples = [value((z.real, z.imag)) for z in alphas]
-            assert max(samples) <= cert.value * (1 + 1e-12)
-            # polish the best sample into a local maximum, which a loose certificate misses
-            start = alphas[int(np.argmax(samples))]
-            res = minimize(lambda x: -value(x), [start.real, start.imag], method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 2000})
-            assert -res.fun <= cert.value * (1 + 1e-12)
+    # on random12 and random24 the top eigenvalue caps the envelope before any split
+    @pytest.mark.parametrize("kind", ["random6", "displaced", "flat20", "flat40"])
+    def test_exhausted_split_budget_stays_sound(self, kind, monkeypatch):
+        # the budget runs out with segments still live, so their bounds must count
+        monkeypatch.setattr(nonclassicality, "SUP_MAX_SPLITS", 2)
+        tol = 1e-12
+        for seed in range(2):
+            l_mat = _sup_test_matrix(kind, seed)
+            cert = coherent_sup_certified(l_mat, tol=tol)
+            best = cert.value - cert.gap
+            assert cert.gap > tol * best
+            assert _largest_coherent_value(l_mat, cert, seed) <= cert.value * (1 + 1e-12)
 
 
 class TestCurvatureTable:
@@ -505,3 +532,7 @@ class TestSandwich:
         )
         assert lo.value == pytest.approx(lo_p.value + lo_m.value, abs=1e-9)
         assert lo.value <= hi.value
+
+    def test_product_needs_a_factor(self):
+        with pytest.raises(UsageError):
+            bound_sandwich_product([])
