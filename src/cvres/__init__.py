@@ -14,7 +14,6 @@ from .fock_core import (
     beam_splitter_unitary,
     coherent_vector,
     dephase,
-    operator_function,
     partial_trace,
     tensor_product,
     tensor_states,

@@ -24,7 +24,6 @@ from .errors import CvresError, UsageError
 from .fock_core import DensityOperator
 from .states import StateSpec, exact_energy, gaussian_descriptor, make_state
 
-THREADS_ENV = "CVRES_THREADS"
 FIGURE_NAMES = ("noisy-fock-fixed-n", "noisy-fock-fixed-nu", "cat", "squeezed", "protocols")
 
 
@@ -65,9 +64,6 @@ def _write_json(path, payload) -> None:
 def _thread_count(args) -> int:
     if getattr(args, "threads", None):
         return max(1, int(args.threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -225,22 +221,21 @@ def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list], bool]
 
 
 def _cat_row(task) -> tuple[list, bool]:
-    alpha, sign, cutoff, cfg = task
+    alpha, sign, cutoff = task
     spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
     rho = make_state(spec, deficit_tol=1e-7)
-    lo, hi = nc.bound_sandwich(rho, cfg, spec=spec)
+    lo, hi = nc.bound_sandwich(rho, spec=spec)
     return [alpha, sign, lo.value, hi.value], lo.converged and hi.converged
 
 
 def _figure_cat(args, threads: int) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.4, 2.4, 11))
     signs = [args.sign] if args.sign else ["+", "-"]
-    cfg = nc.OptimizerConfig()
     tasks = []
     for sign in signs:
         for a in alphas:
             cutoff = args.cutoff or rates.required_cat_cutoff(a, 1e-9)
-            tasks.append((a, sign, cutoff, cfg))
+            tasks.append((a, sign, cutoff))
     rows, converged = _collect(_map_ordered(_cat_row, tasks, threads))
     return ["alpha", "sign", "lower_bits", "upper_bits"], rows, converged
 
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--sign", choices=("+", "-"), default=None)
     p_fig.add_argument("--task", choices=("amplify", "dilute"), default=None)
     p_fig.add_argument("--threads", type=int, default=None,
-                       help=f"worker count (default ${THREADS_ENV} or machine)")
+                       help="worker count (default: machine)")
     common(p_fig, fmt=False)
     p_fig.set_defaults(func=cmd_figure)
 

@@ -22,6 +22,7 @@ from .fock_core import DensityOperator, coherent_vector
 LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
 _ZERO_BIN = 1e-15
+SUPPORT_TOL = 1e-10  # weight of rho outside the support of sigma that makes D(rho||sigma) infinite
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:
@@ -46,12 +47,10 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))))
 
 
-def relative_entropy(
-    rho: DensityOperator, sigma: DensityOperator, *, support_tol: float = 1e-10
-) -> float:
+def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     """D(rho||sigma) = Tr[rho(log2 rho - log2 sigma)] via joint eigen-expansion.
 
-    Returns +inf when rho carries more than ``support_tol`` weight outside the
+    Returns +inf when rho carries more than ``SUPPORT_TOL`` weight outside the
     numerical support of sigma.
     """
     if rho.modes != sigma.modes or rho.cutoff != sigma.cutoff:
@@ -65,7 +64,7 @@ def relative_entropy(
     # numerical support of sigma: eigenvalues at machine-zero relative scale
     b_zero = b_vals <= max(float(b_vals[-1]) * 1e-15, 1e-300)
     outside = float(np.sum(a_vals[a_pos][:, None] * overlap[np.ix_(a_pos, b_zero)]))
-    if outside > support_tol:
+    if outside > SUPPORT_TOL:
         return math.inf
     term_a = float(np.sum(a_vals[a_pos] * np.log2(a_vals[a_pos])))
     b_log = np.log2(np.maximum(b_vals, 1e-300))
@@ -160,9 +159,7 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
 
 
 def measured_relative_entropy(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    cfg=None,
+    rho: DensityOperator, sigma: DensityOperator
 ) -> tuple[float, OptimizerReport]:
     """Variational lower value of the measured relative entropy, in bits.
 
@@ -197,8 +194,7 @@ def measured_relative_entropy(
         tr_sig, evals, vecs = aux
         return LOG2E * (rho_m - exp_frechet_gradient(evals, vecs, sig_m) / tr_sig)
 
-    _, best_bits, _, report = ascend(evaluate, gradient, h, getattr(cfg, "max_iters", 600),
-                                     getattr(cfg, "objective_tol", 1e-10))
+    _, best_bits, _, report = ascend(evaluate, gradient, h, 600, 1e-10)
     return best_bits, report
 
 
@@ -256,11 +252,11 @@ def phase_space_tail_bits(energy: float, radius_sq: float, modes: int = 1) -> fl
     return mu * math.log2(math.e * second_moment / mu**2)
 
 
-def default_quadrature_grid(
-    energy: float, cutoff: int, *, radial_order: int = 64, angular_count: int = 128
-) -> QuadratureGrid:
-    nodes, weights = roots_laguerre(radial_order)
-    angular = max(angular_count, 2 * cutoff)
+def default_quadrature_grid(energy: float, cutoff: int) -> QuadratureGrid:
+    """Grid for states of energy <= ``energy``: 64 Gauss-Laguerre radial nodes and
+    max(128, 2*cutoff) angular nodes, enough to resolve Fock phases up to the cutoff."""
+    nodes, weights = roots_laguerre(64)
+    angular = max(128, 2 * cutoff)
     r_sq = float(nodes[-1])
     tail = phase_space_tail_bits(energy, r_sq)
     return QuadratureGrid(nodes, weights, angular, math.sqrt(r_sq), tail)
@@ -328,11 +324,11 @@ def husimi_kl_on_grid(
     return 0.5 * float(np.dot(radial_sum, angular_mean))
 
 
-def husimi_sup(rho: DensityOperator, *, tol: float = 1e-9) -> float:
+def husimi_sup(rho: DensityOperator) -> float:
     """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
     if rho.modes != 1:
         raise UsageError("husimi_sup supports single-mode states")
-    from .nonclassicality import coherent_sup_certified
+    from .nonclassicality import INNER_TOL, coherent_sup_certified
 
-    cert = coherent_sup_certified(rho.entries, tol=tol)
+    cert = coherent_sup_certified(rho.entries, tol=INNER_TOL)
     return cert.value / math.pi

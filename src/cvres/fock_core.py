@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,7 +25,6 @@ from .errors import ConfigurationError, InsufficientCutoffError, UsageError
 
 HERMITICITY_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-10
-LOG_EIGENVALUE_FLOOR = 1e-12
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -62,9 +61,6 @@ class TruncatedOperator:
     @property
     def dim(self) -> int:
         return self.cutoff**self.modes
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.modes, self.cutoff, self.entries.conj().T, self.hermitian)
 
 
 def total_photon_numbers(modes: int, cutoff: int) -> np.ndarray:
@@ -189,38 +185,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         t = np.trace(t, axis1=j, axis2=j + (t.ndim // 2))
     dim = d ** len(keep0)
     return DensityOperator.from_matrix(t.reshape(dim, dim), len(keep0), d, validate=False)
-
-
-class FunctionResult(NamedTuple):
-    operator: TruncatedOperator
-    floored: bool
-
-
-def operator_function(a: TruncatedOperator, kind: str) -> FunctionResult:
-    """Apply log2 / exp2 / exp in the eigenbasis of a Hermitian operator.
-
-    Eigenvalues below ``LOG_EIGENVALUE_FLOOR`` are clamped before log2 and the
-    substitution is flagged; clamping only loosens the variational lower bounds
-    built downstream, so certificates stay valid.
-    """
-    if not a.hermitian:
-        raise UsageError("operator_function requires a hermitian operator")
-    evals, vecs = np.linalg.eigh(a.entries)
-    floored = False
-    if kind == "log2":
-        if np.any(evals < LOG_EIGENVALUE_FLOOR):
-            floored = True
-            evals = np.maximum(evals, LOG_EIGENVALUE_FLOOR)
-        f = np.log2(evals)
-    elif kind == "exp2":
-        f = np.exp2(evals)
-    elif kind == "exp":
-        f = np.exp(evals)
-    else:
-        raise UsageError(f"unknown function tag {kind!r} (expected log2, exp2 or exp)")
-    out = (vecs * f) @ vecs.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return FunctionResult(TruncatedOperator(a.modes, a.cutoff, out, hermitian=True), floored)
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:

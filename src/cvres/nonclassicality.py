@@ -99,18 +99,15 @@ def fock_closed_form(n: int) -> float:
 class OptimizerConfig:
     max_iters: int = 300
     objective_tol: float = 1e-8  # bits
-    symmetry: str = "auto"  # auto | none | phase | reflection
 
     def __post_init__(self):
         if self.objective_tol <= 0:
             raise UsageError("objective_tol must be positive")
-        if self.symmetry not in ("auto", "none", "phase", "reflection"):
-            raise UsageError(f"unknown symmetry tag {self.symmetry!r}")
 
 
 @dataclass(frozen=True)
 class MonotoneBound:
-    quantity: str  # NCM | NC | NCM_regularized_interval | free_energy
+    quantity: str  # NCM | NC | free_energy
     direction: str  # lower | upper
     value: float
     certificate: dict = field(default_factory=dict)
@@ -317,13 +314,11 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
 
 
 def _gamma_ascent_diagonal(
-    p: np.ndarray, cfg: OptimizerConfig, h0: np.ndarray | None = None
+    p: np.ndarray, cfg: OptimizerConfig, h0: np.ndarray
 ) -> tuple[float, CertifiedSup, OptimizerReport]:
-    delta = 1e-9
     d = p.size
     k = np.arange(d)
     log_fact = gammaln(k + 1)
-    h = np.log(np.maximum(p, delta)) if h0 is None else np.array(h0, dtype=float)
 
     def evaluate(h_vec):
         ell = np.exp(h_vec)
@@ -343,7 +338,7 @@ def _gamma_ascent_diagonal(
         return LOG2E * (p - pois * ell / max(cert.value, 1e-300))
 
     _, best_value, (best_cert, _), report = ascend(
-        evaluate, gradient, h, cfg.max_iters, cfg.objective_tol)
+        evaluate, gradient, np.array(h0, dtype=float), cfg.max_iters, cfg.objective_tol)
     return best_value, best_cert, report
 
 
@@ -352,7 +347,6 @@ def gamma_lower_bound(
     cfg: OptimizerConfig | None = None,
     *,
     energy: float | None = None,
-    epsilon: float | None = None,
 ) -> MonotoneBound:
     """Certified lower bound on the measured relative entropy of nonclassicality.
 
@@ -365,16 +359,8 @@ def gamma_lower_bound(
                          "ansatz helpers for tensor inputs")
     cfg = cfg or OptimizerConfig()
     rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
-    if cfg.symmetry == "phase" or (cfg.symmetry == "auto" and rho.fock_diagonal):
-        raw, cert, report = _gamma_ascent_diagonal(np.clip(rho_n.diagonal(), 0.0, None), cfg)
-        ansatz = "diagonal exp(h) ascent"
-    elif cfg.symmetry == "reflection":
-        raise UsageError("reflection symmetry path needs the cat parameters; "
-                         "use cat_gamma_lower_bound")
-    else:
-        raw, cert, report = _gamma_ascent_dense(rho_n.entries, cfg)
-        ansatz = "dense exp(H) ascent"
-    eps = truncation_epsilon(rho) if epsilon is None else epsilon
+    raw, cert, report = _gamma_ascent_dense(rho_n.entries, cfg)
+    eps = truncation_epsilon(rho)
     e_used = rho.energy if energy is None else energy
     correction = truncation_certificate(eps, e_used, rho.modes)
     return MonotoneBound(
@@ -386,7 +372,7 @@ def gamma_lower_bound(
             "truncation_correction_bits": correction,
             "inner_sup_radius": cert.radius_sq,
             "inner_sup_grid_error": cert.gap,
-            "ansatz_description": ansatz,
+            "ansatz_description": "dense exp(H) ascent",
             "raw_value_bits": raw,
             "iterations": report.iterations,
         },
@@ -518,7 +504,10 @@ def _reduced_mixture_weights(pmf: np.ndarray, p: np.ndarray, w0: np.ndarray) -> 
     return w / w.sum()
 
 
-def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float, tol_bits: float):
+FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
+
+
+def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     """Minimize KL(p || Poisson mixture) with atoms in [0, t_cap].
 
     Active-set loop: jointly refine atom positions and weights, then add the
@@ -530,7 +519,7 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float, tol_bits: 
         ks.astype(float), [float(np.dot(p, ks)), 0.0, t_cap]]), 0.0, t_cap))
     w = np.full(atoms.size, 1.0 / atoms.size)
     dense = np.linspace(0.0, t_cap, 4097)
-    target = 0.25 * max(tol_bits, 1e-14)
+    target = 0.25 * FD_TOL_BITS
     best = (math.inf, atoms, w)
     prev_sup = math.inf
     stall = 0
@@ -632,7 +621,6 @@ def fock_diagonal_ncm(
     cfg: OptimizerConfig | None = None,
     *,
     energy: float | None = None,
-    tol_bits: float = 1e-7,
 ) -> FockDiagonalResult:
     """Exact (to tolerance) nonclassicality of a single-mode Fock-diagonal state.
 
@@ -667,7 +655,7 @@ def fock_diagonal_ncm(
     p = p / p.sum()
     m_top = float(ks.max())
 
-    atoms, w, q = _poisson_mixture_fit(ks, p, max(m_top, 1e-9), tol_bits)
+    atoms, w, q = _poisson_mixture_fit(ks, p, max(m_top, 1e-9))
     # KL against a (sub)normalized mixture is nonnegative; guard float dust
     dual_bits = max(float(np.sum(p * (np.log2(p) - np.log2(q)))), 0.0)
     # primal L = p/q on levels that carry weight; negligible levels get ell = p,
@@ -686,7 +674,7 @@ def fock_diagonal_ncm(
         # zero is always a valid lower bound, so the interval width floors there
         return dual_bits - min(max(primal, 0.0), dual_bits)
 
-    if effective_gap(primal_bits) > 2 * tol_bits:
+    if effective_gap(primal_bits) > 2 * FD_TOL_BITS:
         # dual-informed L is not tight enough on its own; ascend the primal directly
         cfg_p = cfg or OptimizerConfig(max_iters=800, objective_tol=1e-10)
         ascent_bits, cert_a, _ = _gamma_ascent_diagonal(p_full, cfg_p, h0=h_full)
@@ -707,9 +695,9 @@ def fock_diagonal_ncm(
         "duality_gap_bits": gap,
     }
     lower = MonotoneBound("NCM", "lower", max(0.0, primal_bits - correction), certificate,
-                          converged=gap <= 2 * tol_bits + 1e-12)
+                          converged=gap <= 2 * FD_TOL_BITS + 1e-12)
     upper = MonotoneBound("NC", "upper", dual_bits + correction, certificate,
-                          converged=gap <= 2 * tol_bits + 1e-12)
+                          converged=gap <= 2 * FD_TOL_BITS + 1e-12)
     return FockDiagonalResult(lower, upper, 0.5 * (primal_bits + dual_bits), gap)
 
 
@@ -799,20 +787,22 @@ def squeezed_thermal_closed_form(r: float, s: float) -> float:
     return math.log2(1.0 + n_s) + 2.0 * math.sinh(r - s) ** 2 * math.log2(1.0 + 1.0 / n_s)
 
 
+SQUEEZE_GRID = np.linspace(0.01, 2.5, 120)  # squeezing parameters s scanned before refinement
+
+
 def classical_ansatz_upper_bound(
     rho: DensityOperator,
     family: str,
     *,
-    grid: Sequence[float] | None = None,
     points: Sequence[complex] | None = None,
     energy: float | None = None,
     squeeze_r: float | None = None,
 ) -> MonotoneBound:
     """Upper bound from the infimum restricted to an explicit classical family.
 
-    family is one of "thermal" (grid of nu), "squeezed_thermal" (grid of s,
-    requires squeeze_r for the closed-form companion value), or
-    "coherent_mixture" (support points, weights optimized).
+    family is one of "thermal" (exact optimum nu = <n>), "squeezed_thermal"
+    (``SQUEEZE_GRID`` of s, refined; squeeze_r adds the closed-form companion
+    value), or "coherent_mixture" (support points, weights optimized).
     """
     if rho.modes != 1:
         raise UsageError("classical ansatz families are single mode")
@@ -826,28 +816,12 @@ def classical_ansatz_upper_bound(
     best_param = None
 
     if family == "thermal":
-        nus = np.asarray(grid if grid is not None else np.geomspace(1e-3, 50, 120), dtype=float)
-        s_bits = von_neumann_entropy(rho_n)
-        mean = rho_n.energy
-
-        def d_thermal(nu: float) -> float:
-            if nu <= 0:
-                return 0.0 if mean == 0.0 and s_bits == 0.0 else math.inf
-            # D(rho || tau_nu) = -S(rho) + log2(1+nu) - <n> log2(nu/(1+nu)), exact
-            return -s_bits + math.log2(1 + nu) - mean * math.log2(nu / (1 + nu))
-
-        for nu in nus:
-            val = d_thermal(float(nu))
-            if val < best:
-                best, best_param = val, float(nu)
-        if best_param is not None and best_param > 0:
-            res = minimize_scalar(d_thermal, bounds=(best_param / 3, best_param * 3),
-                                  method="bounded")
-            if res.fun < best:
-                best, best_param = float(res.fun), float(res.x)
-        meta["ansatz_description"] = f"thermal ansatz, best nu={best_param:.6g}"
+        # D(rho || tau_nu) = -S(rho) + log2(1+nu) - <n> log2(nu/(1+nu)) is least at
+        # nu = <n>, where it equals g(<n>) - S(rho)
+        mean = max(rho_n.energy, 0.0)
+        best = g_thermal(mean) - von_neumann_entropy(rho_n)
+        meta["ansatz_description"] = f"thermal ansatz, best nu={mean:.6g}"
     elif family == "squeezed_thermal":
-        ss = np.asarray(grid if grid is not None else np.linspace(0.01, 2.5, 120), dtype=float)
         s_bits = von_neumann_entropy(rho_n)
         ent = rho_n.entries
         mean = float(np.dot(np.arange(d), np.real(np.diagonal(ent))))
@@ -863,9 +837,7 @@ def classical_ansatz_upper_bound(
                             + math.sinh(2.0 * s) * re_a2)
             return -s_bits + math.log2(1 + n_s) - frame_energy * math.log2(n_s / (1 + n_s))
 
-        for s in ss:
-            if s <= 0:
-                continue
+        for s in SQUEEZE_GRID:
             val = d_squeezed(float(s))
             if val < best:
                 best, best_param = val, float(s)
@@ -876,7 +848,7 @@ def classical_ansatz_upper_bound(
                 best, best_param = float(res.fun), float(res.x)
         meta["ansatz_description"] = f"squeezed-thermal ansatz, best s={best_param}"
         if squeeze_r is not None:
-            cf = min(squeezed_thermal_closed_form(squeeze_r, s) for s in ss if s > 0)
+            cf = min(squeezed_thermal_closed_form(squeeze_r, s) for s in SQUEEZE_GRID)
             meta["closed_form_bits"] = cf
     elif family == "coherent_mixture":
         if not points:
@@ -989,14 +961,14 @@ def bound_sandwich(
     cfg: OptimizerConfig | None = None,
     *,
     spec: StateSpec | None = None,
-    include_generic: bool | None = None,
 ) -> tuple[MonotoneBound, MonotoneBound]:
     """Best available interval [lower on NCM, upper on NC] for one state.
 
     Routing: Fock-diagonal states take the exact diagonal program; cat specs
     add the reflection-symmetric ansatz; Gaussian specs add the covariance
-    closed forms and classical-family ansatz bounds.  A nonempty interval is
-    enforced loudly.
+    closed forms and classical-family ansatz bounds; any other single-mode
+    state that is not Fock-diagonal takes the dense exp(H) ascent.  A nonempty
+    interval is enforced loudly.
     """
     cfg = cfg or OptimizerConfig()
     energy = exact_energy(spec) if spec is not None else rho.energy
@@ -1034,17 +1006,13 @@ def bound_sandwich(
             uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a],
                                                        energy=energy))
         if fam == "thermal":
-            uppers.append(classical_ansatz_upper_bound(
-                rho, "thermal", grid=[max(float(spec.params["nu"]), 1e-6)], energy=energy))
+            uppers.append(classical_ansatz_upper_bound(rho, "thermal", energy=energy))
         if fam == "squeezed":
             r = float(spec.params["r"])
             uppers.append(classical_ansatz_upper_bound(rho, "thermal", energy=energy))
             uppers.append(classical_ansatz_upper_bound(rho, "squeezed_thermal",
                                                        energy=energy, squeeze_r=r))
-    if include_generic is None:
-        include_generic = rho.modes == 1 and not rho.fock_diagonal and fam not in (
-            "cat", "coherent", "squeezed")
-    if include_generic and rho.modes == 1:
+    if rho.modes == 1 and not rho.fock_diagonal and fam not in ("cat", "coherent", "squeezed"):
         lowers.append(gamma_lower_bound(rho, cfg, energy=energy))
     if not lowers:
         lowers.append(MonotoneBound("NCM", "lower", 0.0,
@@ -1062,10 +1030,9 @@ def bound_sandwich(
 
 def bound_sandwich_product(
     parts: Sequence[tuple[DensityOperator, StateSpec | None]],
-    cfg: OptimizerConfig | None = None,
 ) -> tuple[MonotoneBound, MonotoneBound]:
     """Interval for an explicit tensor product from per-factor sandwiches."""
-    return product_interval([bound_sandwich(rho, cfg, spec=spec) for rho, spec in parts])
+    return product_interval([bound_sandwich(rho, spec=spec) for rho, spec in parts])
 
 
 def product_interval(

@@ -18,13 +18,7 @@ import numpy as np
 from .entropies import relative_entropy
 from .errors import DegenerateParameterError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator, beam_splitter_fock_column, coherent_vector
-from .nonclassicality import (
-    MonotoneBound,
-    OptimizerConfig,
-    bound_sandwich,
-    fock_closed_form,
-    product_interval,
-)
+from .nonclassicality import MonotoneBound, bound_sandwich, fock_closed_form, product_interval
 from .states import StateSpec, cat_amplitudes, cat_norm, make_state, thermal_weights
 
 
@@ -336,17 +330,13 @@ def noisy_fock_dilution_rate_bound(n: int, p: float) -> RateBound:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=128)  # the amplify and dilute tasks share sources and targets
-def _cat_interval(alpha: float, sign: str, cutoff: int, cfg: OptimizerConfig | None):
+def _cat_interval(alpha: float, sign: str, cutoff: int):
     spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
     rho = make_state(spec, deficit_tol=1e-7)
-    return bound_sandwich(rho, cfg, spec=spec)
+    return bound_sandwich(rho, spec=spec)
 
 
-def protocol_figure_data(
-    task: str,
-    alphas,
-    cfg: OptimizerConfig | None = None,
-) -> list[dict]:
+def protocol_figure_data(task: str, alphas) -> list[dict]:
     """Rows (alpha, task, lower_rate, upper_rate, converged) for the protocol comparison.
 
     Lower rates come from the simulated protocols; upper rates from the ratio
@@ -364,12 +354,12 @@ def protocol_figure_data(
         if task == "amplify":
             sims = cat_amplification(a, d)
             lower = max(sims["ours"].rate_lower_bound, sims["lund"].rate_lower_bound)
-            _, src_up = _cat_interval(a, "+", d, cfg)
-            tgt_lo, _ = _cat_interval(math.sqrt(2.0) * a, "+", d, cfg)
+            _, src_up = _cat_interval(a, "+", d)
+            tgt_lo, _ = _cat_interval(math.sqrt(2.0) * a, "+", d)
         else:
             lower = cat_dilution(a, d).rate_lower_bound
-            _, src_up = _cat_interval(math.sqrt(2.0) * a, "+", d, cfg)
-            tgt_lo, _ = product_interval([_cat_interval(a, s, d, cfg) for s in ("+", "-")])
+            _, src_up = _cat_interval(math.sqrt(2.0) * a, "+", d)
+            tgt_lo, _ = product_interval([_cat_interval(a, s, d) for s in ("+", "-")])
         ratio = rate_upper_bound(src_up, tgt_lo)
         rows.append(
             {

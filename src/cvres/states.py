@@ -11,8 +11,8 @@ Families and their parameters (also the JSON field names):
 - ``basel``: n_max  (diagonal weights 6/pi^2/(n+1)^2 on |2^n>, stored sparsely)
 
 Construction normalizes before truncating and keeps the subnormalized matrix;
-the lost mass is recorded in ``trace_deficit``. Pass ``renormalize=True`` to
-get a unit-trace object instead.
+the lost mass is recorded in ``trace_deficit``; ``.renormalized()`` gives a
+unit-trace object instead.
 """
 
 from __future__ import annotations
@@ -190,12 +190,7 @@ def _required_cutoff(deficit_at, start: int, tol: float, limit: int = 4096) -> i
     return limit
 
 
-def make_state(
-    spec: StateSpec,
-    *,
-    deficit_tol: float = 1e-8,
-    renormalize: bool = False,
-):
+def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
     """Build the state described by ``spec``.
 
     Returns a DensityOperator for the dense families; basel returns a
@@ -252,9 +247,16 @@ def make_state(
         ent = base + (1.0 - prob) * np.diag(w.astype(complex))
         rho = DensityOperator.from_matrix(ent, 1, d, validate=False)
         if rho.trace_deficit > deficit_tol:
+            # the Fock part fits from d on, so only the thermal part loses mass
+            req = _required_cutoff(
+                lambda dd: (1.0 - prob) * (1.0 - float(np.sum(thermal_weights(nu, dd)))),
+                d,
+                deficit_tol,
+            )
             raise InsufficientCutoffError(
-                f"noisy_fock at cutoff {d} has deficit {rho.trace_deficit:.3e} > {deficit_tol}",
-                required_cutoff=2 * d,
+                f"noisy_fock at cutoff {d} has deficit {rho.trace_deficit:.3e} > {deficit_tol}; "
+                f"use cutoff >= {req}",
+                required_cutoff=req,
             )
     elif fam == "cat":
         amps = cat_amplitudes(float(p["alpha"]), p["sign"], d)
@@ -287,7 +289,7 @@ def make_state(
     else:  # pragma: no cover
         raise UsageError(f"unhandled family {fam}")
 
-    return rho.renormalized() if renormalize else rho
+    return rho
 
 
 def exact_energy(spec: StateSpec) -> float:

@@ -96,7 +96,7 @@ def test_criterion_02_noisy_fock_curve():
 
 def test_criterion_03_generic_gamma_vs_exact():
     t0 = time.time()
-    bound = gamma_lower_bound(fock_state(1, 20), OptimizerConfig(symmetry="none"))
+    bound = gamma_lower_bound(fock_state(1, 20), OptimizerConfig())
     elapsed = time.time() - t0
     ok = bound.value >= LOG2E - 1e-4 and elapsed < 30.0
     assert report(3, f"generic ascent on |1><1| gives {bound.value:.6f}", ok, elapsed, 30)

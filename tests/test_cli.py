@@ -129,7 +129,7 @@ class TestFigure:
     def test_unconverged_row_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, cfg=None, *, energy=None, tol_bits=1e-7):
+        def unconverged(rho, cfg=None, *, energy=None):
             cert = {"truncation_correction_bits": 0.0}
             lower = nc.MonotoneBound("NCM", "lower", 0.1, cert, converged=False)
             upper = nc.MonotoneBound("NC", "upper", 0.2, cert, converged=False)
@@ -150,7 +150,7 @@ class TestFigure:
         from cvres import nonclassicality as nc
         from cvres import rates
 
-        def interval(alpha, sign, cutoff, cfg):
+        def interval(alpha, sign, cutoff):
             return (nc.MonotoneBound("NCM", "lower", 1.0, converged=sign == "+"),
                     nc.MonotoneBound("NC", "upper", 2.0))
 
@@ -203,13 +203,11 @@ class TestFigure:
         row = lines[1].split(",")
         assert float(row[2]) <= float(row[3])
 
-    def test_threads_env_var(self, monkeypatch):
+    def test_threads_flag(self):
         import argparse
 
-        from cvres.cli import THREADS_ENV, _thread_count
+        from cvres.cli import _thread_count
 
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert _thread_count(argparse.Namespace(threads=None)) == 3
         assert _thread_count(argparse.Namespace(threads=2)) == 2
 
     def test_threads_flag_matches_serial(self, tmp_path):
@@ -313,7 +311,7 @@ class TestCertify:
     def test_unconverged_interval_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, cfg=None, *, spec=None, include_generic=None):
+        def unconverged(rho, cfg=None, *, spec=None):
             return (nc.MonotoneBound("NCM", "lower", 1.0, converged=False),
                     nc.MonotoneBound("NC", "upper", 2.0))
 

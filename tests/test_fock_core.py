@@ -12,7 +12,6 @@ from cvres.fock_core import (
     coherent_vector,
     dephase,
     fock_state,
-    operator_function,
     partial_trace,
     pure_state,
     tensor_product,
@@ -90,45 +89,6 @@ class TestPartialTrace:
         rho = vacuum_state(2, 3)
         with pytest.raises(UsageError):
             partial_trace(rho, set())
-
-
-class TestOperatorFunction:
-    def test_log2_identity(self):
-        ident = TruncatedOperator(1, 4, np.eye(4), hermitian=True)
-        out, floored = operator_function(ident, "log2")
-        assert not floored
-        assert np.allclose(out.entries, 0.0, atol=1e-14)
-
-    def test_exp2_diagonal(self):
-        a = TruncatedOperator(1, 2, np.diag([1.0, 2.0]), hermitian=True)
-        out, _ = operator_function(a, "exp2")
-        assert np.allclose(np.diagonal(out.entries), [2.0, 4.0])
-
-    def test_log2_scalar(self):
-        a = TruncatedOperator(1, 3, 0.5 * np.eye(3), hermitian=True)
-        out, _ = operator_function(a, "log2")
-        assert np.allclose(out.entries, -np.eye(3), atol=1e-14)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            mat = g @ g.conj().T + 0.1 * np.eye(8)
-            a = TruncatedOperator(1, 8, mat, hermitian=True)
-            logd, _ = operator_function(a, "log2")
-            back, _ = operator_function(logd, "exp2")
-            rel = np.linalg.norm(back.entries - mat) / np.linalg.norm(mat)
-            assert rel < 1e-9
-
-    def test_floor_flag(self):
-        a = TruncatedOperator(1, 2, np.diag([1.0, 0.0]), hermitian=True)
-        _, floored = operator_function(a, "log2")
-        assert floored
-
-    def test_requires_hermitian(self):
-        a = TruncatedOperator(1, 2, np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(UsageError):
-            operator_function(a, "exp")
 
 
 class TestCoherentVector:

@@ -77,13 +77,23 @@ class TestMakeState:
         assert diag[1] == pytest.approx(0.3)
         assert rho.fock_diagonal
 
-    def test_insufficient_cutoff_names_requirement(self):
+    @pytest.mark.parametrize("family, params, cutoff", [
+        ("coherent", {"alpha": 3}, 10),
+        ("thermal", {"nu": 1}, 10),
+        ("noisy_fock", {"n": 1, "nu": 5, "p": 0.5}, 20),
+        ("cat", {"alpha": 2, "sign": "-"}, 10),
+        ("squeezed", {"r": 1}, 10),
+    ])
+    def test_insufficient_cutoff_names_requirement(self, family, params, cutoff):
         with pytest.raises(InsufficientCutoffError) as err:
-            make_state(StateSpec("coherent", {"alpha": 3}, 10))
-        assert err.value.required_cutoff > 10
+            make_state(StateSpec(family, params, cutoff))
+        required = err.value.required_cutoff
+        assert required > cutoff
+        rho = make_state(StateSpec(family, params, required))
+        assert rho.trace_deficit <= 1e-8
 
-    def test_renormalize_flag(self):
-        rho = make_state(StateSpec("thermal", {"nu": 1}, 20), deficit_tol=1e-4, renormalize=True)
+    def test_renormalized_has_unit_trace(self):
+        rho = make_state(StateSpec("thermal", {"nu": 1}, 20), deficit_tol=1e-4).renormalized()
         assert rho.trace() == pytest.approx(1.0, abs=1e-14)
         assert rho.trace_deficit == 0.0
 
