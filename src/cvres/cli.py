@@ -120,7 +120,7 @@ def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
                 {"ansatz_description": "log-domain diagonal divergence ansatz (ideal state)"},
             )]
         if which == "fd-exact":
-            res = nc.fock_diagonal_ncm(rho, cfg)
+            res = nc.fock_diagonal_ncm(rho)
             return [res.lower, res.upper]
         raise UsageError(f"selector {which!r} is not available for the basel family; "
                          "use ncm-lower or fd-exact")
@@ -135,7 +135,7 @@ def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
         lo, hi = nc.bound_sandwich(rho, cfg, spec=spec)
         return [lo, hi]
     if which == "fd-exact":
-        res = nc.fock_diagonal_ncm(rho, cfg, energy=energy)
+        res = nc.fock_diagonal_ncm(rho, energy=energy)
         return [res.lower, res.upper]
     if which == "energy-upper":
         return [nc.energy_upper_bound(energy, rho.modes)]

@@ -27,11 +27,11 @@ from .entropies import (
     LN2,
     LOG2E,
     OptimizerReport,
+    _relative_entropy_eig,
     ascend,
     exp_frechet_gradient,
     exp_hermitian,
     husimi_sup,
-    relative_entropy,
     von_neumann_entropy,
     wehrl_entropy,
 )
@@ -151,6 +151,21 @@ class CertifiedSup(NamedTuple):
     argmax_t: float  # best observed |alpha|^2
     radius_sq: float  # search radius in t = |alpha|^2
     gap: float  # certification slack (upper bound minus best evaluation)
+    levels: int  # branch-and-bound levels that split segments
+    splits: int  # interior nodes evaluated, SUP_FANOUT - 1 per split segment
+
+
+_HALF_LOG_FACTORIALS: dict[int, np.ndarray] = {}
+
+
+def _half_log_factorials(d: int) -> np.ndarray:
+    """(ln j! + ln k!)/2 for 0 <= j, k < d, cached per d and read-only since callers share it."""
+    if d not in _HALF_LOG_FACTORIALS:
+        log_fact = gammaln(np.arange(d) + 1)
+        table = 0.5 * (log_fact[:, None] + log_fact[None, :])
+        table.setflags(write=False)
+        _HALF_LOG_FACTORIALS[d] = table
+    return _HALF_LOG_FACTORIALS[d]
 
 
 def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
@@ -159,7 +174,7 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     d = mag.shape[0]
     j = np.arange(d)
     with np.errstate(divide="ignore"):
-        ln_c = np.log(mag) - 0.5 * (gammaln(j + 1)[:, None] + gammaln(j + 1)[None, :])
+        ln_c = np.log(mag) - _half_log_factorials(d)
     by_s = np.full((2 * d - 1, d), -np.inf)  # row s = j + k holds the terms of W_s
     by_s[j[:, None] + j[None, :], j[:, None]] = ln_c
     m = np.max(by_s, axis=1)
@@ -169,7 +184,8 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-SUP_MAX_SPLITS = 20000  # branch-and-bound budget of one certified supremum
+SUP_MAX_SPLITS = 20000  # branch-and-bound budget of one certified supremum, in interior nodes
+SUP_FANOUT = 8  # pieces each live segment is cut into per branch-and-bound level
 INNER_TOL = 1e-9  # relative slack of the certified inner sup in every lower-bound engine
 
 
@@ -179,16 +195,20 @@ def _curvature_table(
     """Exponents e, coefficients c_e and bound coefficients of F''(t) = e^(-t) sum_e c_e t^e.
 
     Each W_s t^p of F(t) = e^(-t) sum_s W_s t^p contributes W_s [p(p-1) t^(p-2)
-    - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so equal ones match
-    exactly and opposite signs cancel.  |c_e| + 1e-14 sum|terms of e| covers the
-    rounding of c_e, so sum_e bound_e max t^e e^(-t) bounds |F''| on a segment.
+    - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so the integer 2e + 4
+    keys them exactly and opposite signs cancel.  |c_e| + 1e-14 sum|terms of e|
+    covers the rounding of c_e, so sum_e bound_e max t^e e^(-t) bounds |F''| on a
+    segment.
     """
     exps = np.concatenate([powers - 2.0, powers - 1.0, powers])
     terms = np.concatenate([weights * powers * (powers - 1.0), -2.0 * weights * powers, weights])
     keep = terms != 0.0
-    exps, index = np.unique(exps[keep], return_inverse=True)
-    coefs = np.bincount(index, weights=terms[keep])
-    mags = np.bincount(index, weights=np.abs(terms[keep]))
+    key = np.rint(2.0 * exps[keep]).astype(np.intp) + 4
+    terms = terms[keep]
+    present = np.bincount(key) > 0
+    coefs = np.bincount(key, weights=terms)[present]
+    mags = np.bincount(key, weights=np.abs(terms))[present]
+    exps = 0.5 * (np.flatnonzero(present) - 4)
     return exps, coefs, np.abs(coefs) + 1e-14 * mags
 
 
@@ -206,10 +226,11 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     which dominates the target for every phase of alpha; the segment bounds
     combine per-monomial maxima with the curvature bound of ``_curvature_table``.
     Each level of the branch-and-bound retires the segments whose bound is within
-    ``tol`` (relative) of the best attained envelope value and bisects all the
-    others in a few (segments x exponents) array passes; the result is the
-    largest bound of any segment, live or retired.  Beyond the largest power
-    the envelope decreases, so the search radius t <= d-1 is exhaustive; the
+    ``tol`` (relative) of the best attained envelope value and cuts every other
+    segment into ``SUP_FANOUT`` equal pieces: one envelope pass evaluates all
+    interior nodes and one pass bounds all the pieces.  The result is the largest
+    bound of any segment, live or retired.  Beyond the largest power the
+    envelope decreases, so the search radius t <= d-1 is exhaustive; the
     largest eigenvalue of L caps the result since truncated coherent vectors
     have norm at most one.
     """
@@ -219,7 +240,7 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     powers = 0.5 * np.arange(ln_w.size)
     finite = np.isfinite(ln_w)
     if not np.any(finite) or cap == 0.0:
-        return CertifiedSup(0.0, 0.0, 0.0, 0.0)
+        return CertifiedSup(0.0, 0.0, 0.0, 0.0, 0, 0)
     ln_w = ln_w[finite]
     powers = powers[finite]
     t_max = max(float(powers[-1]), 1.0)
@@ -248,26 +269,33 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     a, b, fa, fb = probes[:-1], probes[1:], values[:-1], values[1:]
     bound = segment_bounds(a, b, fa, fb)
     retired = 0.0
-    splits = 0
+    levels = splits = 0
+    grid = np.arange(SUP_FANOUT + 1) / SUP_FANOUT
     while a.size:
         live = np.minimum(bound, cap) - best > tol * max(best, 1e-300) + 1e-300
         if not live.all():
             retired = max(retired, float(bound[~live].max()))
             a, b, fa, fb, bound = a[live], b[live], fa[live], fb[live], bound[live]
-        if not a.size or splits + a.size > SUP_MAX_SPLITS:
+        if not a.size or splits + a.size * (SUP_FANOUT - 1) > SUP_MAX_SPLITS:
             break
-        splits += a.size
-        mid = 0.5 * (a + b)
-        f_mid = envelope_at(mid)
-        i_mid = int(f_mid.argmax())
-        if f_mid[i_mid] > best:
-            best, best_t = float(f_mid[i_mid]), float(mid[i_mid])
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+        levels += 1
+        splits += a.size * (SUP_FANOUT - 1)
+        # row i holds the edges a_i = node_0 < node_1 < ... < node_k = b_i of its pieces
+        nodes = a[:, None] + (b - a)[:, None] * grid
+        nodes[:, -1] = b
+        inner = nodes[:, 1:-1].ravel()
+        f_inner = envelope_at(inner)
+        i_node = int(f_inner.argmax())
+        if f_inner[i_node] > best:
+            best, best_t = float(f_inner[i_node]), float(inner[i_node])
+        f_nodes = np.column_stack([fa, f_inner.reshape(a.size, -1), fb])
+        a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+        fa, fb = f_nodes[:, :-1].ravel(), f_nodes[:, 1:].ravel()
         bound = segment_bounds(a, b, fa, fb)
     top = max(best, retired, float(bound.max()) if a.size else 0.0)
     certified = max(min(top, cap), 0.0)
-    return CertifiedSup(certified, best_t, t_max, max(0.0, certified - min(best, certified)))
+    return CertifiedSup(certified, best_t, t_max, max(0.0, certified - min(best, certified)),
+                        levels, splits)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +533,7 @@ def _reduced_mixture_weights(pmf: np.ndarray, p: np.ndarray, w0: np.ndarray) -> 
 
 
 FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
+FD_ASCENT = OptimizerConfig(max_iters=800, objective_tol=1e-10)  # its fallback primal ascent
 
 
 def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
@@ -618,7 +647,6 @@ def _joint_mixture_polish(ks, p, atoms, w, t_cap):
 
 def fock_diagonal_ncm(
     state,
-    cfg: OptimizerConfig | None = None,
     *,
     energy: float | None = None,
 ) -> FockDiagonalResult:
@@ -676,8 +704,7 @@ def fock_diagonal_ncm(
 
     if effective_gap(primal_bits) > 2 * FD_TOL_BITS:
         # dual-informed L is not tight enough on its own; ascend the primal directly
-        cfg_p = cfg or OptimizerConfig(max_iters=800, objective_tol=1e-10)
-        ascent_bits, cert_a, _ = _gamma_ascent_diagonal(p_full, cfg_p, h0=h_full)
+        ascent_bits, cert_a, _ = _gamma_ascent_diagonal(p_full, FD_ASCENT, h0=h_full)
         if ascent_bits > primal_bits:
             primal_bits, cert = ascent_bits, cert_a
     primal_bits = min(primal_bits, dual_bits)
@@ -855,14 +882,14 @@ def classical_ansatz_upper_bound(
             raise UsageError("coherent_mixture needs support points")
         vecs = [coherent_vector(a, d)[0] for a in points]
         comps = [np.outer(v, v.conj()) for v in vecs]
+        rho_vals, rho_vecs = np.linalg.eigh(rho_n.entries)
 
         def divergence(weights):
             sigma = sum(wi * ci for wi, ci in zip(weights, comps))
             tr = np.real(np.trace(sigma))
             if tr <= 1e-12:
                 return math.inf
-            sig = DensityOperator.from_matrix(sigma / tr, 1, d, validate=False)
-            return relative_entropy(rho_n, sig)
+            return _relative_entropy_eig(rho_vals, rho_vecs, sigma / tr)
 
         n_pts = len(comps)
         best_w = np.full(n_pts, 1.0 / n_pts)
@@ -976,7 +1003,7 @@ def bound_sandwich(
     uppers: list[MonotoneBound] = [energy_upper_bound(energy, rho.modes)]
 
     if rho.modes == 1 and rho.fock_diagonal:
-        fd = fock_diagonal_ncm(rho, cfg, energy=energy)
+        fd = fock_diagonal_ncm(rho, energy=energy)
         lowers.append(fd.lower)
         uppers.append(fd.upper)
     fam = spec.family if spec is not None else None

@@ -129,7 +129,7 @@ class TestFigure:
     def test_unconverged_row_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, cfg=None, *, energy=None):
+        def unconverged(rho, *, energy=None):
             cert = {"truncation_correction_bits": 0.0}
             lower = nc.MonotoneBound("NCM", "lower", 0.1, cert, converged=False)
             upper = nc.MonotoneBound("NC", "upper", 0.2, cert, converged=False)
@@ -143,6 +143,20 @@ class TestFigure:
         )
         assert code == 2
         assert out.strip().split("\n")[1].split(",")[3:5] == ["0.1", "0.2"]
+
+    def test_figure_row_matches_monotone_fd_exact(self, capsys):
+        # both commands run the same Fock-diagonal program, whatever the ascent settings
+        state = '{"family":"noisy_fock","params":{"n":2,"nu":2,"p":0.1},"cutoff":60}'
+        m_code, m_out, _ = run_cli(
+            ["monotone", "--state", state, "--which", "fd-exact", "--format", "csv"], capsys)
+        f_code, f_out, _ = run_cli(
+            ["figure", "--name", "noisy-fock-fixed-n", "--n", "2", "--nu-grid", "2",
+             "--p-grid", "0.1", "--cutoff", "60"],
+            capsys,
+        )
+        assert m_code == f_code
+        monotone_values = [line.split(",")[2] for line in m_out.strip().split("\n")[1:]]
+        assert f_out.strip().split("\n")[1].split(",")[3:5] == monotone_values
 
     @pytest.mark.parametrize("task, code", [("amplify", 0), ("dilute", 2)])
     def test_protocol_row_reads_only_its_own_flags(self, task, code, capsys, monkeypatch):

@@ -152,6 +152,64 @@ class TestCertifiedSupSoundness:
             assert _largest_coherent_value(l_mat, cert, seed) <= cert.value * (1 + 1e-12)
 
 
+class TestCertifiedSupLevels:
+    def test_cat_objective_resolves_in_few_levels(self, monkeypatch):
+        # a return to bisection would need about 15 levels on these inputs
+        certs = []
+        inner = nonclassicality.coherent_sup_certified
+
+        def recording(entries, *, tol):
+            cert = inner(entries, tol=tol)
+            certs.append(cert)
+            return cert
+
+        monkeypatch.setattr(nonclassicality, "coherent_sup_certified", recording)
+        for sign in ("+", "-"):
+            cat_gamma_lower_bound(0.3, sign, 30)
+        assert certs
+        assert max(c.levels for c in certs) <= 8
+        for c in certs:
+            assert c.gap <= nonclassicality.INNER_TOL * (c.value - c.gap)
+            assert c.splits == 0 or c.splits % (nonclassicality.SUP_FANOUT - 1) == 0
+
+    @pytest.mark.parametrize("budget", [0, 7, 30, 100])
+    @pytest.mark.parametrize("kind", ["random6", "displaced", "flat20"])
+    def test_split_budget_counts_interior_nodes(self, kind, budget, monkeypatch):
+        monkeypatch.setattr(nonclassicality, "SUP_MAX_SPLITS", budget)
+        l_mat = _sup_test_matrix(kind, 0)
+        cert = coherent_sup_certified(l_mat, tol=1e-12)
+        assert cert.splits <= budget
+        assert cert.levels <= cert.splits
+        assert _largest_coherent_value(l_mat, cert, 0) <= cert.value * (1 + 1e-12)
+        t_grid = np.linspace(0.0, max(l_mat.shape[0] - 1.0, 1.0), 2001)
+        top_eig = float(np.linalg.eigvalsh(l_mat)[-1])
+        grid_max = max(_envelope(l_mat, t) for t in t_grid)
+        assert cert.value >= min(top_eig, grid_max) * (1 - 1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 16), tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+           definite=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_random_hermitian_property(self, d, tol, definite, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        l_mat = g @ g.conj().T if definite else 0.5 * (g + g.conj().T)
+        cert = coherent_sup_certified(l_mat, tol=tol)
+        best = cert.value - cert.gap
+        assert cert.gap <= tol * best
+        # the value covers the envelope wherever the top eigenvalue does not cap it
+        cap = max(float(np.linalg.eigvalsh(l_mat)[-1]), 0.0)
+        j = np.arange(d)
+        t = np.linspace(0.0, max(d - 1.0, 1.0), 20001)[1:]
+        v = np.exp(0.5 * np.outer(np.log(t), j) - 0.5 * gammaln(j + 1) - 0.5 * t[:, None])
+        envelope = np.einsum("tj,jk,tk->t", v, np.abs(l_mat), v)
+        grid_max = max(float(envelope.max()), abs(float(l_mat[0, 0].real)))
+        assert cert.value >= min(cap, grid_max) * (1 - 1e-12)
+        radius = rng.uniform(0.0, math.sqrt(d) + 1.0, size=200)
+        for alpha in radius * np.exp(2j * math.pi * rng.random(200)):
+            vec, _ = coherent_vector(alpha, d)
+            assert float(np.real(np.vdot(vec, l_mat @ vec))) <= cert.value * (1 + 1e-12)
+
+
 class TestCurvatureTable:
     @pytest.mark.parametrize("kind", SUP_KINDS)
     def test_matches_finite_differences(self, kind):
