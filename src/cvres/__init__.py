@@ -43,7 +43,6 @@ from .nonclassicality import (
     OptimizerConfig,
     basel_divergence_bound,
     bound_sandwich,
-    bound_sandwich_product,
     cat_gamma_lower_bound,
     classical_ansatz_upper_bound,
     coherent_sup_certified,

@@ -11,15 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import nonclassicality as nc
 from . import rates
-from .entropies import von_neumann_entropy
 from .errors import CvresError, UsageError
 from .fock_core import DensityOperator
 from .states import StateSpec, exact_energy, gaussian_descriptor, make_state
@@ -59,19 +56,6 @@ def _write_json(path, payload) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    return os.cpu_count() or 1
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_state(text: str) -> tuple[DensityOperator, StateSpec | None]:
@@ -146,12 +130,7 @@ def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
     if which in ("gaussian-lower", "gaussian-upper"):
         if spec is None:
             raise UsageError("gaussian bounds need a Gaussian state spec")
-        s_bits = (
-            nc.g_thermal(float(spec.params["nu"]))
-            if spec.family == "thermal"
-            else von_neumann_entropy(rho.renormalized())
-        )
-        lo, hi = nc.gaussian_bounds(gaussian_descriptor(spec), s_bits)
+        lo, hi = nc.gaussian_bounds(gaussian_descriptor(spec))
         return [lo if which == "gaussian-lower" else hi]
     raise UsageError(f"unknown bound selector {which!r}; valid: {', '.join(_WHICH)}")
 
@@ -203,7 +182,7 @@ def _collect(results: list[tuple[list, bool]]) -> tuple[list[list], bool]:
     return [row for row, _ in results], all(ok for _, ok in results)
 
 
-def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list], bool]:
+def _figure_noisy_fock(args) -> tuple[list[str], list[list], bool]:
     header = ["p", "nu", "n", "lower_bits", "upper_bits", "cert_bits"]
     cutoff = args.cutoff or 40
     if args.name == "noisy-fock-fixed-n":
@@ -216,19 +195,17 @@ def _figure_noisy_fock(args, threads: int) -> tuple[list[str], list[list], bool]
         ns = [int(x) for x in (_grid(args.n_grid) if args.n_grid else [1, 2, 3, 4])]
         ps = _grid(args.p_grid) if args.p_grid else list(np.linspace(0.05, 0.95, 19))
         tasks = [(p, nu, n, cutoff) for n in ns for p in ps]
-    rows, converged = _collect(_map_ordered(_noisy_fock_row, tasks, threads))
+    rows, converged = _collect([_noisy_fock_row(t) for t in tasks])
     return header, rows, converged
 
 
 def _cat_row(task) -> tuple[list, bool]:
     alpha, sign, cutoff = task
-    spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
-    rho = make_state(spec, deficit_tol=1e-7)
-    lo, hi = nc.bound_sandwich(rho, spec=spec)
+    lo, hi = rates.cat_interval(alpha, sign, cutoff)
     return [alpha, sign, lo.value, hi.value], lo.converged and hi.converged
 
 
-def _figure_cat(args, threads: int) -> tuple[list[str], list[list], bool]:
+def _figure_cat(args) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.4, 2.4, 11))
     signs = [args.sign] if args.sign else ["+", "-"]
     tasks = []
@@ -236,7 +213,7 @@ def _figure_cat(args, threads: int) -> tuple[list[str], list[list], bool]:
         for a in alphas:
             cutoff = args.cutoff or rates.required_cat_cutoff(a, 1e-9)
             tasks.append((a, sign, cutoff))
-    rows, converged = _collect(_map_ordered(_cat_row, tasks, threads))
+    rows, converged = _collect([_cat_row(t) for t in tasks])
     return ["alpha", "sign", "lower_bits", "upper_bits"], rows, converged
 
 
@@ -245,14 +222,14 @@ def _squeezed_row(task) -> list:
     spec = StateSpec("squeezed", {"r": r}, cutoff)
     rho = make_state(spec, deficit_tol=1e-5)
     energy = exact_energy(spec)
-    g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec), 0.0)
+    g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
     up_th = nc.classical_ansatz_upper_bound(rho, "thermal", energy=energy)
-    up_sq = nc.classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy, squeeze_r=r)
+    up_sq = nc.classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)
     up_en = nc.energy_upper_bound(energy, 1)
     return [r, g_lower.value, up_th.value, up_sq.value, up_en.value]
 
 
-def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list], bool]:
+def _figure_squeezed(args) -> tuple[list[str], list[list], bool]:
     rs = _grid(args.r_grid) if args.r_grid else list(np.linspace(0.1, 1.5, 8))
     tasks = []
     for r in rs:
@@ -260,10 +237,10 @@ def _figure_squeezed(args, threads: int) -> tuple[list[str], list[list], bool]:
         tasks.append((r, cutoff))
     header = ["r", "lower_bits", "upper_thermal_bits", "upper_sq_thermal_bits",
               "upper_energy_bits"]
-    return header, _map_ordered(_squeezed_row, tasks, threads), True
+    return header, [_squeezed_row(t) for t in tasks], True
 
 
-def _figure_protocols(args, threads: int) -> tuple[list[str], list[list], bool]:
+def _figure_protocols(args) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.5, 2.0, 7))
     tasks = [t for t in ("amplify", "dilute") if args.task in (None, t)]
     data = [row for task in tasks for row in rates.protocol_figure_data(task, alphas)]
@@ -272,15 +249,17 @@ def _figure_protocols(args, threads: int) -> tuple[list[str], list[list], bool]:
 
 
 def cmd_figure(args) -> int:
-    threads = _thread_count(args)
+    # rows run serially: they are Python-bound, and a thread pool was slower on every figure
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     if args.name in ("noisy-fock-fixed-n", "noisy-fock-fixed-nu"):
-        header, rows, converged = _figure_noisy_fock(args, threads)
+        header, rows, converged = _figure_noisy_fock(args)
     elif args.name == "cat":
-        header, rows, converged = _figure_cat(args, threads)
+        header, rows, converged = _figure_cat(args)
     elif args.name == "squeezed":
-        header, rows, converged = _figure_squeezed(args, threads)
+        header, rows, converged = _figure_squeezed(args)
     elif args.name == "protocols":
-        header, rows, converged = _figure_protocols(args, threads)
+        header, rows, converged = _figure_protocols(args)
     else:
         raise UsageError(f"unknown figure {args.name!r}; valid names: {', '.join(FIGURE_NAMES)}")
     if args.nats:
@@ -430,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--sign", choices=("+", "-"), default=None)
     p_fig.add_argument("--task", choices=("amplify", "dilute"), default=None)
     p_fig.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: machine)")
+                       help="accepted and ignored: rows run serially (kept for existing "
+                            "command lines)")
     common(p_fig, fmt=False)
     p_fig.set_defaults(func=cmd_figure)
 

@@ -41,6 +41,7 @@ from .states import (
     FockDiagonalState,
     GaussianDescriptor,
     StateSpec,
+    _parse_alpha,
     cat_amplitudes,
     exact_energy,
     gaussian_descriptor,
@@ -494,8 +495,6 @@ def cat_gamma_lower_bound(
 class FockDiagonalResult(NamedTuple):
     lower: MonotoneBound
     upper: MonotoneBound
-    value_truncated: float  # midpoint value for the truncated state
-    gap: float
 
 
 def _log_poisson(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -725,7 +724,7 @@ def fock_diagonal_ncm(
                           converged=gap <= 2 * FD_TOL_BITS + 1e-12)
     upper = MonotoneBound("NC", "upper", dual_bits + correction, certificate,
                           converged=gap <= 2 * FD_TOL_BITS + 1e-12)
-    return FockDiagonalResult(lower, upper, 0.5 * (primal_bits + dual_bits), gap)
+    return FockDiagonalResult(lower, upper)
 
 
 def noisy_fock_closed_form(p: float) -> float:
@@ -793,25 +792,28 @@ def husimi_lower_bound(rho: DensityOperator, *, energy: float | None = None) -> 
     )
 
 
-def gaussian_bounds(gd: GaussianDescriptor, entropy_bits: float) -> tuple[MonotoneBound, MonotoneBound]:
-    """Closed-form pair for Gaussian states from the covariance matrix."""
-    m = gd.modes
-    half_logdet = 0.5 * math.log2(np.linalg.det(gd.V + np.eye(2 * m)))
-    lower = max(0.0, half_logdet - entropy_bits - m)
-    upper = half_logdet - entropy_bits + m * LOG2E
+def _gaussian_entropy_bits(gd: GaussianDescriptor) -> float:
+    """Von Neumann entropy g((nu - 1)/2) of a single-mode state, nu = sqrt(det V)."""
+    (a, b), (c, d) = gd.V
+    nu = math.sqrt(a * d - b * c)
+    # nu within rounding of 1 is a pure state: g's infinite slope at 0 would turn
+    # that last-ulp noise into entropy of order 1e-14 bits
+    return g_thermal(0.5 * (nu - 1.0)) if nu > 1.0 + 1e-14 else 0.0
+
+
+def gaussian_bounds(gd: GaussianDescriptor) -> tuple[MonotoneBound, MonotoneBound]:
+    """Closed-form pair for a single-mode Gaussian state from its covariance matrix.
+
+    The state's entropy is read off the same covariance matrix.
+    """
+    if gd.modes != 1:
+        raise UsageError("Gaussian bounds are single mode")
+    excess = 0.5 * math.log2(np.linalg.det(gd.V + np.eye(2))) - _gaussian_entropy_bits(gd)
     meta = {"ansatz_description": "Gaussian covariance closed form"}
     return (
-        MonotoneBound("NCM", "lower", lower, dict(meta, raw_value_bits=half_logdet - entropy_bits - m)),
-        MonotoneBound("NC", "upper", upper, meta),
+        MonotoneBound("NCM", "lower", max(0.0, excess - 1), dict(meta, raw_value_bits=excess - 1)),
+        MonotoneBound("NC", "upper", excess + LOG2E, meta),
     )
-
-
-def squeezed_thermal_closed_form(r: float, s: float) -> float:
-    """Printed closed form log2(1+N(s)) + 2 sinh^2(r-s) log2(1+1/N(s))."""
-    n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
-    if n_s <= 0.0:
-        return math.inf if r != s else 0.0
-    return math.log2(1.0 + n_s) + 2.0 * math.sinh(r - s) ** 2 * math.log2(1.0 + 1.0 / n_s)
 
 
 SQUEEZE_GRID = np.linspace(0.01, 2.5, 120)  # squeezing parameters s scanned before refinement
@@ -823,13 +825,12 @@ def classical_ansatz_upper_bound(
     *,
     points: Sequence[complex] | None = None,
     energy: float | None = None,
-    squeeze_r: float | None = None,
 ) -> MonotoneBound:
     """Upper bound from the infimum restricted to an explicit classical family.
 
     family is one of "thermal" (exact optimum nu = <n>), "squeezed_thermal"
-    (``SQUEEZE_GRID`` of s, refined; squeeze_r adds the closed-form companion
-    value), or "coherent_mixture" (support points, weights optimized).
+    (``SQUEEZE_GRID`` of s, refined, squeezed along the quadrature that <a^2>
+    picks out), or "coherent_mixture" (support points, weights optimized).
     """
     if rho.modes != 1:
         raise UsageError("classical ansatz families are single mode")
@@ -853,15 +854,17 @@ def classical_ansatz_upper_bound(
         ent = rho_n.entries
         mean = float(np.dot(np.arange(d), np.real(np.diagonal(ent))))
         k = np.arange(d - 2)
-        re_a2 = float(np.dot(np.sqrt((k + 1.0) * (k + 2.0)), np.real(np.diagonal(ent, offset=2))))
+        weights, off2 = np.sqrt((k + 1.0) * (k + 2.0)), np.diagonal(ent, offset=2)
+        abs_a2 = math.hypot(np.dot(weights, off2.real), np.dot(weights, off2.imag))
 
         def d_squeezed(s: float) -> float:
             # D(rho||sigma_s) via the analytic log of sigma_s = S tau_N S^T:
             # log2 sigma = -log2(1+N) + log2(N/(1+N)) S n S^T, and the squeezed-frame
-            # mean photon number is Tr[rho S n S^T] = cosh(2s)<n> + sinh^2 s + sinh(2s) Re<a^2>
+            # mean photon number is Tr[rho S n S^T] = cosh(2s)<n> + sinh^2 s - sinh(2s) |<a^2>|
+            # once S squeezes along the quadrature that <a^2> picks out
             n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
             frame_energy = (math.cosh(2.0 * s) * mean + math.sinh(s) ** 2
-                            + math.sinh(2.0 * s) * re_a2)
+                            - math.sinh(2.0 * s) * abs_a2)
             return -s_bits + math.log2(1 + n_s) - frame_energy * math.log2(n_s / (1 + n_s))
 
         for s in SQUEEZE_GRID:
@@ -874,9 +877,6 @@ def classical_ansatz_upper_bound(
             if res.fun < best:
                 best, best_param = float(res.fun), float(res.x)
         meta["ansatz_description"] = f"squeezed-thermal ansatz, best s={best_param}"
-        if squeeze_r is not None:
-            cf = min(squeezed_thermal_closed_form(squeeze_r, s) for s in SQUEEZE_GRID)
-            meta["closed_form_bits"] = cf
     elif family == "coherent_mixture":
         if not points:
             raise UsageError("coherent_mixture needs support points")
@@ -983,6 +983,37 @@ def basel_divergence_bound(n_max: int) -> float:
 SANDWICH_SLACK = 1e-9
 
 
+def _family_bounds(rho: DensityOperator, spec: StateSpec, energy: float) -> list[MonotoneBound]:
+    """The family-specific bounds that can set an endpoint of the sandwich.
+
+    Left out because they never do: the Gaussian upper bound (at least 1 bit
+    above the winning upper on every Gaussian family, squeezing of either
+    sign included), the Gaussian lower bound on coherent and thermal states
+    (identically 0, since g(nu) >= log2(1+nu)) and the thermal ansatz on
+    squeezed states (above the squeezed-thermal ansatz from |r| = 0.02, equal
+    to the energy bound to rounding below).
+    """
+    fam, params = spec.family, spec.params
+    if fam == "fock":
+        exact = fock_closed_form(int(params["n"]))
+        return [MonotoneBound("NCM", "lower", exact, {"ansatz_description": "Fock closed form"}),
+                MonotoneBound("NC", "upper", exact, {"ansatz_description": "Fock closed form"})]
+    if fam == "cat":
+        a = float(params["alpha"])
+        return [cat_gamma_lower_bound(a, params["sign"], rho.cutoff),
+                classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a, -a, 0.0],
+                                             energy=energy)]
+    if fam == "coherent":
+        return [classical_ansatz_upper_bound(rho, "coherent_mixture",
+                                             points=[_parse_alpha(params["alpha"])], energy=energy)]
+    if fam == "thermal":
+        return [classical_ansatz_upper_bound(rho, "thermal", energy=energy)]
+    if fam == "squeezed":
+        g_lower, _ = gaussian_bounds(gaussian_descriptor(spec))
+        return [g_lower, classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)]
+    return []
+
+
 def bound_sandwich(
     rho: DensityOperator,
     cfg: OptimizerConfig | None = None,
@@ -991,60 +1022,25 @@ def bound_sandwich(
 ) -> tuple[MonotoneBound, MonotoneBound]:
     """Best available interval [lower on NCM, upper on NC] for one state.
 
-    Routing: Fock-diagonal states take the exact diagonal program; cat specs
-    add the reflection-symmetric ansatz; Gaussian specs add the covariance
-    closed forms and classical-family ansatz bounds; any other single-mode
-    state that is not Fock-diagonal takes the dense exp(H) ascent.  A nonempty
-    interval is enforced loudly.
+    One list of candidate bounds, the best of each side taken: the energy
+    bound for every state; the exact program for single-mode Fock-diagonal
+    states; for a spec, its family's bounds (``_family_bounds``); for a raw
+    single-mode matrix that is not Fock-diagonal, the dense exp(H) ascent.
+    A nonempty interval is enforced loudly.
     """
-    cfg = cfg or OptimizerConfig()
     energy = exact_energy(spec) if spec is not None else rho.energy
-    lowers: list[MonotoneBound] = []
-    uppers: list[MonotoneBound] = [energy_upper_bound(energy, rho.modes)]
-
+    candidates = [energy_upper_bound(energy, rho.modes)]
     if rho.modes == 1 and rho.fock_diagonal:
-        fd = fock_diagonal_ncm(rho, energy=energy)
-        lowers.append(fd.lower)
-        uppers.append(fd.upper)
-    fam = spec.family if spec is not None else None
-    if fam == "fock":
-        n = int(spec.params["n"])
-        exact = fock_closed_form(n)
-        lowers.append(MonotoneBound("NCM", "lower", exact,
-                                    {"ansatz_description": "Fock closed form"}))
-        uppers.append(MonotoneBound("NC", "upper", exact,
-                                    {"ansatz_description": "Fock closed form"}))
-    if fam == "cat":
-        lowers.append(cat_gamma_lower_bound(float(spec.params["alpha"]), spec.params["sign"],
-                                            rho.cutoff))
-        a = float(spec.params["alpha"])
-        uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                                   points=[a, -a, 0.0], energy=energy))
-    if fam in ("coherent", "thermal", "squeezed"):
-        gd = gaussian_descriptor(spec)
-        # entropy of the ideal Gaussian state: 0 for the pure families, g(nu) thermal
-        s_bits = 0.0 if fam in ("coherent", "squeezed") else g_thermal(float(spec.params["nu"]))
-        g_lower, g_upper = gaussian_bounds(gd, s_bits)
-        lowers.append(g_lower)
-        uppers.append(g_upper)
-        if fam == "coherent":
-            alpha = spec.params["alpha"]
-            a = complex(alpha[0], alpha[1]) if isinstance(alpha, (list, tuple)) else complex(alpha)
-            uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a],
-                                                       energy=energy))
-        if fam == "thermal":
-            uppers.append(classical_ansatz_upper_bound(rho, "thermal", energy=energy))
-        if fam == "squeezed":
-            r = float(spec.params["r"])
-            uppers.append(classical_ansatz_upper_bound(rho, "thermal", energy=energy))
-            uppers.append(classical_ansatz_upper_bound(rho, "squeezed_thermal",
-                                                       energy=energy, squeeze_r=r))
-    if rho.modes == 1 and not rho.fock_diagonal and fam not in ("cat", "coherent", "squeezed"):
-        lowers.append(gamma_lower_bound(rho, cfg, energy=energy))
-    if not lowers:
-        lowers.append(MonotoneBound("NCM", "lower", 0.0,
-                                    {"ansatz_description": "trivial nonnegativity"}))
+        candidates.extend(fock_diagonal_ncm(rho, energy=energy))
+    if spec is not None:
+        candidates.extend(_family_bounds(rho, spec, energy))
+    elif rho.modes == 1 and not rho.fock_diagonal:
+        candidates.append(gamma_lower_bound(rho, cfg, energy=energy))
 
+    # max and min keep the first of equal values, so list order settles ties
+    lowers = [b for b in candidates if b.direction == "lower"] or [
+        MonotoneBound("NCM", "lower", 0.0, {"ansatz_description": "trivial nonnegativity"})]
+    uppers = [b for b in candidates if b.direction == "upper"]
     best_lower = max(lowers, key=lambda b: b.value)
     best_upper = min(uppers, key=lambda b: b.value)
     if best_lower.value > best_upper.value + SANDWICH_SLACK:
@@ -1053,13 +1049,6 @@ def bound_sandwich(
             f"{best_lower.certificate} vs {best_upper.certificate}"
         )
     return best_lower, best_upper
-
-
-def bound_sandwich_product(
-    parts: Sequence[tuple[DensityOperator, StateSpec | None]],
-) -> tuple[MonotoneBound, MonotoneBound]:
-    """Interval for an explicit tensor product from per-factor sandwiches."""
-    return product_interval([bound_sandwich(rho, spec=spec) for rho, spec in parts])
 
 
 def product_interval(

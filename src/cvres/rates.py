@@ -330,7 +330,8 @@ def noisy_fock_dilution_rate_bound(n: int, p: float) -> RateBound:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=128)  # the amplify and dilute tasks share sources and targets
-def _cat_interval(alpha: float, sign: str, cutoff: int):
+def cat_interval(alpha: float, sign: str, cutoff: int) -> tuple[MonotoneBound, MonotoneBound]:
+    """Sandwich of the cat state, built with ``deficit_tol=1e-7``; memoised per process."""
     spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
     rho = make_state(spec, deficit_tol=1e-7)
     return bound_sandwich(rho, spec=spec)
@@ -354,12 +355,12 @@ def protocol_figure_data(task: str, alphas) -> list[dict]:
         if task == "amplify":
             sims = cat_amplification(a, d)
             lower = max(sims["ours"].rate_lower_bound, sims["lund"].rate_lower_bound)
-            _, src_up = _cat_interval(a, "+", d)
-            tgt_lo, _ = _cat_interval(math.sqrt(2.0) * a, "+", d)
+            _, src_up = cat_interval(a, "+", d)
+            tgt_lo, _ = cat_interval(math.sqrt(2.0) * a, "+", d)
         else:
             lower = cat_dilution(a, d).rate_lower_bound
-            _, src_up = _cat_interval(math.sqrt(2.0) * a, "+", d)
-            tgt_lo, _ = product_interval([_cat_interval(a, s, d) for s in ("+", "-")])
+            _, src_up = cat_interval(math.sqrt(2.0) * a, "+", d)
+            tgt_lo, _ = product_interval([cat_interval(a, s, d) for s in ("+", "-")])
         ratio = rate_upper_bound(src_up, tgt_lo)
         rows.append(
             {

@@ -321,7 +321,7 @@ def test_criterion_12_truncation_certificate():
         if spec.family == "cat":
             return cat_gamma_lower_bound(spec.params["alpha"], spec.params["sign"], cutoff).value
         if spec.family == "squeezed":
-            lo, _ = gaussian_bounds(gaussian_descriptor(spec_d), 0.0)
+            lo, _ = gaussian_bounds(gaussian_descriptor(spec_d))
             eps = math.sqrt(max(rho.trace_deficit, 0.0))
             return max(0.0, lo.value - truncation_certificate(min(1.0, eps), energy, 1))
         if spec.family == "coherent":

@@ -133,7 +133,7 @@ class TestFigure:
             cert = {"truncation_correction_bits": 0.0}
             lower = nc.MonotoneBound("NCM", "lower", 0.1, cert, converged=False)
             upper = nc.MonotoneBound("NC", "upper", 0.2, cert, converged=False)
-            return nc.FockDiagonalResult(lower, upper, 0.15, 0.1)
+            return nc.FockDiagonalResult(lower, upper)
 
         monkeypatch.setattr(nc, "fock_diagonal_ncm", unconverged)
         code, out, _ = run_cli(
@@ -168,7 +168,7 @@ class TestFigure:
             return (nc.MonotoneBound("NCM", "lower", 1.0, converged=sign == "+"),
                     nc.MonotoneBound("NC", "upper", 2.0))
 
-        monkeypatch.setattr(rates, "_cat_interval", interval)
+        monkeypatch.setattr(rates, "cat_interval", interval)
         got, out, _ = run_cli(
             ["figure", "--name", "protocols", "--alpha-grid", "0.3", "--task", task], capsys
         )
@@ -217,12 +217,19 @@ class TestFigure:
         row = lines[1].split(",")
         assert float(row[2]) <= float(row[3])
 
-    def test_threads_flag(self):
-        import argparse
+    def test_threads_flag(self, capsys):
+        # still parsed so existing command lines run; rows are serial either way
+        args = ["figure", "--name", "squeezed", "--r-grid", "0.25"]
+        code, serial, _ = run_cli(args, capsys)
+        assert code == 0
+        assert run_cli(args + ["--threads", "2"], capsys) == (0, serial, "")
 
-        from cvres.cli import _thread_count
-
-        assert _thread_count(argparse.Namespace(threads=2)) == 2
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        code, _, err = run_cli(["figure", "--name", "squeezed", "--r-grid", "0.25",
+                                "--threads", threads], capsys)
+        assert code == 1
+        assert "--threads must be at least 1" in err
 
     def test_threads_flag_matches_serial(self, tmp_path):
         args = ["figure", "--name", "noisy-fock-fixed-nu", "--nu", "0", "--n-grid", "1",
@@ -263,10 +270,10 @@ class TestProtocolFigure:
         monkeypatch.setattr(nc, "cat_gamma_lower_bound", counted)
         args = ["figure", "--name", "protocols", "--alpha-grid", "0.3"]
         cached, uncached = tmp_path / "cached.csv", tmp_path / "uncached.csv"
-        rates._cat_interval.cache_clear()
+        rates.cat_interval.cache_clear()
         assert main(args + ["--output", str(cached)]) == 0
         assert len(calls) == len(set(calls)) == 3
-        monkeypatch.setattr(rates, "_cat_interval", rates._cat_interval.__wrapped__)
+        monkeypatch.setattr(rates, "cat_interval", rates.cat_interval.__wrapped__)
         assert main(args + ["--output", str(uncached)]) == 0
         assert len(calls) == 3 + 5
         assert cached.read_bytes() == uncached.read_bytes()

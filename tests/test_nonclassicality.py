@@ -10,7 +10,13 @@ from cvres import nonclassicality
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
 from cvres.entropies import von_neumann_entropy
-from cvres.states import StateSpec, gaussian_descriptor, make_state
+from cvres.states import (
+    GaussianDescriptor,
+    StateSpec,
+    exact_energy,
+    gaussian_descriptor,
+    make_state,
+)
 from cvres.nonclassicality import (
     SANDWICH_SLACK,
     MonotoneBound,
@@ -19,7 +25,6 @@ from cvres.nonclassicality import (
     _envelope_log_weights,
     basel_divergence_bound,
     bound_sandwich,
-    bound_sandwich_product,
     cat_gamma_lower_bound,
     classical_ansatz_upper_bound,
     coherent_sup_certified,
@@ -31,6 +36,7 @@ from cvres.nonclassicality import (
     gaussian_bounds,
     husimi_lower_bound,
     noisy_fock_closed_form,
+    product_interval,
     truncation_certificate,
     wehrl_upper_bound,
 )
@@ -265,7 +271,7 @@ class TestFockDiagonal:
         expected = fock_closed_form(n)
         assert res.lower.value == pytest.approx(expected, abs=1e-6)
         assert res.upper.value == pytest.approx(expected, abs=1e-6)
-        assert res.gap <= 2e-6
+        assert res.lower.certificate["duality_gap_bits"] <= 2e-6
 
     @pytest.mark.parametrize("p", [0.5, 0.9])
     def test_noisy_fock_closed_form(self, p):
@@ -413,18 +419,34 @@ class TestWehrlHusimiPair:
 
 class TestGaussianBounds:
     def test_vacuum(self):
-        lo, hi = gaussian_bounds(gaussian_descriptor(StateSpec("coherent", {"alpha": 0}, 8)), 0.0)
+        lo, hi = gaussian_bounds(gaussian_descriptor(StateSpec("coherent", {"alpha": 0}, 8)))
         assert lo.value == pytest.approx(0.0, abs=1e-12)
         assert hi.value == pytest.approx(1 + LOG2E, rel=1e-12)
 
     def test_squeezed(self):
-        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("squeezed", {"r": 1}, 8)), 0.0)
+        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("squeezed", {"r": 1}, 8)))
         assert lo.value == pytest.approx(math.log2(math.cosh(1.0)), rel=1e-10)
 
     def test_thermal_floored(self):
-        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("thermal", {"nu": 1}, 8)), 2.0)
+        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("thermal", {"nu": 1}, 8)))
         assert lo.value == 0.0
         assert lo.certificate["raw_value_bits"] == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("family, params, entropy", [
+        ("thermal", {"nu": 0.5}, g_thermal(0.5)),
+        ("thermal", {"nu": 2.0}, g_thermal(2.0)),
+        ("coherent", {"alpha": [0.5, 0.7]}, 0.0),
+        ("squeezed", {"r": 0.3}, 0.0),
+        ("squeezed", {"r": 1.2}, 0.0),
+    ])
+    def test_entropy_from_covariance(self, family, params, entropy):
+        # S = g(nu) for thermal states and exactly 0 for the pure families
+        gd = gaussian_descriptor(StateSpec(family, params, 8))
+        got = nonclassicality._gaussian_entropy_bits(gd)
+        if entropy:
+            assert got == pytest.approx(entropy, rel=1e-12)
+        else:
+            assert got == 0.0
 
 
 class TestClassicalAnsatz:
@@ -468,12 +490,10 @@ class TestClassicalAnsatz:
         assert up.value - lo.value < 0.5
         assert lo.value <= up.value + 1e-9
 
-    def test_squeezed_thermal_reports_both(self):
+    def test_squeezed_thermal_closed_form(self):
         spec = StateSpec("squeezed", {"r": 1}, 60)
         rho = make_state(spec, deficit_tol=1e-6)
-        up = classical_ansatz_upper_bound(rho, "squeezed_thermal",
-                                          energy=math.sinh(1) ** 2, squeeze_r=1.0)
-        assert "closed_form_bits" in up.certificate
+        up = classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=math.sinh(1) ** 2)
         # numerically verified value: min over s of log2(1+N) + sinh^2(r-s) log2(1+1/N)
         res = minimize_scalar(
             lambda s: math.log2(1 + 0.5 * (math.exp(2 * s) - 1))
@@ -485,7 +505,15 @@ class TestClassicalAnsatz:
         raw = up.value - up.certificate["truncation_correction_bits"]
         assert raw == pytest.approx(res.fun, abs=1e-6)
 
-    @pytest.mark.parametrize("case", [(0.3, 40), (0.9, 80), "random"])
+    @pytest.mark.parametrize("r", [0.3, 1.5])
+    def test_squeezed_thermal_either_sign(self, r):
+        # squeezed(-r) is squeezed(r) turned by a quarter period, and so is its best ansatz
+        values = [classical_ansatz_upper_bound(make_state(StateSpec("squeezed", {"r": x}, 200),
+                                                          deficit_tol=1e-5),
+                                               "squeezed_thermal").value for x in (r, -r)]
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+    @pytest.mark.parametrize("case", [(0.3, 40), (0.9, 80), (-0.9, 80), "random"])
     def test_squeezed_thermal_frame_energy_identity(self, case):
         # reference: the squeezed-frame energy Tr[rho S n S^T] by an expm padded
         # far enough past the cutoff that its own truncation error is negligible
@@ -500,9 +528,15 @@ class TestClassicalAnsatz:
             rho = make_state(StateSpec("squeezed", {"r": case[0]}, case[1]), deficit_tol=1e-5)
         rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
         d = rho.cutoff
+        # the ansatz squeezes along the quadrature that <a^2> picks out: rotate rho
+        # by exp(-i phi n) until <a^2> is real and at most 0, the quadrature S squeezes
+        a2_mean = np.dot(np.sqrt(np.arange(1.0, d - 1) * np.arange(2.0, d)),
+                         np.diagonal(rho_n.entries, offset=-2))
+        u = np.sqrt(-abs(a2_mean) / a2_mean + 0j) if a2_mean != 0 else 1.0
+        phases = u ** np.arange(d)
         pad = d + 200
         ent_pad = np.zeros((pad, pad), dtype=complex)
-        ent_pad[:d, :d] = rho_n.entries
+        ent_pad[:d, :d] = rho_n.entries * np.outer(phases, phases.conj())
         k = np.arange(pad - 2)
         a2 = np.zeros((pad, pad))
         a2[k, k + 2] = np.sqrt((k + 1.0) * (k + 2.0))
@@ -610,17 +644,55 @@ class TestSandwich:
     def test_product_additivity(self):
         plus = StateSpec("cat", {"alpha": 1, "sign": "+"}, 30)
         minus = StateSpec("cat", {"alpha": 1, "sign": "-"}, 30)
-        lo_p, _ = bound_sandwich(make_state(plus, deficit_tol=1e-6), spec=plus)
-        lo_m, _ = bound_sandwich(make_state(minus, deficit_tol=1e-6), spec=minus)
-        lo, hi = bound_sandwich_product(
-            [
-                (make_state(plus, deficit_tol=1e-6), plus),
-                (make_state(minus, deficit_tol=1e-6), minus),
-            ]
-        )
-        assert lo.value == pytest.approx(lo_p.value + lo_m.value, abs=1e-9)
+        parts = [bound_sandwich(make_state(spec, deficit_tol=1e-6), spec=spec)
+                 for spec in (plus, minus)]
+        lo, hi = product_interval(parts)
+        assert lo.value == pytest.approx(parts[0][0].value + parts[1][0].value, abs=1e-9)
         assert lo.value <= hi.value
 
     def test_product_needs_a_factor(self):
         with pytest.raises(UsageError):
-            bound_sandwich_product([])
+            product_interval([])
+
+
+class TestSandwichDominance:
+    """The sandwich is never looser than any engine that applies to the state."""
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock", {"n": 0}, 20),
+        StateSpec("fock", {"n": 2}, 20),
+        StateSpec("thermal", {"nu": 0.0}, 40),
+        StateSpec("thermal", {"nu": 0.5}, 40),
+        StateSpec("thermal", {"nu": 2.0}, 60),
+        StateSpec("coherent", {"alpha": 0.3}, 30),
+        StateSpec("coherent", {"alpha": [0.5, 0.7]}, 30),
+        StateSpec("squeezed", {"r": 0.005}, 40),
+        StateSpec("squeezed", {"r": 0.3}, 40),
+        StateSpec("squeezed", {"r": 1.2}, 120),
+        StateSpec("squeezed", {"r": -1.5}, 100),
+        StateSpec("squeezed", {"r": -1.7}, 150),
+        StateSpec("noisy_fock", {"n": 2, "nu": 0.5, "p": 0.4}, 40),
+    ], ids=lambda spec: spec.to_json())
+    def test_never_looser(self, spec):
+        rho = make_state(spec, deficit_tol=1e-5)
+        energy = exact_energy(spec)
+        lo, hi = bound_sandwich(rho, spec=spec)
+        lowers = [husimi_lower_bound(rho, energy=energy)]
+        uppers = [energy_upper_bound(energy),
+                  classical_ansatz_upper_bound(rho, "thermal", energy=energy),
+                  classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)]
+        if spec.family in ("coherent", "thermal", "squeezed"):
+            g_lower, g_upper = gaussian_bounds(gaussian_descriptor(spec))
+            lowers.append(g_lower)
+            uppers.append(g_upper)
+        if spec.family == "coherent":
+            alpha = spec.params["alpha"]
+            point = complex(*alpha) if isinstance(alpha, list) else complex(alpha)
+            uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture", points=[point],
+                                                       energy=energy))
+        if rho.fock_diagonal:
+            lowers.append(fock_diagonal_ncm(rho, energy=energy).lower)
+        for b in lowers:
+            assert lo.value >= b.value - 1e-12, b.certificate
+        for b in uppers:
+            assert hi.value <= b.value + 1e-12, b.certificate
