@@ -56,13 +56,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.modes != sigma.modes or rho.cutoff != sigma.cutoff:
         raise UsageError("relative_entropy requires matching shapes")
     a_vals, a_vecs = np.linalg.eigh(rho.entries)
-    return _relative_entropy_eig(a_vals, a_vecs, sigma.entries)
-
-
-def _relative_entropy_eig(a_vals: np.ndarray, a_vecs: np.ndarray, sigma: np.ndarray) -> float:
-    """``relative_entropy`` from rho's eigensystem and sigma's entries, so a caller
-    that varies only sigma diagonalises rho once."""
-    b_vals, b_vecs = np.linalg.eigh(sigma)
+    b_vals, b_vecs = np.linalg.eigh(sigma.entries)
     a_vals = np.clip(a_vals, 0.0, None)
     b_vals = np.clip(b_vals, 0.0, None)
     overlap = np.abs(a_vecs.conj().T @ b_vecs) ** 2  # overlap[i, j] = |<a_i|b_j>|^2

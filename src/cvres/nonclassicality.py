@@ -24,11 +24,13 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
 from .entropies import (
+    _ZERO_BIN,
     LN2,
     LOG2E,
+    SUPPORT_TOL,
     OptimizerReport,
-    _relative_entropy_eig,
     ascend,
+    entropy_of_probabilities,
     exp_frechet_gradient,
     exp_hermitian,
     husimi_sup,
@@ -191,33 +193,46 @@ INNER_TOL = 1e-9  # relative slack of the certified inner sup in every lower-bou
 
 
 def _curvature_table(
-    powers: np.ndarray, weights: np.ndarray
+    powers: np.ndarray, ln_w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponents e, coefficients c_e and bound coefficients of F''(t) = e^(-t) sum_e c_e t^e.
+    """Exponents e, coefficients c_e and log bound coefficients of F''(t) = e^(-t) sum_e c_e t^e.
 
-    Each W_s t^p of F(t) = e^(-t) sum_s W_s t^p contributes W_s [p(p-1) t^(p-2)
-    - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so the integer 2e + 4
-    keys them exactly and opposite signs cancel.  |c_e| + 1e-14 sum|terms of e|
-    covers the rounding of c_e, so sum_e bound_e max t^e e^(-t) bounds |F''| on a
-    segment.
+    Each W_s t^p of F(t) = e^(-t) sum_s W_s t^p, W_s = exp(ln_w_s), contributes
+    W_s [p(p-1) t^(p-2) - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so
+    the integer 2e + 4 keys them exactly and opposite signs cancel.  Each group is
+    summed relative to its largest term, so weights far outside the float range
+    keep their share.  ln(|c_e| + 1e-14 sum|terms of e|) covers the rounding of
+    c_e, so sum_e exp(ln_bound_e) max t^e e^(-t) bounds |F''| on a segment.
     """
     exps = np.concatenate([powers - 2.0, powers - 1.0, powers])
-    terms = np.concatenate([weights * powers * (powers - 1.0), -2.0 * weights * powers, weights])
-    keep = terms != 0.0
+    factors = np.concatenate([powers * (powers - 1.0), -2.0 * powers, np.ones_like(powers)])
+    keep = factors != 0.0
     key = np.rint(2.0 * exps[keep]).astype(np.intp) + 4
-    terms = terms[keep]
-    present = np.bincount(key) > 0
-    coefs = np.bincount(key, weights=terms)[present]
-    mags = np.bincount(key, weights=np.abs(terms))[present]
+    ln_terms = np.concatenate([ln_w, ln_w, ln_w])[keep] + np.log(np.abs(factors[keep]))
+    top = np.full(key.max() + 1, -np.inf)
+    np.maximum.at(top, key, ln_terms)
+    present = np.isfinite(top)
+    scaled = np.sign(factors[keep]) * np.exp(ln_terms - top[key])
+    coefs = np.bincount(key, weights=scaled)[present]
+    mags = np.bincount(key, weights=np.abs(scaled))[present]
+    top = top[present]
     exps = 0.5 * (np.flatnonzero(present) - 4)
-    return exps, coefs, np.abs(coefs) + 1e-14 * mags
+    return exps, coefs * np.exp(top), top + np.log(np.abs(coefs) + 1e-14 * mags)
 
 
-def _monomial_max(exps: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max of t^e e^(-t) over [lo_i, hi_i] (rows, lo > 0) for each exponent e (columns),
-    attained at t = e clipped into the segment."""
-    t = np.minimum(np.maximum(exps, lo[:, None]), hi[:, None])
-    return np.exp(exps * np.log(t) - t)
+def _monomial_max(exps: np.ndarray, ln_coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sum over e of the max over [lo_i, hi_i] (rows, lo > 0) of exp(ln_coef_e) t^e e^(-t).
+
+    Each term peaks at t = e clipped into the segment; ln_coef_e enters the exponent,
+    so neither the weight nor the peak of a high power leaves the float range."""
+    t = np.maximum(exps, lo[:, None])
+    np.minimum(t, hi[:, None], out=t)
+    # in place: this pass runs twice per segment bound and dominates the supremum
+    v = np.log(t)
+    v *= exps
+    v -= t
+    v += ln_coef
+    return np.exp(v, out=v).sum(axis=1)
 
 
 def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
@@ -245,8 +260,7 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     ln_w = ln_w[finite]
     powers = powers[finite]
     t_max = max(float(powers[-1]), 1.0)
-    weights = np.exp(ln_w)
-    curve_exps, _, curve_bound = _curvature_table(powers, weights)
+    curve_exps, _, ln_curve_bound = _curvature_table(powers, ln_w)
 
     def envelope_at(t: np.ndarray) -> np.ndarray:
         # t > 0 only: at t = 0 the constant term would meet 0 * log 0
@@ -256,15 +270,16 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
 
     def segment_bounds(a, b, fa, fb):
         lo = np.maximum(a, 1e-300)
-        peak = _monomial_max(powers, lo, b) @ weights
+        peak = _monomial_max(powers, ln_w, lo, b)
         # F'' is unbounded at t = 0 only when a half-integer power leaves a negative exponent
         at_zero = (a <= 0.0) & (curve_exps[0] < 0.0)
-        d2 = _monomial_max(curve_exps, np.where(at_zero, b, lo), b) @ curve_bound
+        d2 = _monomial_max(curve_exps, ln_curve_bound, np.where(at_zero, b, lo), b)
         smooth = np.where(at_zero, np.inf, np.maximum(fa, fb) + 0.125 * (b - a) ** 2 * d2)
         return np.minimum(peak, smooth)
 
     probes = np.unique(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
-    values = np.concatenate([[weights[0] if powers[0] == 0.0 else 0.0], envelope_at(probes[1:])])
+    values = np.concatenate([[math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0],
+                             envelope_at(probes[1:])])
     i_best = int(np.argmax(values))
     best, best_t = float(values[i_best]), float(probes[i_best])
     a, b, fa, fb = probes[:-1], probes[1:], values[:-1], values[1:]
@@ -414,61 +429,50 @@ def cat_gamma_lower_bound(
     sign: str,
     cutoff: int,
 ) -> MonotoneBound:
-    """Reflection-symmetric lower bound for cat states.
+    """Parity-block lower bound for cat states.
 
-    The ansatz L lives on span{|alpha>, |-alpha>, |0>} and commutes with the
-    alpha -> -alpha reflection, so it splits into a 2x2 even block (cat+ and
-    the orthogonalized vacuum) and a scalar odd block.
+    L acts on the cat's own parity block: |cat><cat| alone for the odd cat
+    (and for an even cat whose span holds no other even direction), or
+    exp(log M) on span{cat+, v0} with v0 the vacuum orthogonalised against
+    cat+, plus a 1e-12 floor on the complement so L stays positive definite.
+    The other parity block would only raise <beta|L|beta>, and the scale of L
+    is fixed by <cat|log L|cat> = 0, so Tr[rho log L] vanishes and the bound
+    is -log2 of the certified supremum; the even cat searches the two free
+    entries of log M.
     """
     rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff), deficit_tol=1e-6)
     psi = cat_amplitudes(alpha, sign, cutoff)
-    b_plus = cat_amplitudes(alpha, "+", cutoff)
-    b_plus = b_plus / np.linalg.norm(b_plus)
-    b_minus = cat_amplitudes(alpha, "-", cutoff)
-    b_minus = b_minus / np.linalg.norm(b_minus)
-    e0 = np.zeros(cutoff)
-    e0[0] = 1.0
-    v0 = e0 - np.dot(b_plus, e0) * b_plus
+    psi = psi / np.linalg.norm(psi)
+    v0 = -psi[0] * psi
+    v0[0] += 1.0
     norm_v0 = np.linalg.norm(v0)
-    if norm_v0 < 1e-8:
-        basis = np.stack([b_plus, b_minus])
-        even_dim = 1
-    else:
-        basis = np.stack([b_plus, v0 / norm_v0, b_minus])
-        even_dim = 2
     floor = 1e-12
-    coords = basis @ psi
-    outside = max(0.0, float(np.dot(psi, psi) - np.dot(coords, coords)))
 
-    best = (-math.inf, None)
+    if sign == "-" or norm_v0 < 1e-8:
+        cert = coherent_sup_certified(np.outer(psi, psi), tol=INNER_TOL)
+        raw, iterations, converged = -math.log2(cert.value + floor), 0, True
+        ansatz = "cat parity-block ansatz |cat><cat|"
+    else:
+        basis = np.stack([psi, v0 / norm_v0])
+        best = (-math.inf, None)
 
-    def objective(x):
-        # the clipped log L is both exponentiated and traced, so every point is feasible;
-        # only the top is clipped, since a floor would flatten the objective and stall the search
-        nonlocal best
-        x = np.minimum(x, 50.0)
-        if even_dim == 2:
-            log_m = np.array([[x[0], x[1], 0.0], [x[1], x[2], 0.0], [0.0, 0.0, x[3]]])
-        else:
-            log_m = np.diag(x)
-        m, _, _ = exp_hermitian(log_m)
-        cert = coherent_sup_certified(basis.T @ m @ basis, tol=INNER_TOL)
-        lin = float(coords @ log_m @ coords) * LOG2E + outside * math.log2(floor)
-        value = lin - math.log2(cert.value + floor)
-        if value > best[0]:
-            best = (value, cert)
-        return -value
+        def objective(x):
+            # only the top is clipped, since a floor would flatten the objective and stall
+            # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
+            nonlocal best
+            x1, x2 = np.minimum(x, 50.0)
+            m, _, _ = exp_hermitian(np.array([[0.0, x1], [x1, x2]]))
+            cert = coherent_sup_certified(basis.T @ m @ basis, tol=INNER_TOL)
+            value = -math.log2(cert.value + floor)
+            if value > best[0]:
+                best = (value, cert)
+            return -value
 
-    x0 = np.array([0.0, 0.0, -8.0, -8.0]) if sign == "+" else np.array([-8.0, 0.0, -8.0, 0.0])
-    if even_dim == 1:
-        x0 = np.array([0.0, -8.0]) if sign == "+" else np.array([-8.0, 0.0])
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 250, "xatol": 1e-6, "fatol": 1e-9},
-    )
-    raw, cert = best
+        res = minimize(objective, np.array([0.0, -8.0]), method="Nelder-Mead",
+                       options={"maxiter": 250, "xatol": 1e-6, "fatol": 1e-9})
+        raw, cert = best
+        iterations, converged = int(res.nit), bool(res.success)
+        ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
     eps = truncation_epsilon(rho)
     energy = exact_energy(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff))
     correction = truncation_certificate(eps, energy, 1)
@@ -481,10 +485,11 @@ def cat_gamma_lower_bound(
             "truncation_correction_bits": correction,
             "inner_sup_radius": cert.radius_sq,
             "inner_sup_grid_error": cert.gap,
-            "ansatz_description": "reflection-symmetric rank-3 ansatz on span{|a>,|-a>,|0>}",
+            "ansatz_description": ansatz,
             "raw_value_bits": raw,
+            "iterations": iterations,
         },
-        converged=bool(res.success or raw > -math.inf),
+        converged=converged,
     )
 
 
@@ -816,6 +821,42 @@ def gaussian_bounds(gd: GaussianDescriptor) -> tuple[MonotoneBound, MonotoneBoun
     )
 
 
+def _coherent_mixture_divergence(rho: DensityOperator, points: Sequence[complex]):
+    """w -> D(rho || sigma_w / Tr sigma_w) for sigma_w = sum_i w_i |a_i><a_i|, in bits.
+
+    Works in the Gram frame of the atoms: with V the d x n matrix of truncated
+    coherent vectors, G = V^+ V and R = V^+ rho V, the nonzero spectrum
+    (lam_k, y_k) of sigma_w is that of sqrt(w) G sqrt(w), and its eigenvectors
+    are V c_k with c_k = sqrt(w) y_k / sqrt(lam_k).  So D = -S(rho) - sum_k
+    c_k^+ R c_k log2 lam_k, and +inf once rho keeps more than ``SUPPORT_TOL`` of
+    its trace outside that span; each evaluation is one n x n ``eigh``.
+    """
+    vecs = np.stack([coherent_vector(a, rho.cutoff)[0] for a in points], axis=1)
+    gram = vecs.conj().T @ vecs
+    gram_diag = np.real(np.diagonal(gram))
+    overlap = vecs.conj().T @ rho.entries @ vecs
+    tr_rho = float(np.real(np.trace(rho.entries)))
+    # as in relative_entropy, eigenvalues at rounding level carry no entropy
+    rho_vals = np.linalg.eigvalsh(rho.entries)
+    s_bits = entropy_of_probabilities(rho_vals[rho_vals > _ZERO_BIN])
+
+    def divergence(weights: np.ndarray) -> float:
+        tr = float(np.dot(weights, gram_diag))
+        if tr <= 1e-12:
+            return math.inf
+        root_w = np.sqrt(weights / tr)
+        lam, y = np.linalg.eigh(root_w[:, None] * gram * root_w[None, :])
+        # numerical support of sigma: eigenvalues at machine-zero relative scale
+        keep = lam > max(float(lam[-1]) * 1e-15, 1e-300)
+        c = root_w[:, None] * y[:, keep] / np.sqrt(lam[keep])
+        mass = np.real(np.einsum("ik,ij,jk->k", c.conj(), overlap, c))
+        if tr_rho - float(mass.sum()) > SUPPORT_TOL:
+            return math.inf
+        return -s_bits - float(np.dot(mass, np.log2(lam[keep])))
+
+    return divergence
+
+
 SQUEEZE_GRID = np.linspace(0.01, 2.5, 120)  # squeezing parameters s scanned before refinement
 
 
@@ -880,18 +921,8 @@ def classical_ansatz_upper_bound(
     elif family == "coherent_mixture":
         if not points:
             raise UsageError("coherent_mixture needs support points")
-        vecs = [coherent_vector(a, d)[0] for a in points]
-        comps = [np.outer(v, v.conj()) for v in vecs]
-        rho_vals, rho_vecs = np.linalg.eigh(rho_n.entries)
-
-        def divergence(weights):
-            sigma = sum(wi * ci for wi, ci in zip(weights, comps))
-            tr = np.real(np.trace(sigma))
-            if tr <= 1e-12:
-                return math.inf
-            return _relative_entropy_eig(rho_vals, rho_vecs, sigma / tr)
-
-        n_pts = len(comps)
+        divergence = _coherent_mixture_divergence(rho_n, points)
+        n_pts = len(points)
         best_w = np.full(n_pts, 1.0 / n_pts)
         best = divergence(best_w)
         if n_pts > 1:

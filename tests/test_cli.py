@@ -217,6 +217,27 @@ class TestFigure:
         row = lines[1].split(",")
         assert float(row[2]) <= float(row[3])
 
+    def test_cat_unconverged_exit_2(self, capsys, monkeypatch):
+        # the even cat's search reports Nelder-Mead's own verdict
+        from cvres import nonclassicality as nc
+        from cvres import rates
+
+        real = nc.minimize
+
+        def failing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(nc, "minimize", failing)
+        monkeypatch.setattr(rates, "cat_interval", rates.cat_interval.__wrapped__)
+        code, out, _ = run_cli(
+            ["figure", "--name", "cat", "--alpha-grid", "0.3", "--sign", "+", "--cutoff", "30"],
+            capsys,
+        )
+        assert code == 2
+        assert out.strip().split("\n")[0] == "alpha,sign,lower_bits,upper_bits"
+
     def test_threads_flag(self, capsys):
         # still parsed so existing command lines run; rows are serial either way
         args = ["figure", "--name", "squeezed", "--r-grid", "0.25"]

@@ -13,6 +13,7 @@ from cvres.entropies import von_neumann_entropy
 from cvres.states import (
     GaussianDescriptor,
     StateSpec,
+    cat_amplitudes,
     exact_energy,
     gaussian_descriptor,
     make_state,
@@ -70,6 +71,21 @@ class TestCoherentSup:
             for alpha in rng.normal(size=8) + 1j * rng.normal(size=8):
                 v, _ = coherent_vector(alpha, 6)
                 assert np.real(np.vdot(v, l_mat @ v)) <= cert.value * (1 + 1e-12) + 1e-12
+
+    @pytest.mark.parametrize("kind", ["coherent11", "thermal20"])
+    def test_high_cutoff_stays_finite(self, kind):
+        # monomial peaks t^e e^(-t) exceed the float range from e ~ 172, weights
+        # fall below it; both meet only inside the log-domain segment bounds
+        if kind == "coherent11":
+            vec, _ = coherent_vector(11.0, 180)
+            l_mat = np.outer(vec, vec.conj())
+        else:
+            k = np.arange(500)
+            l_mat = np.diag(np.exp(k * math.log(20.0 / 21.0) - math.log(21.0))).astype(complex)
+        cert = coherent_sup_certified(l_mat, tol=1e-10)
+        assert math.isfinite(cert.value) and cert.gap <= 1e-10 * cert.value
+        sampled = _largest_coherent_value(l_mat, cert, 0)
+        assert cert.value * (1 - 1e-8) <= sampled <= cert.value * (1 + 1e-12)
 
     def test_scale_invariance_of_objective(self):
         l_mat = np.diag([1.0, 2.0, 0.5, 0.1]).astype(complex)
@@ -223,7 +239,8 @@ class TestCurvatureTable:
         powers = 0.5 * np.arange(ln_w.size)
         finite = np.isfinite(ln_w)
         powers, weights = powers[finite], np.exp(ln_w[finite])
-        exps, coefs, bound = _curvature_table(powers, weights)
+        exps, coefs, ln_bound = _curvature_table(powers, ln_w[finite])
+        bound = np.exp(ln_bound)
 
         def envelope(t):
             return math.exp(-t) * float(np.sum(weights * t**powers))
@@ -365,17 +382,82 @@ class TestCatReflection:
         assert bound.value > 1.2
 
     def test_out_of_range_point_stays_feasible(self, monkeypatch):
-        # at x[3] = 60 the odd block must be exponentiated and traced at the same clipped value
-        x_far = np.array([-8.0, 0.0, -8.0, 60.0])
+        # at x[1] = 60 the even block must be exponentiated at the clipped value
+        x_far = np.array([0.0, 60.0])
 
         def fake_minimize(fun, x0, **kwargs):
-            return OptimizeResult(x=x_far, fun=fun(x_far), success=True)
+            return OptimizeResult(x=x_far, fun=fun(x_far), success=True, nit=1)
 
-        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "-"}, 35), deficit_tol=1e-6)
+        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 35), deficit_tol=1e-6)
         up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[0.3, -0.3, 0.0])
         monkeypatch.setattr(nonclassicality, "minimize", fake_minimize)
-        lo = cat_gamma_lower_bound(0.3, "-", 35)
+        lo = cat_gamma_lower_bound(0.3, "+", 35)
         assert lo.value <= up.value
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_even_cat_converges_below_cap(self, alpha):
+        bound = cat_gamma_lower_bound(alpha, "+", 30)
+        assert bound.converged
+        assert bound.certificate["iterations"] < 250
+
+    def test_odd_cat_is_one_supremum(self, monkeypatch):
+        # L = |cat-><cat-| plus the floor: the bound is -log2 of the largest
+        # |<beta|cat->|^2, attained at real beta since the amplitudes share a sign
+        certs = []
+        inner = nonclassicality.coherent_sup_certified
+
+        def recording(entries, *, tol):
+            certs.append(inner(entries, tol=tol))
+            return certs[-1]
+
+        monkeypatch.setattr(nonclassicality, "coherent_sup_certified", recording)
+        bound = cat_gamma_lower_bound(0.3, "-", 30)
+        assert len(certs) == 1 and bound.converged
+        psi = cat_amplitudes(0.3, "-", 30)
+        psi = psi / np.linalg.norm(psi)
+
+        def overlap(t):
+            vec, _ = coherent_vector(math.sqrt(max(t, 0.0)), 30)
+            return abs(np.vdot(vec, psi)) ** 2
+
+        grid = np.linspace(0.0, 6.0, 601)
+        t0 = grid[int(np.argmax([overlap(t) for t in grid]))]
+        res = minimize_scalar(lambda t: -overlap(t), bounds=(t0 - 0.01, t0 + 0.01),
+                              method="bounded", options={"xatol": 1e-12})
+        sampled = -math.log2(-res.fun)
+        raw = bound.certificate["raw_value_bits"]
+        assert raw <= sampled
+        assert raw >= sampled - math.log2(1 + nonclassicality.INNER_TOL) - 1e-11
+
+    def test_odd_cat_tends_to_single_photon(self):
+        values = [cat_gamma_lower_bound(a, "-", 30).value for a in (0.2, 0.05, 0.01)]
+        assert values[0] < values[1] < values[2] <= LOG2E
+        assert LOG2E - values[2] < 1e-3
+
+    @pytest.mark.parametrize("alpha, sign", [(0.3, "+"), (0.3, "-"), (1.0, "+")])
+    def test_four_parameter_ansatz_never_beats_parity_block(self, alpha, sign):
+        # the former search: L = B^T exp(log M) B on span{cat+, v0, cat-} with the
+        # even 2x2 block and the odd scalar free, plus the floor on the complement
+        d, floor = 30, 1e-12
+        bound = cat_gamma_lower_bound(alpha, sign, d)
+        plus, minus = cat_amplitudes(alpha, "+", d), cat_amplitudes(alpha, "-", d)
+        plus, minus = plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
+        v0 = np.eye(d)[0] - plus[0] * plus
+        basis = np.stack([plus, v0 / np.linalg.norm(v0), minus])
+        coords = basis @ (plus if sign == "+" else minus)
+
+        def old_objective(x):
+            log_m = np.array([[x[0], x[1], 0.0], [x[1], x[2], 0.0], [0.0, 0.0, x[3]]])
+            evals, evecs = np.linalg.eigh(log_m)
+            m = (evecs * np.exp(evals)) @ evecs.T
+            cert = coherent_sup_certified(basis.T @ m @ basis, tol=nonclassicality.INNER_TOL)
+            return LOG2E * float(coords @ log_m @ coords) - math.log2(cert.value + floor)
+
+        rng = np.random.default_rng(3)
+        points = np.concatenate([rng.uniform(-10.0, 3.0, size=(12, 4)),
+                                 rng.normal(scale=0.5, size=(6, 4))])
+        best = max(old_objective(x) for x in points)
+        assert best <= bound.certificate["raw_value_bits"] + math.log2(1 + nonclassicality.INNER_TOL)
 
 
 class TestEnergyBound:
@@ -481,6 +563,35 @@ class TestClassicalAnsatz:
         if case == "fock1":
             # 1-d calculus oracle: min over nu of D(|1><1| || tau_nu) = g(1) = 2 at nu = 1
             assert up.value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["cat0.3+", "cat0.3-", "cat1+", "random0", "random1"])
+    def test_gram_divergence_matches_dense(self, case):
+        from cvres.entropies import relative_entropy
+
+        d = 30
+        rng = np.random.default_rng(sum(map(ord, case)))
+        if case.startswith("cat"):
+            alpha, sign = float(case[3:-1]), case[-1]
+            points = [alpha, -alpha, 0.0]
+            rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, d))
+        else:
+            points = list(rng.uniform(-1.2, 1.2, 3) + 1j * rng.uniform(-1.2, 1.2, 3))
+            vecs = np.stack([coherent_vector(a, d)[0] for a in points], axis=1)
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            ent = vecs @ g @ g.conj().T @ vecs.conj().T
+            rho = DensityOperator.from_matrix(ent / np.trace(ent), 1, d, validate=False)
+        divergence = nonclassicality._coherent_mixture_divergence(rho, points)
+        comps = [np.outer(v, v.conj()) for v in (coherent_vector(a, d)[0] for a in points)]
+        for _ in range(5):
+            w = rng.dirichlet(np.ones(3))
+            sigma = sum(wi * ci for wi, ci in zip(w, comps))
+            sigma = DensityOperator.from_matrix(sigma / np.trace(sigma), 1, d, validate=False)
+            dense = relative_entropy(rho, sigma)
+            assert divergence(w) == pytest.approx(dense, abs=1e-12)
+
+    def test_support_mismatch_is_infinite(self):
+        up = classical_ansatz_upper_bound(fock_state(1, 12), "coherent_mixture", points=[0.0])
+        assert up.value == math.inf and up.certificate["support_mismatch"]
 
     def test_cat2_mixture_gap(self):
         spec = StateSpec("cat", {"alpha": 2, "sign": "+"}, 40)
@@ -671,6 +782,7 @@ class TestSandwichDominance:
         StateSpec("squeezed", {"r": 1.2}, 120),
         StateSpec("squeezed", {"r": -1.5}, 100),
         StateSpec("squeezed", {"r": -1.7}, 150),
+        StateSpec("squeezed", {"r": -2.0}, 300),
         StateSpec("noisy_fock", {"n": 2, "nu": 0.5, "p": 0.4}, 40),
     ], ids=lambda spec: spec.to_json())
     def test_never_looser(self, spec):
