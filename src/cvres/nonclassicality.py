@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gammaln
+from scipy.optimize import minimize, minimize_scalar, nnls
+from scipy.special import gammaln, xlogy
 
 from .entropies import (
     _ZERO_BIN,
@@ -357,35 +357,6 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
     return best_value, best_cert, report
 
 
-def _gamma_ascent_diagonal(
-    p: np.ndarray, cfg: OptimizerConfig, h0: np.ndarray
-) -> tuple[float, CertifiedSup, OptimizerReport]:
-    d = p.size
-    k = np.arange(d)
-    log_fact = gammaln(k + 1)
-
-    def evaluate(h_vec):
-        ell = np.exp(h_vec)
-        cert = coherent_sup_certified(np.diag(ell), tol=INNER_TOL)
-        if cert.value <= 0.0:
-            return -math.inf, (cert, ell)
-        return LOG2E * float(np.dot(p, h_vec)) - math.log2(cert.value), (cert, ell)
-
-    def gradient(h_vec, aux):
-        cert, ell = aux
-        t = cert.argmax_t
-        if t <= 0.0:
-            pois = np.zeros(d)
-            pois[0] = 1.0
-        else:
-            pois = np.exp(k * math.log(t) - t - log_fact)
-        return LOG2E * (p - pois * ell / max(cert.value, 1e-300))
-
-    _, best_value, (best_cert, _), report = ascend(
-        evaluate, gradient, np.array(h0, dtype=float), cfg.max_iters, cfg.objective_tol)
-    return best_value, best_cert, report
-
-
 def gamma_lower_bound(
     rho: DensityOperator,
     cfg: OptimizerConfig | None = None,
@@ -503,150 +474,113 @@ class FockDiagonalResult(NamedTuple):
 
 
 def _log_poisson(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """ln pois(k; t) for k (rows) and t (cols); t = 0 handled as the point mass at 0."""
-    ts_safe = np.maximum(ts, 1e-300)
-    out = ks[:, None] * np.log(ts_safe)[None, :] - ts[None, :] - gammaln(ks + 1)[:, None]
-    zero_t = ts <= 0.0
-    if np.any(zero_t):
-        out[:, zero_t] = np.where(ks[:, None] == 0, 0.0, -np.inf)
-    return out
-
-
-def _reduced_mixture_weights(pmf: np.ndarray, p: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """Minimize KL(p || pmf @ w) over the simplex, softmax-parametrized L-BFGS."""
-    n = pmf.shape[1]
-    if n == 1:
-        return np.ones(1)
-
-    def objective(x):
-        x = x - np.max(x)
-        w = np.exp(x)
-        w = w / w.sum()
-        q = np.maximum(pmf @ w, 1e-300)
-        val = -float(np.dot(p, np.log(q)))
-        g = pmf.T @ (p / q)  # dval/dw = -g
-        grad = -w * (g - float(np.dot(w, g)))
-        return val, grad
-
-    x0 = np.log(np.maximum(w0, 1e-12))
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-11})
-    x = res.x - np.max(res.x)
-    w = np.exp(x)
-    return w / w.sum()
+    """ln pois(k; t) for k (rows) and t (cols); t = 0 is the point mass at 0 (xlogy(0, 0) = 0)."""
+    return xlogy(ks[:, None], ts[None, :]) - ts[None, :] - gammaln(ks + 1)[:, None]
 
 
 FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
-FD_ASCENT = OptimizerConfig(max_iters=800, objective_tol=1e-10)  # its fallback primal ascent
+FD_MAX_ROUNDS = 500  # exchange rounds of the Poisson-mixture fit
+FD_SUM_ROW = 1e4  # weight of the least-squares row that holds the mixture weights to sum 1
+
+
+def _phi_maxima(ks, a, grid, log_pois_grid):
+    """Local maxima (t, ln phi(t)) of ln phi(t) = logsumexp_k(a_k + ln pois(k; t)).
+
+    The maxima of the grid values are polished together by Newton steps on ln phi,
+    whose derivatives are E[k]/t - 1 and (Var[k] - E[k])/t^2 under the softmax
+    weights over k.  Each step stays between the point's grid neighbours, and a
+    polished point replaces its grid point only where it is higher.
+    """
+    def log_phi(log_pois):  # and the softmax weights over k
+        v = a[:, None] + log_pois
+        top = v.max(axis=0)
+        v = np.exp(v - top)
+        total = v.sum(axis=0)
+        return top + np.log(total), v / total
+
+    ln_phi, _ = log_phi(log_pois_grid)
+    left = np.concatenate([[-np.inf], ln_phi[:-1]])
+    right = np.concatenate([ln_phi[1:], [-np.inf]])
+    idx = np.flatnonzero((ln_phi > left) & (ln_phi >= right))
+    ts, best = grid[idx], ln_phi[idx]
+    inner = ts > 0.0
+    i = idx[inner]
+    lo = np.maximum(grid[np.maximum(i - 1, 0)], 0.5 * grid[i])  # Newton needs t > 0
+    hi = grid[np.minimum(i + 1, grid.size - 1)]
+    t = grid[i]
+    for _ in range(6):
+        _, weights = log_phi(_log_poisson(ks, t))
+        mean = ks @ weights
+        curv = (ks**2 @ weights - mean**2 - mean) / t**2
+        step = np.where(curv < 0.0, (1.0 - mean / t) / np.where(curv < 0.0, curv, -1.0), 0.0)
+        t = np.clip(t + step, lo, hi)
+    polished, _ = log_phi(_log_poisson(ks, t))
+    ts[inner] = np.where(polished > best[inner], t, ts[inner])
+    best[inner] = np.maximum(polished, best[inner])
+    return ts, best
 
 
 def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
-    """Minimize KL(p || Poisson mixture) with atoms in [0, t_cap].
+    """Minimize KL(p || q), q_k = sum_j w_j pois(k; t_j), over mixing measures on [0, t_cap].
 
-    Active-set loop: jointly refine atom positions and weights, then add the
-    maximizers of phi(t) = sum_i (p_i/q_i) pois(k_i; t); at the optimum phi <= 1
-    everywhere (its mixture average is exactly 1), and the optimal measure has
-    at most |support| atoms.
+    The fit is optimal iff phi(t) = sum_k (p_k/q_k) pois(k; t) <= 1 for all t
+    (Lindsay, Ann. Statist. 11, 1983); phi averages to exactly 1 under the
+    mixing measure, and past the largest supported level it only falls, so
+    [0, t_cap] is exhaustive.  One exchange loop (the constrained Newton method
+    of Y. Wang, J. R. Stat. Soc. B 69, 2007): each round finds the local maxima of
+    ln phi on one grid, uniform in sqrt(t) where Poisson bumps have constant
+    width.  It stops once log2 sup phi <= FD_TOL_BITS/4, or once KL(p || q) is
+    that small, since [0, KL] is then already that narrow.  Otherwise it adds the
+    maxima with phi > 1 as atoms of zero weight and takes one weight step: NNLS
+    on the quadratic model sum_k p_k (sum_j w_j pois(k; t_j)/q_k - 2)^2 with a
+    heavy row for sum_j w_j = 1, then an Armijo backtrack on sum_k p_k ln q_k.
+    Atoms left at weight 0 are dropped, and a step that no backtrack makes an
+    ascent ends the loop.
+
+    With L = p/q on the supported levels, Tr[rho log2 L] = KL(p || q), so the
+    primal value of L is exactly the dual minus log2 sup phi.  Returns the atoms,
+    q on the supported levels and the number of rounds.
     """
-    atoms = np.unique(np.clip(np.concatenate([
-        ks.astype(float), [float(np.dot(p, ks)), 0.0, t_cap]]), 0.0, t_cap))
-    w = np.full(atoms.size, 1.0 / atoms.size)
-    dense = np.linspace(0.0, t_cap, 4097)
-    target = 0.25 * FD_TOL_BITS
-    best = (math.inf, atoms, w)
-    prev_sup = math.inf
-    stall = 0
-    for round_idx in range(16):
-        pmf = np.exp(_log_poisson(ks, atoms))
-        w = _reduced_mixture_weights(pmf, p, w)
-        if round_idx % 3 == 2 or round_idx >= 12:
-            atoms, w = _joint_mixture_polish(ks, p, atoms, w, t_cap)
-        pmf = np.exp(_log_poisson(ks, atoms))
-        q = np.maximum(pmf @ w, 1e-300)
-        kl = float(np.dot(p, np.log(p) - np.log(q)))
-        if kl < best[0]:
-            best = (kl, atoms.copy(), w.copy())
-        ell = p / q
-
-        grid = np.unique(np.concatenate([dense, atoms]))
-        phi_vals = np.exp(_log_poisson(ks, grid)).T @ ell
-
-        def phi(t):
-            return float(np.dot(ell, np.exp(_log_poisson(ks, np.array([t]))[:, 0])))
-
-        order = np.argsort(phi_vals)[::-1][:4]
-        new_atoms = []
-        sup_phi = float(phi_vals.max())
-        for idx in order:
-            lo = grid[max(idx - 1, 0)]
-            hi = grid[min(idx + 1, grid.size - 1)]
-            if hi <= lo:
-                continue
-            res = minimize_scalar(lambda t: -phi(t), bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-13})
-            new_atoms.append(float(res.x))
-            sup_phi = max(sup_phi, -float(res.fun))
-        if math.log2(max(sup_phi, 1.0)) <= target:
+    grid = t_cap * np.linspace(0.0, 1.0, max(257, int(32.0 * math.sqrt(t_cap)) + 1)) ** 2
+    if ks.min() > 0.0:
+        grid = grid[1:]  # without the vacuum level phi(0) = 0
+    log_pois_grid = _log_poisson(ks, grid)
+    root_p = np.sqrt(p)
+    # start with one atom per half unit of sqrt(t), carrying the weight of its nearest levels
+    atoms, nearest = np.unique(np.minimum(np.round(2.0 * np.sqrt(ks)) ** 2 / 4.0, t_cap),
+                               return_inverse=True)
+    w = np.bincount(nearest, weights=p)
+    pois = np.exp(_log_poisson(ks, atoms))
+    q = pois @ w
+    rounds = 0
+    while rounds < FD_MAX_ROUNDS:
+        ln_ell = np.log(p / q)
+        ts, ln_phi = _phi_maxima(ks, ln_ell, grid, log_pois_grid)
+        if LOG2E * min(float(ln_phi.max()), float(p @ ln_ell)) <= 0.25 * FD_TOL_BITS:
             break
-        stall = stall + 1 if sup_phi >= prev_sup - 1e-14 else 0
-        prev_sup = sup_phi
-        if stall >= 3:
-            break
-        keep = w > 1e-14
-        keep[int(np.argmax(w))] = True
-        atoms = np.concatenate([atoms[keep], new_atoms])
-        w = np.concatenate([w[keep] * (1.0 - 1e-3),
-                            np.full(len(new_atoms), 1e-3 / max(len(new_atoms), 1))])
-        order2 = np.argsort(atoms)
-        atoms, w = atoms[order2], w[order2]
-        w = w / w.sum()
-    else:
-        _, atoms, w = best
-    q = np.maximum(np.exp(_log_poisson(ks, atoms)) @ w, 1e-300)
-    return atoms, w, q
-
-
-def _joint_mixture_polish(ks, p, atoms, w, t_cap):
-    """Smooth local refinement of atom positions and weights together."""
-    keep = w > 1e-13
-    if not np.any(keep):
-        keep[int(np.argmax(w))] = True
-    atoms = atoms[keep]
-    w = w[keep] / w[keep].sum()
-    n = atoms.size
-    scale = max(t_cap, 1e-9)
-
-    def unpack(z):
-        x = z[:n] - np.max(z[:n])
-        weights = np.exp(x)
-        weights = weights / weights.sum()
-        ts = scale / (1.0 + np.exp(-z[n:]))
-        return weights, ts
-
-    def objective(z):
-        weights, ts = unpack(z)
-        pmf = np.exp(_log_poisson(ks, ts))
-        q = np.maximum(pmf @ weights, 1e-300)
-        val = -float(np.dot(p, np.log(q)))
-        ratio = p / q
-        g_w = pmf.T @ ratio
-        grad_x = -weights * (g_w - float(np.dot(weights, g_w)))
-        ts_safe = np.maximum(ts, 1e-12)
-        dpmf = pmf * (ks[:, None] / ts_safe[None, :] - 1.0)
-        g_t = weights * (dpmf.T @ ratio)
-        sig = ts / scale
-        grad_u = -g_t * scale * sig * (1.0 - sig)
-        return val, np.concatenate([grad_x, grad_u])
-
-    frac = np.clip(atoms / scale, 1e-9, 1.0 - 1e-9)
-    z0 = np.concatenate([np.log(np.maximum(w, 1e-12)), np.log(frac / (1.0 - frac))])
-    res = minimize(objective, z0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-12})
-    w_new, t_new = unpack(res.x)
-    base = -float(np.dot(p, np.log(np.maximum(np.exp(_log_poisson(ks, atoms)) @ w, 1e-300))))
-    if res.fun <= base:
-        return t_new, w_new
-    return atoms, w
+        rounds += 1
+        new = ts[ln_phi > 0.0]
+        atoms = np.concatenate([atoms, new])
+        w = np.concatenate([w, np.zeros(new.size)])
+        pois = np.hstack([pois, np.exp(_log_poisson(ks, new))])
+        ratio = pois / q[:, None]
+        model = root_p[:, None] * ratio
+        scale = np.linalg.norm(model, axis=0)  # unit columns keep small tail weights resolvable
+        target = nnls(np.vstack([model / scale, FD_SUM_ROW / scale]),
+                      np.append(2.0 * root_p, FD_SUM_ROW))[0] / scale
+        direction = target / target.sum() - w
+        slope = float(p @ ratio @ direction)
+        for step in 0.5 ** np.arange(34):
+            with np.errstate(divide="ignore"):  # a step that empties a level scores -inf
+                if p @ np.log(pois @ (w + step * direction) / q) >= step * slope / 3.0:
+                    break
+        else:
+            break  # no step ascends: the fit has stalled
+        w = w + step * direction
+        keep = w > 0.0
+        atoms, w, pois = atoms[keep], w[keep], pois[:, keep]
+        q = pois @ w
+    return atoms, q, rounds
 
 
 def fock_diagonal_ncm(
@@ -657,9 +591,11 @@ def fock_diagonal_ncm(
     """Exact (to tolerance) nonclassicality of a single-mode Fock-diagonal state.
 
     For this class the whole monotone hierarchy collapses to one number, so a
-    matched lower/upper pair is emitted.  The dual side fits a Poisson mixture
-    supported on [0, M]; the primal side certifies L = p/q through the
-    polynomial-envelope supremum over all amplitudes.
+    matched lower/upper pair is emitted.  The dual side is KL(p || q) for the
+    Poisson mixture q of ``_poisson_mixture_fit``.  The primal side is L = p/q
+    on the supported levels and 0 elsewhere, whose value is the dual minus
+    log2 sup phi; the certified supremum of diag(L) over all amplitudes bounds
+    sup phi, so its log2 is the duality gap.
     """
     if isinstance(state, FockDiagonalState):
         ks = np.array([float(k) for k in state.indices])
@@ -687,32 +623,15 @@ def fock_diagonal_ncm(
     p = p / p.sum()
     m_top = float(ks.max())
 
-    atoms, w, q = _poisson_mixture_fit(ks, p, max(m_top, 1e-9))
-    # KL against a (sub)normalized mixture is nonnegative; guard float dust
-    dual_bits = max(float(np.sum(p * (np.log2(p) - np.log2(q)))), 0.0)
-    # primal L = p/q on levels that carry weight; negligible levels get ell = p,
-    # whose contributions to both the trace and the envelope are themselves negligible
-    significant = p >= 1e-9
-    ell = np.where(significant, p / q, p)
-    full = int(m_top) + 1
-    p_full = np.zeros(full)
-    p_full[ks.astype(int)] = p
-    h_full = np.full(full, -60.0)
-    h_full[ks.astype(int)] = np.log(np.maximum(ell, 1e-26))
-    cert = coherent_sup_certified(np.diag(np.exp(h_full)), tol=1e-12)
-    primal_bits = LOG2E * float(np.dot(p_full, h_full)) - math.log2(max(cert.value, 1e-300))
-
-    def effective_gap(primal: float) -> float:
-        # zero is always a valid lower bound, so the interval width floors there
-        return dual_bits - min(max(primal, 0.0), dual_bits)
-
-    if effective_gap(primal_bits) > 2 * FD_TOL_BITS:
-        # dual-informed L is not tight enough on its own; ascend the primal directly
-        ascent_bits, cert_a, _ = _gamma_ascent_diagonal(p_full, FD_ASCENT, h0=h_full)
-        if ascent_bits > primal_bits:
-            primal_bits, cert = ascent_bits, cert_a
-    primal_bits = min(primal_bits, dual_bits)
-    gap = effective_gap(primal_bits)
+    atoms, q, rounds = _poisson_mixture_fit(ks, p, max(m_top, 1e-9))
+    ell = p / q
+    # KL against a normalized mixture is nonnegative; guard float dust
+    dual_bits = max(LOG2E * float(p @ np.log(ell)), 0.0)
+    ell_full = np.zeros(int(m_top) + 1)
+    ell_full[ks.astype(int)] = ell
+    cert = coherent_sup_certified(np.diag(ell_full), tol=1e-12)
+    # primal = dual - log2 sup phi; gap is the width of [max(primal, 0), dual]
+    gap = min(max(math.log2(cert.value), 0.0), dual_bits)
 
     eps = min(1.0, deficit)
     e_used = diag_energy if energy is None else energy
@@ -724,11 +643,12 @@ def fock_diagonal_ncm(
         "inner_sup_grid_error": cert.gap,
         "ansatz_description": f"diagonal L = p/q vs Poisson mixture ({atoms.size} atoms)",
         "duality_gap_bits": gap,
+        "iterations": rounds,
     }
-    lower = MonotoneBound("NCM", "lower", max(0.0, primal_bits - correction), certificate,
-                          converged=gap <= 2 * FD_TOL_BITS + 1e-12)
+    lower = MonotoneBound("NCM", "lower", max(0.0, dual_bits - gap - correction), certificate,
+                          converged=gap <= 2 * FD_TOL_BITS)
     upper = MonotoneBound("NC", "upper", dual_bits + correction, certificate,
-                          converged=gap <= 2 * FD_TOL_BITS + 1e-12)
+                          converged=gap <= 2 * FD_TOL_BITS)
     return FockDiagonalResult(lower, upper)
 
 

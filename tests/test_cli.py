@@ -144,6 +144,16 @@ class TestFigure:
         assert code == 2
         assert out.strip().split("\n")[1].split(",")[3:5] == ["0.1", "0.2"]
 
+    def test_long_tail_noisy_fock_row_exits_0(self, capsys):
+        code, out, _ = run_cli(
+            ["figure", "--name", "noisy-fock-fixed-n", "--n", "2", "--nu-grid", "2",
+             "--p-grid", "0.1"],
+            capsys,
+        )
+        assert code == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert float(row[4]) - float(row[3]) <= 2 * float(row[5]) + 2e-7
+
     def test_figure_row_matches_monotone_fd_exact(self, capsys):
         # both commands run the same Fock-diagonal program, whatever the ascent settings
         state = '{"family":"noisy_fock","params":{"n":2,"nu":2,"p":0.1},"cutoff":60}'

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import OptimizeResult, minimize, minimize_scalar
 from scipy.special import gammaln
 
@@ -316,6 +316,67 @@ class TestFockDiagonal:
 
         with pytest.raises(UsageError):
             fock_diagonal_ncm(FockDiagonalState((0,), np.array([1e-20]), 0.0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["sparse", "even", "geometric", "dense"]),
+           d=st.integers(2, 40), start=st.sampled_from([0, 2]),
+           ratio=st.floats(0.2, 0.97), seed=st.integers(0, 2**32 - 1))
+    @example(kind="geometric", d=31, start=0, ratio=0.83, seed=0)
+    @example(kind="even", d=40, start=0, ratio=0.7, seed=0)
+    @example(kind="even", d=9, start=2, ratio=0.5, seed=0)
+    def test_random_diagonals_converge(self, kind, d, start, ratio, seed):
+        from cvres.states import FockDiagonalState
+
+        rng = np.random.default_rng(seed)
+        if kind == "sparse":
+            levels = rng.choice(d, size=min(d, int(rng.integers(1, 4))), replace=False)
+            weights = rng.uniform(0.05, 1.0, levels.size)
+        elif kind == "even":
+            # with and without the vacuum level, so phi(0) = 0 is covered too
+            levels = np.arange(start, max(d, start + 1), 2)
+            weights = ratio ** levels
+        elif kind == "geometric":
+            levels = np.arange(d)
+            weights = ratio ** levels
+        else:
+            levels = np.arange(d)
+            weights = rng.dirichlet(np.ones(d))
+        state = FockDiagonalState(tuple(int(k) for k in levels), weights / weights.sum(), 0.0)
+        res = fock_diagonal_ncm(state)
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.value <= res.upper.value
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
+        assert res.lower.certificate["iterations"] <= nonclassicality.FD_MAX_ROUNDS
+
+    def test_noisy_fock_found_row_converges(self):
+        spec = StateSpec("noisy_fock", {"n": 2, "nu": 2, "p": 0.1}, 40)
+        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4), energy=exact_energy(spec))
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
+
+    def test_dephased_squeezed_long_tail(self):
+        # the fit must be optimal out to t = 54, where p is about 1e-9
+        from cvres.fock_core import dephase
+
+        rho = make_state(StateSpec("squeezed", {"r": 0.9}, 80))
+        res = fock_diagonal_ncm(dephase(rho))
+        assert res.lower.converged
+        assert res.upper.value == pytest.approx(0.3386844, abs=2e-7)
+        assert res.upper.value - res.lower.value <= 2 * nonclassicality.FD_TOL_BITS + 1e-9
+
+    @pytest.mark.slow
+    def test_wide_thermal_converges(self):
+        rho = make_state(StateSpec("thermal", {"nu": 20}, 500))
+        res = fock_diagonal_ncm(rho)
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.value == 0.0
+        assert res.upper.value <= 1e-6
+
+    def test_certificate_counts_rounds(self):
+        fock = fock_diagonal_ncm(fock_state(2, 20)).lower.certificate
+        assert fock["iterations"] == 0  # one atom at t = 2 is already optimal
+        rho = make_state(StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.5}, 12))
+        assert fock_diagonal_ncm(rho).lower.certificate["iterations"] >= 1
 
 
 class TestGamma:
