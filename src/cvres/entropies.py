@@ -121,8 +121,10 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
     ``evaluate(x)`` returns ``(value, aux)`` and ``gradient(x, aux)`` the ascent
     direction at x, reusing whatever ``evaluate`` left in aux.  A step is taken
     when it passes the Armijo test; the step doubles after a success and halves
-    on each rejection.  When no step passes, the ascent stops and reports
-    convergence only if the squared gradient norm is within ``objective_tol``.
+    on each rejection.  When no step passes, or a step gains less than
+    ``objective_tol``, the ascent stops and reports convergence only if the
+    squared gradient norm is within ``objective_tol``: a tiny gain at a kink
+    is a stall, not a stationary point.
     Returns ``(best_x, best_value, best_aux, report)``.
     """
     x = x0
@@ -153,7 +155,7 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
             best_x, best_value, best_aux = x, value, aux
         step = min(step * 2.0, 1e4)
         if 0.0 <= gain < objective_tol:
-            converged = True
+            converged = gnorm**2 <= objective_tol
             break
     return best_x, best_value, best_aux, OptimizerReport(best_value, iters, converged, gnorm)
 

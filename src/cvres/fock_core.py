@@ -141,6 +141,9 @@ class DensityOperator:
         return float(np.real(np.vdot(self.entries, self.entries)))
 
     def renormalized(self) -> "DensityOperator":
+        """The unit-trace state; the state itself when nothing was lost to the cutoff."""
+        if self.trace_deficit == 0.0:
+            return self
         tr = self.trace()
         return DensityOperator(
             TruncatedOperator(self.modes, self.cutoff, self.entries / tr, hermitian=True),

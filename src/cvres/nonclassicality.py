@@ -145,6 +145,34 @@ class MonotoneBound:
         )
 
 
+def _certified(
+    rho: DensityOperator | FockDiagonalState,
+    quantity: str,
+    direction: str,
+    raw: float,
+    certificate: dict,
+    *,
+    energy: float | None = None,
+    sup: CertifiedSup | None = None,
+    converged: bool = True,
+) -> MonotoneBound:
+    """The bound for the ideal state from ``raw``, a bound computed on the truncated ``rho``.
+
+    Folds in ``truncation_certificate`` at eps = ``truncation_epsilon(rho)`` and
+    energy ``rho.energy`` unless ``energy`` is given: a lower bound drops by the
+    correction and is floored at zero, an upper bound rises by it (+inf stays
+    +inf).  The certificate leads with the eps and correction used, then the
+    radius and slack of the inner supremum ``sup``, then the caller's keys.
+    """
+    eps = truncation_epsilon(rho)
+    correction = truncation_certificate(eps, rho.energy if energy is None else energy, rho.modes)
+    value = max(0.0, raw - correction) if direction == "lower" else raw + correction
+    head = {"truncation_epsilon": eps, "truncation_correction_bits": correction}
+    if sup is not None:
+        head.update(inner_sup_radius=sup.radius_sq, inner_sup_grid_error=sup.gap)
+    return MonotoneBound(quantity, direction, value, {**head, **certificate}, converged)
+
+
 # ---------------------------------------------------------------------------
 # certified coherent supremum
 # ---------------------------------------------------------------------------
@@ -372,27 +400,11 @@ def gamma_lower_bound(
     if rho.modes != 1:
         raise UsageError("gamma_lower_bound operates on single-mode states; use product "
                          "ansatz helpers for tensor inputs")
-    cfg = cfg or OptimizerConfig()
-    rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
-    raw, cert, report = _gamma_ascent_dense(rho_n.entries, cfg)
-    eps = truncation_epsilon(rho)
-    e_used = rho.energy if energy is None else energy
-    correction = truncation_certificate(eps, e_used, rho.modes)
-    return MonotoneBound(
-        "NCM",
-        "lower",
-        max(0.0, raw - correction),
-        {
-            "truncation_epsilon": eps,
-            "truncation_correction_bits": correction,
-            "inner_sup_radius": cert.radius_sq,
-            "inner_sup_grid_error": cert.gap,
-            "ansatz_description": "dense exp(H) ascent",
-            "raw_value_bits": raw,
-            "iterations": report.iterations,
-        },
-        converged=report.converged,
-    )
+    raw, cert, report = _gamma_ascent_dense(rho.renormalized().entries, cfg or OptimizerConfig())
+    return _certified(rho, "NCM", "lower", raw,
+                      {"ansatz_description": "dense exp(H) ascent", "raw_value_bits": raw,
+                       "iterations": report.iterations},
+                      energy=energy, sup=cert, converged=report.converged)
 
 
 def cat_gamma_lower_bound(
@@ -411,7 +423,8 @@ def cat_gamma_lower_bound(
     is -log2 of the certified supremum; the even cat searches the two free
     entries of log M.
     """
-    rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff), deficit_tol=1e-6)
+    spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
+    rho = make_state(spec, deficit_tol=1e-6)
     psi = cat_amplitudes(alpha, sign, cutoff)
     psi = psi / np.linalg.norm(psi)
     v0 = -psi[0] * psi
@@ -444,24 +457,9 @@ def cat_gamma_lower_bound(
         raw, cert = best
         iterations, converged = int(res.nit), bool(res.success)
         ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
-    eps = truncation_epsilon(rho)
-    energy = exact_energy(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff))
-    correction = truncation_certificate(eps, energy, 1)
-    return MonotoneBound(
-        "NCM",
-        "lower",
-        max(0.0, raw - correction),
-        {
-            "truncation_epsilon": eps,
-            "truncation_correction_bits": correction,
-            "inner_sup_radius": cert.radius_sq,
-            "inner_sup_grid_error": cert.gap,
-            "ansatz_description": ansatz,
-            "raw_value_bits": raw,
-            "iterations": iterations,
-        },
-        converged=converged,
-    )
+    return _certified(rho, "NCM", "lower", raw,
+                      {"ansatz_description": ansatz, "raw_value_bits": raw, "iterations": iterations},
+                      energy=exact_energy(spec), sup=cert, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -600,21 +598,16 @@ def fock_diagonal_ncm(
     if isinstance(state, FockDiagonalState):
         ks = np.array([float(k) for k in state.indices])
         weights = np.asarray(state.weights, dtype=float)
-        deficit = state.trace_deficit
         if max(state.indices) > 4096:
             raise UsageError("support reaches too high a Fock level for the dense program; "
                              "use basel_divergence_bound for the basel family")
-        diag_energy = state.energy
     else:
-        rho: DensityOperator = state
-        if rho.modes != 1:
+        if state.modes != 1:
             raise UsageError("fock_diagonal_ncm handles single-mode states")
-        if not rho.fock_diagonal:
+        if not state.fock_diagonal:
             raise UsageError("state is not Fock-diagonal; dephase it or use gamma_lower_bound")
-        weights = np.clip(rho.diagonal(), 0.0, None)
+        weights = np.clip(state.diagonal(), 0.0, None)
         ks = np.arange(weights.size, dtype=float)
-        deficit = rho.trace_deficit
-        diag_energy = rho.energy
     support = weights > 1e-15
     if not np.any(support):
         raise UsageError("empty support")
@@ -633,23 +626,14 @@ def fock_diagonal_ncm(
     # primal = dual - log2 sup phi; gap is the width of [max(primal, 0), dual]
     gap = min(max(math.log2(cert.value), 0.0), dual_bits)
 
-    eps = min(1.0, deficit)
-    e_used = diag_energy if energy is None else energy
-    correction = truncation_certificate(eps, e_used, 1)
     certificate = {
-        "truncation_epsilon": eps,
-        "truncation_correction_bits": correction,
-        "inner_sup_radius": cert.radius_sq,
-        "inner_sup_grid_error": cert.gap,
         "ansatz_description": f"diagonal L = p/q vs Poisson mixture ({atoms.size} atoms)",
         "duality_gap_bits": gap,
         "iterations": rounds,
     }
-    lower = MonotoneBound("NCM", "lower", max(0.0, dual_bits - gap - correction), certificate,
-                          converged=gap <= 2 * FD_TOL_BITS)
-    upper = MonotoneBound("NC", "upper", dual_bits + correction, certificate,
-                          converged=gap <= 2 * FD_TOL_BITS)
-    return FockDiagonalResult(lower, upper)
+    fold = dict(energy=energy, sup=cert, converged=gap <= 2 * FD_TOL_BITS)
+    return FockDiagonalResult(_certified(state, "NCM", "lower", dual_bits - gap, certificate, **fold),
+                              _certified(state, "NC", "upper", dual_bits, certificate, **fold))
 
 
 def noisy_fock_closed_form(p: float) -> float:
@@ -677,44 +661,20 @@ def energy_upper_bound(energy: float, modes: int = 1) -> MonotoneBound:
 
 def wehrl_upper_bound(rho: DensityOperator, *, energy: float | None = None) -> MonotoneBound:
     """S_W - S plus the quadrature tail, valid for the regularized monotone too."""
-    rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
+    rho_n = rho.renormalized()
     est = wehrl_entropy(rho_n)
-    s_bits = von_neumann_entropy(rho_n)
-    eps = truncation_epsilon(rho)
-    correction = truncation_certificate(eps, rho.energy if energy is None else energy, rho.modes)
-    value = est.bits + est.tail_bits - s_bits + correction
-    return MonotoneBound(
-        "NC",
-        "upper",
-        value,
-        {
-            "truncation_epsilon": eps,
-            "truncation_correction_bits": correction,
-            "grid_tail_bits": est.tail_bits,
-            "ansatz_description": "Wehrl-entropy estimate",
-        },
-    )
+    return _certified(rho, "NC", "upper", est.bits + est.tail_bits - von_neumann_entropy(rho_n),
+                      {"grid_tail_bits": est.tail_bits, "ansatz_description": "Wehrl-entropy estimate"},
+                      energy=energy)
 
 
 def husimi_lower_bound(rho: DensityOperator, *, energy: float | None = None) -> MonotoneBound:
     """-log2(pi^m sup Q) - S, floored at zero."""
-    rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
-    sup_q = husimi_sup(rho_n)
-    s_bits = von_neumann_entropy(rho_n)
-    eps = truncation_epsilon(rho)
-    correction = truncation_certificate(eps, rho.energy if energy is None else energy, rho.modes)
-    raw = -math.log2(max(math.pi**rho.modes * sup_q, 1e-300)) - s_bits
-    return MonotoneBound(
-        "NCM",
-        "lower",
-        max(0.0, raw - correction),
-        {
-            "truncation_epsilon": eps,
-            "truncation_correction_bits": correction,
-            "ansatz_description": "Husimi-peak estimate",
-            "raw_value_bits": raw,
-        },
-    )
+    rho_n = rho.renormalized()
+    raw = -math.log2(max(math.pi**rho.modes * husimi_sup(rho_n), 1e-300)) - von_neumann_entropy(rho_n)
+    return _certified(rho, "NCM", "lower", raw,
+                      {"ansatz_description": "Husimi-peak estimate", "raw_value_bits": raw},
+                      energy=energy)
 
 
 def _gaussian_entropy_bits(gd: GaussianDescriptor) -> float:
@@ -795,12 +755,9 @@ def classical_ansatz_upper_bound(
     """
     if rho.modes != 1:
         raise UsageError("classical ansatz families are single mode")
-    rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
+    rho_n = rho.renormalized()
     d = rho.cutoff
-    eps = truncation_epsilon(rho)
-    e_used = rho.energy if energy is None else energy
-    correction = truncation_certificate(eps, e_used, 1)
-    meta = {"truncation_epsilon": eps, "truncation_correction_bits": correction}
+    meta = {}
     best = math.inf
     best_param = None
 
@@ -862,10 +819,8 @@ def classical_ansatz_upper_bound(
         raise UsageError(f"unknown ansatz family {family!r}")
 
     if not math.isfinite(best):
-        return MonotoneBound("NC", "upper", math.inf,
-                             dict(meta, ansatz_description=meta.get("ansatz_description", family),
-                                  support_mismatch=True))
-    return MonotoneBound("NC", "upper", best + correction, meta)
+        best, meta["support_mismatch"] = math.inf, True
+    return _certified(rho, "NC", "upper", best, meta, energy=energy)
 
 
 # ---------------------------------------------------------------------------

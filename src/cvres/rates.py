@@ -81,8 +81,7 @@ def free_energy(rho: DensityOperator, beta: float) -> float:
         w = np.kron(w, w1)
     gamma = DensityOperator.from_matrix(np.diag(w.astype(complex)), rho.modes, rho.cutoff,
                                         validate=False)
-    rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
-    return relative_entropy(rho_n, gamma)
+    return relative_entropy(rho.renormalized(), gamma)
 
 
 def thermo_rate_bound(rho: DensityOperator, sigma: DensityOperator, beta: float) -> RateBound:

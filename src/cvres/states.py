@@ -112,6 +112,7 @@ class FockDiagonalState:
     weights: np.ndarray
     trace_deficit: float
     modes: int = 1
+    fock_diagonal = True  # not a field: the sparse form holds diagonal states only
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -7,6 +7,7 @@ from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, dephase, fock_state, trace_distance
 from cvres.entropies import (
     QuadratureGrid,
+    ascend,
     default_quadrature_grid,
     husimi_kl_on_grid,
     husimi_q,
@@ -114,6 +115,19 @@ class TestMeasuredRelativeEntropy:
         _, rep = measured_relative_entropy(diag_state([0.5, 0.5]), diag_state([0.4, 0.6]))
         doc = json.loads(rep.to_json())
         assert set(doc) == {"value_bits", "iterations", "converged", "gradient_norm"}
+
+
+class TestAscend:
+    def test_tiny_gain_at_kink_is_not_converged(self):
+        # tent f(x) = c - |x - c|: the first accepted step overshoots the kink and
+        # gains far less than objective_tol while the gradient norm stays 1
+        c = 1e-9
+        _, value, _, report = ascend(lambda x: (c - abs(x - c), None),
+                                     lambda x, _: 1.0 if x < c else -1.0, 0.0, 50, 1e-8)
+        assert 0.0 < value < 1e-8
+        assert report.iterations == 1
+        assert report.gradient_norm == 1.0
+        assert not report.converged
 
 
 class TestHusimi:

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from cvres import nonclassicality
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
-from cvres.entropies import von_neumann_entropy
+from cvres.entropies import von_neumann_entropy, wehrl_entropy
 from cvres.states import (
     GaussianDescriptor,
     StateSpec,
@@ -39,6 +39,7 @@ from cvres.nonclassicality import (
     noisy_fock_closed_form,
     product_interval,
     truncation_certificate,
+    truncation_epsilon,
     wehrl_upper_bound,
 )
 
@@ -615,7 +616,7 @@ class TestClassicalAnsatz:
             rho = DensityOperator.from_matrix(mat / np.trace(mat), 1, 6)
         up = classical_ansatz_upper_bound(rho, "thermal")
         raw = up.value - up.certificate["truncation_correction_bits"]
-        rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
+        rho_n = rho.renormalized()
         mean = float(np.dot(np.arange(rho.cutoff), rho_n.diagonal()))
         nus = np.geomspace(1e-3, 50.0, 200_001)
         scan = -von_neumann_entropy(rho_n) + np.log2(1 + nus) - mean * np.log2(nus / (1 + nus))
@@ -698,7 +699,7 @@ class TestClassicalAnsatz:
             rho = DensityOperator.from_matrix(mat / np.trace(mat), 1, 8)
         else:
             rho = make_state(StateSpec("squeezed", {"r": case[0]}, case[1]), deficit_tol=1e-5)
-        rho_n = rho.renormalized() if rho.trace_deficit > 0 else rho
+        rho_n = rho.renormalized()
         d = rho.cutoff
         # the ansatz squeezes along the quadrature that <a^2> picks out: rotate rho
         # by exp(-i phi n) until <a^2> is real and at most 0, the quadrature S squeezes
@@ -762,6 +763,74 @@ class TestTruncationCertificate:
         vals = [truncation_certificate(e, 1.0, 1) for e in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-4
+
+
+class TestTruncationFold:
+    """Every engine moves the bound of its truncated state by the certificate at eps > 0."""
+
+    THERMAL = StateSpec("thermal", {"nu": 1}, 20)  # Fock-diagonal, eps = deficit
+    SQUEEZED = StateSpec("squeezed", {"r": 0.5}, 24)  # eps = sqrt(deficit) + deficit/2
+    CAT = StateSpec("cat", {"alpha": 1, "sign": "-"}, 14)
+
+    @staticmethod
+    def _correction(bound, rho, energy):
+        eps = truncation_epsilon(rho)
+        assert eps > 0.0
+        correction = truncation_certificate(eps, energy, 1)
+        assert bound.certificate["truncation_epsilon"] == eps
+        assert bound.certificate["truncation_correction_bits"] == correction
+        if "raw_value_bits" in bound.certificate:
+            assert bound.value == max(0.0, bound.certificate["raw_value_bits"] - correction)
+        return correction
+
+    def test_lower_engines_floor_raw_minus_correction(self):
+        sq = make_state(self.SQUEEZED, deficit_tol=1e-4)
+        energy = exact_energy(self.SQUEEZED)
+        self._correction(gamma_lower_bound(sq, OptimizerConfig(max_iters=3), energy=energy),
+                         sq, energy)
+        self._correction(husimi_lower_bound(sq), sq, sq.energy)
+        self._correction(cat_gamma_lower_bound(1.0, "-", 14),
+                         make_state(self.CAT, deficit_tol=1e-6), exact_energy(self.CAT))
+
+    def test_upper_engines_add_correction(self):
+        rho = make_state(self.THERMAL, deficit_tol=1e-4)
+        rho_n = rho.renormalized()
+        s_bits = von_neumann_entropy(rho_n)
+        up = classical_ansatz_upper_bound(rho, "thermal", energy=1.0)
+        raw = g_thermal(rho_n.energy) - s_bits
+        assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
+        up = wehrl_upper_bound(rho, energy=1.0)
+        est = wehrl_entropy(rho_n)
+        raw = est.bits + est.tail_bits - s_bits
+        assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
+        sq = make_state(self.SQUEEZED, deficit_tol=1e-4)
+        self._correction(classical_ansatz_upper_bound(sq, "squeezed_thermal"), sq, sq.energy)
+        cat = make_state(self.CAT, deficit_tol=1e-6)
+        mixture = classical_ansatz_upper_bound(cat, "coherent_mixture", points=[1.0, -1.0, 0.0])
+        assert math.isfinite(mixture.value)
+        self._correction(mixture, cat, cat.energy)
+        mismatch = classical_ansatz_upper_bound(sq, "coherent_mixture", points=[0.0])
+        assert mismatch.value == math.inf and mismatch.certificate["support_mismatch"]
+        self._correction(mismatch, sq, sq.energy)
+
+    def test_fock_diagonal_pair(self):
+        spec = StateSpec("noisy_fock", {"n": 2, "nu": 1, "p": 0.4}, 20)
+        rho, energy = make_state(spec, deficit_tol=1e-4), exact_energy(spec)
+        res = fock_diagonal_ncm(rho, energy=energy)
+        correction = self._correction(res.upper, rho, energy)
+        assert self._correction(res.lower, rho, energy) == correction
+        dual = res.upper.value - correction
+        gap = res.lower.certificate["duality_gap_bits"]
+        assert res.lower.value == pytest.approx(max(0.0, dual - gap - correction), abs=1e-12)
+        assert res.lower.value > 0.0
+
+    def test_sparse_basel_eps_is_deficit(self):
+        state = make_state(StateSpec("basel", {"n_max": 4}, 17))
+        res = fock_diagonal_ncm(state)
+        assert state.trace_deficit > 0.0
+        assert res.upper.certificate["truncation_epsilon"] == state.trace_deficit
+        assert res.upper.certificate["truncation_correction_bits"] == truncation_certificate(
+            state.trace_deficit, state.energy, 1)
 
 
 class TestBasel:

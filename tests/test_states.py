@@ -96,6 +96,7 @@ class TestMakeState:
         rho = make_state(StateSpec("thermal", {"nu": 1}, 20), deficit_tol=1e-4).renormalized()
         assert rho.trace() == pytest.approx(1.0, abs=1e-14)
         assert rho.trace_deficit == 0.0
+        assert rho.renormalized() is rho
 
     def test_energy_tracks_exact_energy(self):
         for spec in [
