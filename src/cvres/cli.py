@@ -19,7 +19,8 @@ from . import nonclassicality as nc
 from . import rates
 from .errors import CvresError, UsageError
 from .fock_core import DensityOperator
-from .states import StateSpec, exact_energy, gaussian_descriptor, make_state
+from .states import (FockDiagonalState, StateSpec, _count, exact_energy, gaussian_descriptor,
+                     make_state)
 
 FIGURE_NAMES = ("noisy-fock-fixed-n", "noisy-fock-fixed-nu", "cat", "squeezed", "protocols")
 
@@ -40,22 +41,21 @@ def _bits_out(x: float | None, nats: bool) -> float | None:
     return x * math.log(2.0) if nats else x
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    text = "\n".join([",".join(header)] + [",".join(_fmt(c) for c in row) for row in rows]) + "\n"
+def _write(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header: list[str], rows: list[list]) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(c) for c in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_state(text: str) -> tuple[DensityOperator, StateSpec | None]:
@@ -64,24 +64,43 @@ def _load_state(text: str) -> tuple[DensityOperator, StateSpec | None]:
         with open(text[1:]) as fh:
             text = fh.read()
     doc = json.loads(text)
-    if "entries_re" in doc:
-        modes, cutoff = int(doc["modes"]), int(doc["cutoff"])
-        re_part = np.asarray(doc["entries_re"], dtype=float)
-        im_part = np.asarray(doc.get("entries_im", np.zeros_like(re_part)), dtype=float)
+    if isinstance(doc, dict) and "entries_re" in doc:
+        modes, cutoff = _count(doc.get("modes")), _count(doc.get("cutoff"))
+        if not (modes and cutoff):
+            raise UsageError(f"raw modes and cutoff must be integers >= 1, got {doc.get('modes')!r}"
+                             f" and {doc.get('cutoff')!r}")
         dim = cutoff**modes
-        ent = (re_part + 1j * im_part).reshape(dim, dim)
-        return DensityOperator.from_matrix(ent, modes, cutoff), None
+        re_part = _real_entries(doc["entries_re"], dim)
+        im_part = _real_entries(doc["entries_im"], dim) if "entries_im" in doc else 0.0
+        return DensityOperator.from_matrix(re_part + 1j * im_part, modes, cutoff), None
     spec = StateSpec.from_json(json.dumps(doc))
-    state = make_state(spec)
-    return state, spec
+    return make_state(spec), spec
+
+
+def _real_entries(values, dim: int) -> np.ndarray:
+    """A raw matrix's entry list as a dim x dim real array; anything else is a UsageError."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "iuf" and arr.size == dim * dim and np.all(np.isfinite(arr)):
+            return arr.astype(float).reshape(dim, dim)
+    except ValueError:  # ragged nesting
+        pass
+    raise UsageError("raw entries_re and entries_im need cutoff^(2 modes) finite reals, row-major")
 
 
 def _grid(text: str) -> list[float]:
-    """Parse "a:b:n" (n evenly spaced points) or a comma list."""
-    if ":" in text:
-        a, b, n = text.split(":")
-        return [float(x) for x in np.linspace(float(a), float(b), int(n))]
-    return [float(x) for x in text.split(",")]
+    """Parse "a:b:n" (n evenly spaced points) or a comma list of finite numbers."""
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            values = [float(x) for x in np.linspace(float(a), float(b), int(n))]
+        else:
+            values = [float(x) for x in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise UsageError(f"grid {text!r} must be a:b:n or a comma list of finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +112,10 @@ _WHICH = ("ncm-lower", "nc-upper", "fd-exact", "energy-upper", "wehrl-upper",
 
 
 def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
-    from cvres.states import FockDiagonalState
-
     if isinstance(rho, FockDiagonalState):
         # sparse basel-family state: only the diagonal engines apply
         if which == "ncm-lower":
-            value = max(0.0, nc.basel_divergence_bound(int(spec.params["n_max"])))
+            value = max(0.0, nc.basel_divergence_bound(spec.params["n_max"]))
             return [nc.MonotoneBound(
                 "NCM", "lower", value,
                 {"ansatz_description": "log-domain diagonal divergence ansatz (ideal state)"},
@@ -185,15 +202,14 @@ def _collect(results: list[tuple[list, bool]]) -> tuple[list[list], bool]:
 def _figure_noisy_fock(args) -> tuple[list[str], list[list], bool]:
     header = ["p", "nu", "n", "lower_bits", "upper_bits", "cert_bits"]
     cutoff = args.cutoff or 40
+    ps = _grid(args.p_grid) if args.p_grid else list(np.linspace(0.05, 0.95, 19))
     if args.name == "noisy-fock-fixed-n":
-        n = int(args.n if args.n is not None else 1)
+        n = args.n if args.n is not None else 1
         nus = _grid(args.nu_grid) if args.nu_grid else [0.0, 1.0, 2.0, 3.0]
-        ps = _grid(args.p_grid) if args.p_grid else list(np.linspace(0.05, 0.95, 19))
         tasks = [(p, nu, n, cutoff) for nu in nus for p in ps]
     else:
-        nu = float(args.nu if args.nu is not None else 0.0)
-        ns = [int(x) for x in (_grid(args.n_grid) if args.n_grid else [1, 2, 3, 4])]
-        ps = _grid(args.p_grid) if args.p_grid else list(np.linspace(0.05, 0.95, 19))
+        nu = args.nu if args.nu is not None else 0.0
+        ns = _grid(args.n_grid) if args.n_grid else [1, 2, 3, 4]
         tasks = [(p, nu, n, cutoff) for n in ns for p in ps]
     rows, converged = _collect([_noisy_fock_row(t) for t in tasks])
     return header, rows, converged
@@ -277,7 +293,7 @@ def cmd_figure(args) -> int:
 
 def cmd_protocol(args) -> int:
     if args.task == "fock-dilution":
-        out = rates.fock_dilution(int(args.n), float(args.p), float(args.lam))
+        out = rates.fock_dilution(args.n, args.p, args.lam)
         payload = {
             "task": args.task,
             "success_probability": out.success_probability,
@@ -286,8 +302,8 @@ def cmd_protocol(args) -> int:
             "closed_form": out.details["closed_form"],
         }
     elif args.task == "cat-amplify":
-        outs = rates.cat_amplification(float(args.alpha), args.cutoff)
-        forms = rates.cat_amplification_formulas(float(args.alpha))
+        outs = rates.cat_amplification(args.alpha, args.cutoff)
+        forms = rates.cat_amplification_formulas(args.alpha)
         payload = {
             "task": args.task,
             "ours": {
@@ -304,8 +320,8 @@ def cmd_protocol(args) -> int:
             },
         }
     elif args.task == "cat-dilute":
-        out = rates.cat_dilution(float(args.alpha), args.cutoff)
-        forms = rates.cat_dilution_formulas(float(args.alpha))
+        out = rates.cat_dilution(args.alpha, args.cutoff)
+        forms = rates.cat_dilution_formulas(args.alpha)
         payload = {
             "task": args.task,
             "success_probability": out.success_probability,
@@ -341,16 +357,11 @@ def _flatten(doc, prefix="") -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    eps = float(args.epsilon)
-    energy = float(args.energy)
-    modes = int(args.modes)
-    cert = nc.truncation_certificate(eps, energy, modes)
-    payload = {"epsilon": eps, "energy": energy, "modes": modes,
+    cert = nc.truncation_certificate(args.epsilon, args.energy, args.modes)
+    payload = {"epsilon": args.epsilon, "energy": args.energy, "modes": args.modes,
                "certificate_bits": _bits_out(cert, args.nats)}
     converged = True
     if args.state:
-        from cvres.states import FockDiagonalState
-
         rho, spec = _load_state(args.state)
         if isinstance(rho, FockDiagonalState):
             raise UsageError("certify --state does not support the basel family")
@@ -426,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_proto.set_defaults(func=cmd_protocol)
 
     p_cert = sub.add_parser("certify", help="truncation certificate and corrected interval")
-    p_cert.add_argument("--epsilon", required=True)
-    p_cert.add_argument("--energy", required=True)
-    p_cert.add_argument("--modes", default=1)
+    p_cert.add_argument("--epsilon", type=float, required=True)
+    p_cert.add_argument("--energy", type=float, required=True)
+    p_cert.add_argument("--modes", type=int, default=1)
     p_cert.add_argument("--state", default=None)
     common(p_cert)
     p_cert.set_defaults(func=cmd_certify)

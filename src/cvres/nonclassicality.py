@@ -43,7 +43,6 @@ from .states import (
     FockDiagonalState,
     GaussianDescriptor,
     StateSpec,
-    _parse_alpha,
     cat_amplitudes,
     exact_energy,
     gaussian_descriptor,
@@ -68,8 +67,8 @@ def truncation_certificate(eps: float, energy: float, modes: int = 1) -> float:
     """Monotone error bar for a trace-distance-eps spectral truncation at energy <= E."""
     if not (0.0 <= eps <= 1.0):
         raise UsageError("eps must lie in [0, 1]")
-    if energy < 0 or modes < 1:
-        raise UsageError("energy must be >= 0 and modes >= 1")
+    if not (0.0 <= energy < math.inf) or modes < 1:
+        raise UsageError("energy must be finite and >= 0, and modes >= 1")
     if eps == 0.0:
         return 0.0
     return modes * eps * g_thermal(2.0 * energy / (modes * eps)) + g_thermal(eps)
@@ -901,17 +900,17 @@ def _family_bounds(rho: DensityOperator, spec: StateSpec, energy: float) -> list
     """
     fam, params = spec.family, spec.params
     if fam == "fock":
-        exact = fock_closed_form(int(params["n"]))
+        exact = fock_closed_form(params["n"])
         return [MonotoneBound("NCM", "lower", exact, {"ansatz_description": "Fock closed form"}),
                 MonotoneBound("NC", "upper", exact, {"ansatz_description": "Fock closed form"})]
     if fam == "cat":
-        a = float(params["alpha"])
+        a = params["alpha"]
         return [cat_gamma_lower_bound(a, params["sign"], rho.cutoff),
                 classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a, -a, 0.0],
                                              energy=energy)]
     if fam == "coherent":
         return [classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                             points=[_parse_alpha(params["alpha"])], energy=energy)]
+                                             points=[params["alpha"]], energy=energy)]
     if fam == "thermal":
         return [classical_ansatz_upper_bound(rho, "thermal", energy=energy)]
     if fam == "squeezed":

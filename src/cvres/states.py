@@ -1,14 +1,10 @@
 """Constructors for the state families used throughout the package.
 
-Families and their parameters (also the JSON field names):
-
-- ``fock``: n
-- ``coherent``: alpha (real or [re, im])
-- ``thermal``: nu (mean photon number)
-- ``noisy_fock``: n, nu, p  (p*|n><n| + (1-p)*thermal(nu))
-- ``cat``: alpha (real), sign ("+" or "-")
-- ``squeezed``: r
-- ``basel``: n_max  (diagonal weights 6/pi^2/(n+1)^2 on |2^n>, stored sparsely)
+``_PARAMS`` lists each family's parameters (also the JSON field names) and
+what each must be; ``StateSpec`` converts and checks them once, so the rest of
+the package reads ``spec.params`` as typed values.  ``noisy_fock`` is
+p*|n><n| + (1-p)*thermal(nu); ``basel`` puts weights 6/pi^2/(n+1)^2 on |2^n>
+and is stored sparsely.
 
 Construction normalizes before truncating and keeps the subnormalized matrix;
 the lost mass is recorded in ``trace_deficit``; ``.renormalized()`` gives a
@@ -19,85 +15,97 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import InsufficientCutoffError, UsageError
-from .fock_core import DensityOperator, coherent_vector, fock_state, pure_state
+from .fock_core import DensityOperator, coherent_vector, pure_state
 
 GAUSSIAN_FAMILIES = ("coherent", "thermal", "squeezed")
-_FAMILIES = ("fock", "coherent", "thermal", "noisy_fock", "cat", "squeezed", "basel")
+
+
+# Each converter returns its argument as a Python int, float, complex or str,
+# or None when it is not a value of its kind; each accepts its own output.
+def _real(x, lo: float = -math.inf, hi: float = math.inf):
+    try:
+        v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        v = math.nan
+    return v if math.isfinite(v) and lo <= v <= hi else None
+
+
+def _count(x):
+    v = _real(x, 0.0)
+    return int(x) if v is not None and v.is_integer() else None
+
+
+def _amplitude(x):
+    if isinstance(x, complex):
+        x = [x.real, x.imag]
+    parts = [_real(v) for v in x] if isinstance(x, (list, tuple)) else [_real(x), 0.0]
+    return complex(*parts) if len(parts) == 2 and None not in parts else None
+
+
+# parameter kinds: what a value must be, and its converter
+_COUNT = ("an integer >= 0", _count)
+_REAL = ("a finite real number", _real)
+_NONNEG = ("a finite real number >= 0", lambda x: _real(x, 0.0))
+_PROBABILITY = ("a real number in [0, 1]", lambda x: _real(x, 0.0, 1.0))
+_AMPLITUDE = ("a finite real number or [re, im]", _amplitude)
+_SIGN = ('"+" or "-"', lambda x: x if isinstance(x, str) and x in ("+", "-") else None)
+
+_PARAMS = {
+    "fock": {"n": _COUNT},
+    "coherent": {"alpha": _AMPLITUDE},
+    "thermal": {"nu": _NONNEG},  # mean photon number
+    "noisy_fock": {"n": _COUNT, "nu": _NONNEG, "p": _PROBABILITY},
+    "cat": {"alpha": _REAL, "sign": _SIGN},
+    "squeezed": {"r": _REAL},
+    "basel": {"n_max": _COUNT},
+}
 
 
 @dataclass(frozen=True)
 class StateSpec:
+    """A family, its parameters and the Fock cutoff, converted and checked on construction."""
+
     family: str
     params: dict
     cutoff: int
-    modes: int = 1
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise UsageError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.cutoff < 1:
-            raise UsageError("cutoff must be a positive integer")
-        _validate_params(self.family, self.params)
+        kinds = _PARAMS.get(self.family) if isinstance(self.family, str) else None
+        if kinds is None:
+            raise UsageError(f"unknown family {self.family!r}, expected one of {tuple(_PARAMS)}")
+        cutoff = _count(self.cutoff)
+        if not cutoff:
+            raise UsageError(f"{self.family} cutoff must be an integer >= 1, got {self.cutoff!r}")
+        if not isinstance(self.params, dict) or set(self.params) != set(kinds):
+            raise UsageError(f"{self.family} takes parameters {list(kinds)}, got {self.params!r}")
+        params = {name: convert(self.params[name]) for name, (_, convert) in kinds.items()}
+        for name, (what, _) in kinds.items():
+            if params[name] is None:
+                raise UsageError(f"{self.family} {name} must be {what}, got {self.params[name]!r}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "cutoff", cutoff)
 
     def to_json(self) -> str:
-        return json.dumps({"family": self.family, "params": self.params, "cutoff": self.cutoff})
+        # a complex alpha as [re, im], or as a number when it is real
+        params = {k: ([v.real, v.imag] if v.imag else v.real) if isinstance(v, complex) else v
+                  for k, v in self.params.items()}
+        return json.dumps({"family": self.family, "params": params, "cutoff": self.cutoff})
 
     @classmethod
     def from_json(cls, text: str) -> "StateSpec":
         doc = json.loads(text)
-        missing = {"family", "params", "cutoff"} - set(doc)
-        if missing:
-            raise UsageError(f"state spec missing fields: {sorted(missing)}")
-        return cls(doc["family"], dict(doc["params"]), int(doc["cutoff"]), int(doc.get("modes", 1)))
-
-
-def _validate_params(family: str, params: dict) -> None:
-    def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise UsageError(f"{family} spec missing parameter(s): {missing}")
-
-    if family == "fock":
-        need("n")
-        if int(params["n"]) < 0:
-            raise UsageError("fock n must be >= 0")
-    elif family == "coherent":
-        need("alpha")
-    elif family == "thermal":
-        need("nu")
-        if params["nu"] < 0:
-            raise UsageError("thermal nu must be >= 0")
-    elif family == "noisy_fock":
-        need("n", "nu", "p")
-        if not (0.0 <= params["p"] <= 1.0):
-            raise UsageError("noisy_fock p must lie in [0, 1]")
-        if params["nu"] < 0:
-            raise UsageError("noisy_fock nu must be >= 0")
-    elif family == "cat":
-        need("alpha", "sign")
-        if params["sign"] not in ("+", "-"):
-            raise UsageError('cat sign must be "+" or "-"')
-    elif family == "squeezed":
-        need("r")
-        if not math.isfinite(params["r"]):
-            raise UsageError("squeezed r must be finite")
-    elif family == "basel":
-        need("n_max")
-        if int(params["n_max"]) < 0:
-            raise UsageError("basel n_max must be >= 0")
-
-
-def _parse_alpha(value: Any) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
+        if not isinstance(doc, dict) or not {"family", "params", "cutoff"} <= set(doc):
+            raise UsageError(f"a state spec is an object with family, params and cutoff: {text}")
+        if doc.get("modes", 1) != 1:
+            raise UsageError(f"state specs describe one mode, got modes={doc['modes']!r}")
+        return cls(doc["family"], doc["params"], doc["cutoff"])
 
 
 @dataclass(frozen=True)
@@ -149,11 +157,10 @@ def cat_norm(alpha: float, sign: str) -> float:
 
 def cat_amplitudes(alpha: float, sign: str, cutoff: int) -> np.ndarray:
     """Normalized-before-truncation cat amplitudes on Fock levels < cutoff."""
-    a = float(alpha)
-    plus, _ = coherent_vector(a, cutoff)
-    minus, _ = coherent_vector(-a, cutoff)
+    plus, _ = coherent_vector(alpha, cutoff)
+    minus, _ = coherent_vector(-alpha, cutoff)
     s = 1.0 if sign == "+" else -1.0
-    return np.real(plus + s * minus) / cat_norm(a, sign)
+    return np.real(plus + s * minus) / cat_norm(alpha, sign)
 
 
 def squeezed_amplitudes(r: float, cutoff: int) -> np.ndarray:
@@ -182,13 +189,33 @@ def basel_weights(n_max: int) -> tuple[tuple, np.ndarray, float]:
     return indices, w, deficit
 
 
-def _required_cutoff(deficit_at, start: int, tol: float, limit: int = 4096) -> int:
+def _required_cutoff(deficit_at, start: int, tol: float, what: str, limit: int = 4096) -> int:
+    """The first cutoff from ``start``, growing by half a step, with deficit within ``tol``."""
     d = start
-    while d <= limit:
-        if deficit_at(d) <= tol:
-            return d
-        d = max(d + 1, int(d * 1.5))
-    return limit
+    while deficit_at(d) > tol:
+        if d >= limit:
+            raise UsageError(f"no cutoff up to {limit} holds {what} within deficit_tol = {tol}")
+        d = min(limit, max(d + 1, int(d * 1.5)))
+    return d
+
+
+_PURE = ("coherent", "cat", "squeezed")
+
+
+def _levels(family: str, p: dict, d: int) -> np.ndarray:
+    """Amplitudes of a pure family, or diagonal weights of a mixed one, on Fock levels < d."""
+    if family == "coherent":
+        return coherent_vector(p["alpha"], d)[0]
+    if family == "cat":
+        return cat_amplitudes(p["alpha"], p["sign"], d)
+    if family == "squeezed":
+        return squeezed_amplitudes(p["r"], d)
+    w = thermal_weights(p.get("nu", 0.0), d)
+    if "n" in p:  # fock is noisy_fock at p = 1
+        prob = p.get("p", 1.0)
+        w = (1.0 - prob) * w
+        w[p["n"]] += prob
+    return w
 
 
 def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
@@ -197,127 +224,59 @@ def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
     Returns a DensityOperator for the dense families; basel returns a
     FockDiagonalState since its support reaches Fock index 2^n_max.
     Raises InsufficientCutoffError (naming a workable cutoff) when the
-    truncation deficit of a finite-energy family exceeds ``deficit_tol``.
+    truncation deficit of a finite-energy family exceeds ``deficit_tol``, and
+    a plain UsageError when no cutoff up to 4096 is workable.
     """
-    d = spec.cutoff
-    fam = spec.family
-    p = spec.params
+    d, fam, p = spec.cutoff, spec.family, spec.params
+    what = f"{fam}({', '.join(f'{k}={v}' for k, v in p.items())})"
 
     if fam == "basel":
-        indices, weights, deficit = basel_weights(int(p["n_max"]))
+        indices, weights, deficit = basel_weights(p["n_max"])
         required = indices[-1] + 1
         if d < required:
-            raise InsufficientCutoffError(
-                f"basel(n_max={p['n_max']}) needs cutoff >= {required}, got {d}",
-                required_cutoff=required,
-            )
+            raise InsufficientCutoffError(f"{what} needs cutoff >= {required}, got {d}",
+                                          required_cutoff=required)
         return FockDiagonalState(indices, weights, deficit)
+    if "n" in p and p["n"] >= d:
+        raise InsufficientCutoffError(f"{what} needs cutoff >= {p['n'] + 1}, got {d}",
+                                      required_cutoff=p["n"] + 1)
 
-    if fam == "fock":
-        return fock_state(int(p["n"]), d)
+    def deficit_at(dd: int) -> float:
+        part = _levels(fam, p, dd)
+        return max(0.0, 1.0 - float(np.sum(np.abs(part) ** 2 if fam in _PURE else part)))
 
-    if fam == "coherent":
-        alpha = _parse_alpha(p["alpha"])
-        vec, deficit = coherent_vector(alpha, d)
-        if deficit > deficit_tol:
-            req = _required_cutoff(lambda dd: coherent_vector(alpha, dd)[1], d, deficit_tol)
-            raise InsufficientCutoffError(
-                f"coherent({alpha}) at cutoff {d} has deficit {deficit:.3e} > {deficit_tol}; "
-                f"use cutoff >= {req}",
-                required_cutoff=req,
-            )
-        rho = pure_state(vec, 1, d)
-    elif fam == "thermal":
-        nu = float(p["nu"])
-        w = thermal_weights(nu, d)
-        deficit = max(0.0, 1.0 - float(np.sum(w)))
-        if deficit > deficit_tol:
-            req = _required_cutoff(
-                lambda dd: max(0.0, 1.0 - float(np.sum(thermal_weights(nu, dd)))), d, deficit_tol
-            )
-            raise InsufficientCutoffError(
-                f"thermal({nu}) at cutoff {d} has deficit {deficit:.3e} > {deficit_tol}; "
-                f"use cutoff >= {req}",
-                required_cutoff=req,
-            )
-        rho = DensityOperator.from_matrix(np.diag(w.astype(complex)), 1, d, validate=False)
-    elif fam == "noisy_fock":
-        n, nu, prob = int(p["n"]), float(p["nu"]), float(p["p"])
-        base = fock_state(n, d).entries * prob
-        w = thermal_weights(nu, d)
-        ent = base + (1.0 - prob) * np.diag(w.astype(complex))
-        rho = DensityOperator.from_matrix(ent, 1, d, validate=False)
-        if rho.trace_deficit > deficit_tol:
-            # the Fock part fits from d on, so only the thermal part loses mass
-            req = _required_cutoff(
-                lambda dd: (1.0 - prob) * (1.0 - float(np.sum(thermal_weights(nu, dd)))),
-                d,
-                deficit_tol,
-            )
-            raise InsufficientCutoffError(
-                f"noisy_fock at cutoff {d} has deficit {rho.trace_deficit:.3e} > {deficit_tol}; "
-                f"use cutoff >= {req}",
-                required_cutoff=req,
-            )
-    elif fam == "cat":
-        amps = cat_amplitudes(float(p["alpha"]), p["sign"], d)
-        rho = pure_state(amps, 1, d)
-        if rho.trace_deficit > deficit_tol:
-            req = _required_cutoff(
-                lambda dd: 1.0 - float(np.sum(cat_amplitudes(float(p["alpha"]), p["sign"], dd) ** 2)),
-                d,
-                deficit_tol,
-            )
-            raise InsufficientCutoffError(
-                f"cat(alpha={p['alpha']}) at cutoff {d} has deficit {rho.trace_deficit:.3e}; "
-                f"use cutoff >= {req}",
-                required_cutoff=req,
-            )
-    elif fam == "squeezed":
-        amps = squeezed_amplitudes(float(p["r"]), d)
-        rho = pure_state(amps, 1, d)
-        if rho.trace_deficit > deficit_tol:
-            req = _required_cutoff(
-                lambda dd: 1.0 - float(np.sum(squeezed_amplitudes(float(p["r"]), dd) ** 2)),
-                d,
-                deficit_tol,
-            )
-            raise InsufficientCutoffError(
-                f"squeezed(r={p['r']}) at cutoff {d} has deficit {rho.trace_deficit:.3e}; "
-                f"use cutoff >= {req}",
-                required_cutoff=req,
-            )
-    else:  # pragma: no cover
-        raise UsageError(f"unhandled family {fam}")
-
-    return rho
+    deficit = deficit_at(d)
+    if deficit > deficit_tol:
+        req = _required_cutoff(deficit_at, d, deficit_tol, what)
+        raise InsufficientCutoffError(
+            f"{what} at cutoff {d} has deficit {deficit:.3e} > {deficit_tol}; use cutoff >= {req}",
+            required_cutoff=req,
+        )
+    part = _levels(fam, p, d)
+    if fam in _PURE:
+        return pure_state(part, 1, d)
+    return DensityOperator.from_matrix(np.diag(part.astype(complex)), 1, d, validate=False)
 
 
 def exact_energy(spec: StateSpec) -> float:
     """Mean photon number of the ideal (untruncated) state."""
-    p = spec.params
-    fam = spec.family
-    if fam == "fock":
-        return float(p["n"])
+    p, fam = spec.params, spec.family
+    if fam in ("fock", "thermal", "noisy_fock"):  # noisy_fock at p = 1 and at p = 0
+        prob = p.get("p", 1.0 if "n" in p else 0.0)
+        return prob * p.get("n", 0) + (1.0 - prob) * p.get("nu", 0.0)
     if fam == "coherent":
-        return abs(_parse_alpha(p["alpha"])) ** 2
-    if fam == "thermal":
-        return float(p["nu"])
-    if fam == "noisy_fock":
-        return float(p["p"]) * float(p["n"]) + (1.0 - float(p["p"])) * float(p["nu"])
+        return abs(p["alpha"]) ** 2
     if fam == "cat":
-        a2 = float(p["alpha"]) ** 2
+        a2 = p["alpha"] ** 2
         if a2 == 0.0:
             return 0.0
         s = 1.0 if p["sign"] == "+" else -1.0
         e = math.exp(-2.0 * a2)
         return a2 * (1.0 - s * e) / (1.0 + s * e)
     if fam == "squeezed":
-        return math.sinh(float(p["r"])) ** 2
-    if fam == "basel":
-        _, w, _ = basel_weights(int(p["n_max"]))
-        return float(sum(wi * 2.0**j for j, wi in enumerate(w)))
-    raise UsageError(f"unknown family {fam}")
+        return math.sinh(p["r"]) ** 2
+    _, w, _ = basel_weights(p["n_max"])
+    return float(sum(wi * 2.0**j for j, wi in enumerate(w)))
 
 
 @dataclass(frozen=True)
@@ -366,12 +325,11 @@ def gaussian_descriptor(spec: StateSpec) -> GaussianDescriptor:
     """
     if spec.family not in GAUSSIAN_FAMILIES:
         raise UsageError(f"gaussian_descriptor supports {GAUSSIAN_FAMILIES}, got {spec.family!r}")
+    p = spec.params
     if spec.family == "coherent":
-        alpha = _parse_alpha(spec.params["alpha"])
-        s = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+        s = math.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])
         return GaussianDescriptor(s, np.eye(2))
     if spec.family == "thermal":
-        nu = float(spec.params["nu"])
-        return GaussianDescriptor(np.zeros(2), (2.0 * nu + 1.0) * np.eye(2))
-    r = float(spec.params["r"])
+        return GaussianDescriptor(np.zeros(2), (2.0 * p["nu"] + 1.0) * np.eye(2))
+    r = p["r"]
     return GaussianDescriptor(np.zeros(2), np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvres.cli import main
 
@@ -13,7 +16,37 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_quiet(args):
+    """main(args) with its output captured here, for tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
 FOCK1 = '{"family":"fock","params":{"n":1},"cutoff":20}'
+
+# one valid spec per family, and per parameter the values its kind refuses
+VALID_PARAMS = {
+    "fock": {"n": 1},
+    "coherent": {"alpha": 0.5},
+    "thermal": {"nu": 0.5},
+    "noisy_fock": {"n": 1, "nu": 0.5, "p": 0.5},
+    "cat": {"alpha": 1.0, "sign": "+"},
+    "squeezed": {"r": 0.3},
+    "basel": {"n_max": 3},
+}
+NOT_REAL = ["x", "1.5", True, None, [], {}, math.nan, math.inf, -math.inf]
+NOT_COUNT = NOT_REAL + [2.5, -1, 1e400]
+BAD_VALUES = {
+    "n": NOT_COUNT,
+    "n_max": NOT_COUNT,
+    "nu": NOT_REAL + [-0.5],
+    "p": NOT_REAL + [1.5, -0.1],
+    "alpha": NOT_REAL + [[1.0], [1.0, 2.0, 3.0], ["a", 1.0], [math.nan, 0.0]],
+    "r": NOT_REAL,
+    "sign": ["x", "", "+-", 1, None, ["+"]],
+}
 
 
 class TestMonotone:
@@ -41,6 +74,51 @@ class TestMonotone:
         )
         assert code == 1
         assert "cutoff" in err
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_malformed_spec_exit_1(self, data):
+        family = data.draw(st.sampled_from(sorted(VALID_PARAMS)))
+        doc = {"family": family, "params": dict(VALID_PARAMS[family]), "cutoff": 40}
+        name = data.draw(st.sampled_from(sorted(doc["params"])))
+        fault = data.draw(st.sampled_from(["value", "missing", "extra", "modes", "cutoff"]))
+        if fault == "value":
+            doc["params"][name] = data.draw(st.sampled_from(BAD_VALUES[name]))
+        elif fault == "missing":
+            del doc["params"][name]
+        elif fault == "extra":
+            doc["params"]["m"] = 1
+        elif fault == "modes":
+            doc["modes"] = data.draw(st.sampled_from([2, 0, "1", None]))
+        else:
+            doc["cutoff"] = data.draw(st.sampled_from([0, -3, 2.5, "40", None, True, math.nan]))
+        code, out, err = run_quiet(["monotone", "--state", json.dumps(doc)])
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_malformed_raw_matrix_exit_1(self, data):
+        doc = {"modes": 1, "cutoff": 2, "entries_re": [0.5, 0.0, 0.0, 0.5]}
+        fault = data.draw(st.sampled_from(["count", "entry", "im", "modes", "cutoff"]))
+        if fault == "count":
+            doc["entries_re"] = [0.25] * data.draw(st.sampled_from([0, 1, 3, 5, 8, 16]))
+        elif fault in ("entry", "im"):
+            entries = [0.5, 0.0, 0.0, 0.5] if fault == "entry" else [0.0] * 4
+            entries[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(
+                ["a", "0.5", None, True, [], [0.5, 0.5], math.nan, math.inf]))
+            doc["entries_re" if fault == "entry" else "entries_im"] = entries
+        else:
+            doc[fault] = data.draw(st.sampled_from(["x", "1", 0, -1, 1.5, None, True]))
+        code, out, err = run_quiet(["monotone", "--state", json.dumps(doc)])
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("state", ["[1, 2]", "3", '"fock"'])
+    def test_non_object_state_exit_1(self, state, capsys):
+        code, _, err = run_cli(["monotone", "--state", state], capsys)
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_unknown_selector_exit_1(self, capsys):
         code, _, err = run_cli(["monotone", "--state", FOCK1, "--which", "nonsense"], capsys)
@@ -185,6 +263,19 @@ class TestFigure:
         assert got == code
         assert float(out.strip().split("\n")[1].split(",")[3]) == pytest.approx(
             2.0 if task == "amplify" else 1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "cat", "--alpha-grid", "0.3,x"],
+        ["--name", "cat", "--alpha-grid", "1:2"],
+        ["--name", "cat", "--alpha-grid", "1:2:x"],
+        ["--name", "cat", "--alpha-grid", "0.3,nan"],
+        ["--name", "squeezed", "--r-grid", "0.1,,0.2"],
+        ["--name", "noisy-fock-fixed-nu", "--n-grid", "1.5", "--cutoff", "10"],
+    ])
+    def test_malformed_grid_exit_1(self, argv, capsys):
+        code, out, err = run_cli(["figure", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(["figure", "--name", "bogus"], capsys)
@@ -374,6 +465,23 @@ class TestCertify:
         assert code == 2
         lo, hi = json.loads(out)["corrected_interval"]
         assert lo < 1.0 < 2.0 < hi  # still emitted, widened by the certificate
+
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-1"])
+    def test_non_finite_energy_exit_1(self, energy, capsys):
+        code, out, err = run_cli(["certify", "--epsilon", "0.1", "--energy", energy], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "abc", "--energy", "1"],
+        ["--epsilon", "0.1", "--energy", "x"],
+        ["--epsilon", "0.1", "--energy", "1", "--modes", "x"],
+        ["--epsilon", "0.1", "--energy", "1", "--modes", "1.5"],
+    ])
+    def test_typed_numbers(self, argv, capsys):
+        code, out, err = run_cli(["certify", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert "invalid" in err
 
     def test_float_formatting_nine_digits(self, capsys):
         code, out, _ = run_cli(

@@ -764,6 +764,12 @@ class TestTruncationCertificate:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-4
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_rejects_non_finite_or_negative_energy(self, energy, eps):
+        with pytest.raises(UsageError):
+            truncation_certificate(eps, energy, 1)
+
 
 class TestTruncationFold:
     """Every engine moves the bound of its truncated state by the certificate at eps > 0."""
@@ -928,9 +934,8 @@ class TestSandwichDominance:
             lowers.append(g_lower)
             uppers.append(g_upper)
         if spec.family == "coherent":
-            alpha = spec.params["alpha"]
-            point = complex(*alpha) if isinstance(alpha, list) else complex(alpha)
-            uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture", points=[point],
+            uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture",
+                                                       points=[spec.params["alpha"]],
                                                        energy=energy))
         if rho.fock_diagonal:
             lowers.append(fock_diagonal_ncm(rho, energy=energy).lower)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvres.errors import InsufficientCutoffError, UsageError
 from cvres.fock_core import total_photon_numbers
@@ -15,6 +16,31 @@ from cvres.states import (
     make_state,
     thermal_weights,
 )
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_specs(draw):
+    """Random specs of the dense families, with parameters a cutoff up to 4096 holds."""
+    family = draw(st.sampled_from(["fock", "coherent", "thermal", "noisy_fock", "cat", "squeezed"]))
+    if family == "fock":
+        params = {"n": draw(st.integers(0, 30))}
+    elif family == "coherent":
+        params = {"alpha": draw(_real(-4, 4) | st.lists(_real(-3, 3), min_size=2, max_size=2))}
+    elif family == "thermal":
+        params = {"nu": draw(_real(0, 5))}
+    elif family == "noisy_fock":
+        params = {"n": draw(st.integers(0, 5)), "nu": draw(_real(0, 3)), "p": draw(_real(0, 1))}
+    elif family == "cat":
+        alpha = draw(_real(0.1, 3) | _real(-3, -0.1))  # the odd cat needs alpha != 0
+        params = {"alpha": alpha, "sign": draw(st.sampled_from("+-"))}
+    else:
+        params = {"r": draw(_real(-1.5, 1.5))}
+    low = params["n"] + 1 if family == "noisy_fock" else 1  # past the |n>-fits check
+    return StateSpec(family, params, draw(st.integers(low, 60)))
 
 
 class TestMakeState:
@@ -92,6 +118,27 @@ class TestMakeState:
         rho = make_state(StateSpec(family, params, required))
         assert rho.trace_deficit <= 1e-8
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=valid_specs(), tol=st.sampled_from([1e-4, 1e-8]))
+    def test_deficit_within_tol_or_required_cutoff_builds(self, spec, tol):
+        try:
+            rho = make_state(spec, deficit_tol=tol)
+        except InsufficientCutoffError as err:
+            assert err.required_cutoff > spec.cutoff
+            rho = make_state(StateSpec(spec.family, spec.params, err.required_cutoff),
+                             deficit_tol=tol)
+        assert rho.trace_deficit <= tol
+
+    @pytest.mark.parametrize("family, params", [
+        ("coherent", {"alpha": 70}),
+        ("thermal", {"nu": 2000}),
+        ("squeezed", {"r": 4}),
+    ])
+    def test_no_workable_cutoff_is_a_plain_usage_error(self, family, params):
+        with pytest.raises(UsageError, match="no cutoff up to 4096") as err:
+            make_state(StateSpec(family, params, 10))
+        assert not isinstance(err.value, InsufficientCutoffError)
+
     def test_renormalized_has_unit_trace(self):
         rho = make_state(StateSpec("thermal", {"nu": 1}, 20), deficit_tol=1e-4).renormalized()
         assert rho.trace() == pytest.approx(1.0, abs=1e-14)
@@ -143,11 +190,56 @@ class TestStateSpecJson:
         with pytest.raises(UsageError):
             StateSpec("noon", {"n": 1}, 10)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=valid_specs())
+    def test_round_trip_random(self, spec):
+        assert StateSpec.from_json(spec.to_json()) == spec
+        assert StateSpec(spec.family, spec.params, spec.cutoff) == spec
+
+    def test_complex_alpha_round_trip(self):
+        spec = StateSpec("coherent", {"alpha": [0.5, -0.7]}, 30)
+        assert spec.params["alpha"] == complex(0.5, -0.7)
+        assert json.loads(spec.to_json())["params"]["alpha"] == [0.5, -0.7]
+        assert StateSpec.from_json(spec.to_json()) == spec
+        assert json.loads(StateSpec("coherent", {"alpha": 2}, 30).to_json())["params"] == {
+            "alpha": 2.0}
+
+    def test_params_converted_once(self):
+        spec = StateSpec("noisy_fock", {"p": 1, "nu": 2, "n": 3.0}, 20.0)
+        assert spec.params == {"n": 3, "nu": 2.0, "p": 1.0}
+        assert [type(v) for v in spec.params.values()] == [int, float, float]
+        assert type(spec.cutoff) is int
+
     def test_validates_params(self):
         with pytest.raises(UsageError):
             StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 1.5}, 10)
         with pytest.raises(UsageError):
             StateSpec("cat", {"alpha": 1, "sign": "x"}, 10)
+
+    @pytest.mark.parametrize("family, params, cutoff", [
+        ("fock", {"n": 2.5}, 10),
+        ("fock", {"n": True}, 10),
+        ("thermal", {"nu": "1.5"}, 10),
+        ("thermal", {"nu": math.inf}, 10),
+        ("coherent", {"alpha": [1]}, 10),
+        ("cat", {"alpha": [1, 0], "sign": "+"}, 10),
+        ("squeezed", {"r": math.nan}, 10),
+        ("squeezed", {"r": 0.5, "s": 1}, 10),
+        ("basel", {}, 10),
+        ("fock", {"n": 1}, 10.5),
+        ("fock", {"n": 1}, "10"),
+        ("fock", [1], 10),
+    ])
+    def test_rejects_ill_typed_params(self, family, params, cutoff):
+        with pytest.raises(UsageError, match=family):
+            StateSpec(family, params, cutoff)
+
+    def test_rejects_modes_other_than_one(self):
+        doc = {"family": "fock", "params": {"n": 1}, "cutoff": 10}
+        assert StateSpec.from_json(json.dumps({**doc, "modes": 1})) == StateSpec.from_json(
+            json.dumps(doc))
+        with pytest.raises(UsageError, match="modes"):
+            StateSpec.from_json(json.dumps({**doc, "modes": 2}))
 
 
 def quadrature_moments(rho):
