@@ -53,6 +53,7 @@ from .nonclassicality import (
     gamma_lower_bound,
     gaussian_bounds,
     husimi_lower_bound,
+    ideal_energy,
     noisy_fock_closed_form,
     truncation_certificate,
     wehrl_upper_bound,

@@ -19,8 +19,7 @@ from . import nonclassicality as nc
 from . import rates
 from .errors import CvresError, UsageError
 from .fock_core import DensityOperator
-from .states import (FockDiagonalState, StateSpec, _count, exact_energy, gaussian_descriptor,
-                     make_state)
+from .states import FockDiagonalState, StateSpec, _count, gaussian_descriptor, make_state
 
 FIGURE_NAMES = ("noisy-fock-fixed-n", "noisy-fock-fixed-nu", "cat", "squeezed", "protocols")
 
@@ -58,8 +57,8 @@ def _write_json(path, payload) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_state(text: str) -> tuple[DensityOperator, StateSpec | None]:
-    """Parse a state argument: inline JSON, @path, or a raw-matrix JSON file."""
+def _load_state(text: str) -> DensityOperator | FockDiagonalState:
+    """Parse a state argument (inline JSON, @path, or a raw-matrix JSON file) into a state."""
     if text.startswith("@"):
         with open(text[1:]) as fh:
             text = fh.read()
@@ -72,9 +71,8 @@ def _load_state(text: str) -> tuple[DensityOperator, StateSpec | None]:
         dim = cutoff**modes
         re_part = _real_entries(doc["entries_re"], dim)
         im_part = _real_entries(doc["entries_im"], dim) if "entries_im" in doc else 0.0
-        return DensityOperator.from_matrix(re_part + 1j * im_part, modes, cutoff), None
-    spec = StateSpec.from_json(json.dumps(doc))
-    return make_state(spec), spec
+        return DensityOperator.from_matrix(re_part + 1j * im_part, modes, cutoff)
+    return make_state(StateSpec.from_json(json.dumps(doc)))
 
 
 def _real_entries(values, dim: int) -> np.ndarray:
@@ -111,11 +109,11 @@ _WHICH = ("ncm-lower", "nc-upper", "fd-exact", "energy-upper", "wehrl-upper",
           "husimi-lower", "gaussian-lower", "gaussian-upper", "sandwich")
 
 
-def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
+def _bounds_for(which: str, rho, cfg) -> list[nc.MonotoneBound]:
     if isinstance(rho, FockDiagonalState):
         # sparse basel-family state: only the diagonal engines apply
         if which == "ncm-lower":
-            value = max(0.0, nc.basel_divergence_bound(spec.params["n_max"]))
+            value = max(0.0, nc.basel_divergence_bound(rho.spec.params["n_max"]))
             return [nc.MonotoneBound(
                 "NCM", "lower", value,
                 {"ansatz_description": "log-domain diagonal divergence ansatz (ideal state)"},
@@ -125,42 +123,41 @@ def _bounds_for(which: str, rho, spec, cfg) -> list[nc.MonotoneBound]:
             return [res.lower, res.upper]
         raise UsageError(f"selector {which!r} is not available for the basel family; "
                          "use ncm-lower or fd-exact")
-    energy = exact_energy(spec) if spec is not None else rho.energy
     if which == "ncm-lower":
-        lo, _ = nc.bound_sandwich(rho, cfg, spec=spec)
+        lo, _ = nc.bound_sandwich(rho, cfg)
         return [lo]
     if which == "nc-upper":
-        _, hi = nc.bound_sandwich(rho, cfg, spec=spec)
+        _, hi = nc.bound_sandwich(rho, cfg)
         return [hi]
     if which == "sandwich":
-        lo, hi = nc.bound_sandwich(rho, cfg, spec=spec)
+        lo, hi = nc.bound_sandwich(rho, cfg)
         return [lo, hi]
     if which == "fd-exact":
-        res = nc.fock_diagonal_ncm(rho, energy=energy)
+        res = nc.fock_diagonal_ncm(rho)
         return [res.lower, res.upper]
     if which == "energy-upper":
-        return [nc.energy_upper_bound(energy, rho.modes)]
+        return [nc.energy_upper_bound(nc.ideal_energy(rho), rho.modes)]
     if which == "wehrl-upper":
-        return [nc.wehrl_upper_bound(rho, energy=energy)]
+        return [nc.wehrl_upper_bound(rho)]
     if which == "husimi-lower":
-        return [nc.husimi_lower_bound(rho, energy=energy)]
+        return [nc.husimi_lower_bound(rho)]
     if which in ("gaussian-lower", "gaussian-upper"):
-        if spec is None:
+        if rho.spec is None:
             raise UsageError("gaussian bounds need a Gaussian state spec")
-        lo, hi = nc.gaussian_bounds(gaussian_descriptor(spec))
+        lo, hi = nc.gaussian_bounds(gaussian_descriptor(rho.spec))
         return [lo if which == "gaussian-lower" else hi]
     raise UsageError(f"unknown bound selector {which!r}; valid: {', '.join(_WHICH)}")
 
 
 def cmd_monotone(args) -> int:
-    rho, spec = _load_state(args.state)
+    rho = _load_state(args.state)
     cfg = nc.OptimizerConfig(max_iters=args.max_iters, objective_tol=args.tol)
     selectors = [w.strip() for w in args.which.split(",") if w.strip()]
     if not selectors:
         raise UsageError("--which must name at least one bound")
     bounds: list[nc.MonotoneBound] = []
     for sel in selectors:
-        bounds.extend(_bounds_for(sel, rho, spec, cfg))
+        bounds.extend(_bounds_for(sel, rho, cfg))
     payload = []
     for b in bounds:
         doc = json.loads(b.to_json())
@@ -184,21 +181,6 @@ def cmd_monotone(args) -> int:
 # figure
 # ---------------------------------------------------------------------------
 
-def _noisy_fock_row(task) -> tuple[list, bool]:
-    p, nu, n, cutoff = task
-    spec = StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, cutoff)
-    # the emitted cert_bits column covers the truncation deficit honestly
-    rho = make_state(spec, deficit_tol=1e-4)
-    res = nc.fock_diagonal_ncm(rho, energy=exact_energy(spec))
-    cert = res.lower.certificate["truncation_correction_bits"]
-    return [p, nu, n, res.lower.value, res.upper.value, cert], res.lower.converged
-
-
-def _collect(results: list[tuple[list, bool]]) -> tuple[list[list], bool]:
-    """Split (row, converged) pairs into the rows and whether every row converged."""
-    return [row for row, _ in results], all(ok for _, ok in results)
-
-
 def _figure_noisy_fock(args) -> tuple[list[str], list[list], bool]:
     header = ["p", "nu", "n", "lower_bits", "upper_bits", "cert_bits"]
     cutoff = args.cutoff or 40
@@ -206,54 +188,49 @@ def _figure_noisy_fock(args) -> tuple[list[str], list[list], bool]:
     if args.name == "noisy-fock-fixed-n":
         n = args.n if args.n is not None else 1
         nus = _grid(args.nu_grid) if args.nu_grid else [0.0, 1.0, 2.0, 3.0]
-        tasks = [(p, nu, n, cutoff) for nu in nus for p in ps]
+        curves = [(nu, n) for nu in nus]
     else:
         nu = args.nu if args.nu is not None else 0.0
         ns = _grid(args.n_grid) if args.n_grid else [1, 2, 3, 4]
-        tasks = [(p, nu, n, cutoff) for n in ns for p in ps]
-    rows, converged = _collect([_noisy_fock_row(t) for t in tasks])
+        curves = [(nu, n) for n in ns]
+    rows, converged = [], True
+    for nu, n in curves:
+        for p in ps:
+            # the emitted cert_bits column covers the truncation deficit honestly
+            spec = StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, cutoff)
+            res = nc.fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
+            rows.append([p, nu, n, res.lower.value, res.upper.value,
+                         res.lower.certificate["truncation_correction_bits"]])
+            converged = converged and res.lower.converged
     return header, rows, converged
-
-
-def _cat_row(task) -> tuple[list, bool]:
-    alpha, sign, cutoff = task
-    lo, hi = rates.cat_interval(alpha, sign, cutoff)
-    return [alpha, sign, lo.value, hi.value], lo.converged and hi.converged
 
 
 def _figure_cat(args) -> tuple[list[str], list[list], bool]:
     alphas = _grid(args.alpha_grid) if args.alpha_grid else list(np.linspace(0.4, 2.4, 11))
     signs = [args.sign] if args.sign else ["+", "-"]
-    tasks = []
+    rows, converged = [], True
     for sign in signs:
         for a in alphas:
-            cutoff = args.cutoff or rates.required_cat_cutoff(a, 1e-9)
-            tasks.append((a, sign, cutoff))
-    rows, converged = _collect([_cat_row(t) for t in tasks])
+            lo, hi = rates.cat_interval(a, sign, args.cutoff or rates.required_cat_cutoff(a, 1e-9))
+            rows.append([a, sign, lo.value, hi.value])
+            converged = converged and lo.converged and hi.converged
     return ["alpha", "sign", "lower_bits", "upper_bits"], rows, converged
-
-
-def _squeezed_row(task) -> list:
-    r, cutoff = task
-    spec = StateSpec("squeezed", {"r": r}, cutoff)
-    rho = make_state(spec, deficit_tol=1e-5)
-    energy = exact_energy(spec)
-    g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
-    up_th = nc.classical_ansatz_upper_bound(rho, "thermal", energy=energy)
-    up_sq = nc.classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)
-    up_en = nc.energy_upper_bound(energy, 1)
-    return [r, g_lower.value, up_th.value, up_sq.value, up_en.value]
 
 
 def _figure_squeezed(args) -> tuple[list[str], list[list], bool]:
     rs = _grid(args.r_grid) if args.r_grid else list(np.linspace(0.1, 1.5, 8))
-    tasks = []
+    rows = []
     for r in rs:
-        cutoff = args.cutoff or max(40, int(40 + 50 * r * r))
-        tasks.append((r, cutoff))
+        spec = StateSpec("squeezed", {"r": r}, args.cutoff or max(40, int(40 + 50 * r * r)))
+        rho = make_state(spec, deficit_tol=1e-5)
+        g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
+        up_th = nc.classical_ansatz_upper_bound(rho, "thermal")
+        up_sq = nc.classical_ansatz_upper_bound(rho, "squeezed_thermal")
+        up_en = nc.energy_upper_bound(nc.ideal_energy(rho), 1)
+        rows.append([r, g_lower.value, up_th.value, up_sq.value, up_en.value])
     header = ["r", "lower_bits", "upper_thermal_bits", "upper_sq_thermal_bits",
               "upper_energy_bits"]
-    return header, [_squeezed_row(t) for t in tasks], True
+    return header, rows, True
 
 
 def _figure_protocols(args) -> tuple[list[str], list[list], bool]:
@@ -362,10 +339,10 @@ def cmd_certify(args) -> int:
                "certificate_bits": _bits_out(cert, args.nats)}
     converged = True
     if args.state:
-        rho, spec = _load_state(args.state)
+        rho = _load_state(args.state)
         if isinstance(rho, FockDiagonalState):
             raise UsageError("certify --state does not support the basel family")
-        lo, hi = nc.bound_sandwich(rho, spec=spec)
+        lo, hi = nc.bound_sandwich(rho)
         converged = lo.converged and hi.converged
         payload["corrected_interval"] = [
             _bits_out(max(0.0, lo.value - cert), args.nats),

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, InsufficientCutoffError, UsageError
+
+if TYPE_CHECKING:
+    from .states import StateSpec
 
 HERMITICITY_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-10
@@ -76,13 +79,15 @@ class DensityOperator:
     ``trace_deficit`` is the mass lost to the cutoff: constructors keep the
     honest subnormalized matrix rather than renormalizing, so certificates can
     consume the deficit directly.  ``energy`` is the mean photon number of the
-    truncated matrix.
+    truncated matrix.  ``spec`` is the ``StateSpec`` the state was built from:
+    only ``states.make_state`` sets it, so every derived state carries None.
     """
 
     op: TruncatedOperator
     trace_deficit: float
     energy: float
     fock_diagonal: bool = field(default=False)
+    spec: StateSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.trace_deficit < 1.0):
@@ -201,6 +206,8 @@ def coherent_vector(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
         vec = np.zeros(cutoff, dtype=complex)
         vec[0] = 1.0
         return vec, 0.0
+    if mag >= 1e154:  # mag**2 overflows, and every amplitude on levels < cutoff is 0
+        return np.zeros(cutoff, dtype=complex), 1.0
     log_mag = -0.5 * mag**2 + k * math.log(mag) - 0.5 * gammaln(k + 1)
     phase = np.exp(1j * k * np.angle(a))
     vec = np.exp(log_mag) * phase

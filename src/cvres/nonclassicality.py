@@ -9,7 +9,8 @@ enters through a certified upper bound, so reported values never overshoot.
 Upper bounds come from explicit classical ansatz states, the energy bound
 m*g(E/m), Wehrl-entropy estimates, and the Gaussian closed forms.  Bounds for
 the ideal (untruncated) state are obtained by folding in the spectral
-truncation certificate m*eps*g(2E/(m*eps)) + g(eps).
+truncation certificate m*eps*g(2E/(m*eps)) + g(eps), at the energy E of the
+ideal state that ``make_state`` recorded on the state (``ideal_energy``).
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ from .fock_core import DensityOperator, coherent_vector
 from .states import (
     FockDiagonalState,
     GaussianDescriptor,
-    StateSpec,
     cat_amplitudes,
     exact_energy,
     gaussian_descriptor,
-    make_state,
 )
 
 
@@ -64,14 +63,30 @@ def g_thermal(x: float) -> float:
 
 
 def truncation_certificate(eps: float, energy: float, modes: int = 1) -> float:
-    """Monotone error bar for a trace-distance-eps spectral truncation at energy <= E."""
+    """Monotone error bar for a trace-distance-eps spectral truncation at energy <= E.
+
+    m*eps*g(x) at x = 2E/(m*eps) is taken as m*eps*log2(1 + x) + 2E*log2(1 + 1/x)
+    with only ln x formed: x overflows for tiny eps or huge E, and g's own form
+    cancels to NaN there.  Once 1/x underflows, 2E*ln(1 + 1/x) is its limit m*eps.
+    g(eps) takes ln(1 + eps) from log1p, which keeps its share for tiny eps.
+    """
     if not (0.0 <= eps <= 1.0):
         raise UsageError("eps must lie in [0, 1]")
     if not (0.0 <= energy < math.inf) or modes < 1:
         raise UsageError("energy must be finite and >= 0, and modes >= 1")
     if eps == 0.0:
         return 0.0
-    return modes * eps * g_thermal(2.0 * energy / (modes * eps)) + g_thermal(eps)
+    nats = (1.0 + eps) * math.log1p(eps) - eps * math.log(eps)  # g(eps)
+    if energy > 0.0:
+        m_eps = modes * eps
+        ln_x = math.log(energy) + LN2 - math.log(m_eps)
+        nats += m_eps * (max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x))))  # m*eps*ln(1 + x)
+        if ln_x < 0.0:
+            nats += 2.0 * energy * (math.log1p(math.exp(ln_x)) - ln_x)  # 2E*ln(1 + 1/x)
+        else:
+            inv_x = math.exp(-ln_x)  # 2E*ln(1 + 1/x) = m*eps * ln(1 + 1/x)/(1/x)
+            nats += m_eps * (math.log1p(inv_x) / inv_x if inv_x > 0.0 else 1.0)
+    return LOG2E * nats
 
 
 def truncation_epsilon(rho: DensityOperator) -> float:
@@ -144,6 +159,12 @@ class MonotoneBound:
         )
 
 
+def ideal_energy(rho: DensityOperator | FockDiagonalState) -> float:
+    """The certificate energy: that of the ideal state when ``make_state`` built ``rho``
+    from a spec, else the mean photon number of the matrix itself, which is all there is."""
+    return exact_energy(rho.spec) if rho.spec is not None else rho.energy
+
+
 def _certified(
     rho: DensityOperator | FockDiagonalState,
     quantity: str,
@@ -151,20 +172,19 @@ def _certified(
     raw: float,
     certificate: dict,
     *,
-    energy: float | None = None,
     sup: CertifiedSup | None = None,
     converged: bool = True,
 ) -> MonotoneBound:
     """The bound for the ideal state from ``raw``, a bound computed on the truncated ``rho``.
 
     Folds in ``truncation_certificate`` at eps = ``truncation_epsilon(rho)`` and
-    energy ``rho.energy`` unless ``energy`` is given: a lower bound drops by the
-    correction and is floored at zero, an upper bound rises by it (+inf stays
-    +inf).  The certificate leads with the eps and correction used, then the
-    radius and slack of the inner supremum ``sup``, then the caller's keys.
+    energy ``ideal_energy(rho)``: a lower bound drops by the correction and is
+    floored at zero, an upper bound rises by it (+inf stays +inf).  The
+    certificate leads with the eps and correction used, then the radius and
+    slack of the inner supremum ``sup``, then the caller's keys.
     """
     eps = truncation_epsilon(rho)
-    correction = truncation_certificate(eps, rho.energy if energy is None else energy, rho.modes)
+    correction = truncation_certificate(eps, ideal_energy(rho), rho.modes)
     value = max(0.0, raw - correction) if direction == "lower" else raw + correction
     head = {"truncation_epsilon": eps, "truncation_correction_bits": correction}
     if sup is not None:
@@ -384,12 +404,7 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
     return best_value, best_cert, report
 
 
-def gamma_lower_bound(
-    rho: DensityOperator,
-    cfg: OptimizerConfig | None = None,
-    *,
-    energy: float | None = None,
-) -> MonotoneBound:
+def gamma_lower_bound(rho: DensityOperator, cfg: OptimizerConfig | None = None) -> MonotoneBound:
     """Certified lower bound on the measured relative entropy of nonclassicality.
 
     Any iterate of the ascent is feasible, so the best value found (minus the
@@ -403,15 +418,11 @@ def gamma_lower_bound(
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": "dense exp(H) ascent", "raw_value_bits": raw,
                        "iterations": report.iterations},
-                      energy=energy, sup=cert, converged=report.converged)
+                      sup=cert, converged=report.converged)
 
 
-def cat_gamma_lower_bound(
-    alpha: float,
-    sign: str,
-    cutoff: int,
-) -> MonotoneBound:
-    """Parity-block lower bound for cat states.
+def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
+    """Parity-block lower bound for a cat state built by ``make_state``.
 
     L acts on the cat's own parity block: |cat><cat| alone for the odd cat
     (and for an even cat whose span holds no other even direction), or
@@ -422,9 +433,10 @@ def cat_gamma_lower_bound(
     is -log2 of the certified supremum; the even cat searches the two free
     entries of log M.
     """
-    spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
-    rho = make_state(spec, deficit_tol=1e-6)
-    psi = cat_amplitudes(alpha, sign, cutoff)
+    if rho.spec is None or rho.spec.family != "cat":
+        raise UsageError("cat_gamma_lower_bound takes a cat state built by make_state")
+    sign = rho.spec.params["sign"]
+    psi = cat_amplitudes(rho.spec.params["alpha"], sign, rho.cutoff)
     psi = psi / np.linalg.norm(psi)
     v0 = -psi[0] * psi
     v0[0] += 1.0
@@ -458,7 +470,7 @@ def cat_gamma_lower_bound(
         ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": ansatz, "raw_value_bits": raw, "iterations": iterations},
-                      energy=exact_energy(spec), sup=cert, converged=converged)
+                      sup=cert, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +592,7 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     return atoms, q, rounds
 
 
-def fock_diagonal_ncm(
-    state,
-    *,
-    energy: float | None = None,
-) -> FockDiagonalResult:
+def fock_diagonal_ncm(state) -> FockDiagonalResult:
     """Exact (to tolerance) nonclassicality of a single-mode Fock-diagonal state.
 
     For this class the whole monotone hierarchy collapses to one number, so a
@@ -630,7 +638,7 @@ def fock_diagonal_ncm(
         "duality_gap_bits": gap,
         "iterations": rounds,
     }
-    fold = dict(energy=energy, sup=cert, converged=gap <= 2 * FD_TOL_BITS)
+    fold = dict(sup=cert, converged=gap <= 2 * FD_TOL_BITS)
     return FockDiagonalResult(_certified(state, "NCM", "lower", dual_bits - gap, certificate, **fold),
                               _certified(state, "NC", "upper", dual_bits, certificate, **fold))
 
@@ -658,22 +666,21 @@ def energy_upper_bound(energy: float, modes: int = 1) -> MonotoneBound:
     return MonotoneBound("NC", "upper", value, {"ansatz_description": f"thermal family at E={energy}"})
 
 
-def wehrl_upper_bound(rho: DensityOperator, *, energy: float | None = None) -> MonotoneBound:
+def wehrl_upper_bound(rho: DensityOperator) -> MonotoneBound:
     """S_W - S plus the quadrature tail, valid for the regularized monotone too."""
     rho_n = rho.renormalized()
     est = wehrl_entropy(rho_n)
     return _certified(rho, "NC", "upper", est.bits + est.tail_bits - von_neumann_entropy(rho_n),
-                      {"grid_tail_bits": est.tail_bits, "ansatz_description": "Wehrl-entropy estimate"},
-                      energy=energy)
+                      {"grid_tail_bits": est.tail_bits,
+                       "ansatz_description": "Wehrl-entropy estimate"})
 
 
-def husimi_lower_bound(rho: DensityOperator, *, energy: float | None = None) -> MonotoneBound:
+def husimi_lower_bound(rho: DensityOperator) -> MonotoneBound:
     """-log2(pi^m sup Q) - S, floored at zero."""
     rho_n = rho.renormalized()
     raw = -math.log2(max(math.pi**rho.modes * husimi_sup(rho_n), 1e-300)) - von_neumann_entropy(rho_n)
     return _certified(rho, "NCM", "lower", raw,
-                      {"ansatz_description": "Husimi-peak estimate", "raw_value_bits": raw},
-                      energy=energy)
+                      {"ansatz_description": "Husimi-peak estimate", "raw_value_bits": raw})
 
 
 def _gaussian_entropy_bits(gd: GaussianDescriptor) -> float:
@@ -744,7 +751,6 @@ def classical_ansatz_upper_bound(
     family: str,
     *,
     points: Sequence[complex] | None = None,
-    energy: float | None = None,
 ) -> MonotoneBound:
     """Upper bound from the infimum restricted to an explicit classical family.
 
@@ -819,7 +825,7 @@ def classical_ansatz_upper_bound(
 
     if not math.isfinite(best):
         best, meta["support_mismatch"] = math.inf, True
-    return _certified(rho, "NC", "upper", best, meta, energy=energy)
+    return _certified(rho, "NC", "upper", best, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +894,8 @@ def basel_divergence_bound(n_max: int) -> float:
 SANDWICH_SLACK = 1e-9
 
 
-def _family_bounds(rho: DensityOperator, spec: StateSpec, energy: float) -> list[MonotoneBound]:
-    """The family-specific bounds that can set an endpoint of the sandwich.
+def _family_bounds(rho: DensityOperator) -> list[MonotoneBound]:
+    """The family-specific bounds of ``rho.spec`` that can set an endpoint of the sandwich.
 
     Left out because they never do: the Gaussian upper bound (at least 1 bit
     above the winning upper on every Gaussian family, squeezing of either
@@ -898,49 +904,45 @@ def _family_bounds(rho: DensityOperator, spec: StateSpec, energy: float) -> list
     squeezed states (above the squeezed-thermal ansatz from |r| = 0.02, equal
     to the energy bound to rounding below).
     """
-    fam, params = spec.family, spec.params
+    fam, params = rho.spec.family, rho.spec.params
     if fam == "fock":
         exact = fock_closed_form(params["n"])
         return [MonotoneBound("NCM", "lower", exact, {"ansatz_description": "Fock closed form"}),
                 MonotoneBound("NC", "upper", exact, {"ansatz_description": "Fock closed form"})]
     if fam == "cat":
         a = params["alpha"]
-        return [cat_gamma_lower_bound(a, params["sign"], rho.cutoff),
-                classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a, -a, 0.0],
-                                             energy=energy)]
+        return [cat_gamma_lower_bound(rho),
+                classical_ansatz_upper_bound(rho, "coherent_mixture", points=[a, -a, 0.0])]
     if fam == "coherent":
-        return [classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                             points=[params["alpha"]], energy=energy)]
+        return [classical_ansatz_upper_bound(rho, "coherent_mixture", points=[params["alpha"]])]
     if fam == "thermal":
-        return [classical_ansatz_upper_bound(rho, "thermal", energy=energy)]
+        return [classical_ansatz_upper_bound(rho, "thermal")]
     if fam == "squeezed":
-        g_lower, _ = gaussian_bounds(gaussian_descriptor(spec))
-        return [g_lower, classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)]
+        g_lower, _ = gaussian_bounds(gaussian_descriptor(rho.spec))
+        return [g_lower, classical_ansatz_upper_bound(rho, "squeezed_thermal")]
     return []
 
 
 def bound_sandwich(
     rho: DensityOperator,
     cfg: OptimizerConfig | None = None,
-    *,
-    spec: StateSpec | None = None,
 ) -> tuple[MonotoneBound, MonotoneBound]:
     """Best available interval [lower on NCM, upper on NC] for one state.
 
     One list of candidate bounds, the best of each side taken: the energy
     bound for every state; the exact program for single-mode Fock-diagonal
-    states; for a spec, its family's bounds (``_family_bounds``); for a raw
-    single-mode matrix that is not Fock-diagonal, the dense exp(H) ascent.
-    A nonempty interval is enforced loudly.
+    states; for a state built from a spec, its family's bounds
+    (``_family_bounds``); for any other single-mode state that is not
+    Fock-diagonal, the dense exp(H) ascent.  A nonempty interval is enforced
+    loudly.
     """
-    energy = exact_energy(spec) if spec is not None else rho.energy
-    candidates = [energy_upper_bound(energy, rho.modes)]
+    candidates = [energy_upper_bound(ideal_energy(rho), rho.modes)]
     if rho.modes == 1 and rho.fock_diagonal:
-        candidates.extend(fock_diagonal_ncm(rho, energy=energy))
-    if spec is not None:
-        candidates.extend(_family_bounds(rho, spec, energy))
+        candidates.extend(fock_diagonal_ncm(rho))
+    if rho.spec is not None:
+        candidates.extend(_family_bounds(rho))
     elif rho.modes == 1 and not rho.fock_diagonal:
-        candidates.append(gamma_lower_bound(rho, cfg, energy=energy))
+        candidates.append(gamma_lower_bound(rho, cfg))
 
     # max and min keep the first of equal values, so list order settles ties
     lowers = [b for b in candidates if b.direction == "lower"] or [

@@ -332,8 +332,7 @@ def noisy_fock_dilution_rate_bound(n: int, p: float) -> RateBound:
 def cat_interval(alpha: float, sign: str, cutoff: int) -> tuple[MonotoneBound, MonotoneBound]:
     """Sandwich of the cat state, built with ``deficit_tol=1e-7``; memoised per process."""
     spec = StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff)
-    rho = make_state(spec, deficit_tol=1e-7)
-    return bound_sandwich(rho, spec=spec)
+    return bound_sandwich(make_state(spec, deficit_tol=1e-7))
 
 
 def protocol_figure_data(task: str, alphas) -> list[dict]:

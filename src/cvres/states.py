@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -113,13 +113,14 @@ class FockDiagonalState:
     """Sparse diagonal state: weight[i] on Fock level index[i] (single mode).
 
     Used for the basel family, whose support reaches Fock index 2^n_max and
-    must never be materialized densely.
+    must never be materialized densely.  ``spec`` is set by ``make_state`` only.
     """
 
     indices: tuple
     weights: np.ndarray
     trace_deficit: float
     modes: int = 1
+    spec: StateSpec | None = field(default=None, compare=False)
     fock_diagonal = True  # not a field: the sparse form holds diagonal states only
 
     def __post_init__(self):
@@ -171,8 +172,10 @@ def squeezed_amplitudes(r: float, cutoff: int) -> np.ndarray:
         return amps
     t = math.tanh(r)
     n = np.arange((cutoff + 1) // 2)
+    # cosh overflows from |r| ~ 710, where ln cosh r = |r| - ln 2 to rounding
+    log_cosh = math.log(math.cosh(r)) if abs(r) < 700.0 else abs(r) - math.log(2.0)
     log_mag = (
-        -0.5 * math.log(math.cosh(r))
+        -0.5 * log_cosh
         + 0.5 * (gammaln(2 * n + 1) - 2.0 * gammaln(n + 1))
         + n * math.log(abs(t) / 2.0)
     )
@@ -222,7 +225,8 @@ def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
     """Build the state described by ``spec``.
 
     Returns a DensityOperator for the dense families; basel returns a
-    FockDiagonalState since its support reaches Fock index 2^n_max.
+    FockDiagonalState since its support reaches Fock index 2^n_max.  Either
+    carries ``spec``, from which the bounds take the ideal state's energy.
     Raises InsufficientCutoffError (naming a workable cutoff) when the
     truncation deficit of a finite-energy family exceeds ``deficit_tol``, and
     a plain UsageError when no cutoff up to 4096 is workable.
@@ -231,12 +235,13 @@ def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
     what = f"{fam}({', '.join(f'{k}={v}' for k, v in p.items())})"
 
     if fam == "basel":
-        indices, weights, deficit = basel_weights(p["n_max"])
-        required = indices[-1] + 1
+        # checked before the weights are built, and printed as a power: 2**n_max has
+        # n_max/3.3 digits, past what str() of an int allows from n_max ~ 14000
+        required = 2 ** p["n_max"] + 1
         if d < required:
-            raise InsufficientCutoffError(f"{what} needs cutoff >= {required}, got {d}",
+            raise InsufficientCutoffError(f"{what} needs cutoff >= 2**{p['n_max']} + 1, got {d}",
                                           required_cutoff=required)
-        return FockDiagonalState(indices, weights, deficit)
+        return FockDiagonalState(*basel_weights(p["n_max"]), spec=spec)
     if "n" in p and p["n"] >= d:
         raise InsufficientCutoffError(f"{what} needs cutoff >= {p['n'] + 1}, got {d}",
                                       required_cutoff=p["n"] + 1)
@@ -254,27 +259,29 @@ def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
         )
     part = _levels(fam, p, d)
     if fam in _PURE:
-        return pure_state(part, 1, d)
-    return DensityOperator.from_matrix(np.diag(part.astype(complex)), 1, d, validate=False)
+        rho = pure_state(part, 1, d)
+    else:
+        rho = DensityOperator.from_matrix(np.diag(part.astype(complex)), 1, d, validate=False)
+    return replace(rho, spec=spec)
 
 
 def exact_energy(spec: StateSpec) -> float:
-    """Mean photon number of the ideal (untruncated) state."""
+    """Mean photon number of the ideal (untruncated) state; +inf past the float range."""
     p, fam = spec.params, spec.family
     if fam in ("fock", "thermal", "noisy_fock"):  # noisy_fock at p = 1 and at p = 0
         prob = p.get("p", 1.0 if "n" in p else 0.0)
         return prob * p.get("n", 0) + (1.0 - prob) * p.get("nu", 0.0)
     if fam == "coherent":
-        return abs(p["alpha"]) ** 2
+        return abs(p["alpha"]) ** 2 if abs(p["alpha"]) < 1e154 else math.inf
     if fam == "cat":
-        a2 = p["alpha"] ** 2
+        a2 = p["alpha"] ** 2 if abs(p["alpha"]) < 1e154 else math.inf
         if a2 == 0.0:
             return 0.0
         s = 1.0 if p["sign"] == "+" else -1.0
         e = math.exp(-2.0 * a2)
         return a2 * (1.0 - s * e) / (1.0 + s * e)
     if fam == "squeezed":
-        return math.sinh(p["r"]) ** 2
+        return math.sinh(p["r"]) ** 2 if abs(p["r"]) < 355.0 else math.inf
     _, w, _ = basel_weights(p["n_max"])
     return float(sum(wi * 2.0**j for j, wi in enumerate(w)))
 

@@ -256,10 +256,10 @@ def test_criterion_10_sandwich_soundness():
         nonlocal ok
         rho = make_state(spec, deficit_tol=deficit_tol)
         energy = exact_energy(spec)
-        lo, hi = bound_sandwich(rho, cfg, spec=spec)
-        lowers = [lo.value, husimi_lower_bound(rho, energy=energy).value]
+        lo, hi = bound_sandwich(rho, cfg)
+        lowers = [lo.value, husimi_lower_bound(rho).value]
         uppers = [hi.value, energy_upper_bound(energy, 1).value,
-                  wehrl_upper_bound(rho, energy=energy).value]
+                  wehrl_upper_bound(rho).value]
         slack = 1e-9
         for low in lowers:
             for up in uppers:
@@ -282,7 +282,6 @@ def test_criterion_10_sandwich_soundness():
     lo_cat, hi_cat = bound_sandwich(
         make_state(StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60), deficit_tol=1e-7),
         OptimizerConfig(),
-        spec=StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60),
     )
     width = hi_cat.value - lo_cat.value
     contained = 0.5 <= lo_cat.value and hi_cat.value <= 1.5
@@ -319,14 +318,14 @@ def test_criterion_12_truncation_certificate():
         rho = make_state(spec_d, deficit_tol=1e-5)
         energy = exact_energy(spec_d)
         if spec.family == "cat":
-            return cat_gamma_lower_bound(spec.params["alpha"], spec.params["sign"], cutoff).value
+            return cat_gamma_lower_bound(rho).value
         if spec.family == "squeezed":
             lo, _ = gaussian_bounds(gaussian_descriptor(spec_d))
             eps = math.sqrt(max(rho.trace_deficit, 0.0))
             return max(0.0, lo.value - truncation_certificate(min(1.0, eps), energy, 1))
         if spec.family == "coherent":
             return 0.0
-        return fock_diagonal_ncm(rho, energy=energy).lower.value
+        return fock_diagonal_ncm(rho).lower.value
 
     suite = [
         (StateSpec("coherent", {"alpha": 1}, 30), 30),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestMonotone:
         code, out, err = run_quiet(["monotone", "--state", json.dumps(doc)])
         assert (code, out) == (1, ""), doc
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "coherent", "params": {"alpha": 1e200}, "cutoff": 40},
+        {"family": "cat", "params": {"alpha": 1e200, "sign": "+"}, "cutoff": 40},
+        {"family": "squeezed", "params": {"r": 1000}, "cutoff": 40},
+    ], ids=lambda doc: doc["family"])
+    def test_overflowing_spec_exit_1(self, doc):
+        # valid values whose amplitudes leave the float range: no cutoff holds them
+        code, out, err = run_quiet(["monotone", "--state", json.dumps(doc)])
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "no cutoff up to 4096" in err
+
+    def test_basel_cutoff_checked_first(self):
+        # the weights of n_max = 20000 reach 2**20000, which str() cannot print
+        state = json.dumps({"family": "basel", "params": {"n_max": 20000}, "cutoff": 10})
+        start = time.perf_counter()
+        code, out, err = run_quiet(["monotone", "--state", state])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "needs cutoff >= 2**20000 + 1, got 10" in err
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -207,7 +230,7 @@ class TestFigure:
     def test_unconverged_row_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, *, energy=None):
+        def unconverged(rho):
             cert = {"truncation_correction_bits": 0.0}
             lower = nc.MonotoneBound("NCM", "lower", 0.1, cert, converged=False)
             upper = nc.MonotoneBound("NC", "upper", 0.2, cert, converged=False)
@@ -385,9 +408,9 @@ class TestProtocolFigure:
         calls = []
         real = nc.cat_gamma_lower_bound
 
-        def counted(alpha, sign, cutoff):
-            calls.append((alpha, sign, cutoff))
-            return real(alpha, sign, cutoff)
+        def counted(rho):
+            calls.append((rho.spec.params["alpha"], rho.spec.params["sign"], rho.cutoff))
+            return real(rho)
 
         monkeypatch.setattr(nc, "cat_gamma_lower_bound", counted)
         args = ["figure", "--name", "protocols", "--alpha-grid", "0.3"]
@@ -437,6 +460,13 @@ class TestCertify:
         doc = json.loads(out)
         assert doc["certificate_bits"] == pytest.approx(1.063457, abs=1e-6)
 
+    @pytest.mark.parametrize("epsilon, energy", [("1e-300", "1e10"), ("0.5", "1e306")])
+    def test_extreme_inputs_certificate_finite(self, epsilon, energy, capsys):
+        # 2E/eps overflows in the first, and g(2E/eps) = inf - inf in the second
+        code, out, _ = run_cli(["certify", "--epsilon", epsilon, "--energy", energy], capsys)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["certificate_bits"]) and "NaN" not in out
+
     def test_zero_eps(self, capsys):
         code, out, _ = run_cli(["certify", "--epsilon", "0", "--energy", "1"], capsys)
         assert code == 0
@@ -454,7 +484,7 @@ class TestCertify:
     def test_unconverged_interval_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, cfg=None, *, spec=None):
+        def unconverged(rho, cfg=None):
             return (nc.MonotoneBound("NCM", "lower", 1.0, converged=False),
                     nc.MonotoneBound("NC", "upper", 2.0))
 

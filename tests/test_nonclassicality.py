@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from cvres.nonclassicality import (
     gamma_lower_bound,
     gaussian_bounds,
     husimi_lower_bound,
+    ideal_energy,
     noisy_fock_closed_form,
     product_interval,
     truncation_certificate,
@@ -44,6 +46,11 @@ from cvres.nonclassicality import (
 )
 
 LOG2E = math.log2(math.e)
+
+
+def cat_state(alpha, sign, cutoff):
+    """The cat state at the deficit tolerance the cat bounds were checked at."""
+    return make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, cutoff), deficit_tol=1e-6)
 
 
 class TestCoherentSup:
@@ -188,7 +195,7 @@ class TestCertifiedSupLevels:
 
         monkeypatch.setattr(nonclassicality, "coherent_sup_certified", recording)
         for sign in ("+", "-"):
-            cat_gamma_lower_bound(0.3, sign, 30)
+            cat_gamma_lower_bound(cat_state(0.3, sign, 30))
         assert certs
         assert max(c.levels for c in certs) <= 8
         for c in certs:
@@ -351,7 +358,7 @@ class TestFockDiagonal:
 
     def test_noisy_fock_found_row_converges(self):
         spec = StateSpec("noisy_fock", {"n": 2, "nu": 2, "p": 0.1}, 40)
-        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4), energy=exact_energy(spec))
+        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
         assert res.lower.converged and res.upper.converged
         assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
 
@@ -431,16 +438,16 @@ class TestGamma:
 
 class TestCatReflection:
     def test_saturation_at_large_alpha(self):
-        bound = cat_gamma_lower_bound(2.5, "+", 60)
+        bound = cat_gamma_lower_bound(cat_state(2.5, "+", 60))
         assert 0.98 <= bound.value <= 1.0 + 1e-6
 
     def test_small_alpha_positive(self):
-        bound = cat_gamma_lower_bound(0.5, "+", 30)
+        bound = cat_gamma_lower_bound(cat_state(0.5, "+", 30))
         assert bound.value > 0.05
 
     def test_odd_cat_close_to_single_photon(self):
         # as alpha -> 0 the odd cat approaches |1>, whose value is log2(e)
-        bound = cat_gamma_lower_bound(0.25, "-", 30)
+        bound = cat_gamma_lower_bound(cat_state(0.25, "-", 30))
         assert bound.value > 1.2
 
     def test_out_of_range_point_stays_feasible(self, monkeypatch):
@@ -453,12 +460,12 @@ class TestCatReflection:
         rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 35), deficit_tol=1e-6)
         up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[0.3, -0.3, 0.0])
         monkeypatch.setattr(nonclassicality, "minimize", fake_minimize)
-        lo = cat_gamma_lower_bound(0.3, "+", 35)
+        lo = cat_gamma_lower_bound(cat_state(0.3, "+", 35))
         assert lo.value <= up.value
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_even_cat_converges_below_cap(self, alpha):
-        bound = cat_gamma_lower_bound(alpha, "+", 30)
+        bound = cat_gamma_lower_bound(cat_state(alpha, "+", 30))
         assert bound.converged
         assert bound.certificate["iterations"] < 250
 
@@ -473,7 +480,7 @@ class TestCatReflection:
             return certs[-1]
 
         monkeypatch.setattr(nonclassicality, "coherent_sup_certified", recording)
-        bound = cat_gamma_lower_bound(0.3, "-", 30)
+        bound = cat_gamma_lower_bound(cat_state(0.3, "-", 30))
         assert len(certs) == 1 and bound.converged
         psi = cat_amplitudes(0.3, "-", 30)
         psi = psi / np.linalg.norm(psi)
@@ -492,7 +499,7 @@ class TestCatReflection:
         assert raw >= sampled - math.log2(1 + nonclassicality.INNER_TOL) - 1e-11
 
     def test_odd_cat_tends_to_single_photon(self):
-        values = [cat_gamma_lower_bound(a, "-", 30).value for a in (0.2, 0.05, 0.01)]
+        values = [cat_gamma_lower_bound(cat_state(a, "-", 30)).value for a in (0.2, 0.05, 0.01)]
         assert values[0] < values[1] < values[2] <= LOG2E
         assert LOG2E - values[2] < 1e-3
 
@@ -501,7 +508,7 @@ class TestCatReflection:
         # the former search: L = B^T exp(log M) B on span{cat+, v0, cat-} with the
         # even 2x2 block and the odd scalar free, plus the floor on the complement
         d, floor = 30, 1e-12
-        bound = cat_gamma_lower_bound(alpha, sign, d)
+        bound = cat_gamma_lower_bound(cat_state(alpha, sign, d))
         plus, minus = cat_amplitudes(alpha, "+", d), cat_amplitudes(alpha, "-", d)
         plus, minus = plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
         v0 = np.eye(d)[0] - plus[0] * plus
@@ -659,14 +666,14 @@ class TestClassicalAnsatz:
         spec = StateSpec("cat", {"alpha": 2, "sign": "+"}, 40)
         rho = make_state(spec, deficit_tol=1e-7)
         up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[2.0, -2.0, 0.0])
-        lo = cat_gamma_lower_bound(2.0, "+", 40)
+        lo = cat_gamma_lower_bound(cat_state(2.0, "+", 40))
         assert up.value - lo.value < 0.5
         assert lo.value <= up.value + 1e-9
 
     def test_squeezed_thermal_closed_form(self):
         spec = StateSpec("squeezed", {"r": 1}, 60)
         rho = make_state(spec, deficit_tol=1e-6)
-        up = classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=math.sinh(1) ** 2)
+        up = classical_ansatz_upper_bound(rho, "squeezed_thermal")
         # numerically verified value: min over s of log2(1+N) + sinh^2(r-s) log2(1+1/N)
         res = minimize_scalar(
             lambda s: math.log2(1 + 0.5 * (math.exp(2 * s) - 1))
@@ -746,9 +753,34 @@ class TestDephasingMonotonicity:
         assert exact.lower.value <= upper.value + 1e-6
 
 
+def certificate_reference(eps, energy, modes):
+    """m*eps*g(2E/(m*eps)) + g(eps) in 660-digit decimals.
+
+    g(x) cancels about log10(x) + 3 digits, so 660 digits cover every x < 1e609 drawn here."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 660
+
+        def g(x):
+            return (x + 1) * (x + 1).ln() - x * x.ln() if x else decimal.Decimal(0)
+
+        e = decimal.Decimal(eps)
+        value = modes * e * g(2 * decimal.Decimal(energy) / (modes * e)) + g(e)
+        return float(value / decimal.Decimal(2).ln())
+
+
 class TestTruncationCertificate:
     def test_hand_arithmetic(self):
         assert truncation_certificate(0.1, 1.0, 1) == pytest.approx(1.063457, abs=1e-6)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(log_eps=st.floats(-300, 0), log_energy=st.floats(-300, 308), modes=st.integers(1, 4))
+    @example(log_eps=-300, log_energy=10, modes=1)  # 2E/eps overflows
+    @example(log_eps=math.log10(0.5), log_energy=306, modes=1)  # g(2E/eps) cancels to NaN
+    @example(log_eps=-16, log_energy=308, modes=1)  # 1/x underflows
+    def test_matches_high_precision_reference(self, log_eps, log_energy, modes):
+        eps, energy = 10.0**log_eps, 10.0**log_energy
+        value = truncation_certificate(eps, energy, modes)
+        assert value == pytest.approx(certificate_reference(eps, energy, modes), rel=1e-13)
 
     def test_zero_eps(self):
         assert truncation_certificate(0.0, 5.0, 2) == 0.0
@@ -792,43 +824,86 @@ class TestTruncationFold:
     def test_lower_engines_floor_raw_minus_correction(self):
         sq = make_state(self.SQUEEZED, deficit_tol=1e-4)
         energy = exact_energy(self.SQUEEZED)
-        self._correction(gamma_lower_bound(sq, OptimizerConfig(max_iters=3), energy=energy),
+        self._correction(gamma_lower_bound(sq, OptimizerConfig(max_iters=3)),
                          sq, energy)
-        self._correction(husimi_lower_bound(sq), sq, sq.energy)
-        self._correction(cat_gamma_lower_bound(1.0, "-", 14),
+        self._correction(husimi_lower_bound(sq), sq, energy)
+        self._correction(cat_gamma_lower_bound(cat_state(1.0, "-", 14)),
                          make_state(self.CAT, deficit_tol=1e-6), exact_energy(self.CAT))
 
     def test_upper_engines_add_correction(self):
         rho = make_state(self.THERMAL, deficit_tol=1e-4)
         rho_n = rho.renormalized()
         s_bits = von_neumann_entropy(rho_n)
-        up = classical_ansatz_upper_bound(rho, "thermal", energy=1.0)
+        up = classical_ansatz_upper_bound(rho, "thermal")
         raw = g_thermal(rho_n.energy) - s_bits
         assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
-        up = wehrl_upper_bound(rho, energy=1.0)
+        up = wehrl_upper_bound(rho)
         est = wehrl_entropy(rho_n)
         raw = est.bits + est.tail_bits - s_bits
         assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
-        sq = make_state(self.SQUEEZED, deficit_tol=1e-4)
-        self._correction(classical_ansatz_upper_bound(sq, "squeezed_thermal"), sq, sq.energy)
+        sq, sq_energy = make_state(self.SQUEEZED, deficit_tol=1e-4), exact_energy(self.SQUEEZED)
+        self._correction(classical_ansatz_upper_bound(sq, "squeezed_thermal"), sq, sq_energy)
         cat = make_state(self.CAT, deficit_tol=1e-6)
         mixture = classical_ansatz_upper_bound(cat, "coherent_mixture", points=[1.0, -1.0, 0.0])
         assert math.isfinite(mixture.value)
-        self._correction(mixture, cat, cat.energy)
+        self._correction(mixture, cat, exact_energy(self.CAT))
         mismatch = classical_ansatz_upper_bound(sq, "coherent_mixture", points=[0.0])
         assert mismatch.value == math.inf and mismatch.certificate["support_mismatch"]
-        self._correction(mismatch, sq, sq.energy)
+        self._correction(mismatch, sq, sq_energy)
 
     def test_fock_diagonal_pair(self):
         spec = StateSpec("noisy_fock", {"n": 2, "nu": 1, "p": 0.4}, 20)
         rho, energy = make_state(spec, deficit_tol=1e-4), exact_energy(spec)
-        res = fock_diagonal_ncm(rho, energy=energy)
+        res = fock_diagonal_ncm(rho)
         correction = self._correction(res.upper, rho, energy)
         assert self._correction(res.lower, rho, energy) == correction
         dual = res.upper.value - correction
         gap = res.lower.certificate["duality_gap_bits"]
         assert res.lower.value == pytest.approx(max(0.0, dual - gap - correction), abs=1e-12)
         assert res.lower.value > 0.0
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock", {"n": 1}, 6),
+        StateSpec("coherent", {"alpha": 1}, 8),
+        StateSpec("thermal", {"nu": 1}, 10),
+        StateSpec("noisy_fock", {"n": 1, "nu": 1, "p": 0.5}, 10),
+        StateSpec("cat", {"alpha": 1, "sign": "-"}, 10),
+        StateSpec("squeezed", {"r": 0.5}, 12),
+    ], ids=lambda spec: spec.family)
+    def test_spec_states_fold_at_exact_energy(self, spec):
+        # no energy argument: each engine reads the ideal state's energy off the state
+        rho = make_state(spec, deficit_tol=1e-2)
+        energy = exact_energy(spec)
+        assert ideal_energy(rho) == energy
+        eps = truncation_epsilon(rho)
+        if spec.family != "fock":  # |1> fits in the cutoff exactly
+            assert eps > 0.0 and rho.energy != energy
+        bounds = [gamma_lower_bound(rho, OptimizerConfig(max_iters=3)),
+                  husimi_lower_bound(rho),
+                  wehrl_upper_bound(rho),
+                  classical_ansatz_upper_bound(rho, "thermal"),
+                  classical_ansatz_upper_bound(rho, "squeezed_thermal"),
+                  classical_ansatz_upper_bound(rho, "coherent_mixture", points=[1.0])]
+        if rho.fock_diagonal:
+            bounds.extend(fock_diagonal_ncm(rho))
+        if spec.family == "cat":
+            bounds.append(cat_gamma_lower_bound(rho))
+        correction = truncation_certificate(eps, energy, 1)
+        for bound in bounds:
+            assert bound.certificate["truncation_correction_bits"] == correction, bound.certificate
+
+    def test_raw_matrix_folds_at_its_own_energy(self):
+        rho = make_state(self.THERMAL, deficit_tol=1e-4)
+        raw = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
+        assert raw.spec is None and ideal_energy(raw) == raw.energy
+        self._correction(husimi_lower_bound(raw), raw, raw.energy)
+
+    def test_cat_bound_needs_a_cat_spec(self):
+        rho = make_state(self.CAT, deficit_tol=1e-6)
+        for other in (DensityOperator.from_matrix(rho.entries, 1, rho.cutoff),
+                      make_state(self.SQUEEZED, deficit_tol=1e-4)):
+            with pytest.raises(UsageError, match="cat state"):
+                cat_gamma_lower_bound(other)
 
     def test_sparse_basel_eps_is_deficit(self):
         state = make_state(StateSpec("basel", {"n_max": 4}, 17))
@@ -867,13 +942,13 @@ class TestMonotoneBound:
 class TestSandwich:
     def test_fock1_collapses(self):
         spec = StateSpec("fock", {"n": 1}, 25)
-        lo, hi = bound_sandwich(make_state(spec), spec=spec)
+        lo, hi = bound_sandwich(make_state(spec))
         assert hi.value - lo.value <= 2e-4
         assert lo.value == pytest.approx(LOG2E, abs=1e-4)
 
     def test_coherent_interval(self):
         spec = StateSpec("coherent", {"alpha": 2}, 40)
-        lo, hi = bound_sandwich(make_state(spec), spec=spec)
+        lo, hi = bound_sandwich(make_state(spec))
         assert lo.value == 0.0
         assert hi.value <= 1e-4
 
@@ -888,10 +963,22 @@ class TestSandwich:
         assert lo.value <= hi.value
         assert gamma_lower_bound(rho).value <= hi.value + SANDWICH_SLACK
 
+    def test_cat_path_follows_the_spec(self):
+        # one matrix: the family bounds when make_state built it, the dense ascent as a raw matrix
+        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 20))
+        raw = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
+        np.testing.assert_array_equal(raw.entries, rho.entries)
+        lo, hi = bound_sandwich(rho)
+        raw_lo, raw_hi = bound_sandwich(raw, OptimizerConfig(max_iters=5))
+        assert lo.certificate["ansatz_description"].startswith("cat parity-block ansatz")
+        assert hi.certificate["ansatz_description"].startswith("coherent mixture")
+        assert raw_lo.certificate["ansatz_description"] == "dense exp(H) ascent"
+        assert raw_hi.certificate["ansatz_description"].startswith("thermal family")
+
     def test_product_additivity(self):
         plus = StateSpec("cat", {"alpha": 1, "sign": "+"}, 30)
         minus = StateSpec("cat", {"alpha": 1, "sign": "-"}, 30)
-        parts = [bound_sandwich(make_state(spec, deficit_tol=1e-6), spec=spec)
+        parts = [bound_sandwich(make_state(spec, deficit_tol=1e-6))
                  for spec in (plus, minus)]
         lo, hi = product_interval(parts)
         assert lo.value == pytest.approx(parts[0][0].value + parts[1][0].value, abs=1e-9)
@@ -924,21 +1011,20 @@ class TestSandwichDominance:
     def test_never_looser(self, spec):
         rho = make_state(spec, deficit_tol=1e-5)
         energy = exact_energy(spec)
-        lo, hi = bound_sandwich(rho, spec=spec)
-        lowers = [husimi_lower_bound(rho, energy=energy)]
+        lo, hi = bound_sandwich(rho)
+        lowers = [husimi_lower_bound(rho)]
         uppers = [energy_upper_bound(energy),
-                  classical_ansatz_upper_bound(rho, "thermal", energy=energy),
-                  classical_ansatz_upper_bound(rho, "squeezed_thermal", energy=energy)]
+                  classical_ansatz_upper_bound(rho, "thermal"),
+                  classical_ansatz_upper_bound(rho, "squeezed_thermal")]
         if spec.family in ("coherent", "thermal", "squeezed"):
             g_lower, g_upper = gaussian_bounds(gaussian_descriptor(spec))
             lowers.append(g_lower)
             uppers.append(g_upper)
         if spec.family == "coherent":
             uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                                       points=[spec.params["alpha"]],
-                                                       energy=energy))
+                                                       points=[spec.params["alpha"]]))
         if rho.fock_diagonal:
-            lowers.append(fock_diagonal_ncm(rho, energy=energy).lower)
+            lowers.append(fock_diagonal_ncm(rho).lower)
         for b in lowers:
             assert lo.value >= b.value - 1e-12, b.certificate
         for b in uppers:

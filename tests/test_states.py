@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvres.errors import InsufficientCutoffError, UsageError
-from cvres.fock_core import total_photon_numbers
+from cvres.fock_core import (
+    DensityOperator,
+    dephase,
+    partial_trace,
+    total_photon_numbers,
+    tensor_states,
+)
 from cvres.states import (
     FockDiagonalState,
     StateSpec,
@@ -156,6 +162,14 @@ class TestMakeState:
             rho = make_state(spec, deficit_tol=1e-6)
             assert rho.energy == pytest.approx(exact_energy(spec), abs=1e-5)
 
+    @pytest.mark.parametrize("family, params", [
+        ("coherent", {"alpha": 1e200}),
+        ("cat", {"alpha": 1e200, "sign": "+"}),
+        ("squeezed", {"r": 1000}),
+    ])
+    def test_exact_energy_past_float_range_is_inf(self, family, params):
+        assert exact_energy(StateSpec(family, params, 10)) == math.inf
+
 
 class TestBasel:
     def test_sparse_representation(self):
@@ -173,6 +187,37 @@ class TestBasel:
         with pytest.raises(InsufficientCutoffError) as err:
             make_state(StateSpec("basel", {"n_max": 5}, 10))
         assert err.value.required_cutoff == 2**5 + 1
+        assert "needs cutoff >= 2**5 + 1, got 10" in str(err.value)
+
+
+class TestSpecOnState:
+    """Only make_state records the spec on the state it returns."""
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock", {"n": 1}, 6),
+        StateSpec("coherent", {"alpha": 1}, 12),
+        StateSpec("thermal", {"nu": 1}, 12),
+        StateSpec("noisy_fock", {"n": 1, "nu": 1, "p": 0.5}, 12),
+        StateSpec("cat", {"alpha": 1, "sign": "-"}, 12),
+        StateSpec("squeezed", {"r": 0.5}, 16),
+        StateSpec("basel", {"n_max": 3}, 9),
+    ], ids=lambda spec: spec.family)
+    def test_make_state_records_its_spec(self, spec):
+        assert make_state(spec, deficit_tol=1e-2).spec is spec
+
+    def test_every_other_constructor_leaves_none(self):
+        rho = make_state(StateSpec("thermal", {"nu": 1}, 6), deficit_tol=1e-1)
+        assert rho.trace_deficit > 0.0 and rho.spec is not None
+        pair = tensor_states(rho, rho)
+        derived = [DensityOperator.from_matrix(rho.entries, 1, 6), dephase(rho),
+                   rho.renormalized(), pair, partial_trace(pair, [1])]
+        assert [state.spec for state in derived] == [None] * len(derived)
+        assert FockDiagonalState((0, 1), np.array([0.5, 0.5]), 0.0).spec is None
+
+    def test_renormalized_without_deficit_is_the_state_itself(self):
+        rho = make_state(StateSpec("fock", {"n": 2}, 6))
+        assert rho.trace_deficit == 0.0 and rho.renormalized() is rho
+        assert rho.renormalized().spec is rho.spec
 
 
 class TestStateSpecJson:
