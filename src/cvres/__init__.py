@@ -11,7 +11,6 @@ from .errors import (
 from .fock_core import (
     DensityOperator,
     TruncatedOperator,
-    beam_splitter_unitary,
     coherent_vector,
     dephase,
     partial_trace,

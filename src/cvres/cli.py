@@ -360,71 +360,85 @@ def cmd_certify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(p, *, fmt=True, nats=True):
+    p.add_argument("--output", default=None, help="output path (default stdout)")
+    if fmt:  # figure always writes CSV
+        p.add_argument("--format", choices=("csv", "json"), default="json")
+    if nats:  # protocol outputs carry no bits
+        p.add_argument("--nats", action="store_true", help="convert bit outputs to nats")
+
+
+def _monotone_options(p):
+    p.add_argument("--state", required=True, help="state spec JSON, @file, or raw-matrix JSON file")
+    p.add_argument("--which", default="sandwich", help=f"comma list from: {', '.join(_WHICH)}")
+    p.add_argument("--max-iters", type=int, default=300)
+    p.add_argument("--tol", type=float, default=1e-8)
+    _common_options(p)
+
+
+def _figure_options(p):
+    p.add_argument("--name", required=True, help=f"one of: {', '.join(FIGURE_NAMES)}")
+    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--p-grid", dest="p_grid", default=None)
+    p.add_argument("--nu-grid", dest="nu_grid", default=None)
+    p.add_argument("--n-grid", dest="n_grid", default=None)
+    p.add_argument("--alpha-grid", dest="alpha_grid", default=None)
+    p.add_argument("--r-grid", dest="r_grid", default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--nu", type=float, default=None)
+    p.add_argument("--sign", choices=("+", "-"), default=None)
+    p.add_argument("--task", choices=("amplify", "dilute"), default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: rows run serially (kept for existing command lines)")
+    _common_options(p, fmt=False)
+
+
+def _protocol_options(p):
+    p.add_argument("--task", required=True, choices=("fock-dilution", "cat-amplify", "cat-dilute"))
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--cutoff", type=int, default=None)
+    _common_options(p, nats=False)
+
+
+def _certify_options(p):
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--modes", type=int, default=1)
+    p.add_argument("--state", default=None)
+    _common_options(p)
+
+
+# name -> (help, options, handler) of every subcommand
+SUBCOMMANDS = {
+    "monotone": ("certified bounds for one state", _monotone_options, cmd_monotone),
+    "figure": ("CSV tables behind the survey figures", _figure_options, cmd_figure),
+    "protocol": ("exact protocol simulation", _protocol_options, cmd_protocol),
+    "certify": ("truncation certificate and corrected interval", _certify_options, cmd_certify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand is listed, but only ``command``'s options are
+    added when it is named, since one call parses one command; all are when it is None."""
     parser = argparse.ArgumentParser(
         prog="cvres",
         description="Certified nonclassicality bounds and protocol tables on truncated Fock space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, fmt=True, nats=True):
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        if fmt:  # figure always writes CSV
-            p.add_argument("--format", choices=("csv", "json"), default="json")
-        if nats:  # protocol outputs carry no bits
-            p.add_argument("--nats", action="store_true", help="convert bit outputs to nats")
-
-    p_mono = sub.add_parser("monotone", help="certified bounds for one state")
-    p_mono.add_argument("--state", required=True,
-                        help="state spec JSON, @file, or raw-matrix JSON file")
-    p_mono.add_argument("--which", default="sandwich",
-                        help=f"comma list from: {', '.join(_WHICH)}")
-    p_mono.add_argument("--max-iters", type=int, default=300)
-    p_mono.add_argument("--tol", type=float, default=1e-8)
-    common(p_mono)
-    p_mono.set_defaults(func=cmd_monotone)
-
-    p_fig = sub.add_parser("figure", help="CSV tables behind the survey figures")
-    p_fig.add_argument("--name", required=True, help=f"one of: {', '.join(FIGURE_NAMES)}")
-    p_fig.add_argument("--cutoff", type=int, default=None)
-    p_fig.add_argument("--p-grid", dest="p_grid", default=None)
-    p_fig.add_argument("--nu-grid", dest="nu_grid", default=None)
-    p_fig.add_argument("--n-grid", dest="n_grid", default=None)
-    p_fig.add_argument("--alpha-grid", dest="alpha_grid", default=None)
-    p_fig.add_argument("--r-grid", dest="r_grid", default=None)
-    p_fig.add_argument("--n", type=int, default=None)
-    p_fig.add_argument("--nu", type=float, default=None)
-    p_fig.add_argument("--sign", choices=("+", "-"), default=None)
-    p_fig.add_argument("--task", choices=("amplify", "dilute"), default=None)
-    p_fig.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored: rows run serially (kept for existing "
-                            "command lines)")
-    common(p_fig, fmt=False)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_proto = sub.add_parser("protocol", help="exact protocol simulation")
-    p_proto.add_argument("--task", required=True,
-                         choices=("fock-dilution", "cat-amplify", "cat-dilute"))
-    p_proto.add_argument("--n", type=int, default=2)
-    p_proto.add_argument("--p", type=float, default=1.0)
-    p_proto.add_argument("--lam", type=float, default=0.5)
-    p_proto.add_argument("--alpha", type=float, default=1.0)
-    p_proto.add_argument("--cutoff", type=int, default=None)
-    common(p_proto, nats=False)
-    p_proto.set_defaults(func=cmd_protocol)
-
-    p_cert = sub.add_parser("certify", help="truncation certificate and corrected interval")
-    p_cert.add_argument("--epsilon", type=float, required=True)
-    p_cert.add_argument("--energy", type=float, required=True)
-    p_cert.add_argument("--modes", type=int, default=1)
-    p_cert.add_argument("--state", default=None)
-    common(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
+    for name, (help_text, add_options, handler) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import UsageError
-from .fock_core import DensityOperator, coherent_vector
+from .fock_core import DensityOperator, coherent_vector, log_factorials
 
 LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
@@ -257,7 +257,7 @@ def phase_space_tail_bits(energy: float, radius_sq: float, modes: int = 1) -> fl
 def default_quadrature_grid(energy: float, cutoff: int) -> QuadratureGrid:
     """Grid for states of energy <= ``energy``: 64 Gauss-Laguerre radial nodes and
     max(128, 2*cutoff) angular nodes, enough to resolve Fock phases up to the cutoff."""
-    nodes, weights = roots_laguerre(64)
+    nodes, weights = laggauss(64)
     angular = max(128, 2 * cutoff)
     r_sq = float(nodes[-1])
     tail = phase_space_tail_bits(energy, r_sq)
@@ -275,7 +275,8 @@ def _husimi_on_grid(rho: DensityOperator, grid: QuadratureGrid) -> np.ndarray:
     t = grid.radial_nodes
     theta = 2.0 * math.pi * np.arange(grid.angular_count) / grid.angular_count
     k = np.arange(d)
-    log_mag = 0.5 * (k[None, :] * np.log(np.maximum(t[:, None], 1e-300))) - 0.5 * gammaln(k + 1)[None, :]
+    log_mag = (0.5 * (k[None, :] * np.log(np.maximum(t[:, None], 1e-300)))
+               - 0.5 * log_factorials(d)[None, :])
     radial = np.exp(log_mag - 0.5 * t[:, None])  # |alpha|^k/sqrt(k!) * e^(-t/2)
     phases = np.exp(1j * np.outer(theta, k))
     vecs = radial[:, None, :] * phases[None, :, :]  # (t, theta, k)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, InsufficientCutoffError, UsageError
 
@@ -28,6 +26,23 @@ if TYPE_CHECKING:
 
 HERMITICITY_TOL = 1e-12
 PSD_EIGENVALUE_TOL = -1e-10
+
+
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def log_factorials(size: int) -> np.ndarray:
+    """ln k! for 0 <= k < size, from math.lgamma.
+
+    A read-only view of one cached table, regrown to twice the size asked for
+    whenever a larger one is needed, since callers share it.
+    """
+    global _LOG_FACTORIALS
+    if size > _LOG_FACTORIALS.size:
+        table = np.array([math.lgamma(k + 1.0) for k in range(2 * size)])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[:size]
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -208,7 +223,7 @@ def coherent_vector(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
         return vec, 0.0
     if mag >= 1e154:  # mag**2 overflows, and every amplitude on levels < cutoff is 0
         return np.zeros(cutoff, dtype=complex), 1.0
-    log_mag = -0.5 * mag**2 + k * math.log(mag) - 0.5 * gammaln(k + 1)
+    log_mag = -0.5 * mag**2 + k * math.log(mag) - 0.5 * log_factorials(cutoff)
     phase = np.exp(1j * k * np.angle(a))
     vec = np.exp(log_mag) * phase
     deficit = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)))
@@ -239,48 +254,14 @@ def pure_state(vec: np.ndarray, modes: int, cutoff: int) -> DensityOperator:
     return DensityOperator.from_matrix(np.outer(vec, vec.conj()), modes, cutoff, validate=False)
 
 
-def beam_splitter_unitary(lam: float, cutoff: int) -> TruncatedOperator:
-    """Two-mode beam splitter of transmissivity ``lam``.
-
-    Built per total-photon-number block by exponentiating the tridiagonal
-    generator arccos(sqrt(lam)) * (a^dag b - a b^dag); blocks reaching past the
-    cutoff use the self-adjoint restriction, so the assembled matrix is unitary
-    on the whole truncated two-mode space and exactly photon-number conserving.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise UsageError(f"transmissivity must lie in [0, 1], got {lam}")
-    d = cutoff
-    theta = math.acos(math.sqrt(lam))
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for n in range(2 * d - 1):
-        lo, hi = max(0, n - d + 1), min(n, d - 1)
-        ells = np.arange(lo, hi + 1)
-        size = ells.size
-        flat = (n - ells) * d + ells
-        if size == 1:
-            u[flat[0], flat[0]] = 1.0
-            continue
-        # Real antisymmetric tridiagonal T with T[i, i+1] = theta*sqrt((l+1)(n-l));
-        # diag(i^p) similarity turns exp(T) into exp(-iM) for symmetric M.
-        off = theta * np.sqrt((ells[:-1] + 1.0) * (n - ells[:-1]))
-        if theta == 0.0:
-            block = np.eye(size)
-        else:
-            w, v = eigh_tridiagonal(np.zeros(size), off)
-            phase = (1j) ** np.arange(size)
-            expm = (v * np.exp(-1j * w)) @ v.T
-            block = np.real(np.conj(phase)[:, None] * expm * phase[None, :])
-        u[np.ix_(flat, flat)] = block
-    return TruncatedOperator(2, d, u, hermitian=False)
-
-
 def beam_splitter_fock_column(n: int, lam: float) -> np.ndarray:
     """Closed-form image of |n,0> under the beam splitter, as amplitudes over l.
 
     Returns c_l with U|n,0> = sum_l c_l |n-l, l>.
     """
     ells = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
+    log_fact = log_factorials(n + 1)
+    log_binom = log_fact[n] - log_fact - log_fact[::-1]
     if lam == 0.0:
         c = np.zeros(n + 1)
         c[n] = (-1.0) ** n

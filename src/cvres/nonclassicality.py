@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar, nnls
-from scipy.special import gammaln, xlogy
 
+from ._optim import bounded_minimum, nelder_mead, nnls
 from .entropies import (
     _ZERO_BIN,
     LN2,
@@ -39,7 +38,7 @@ from .entropies import (
     wehrl_entropy,
 )
 from .errors import BoundConsistencyError, UsageError
-from .fock_core import DensityOperator, coherent_vector
+from .fock_core import DensityOperator, coherent_vector, log_factorials
 from .states import (
     FockDiagonalState,
     GaussianDescriptor,
@@ -109,7 +108,7 @@ def fock_closed_form(n: int) -> float:
         raise UsageError("n must be >= 0")
     if n == 0:
         return 0.0
-    return (float(gammaln(n + 1)) + n - n * math.log(n)) / LN2
+    return (math.lgamma(n + 1) + n - n * math.log(n)) / LN2
 
 
 @dataclass(frozen=True)
@@ -211,11 +210,17 @@ _HALF_LOG_FACTORIALS: dict[int, np.ndarray] = {}
 def _half_log_factorials(d: int) -> np.ndarray:
     """(ln j! + ln k!)/2 for 0 <= j, k < d, cached per d and read-only since callers share it."""
     if d not in _HALF_LOG_FACTORIALS:
-        log_fact = gammaln(np.arange(d) + 1)
+        log_fact = log_factorials(d)
         table = 0.5 * (log_fact[:, None] + log_fact[None, :])
         table.setflags(write=False)
         _HALF_LOG_FACTORIALS[d] = table
     return _HALF_LOG_FACTORIALS[d]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order; np.unique would import numpy.ma on first use."""
+    out = np.sort(values)
+    return out[np.concatenate([[True], np.diff(out) > 0.0])]
 
 
 def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
@@ -324,7 +329,7 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
         smooth = np.where(at_zero, np.inf, np.maximum(fa, fb) + 0.125 * (b - a) ** 2 * d2)
         return np.minimum(peak, smooth)
 
-    probes = np.unique(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
+    probes = _distinct(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
     values = np.concatenate([[math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0],
                              envelope_at(probes[1:])])
     i_best = int(np.argmax(values))
@@ -372,7 +377,7 @@ def _coherent_witness_weight(entries: np.ndarray, t_star: float) -> np.ndarray:
         v = np.zeros(d)
         v[0] = 1.0
     else:
-        v = np.exp(0.5 * (k * math.log(t_star) - gammaln(k + 1)) - 0.5 * t_star)
+        v = np.exp(0.5 * (k * math.log(t_star) - log_factorials(d)) - 0.5 * t_star)
     mag = np.abs(entries)
     phase = np.where(mag > 0, entries / np.where(mag > 0, mag, 1.0), 1.0)
     return phase * np.outer(v, v)
@@ -463,8 +468,7 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
                 best = (value, cert)
             return -value
 
-        res = minimize(objective, np.array([0.0, -8.0]), method="Nelder-Mead",
-                       options={"maxiter": 250, "xatol": 1e-6, "fatol": 1e-9})
+        res = nelder_mead(objective, np.array([0.0, -8.0]), maxiter=250, xatol=1e-6, fatol=1e-9)
         raw, cert = best
         iterations, converged = int(res.nit), bool(res.success)
         ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
@@ -483,13 +487,17 @@ class FockDiagonalResult(NamedTuple):
 
 
 def _log_poisson(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """ln pois(k; t) for k (rows) and t (cols); t = 0 is the point mass at 0 (xlogy(0, 0) = 0)."""
-    return xlogy(ks[:, None], ts[None, :]) - ts[None, :] - gammaln(ks + 1)[:, None]
+    """ln pois(k; t) for integer-valued k (rows) and t (cols); t = 0 is the point mass at 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_ln_t = np.where(ks[:, None] == 0.0, 0.0, ks[:, None] * np.log(ts[None, :]))
+    log_fact = log_factorials(int(ks.max()) + 1)[ks.astype(np.intp)]
+    return k_ln_t - ts[None, :] - log_fact[:, None]
 
 
 FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
 FD_MAX_ROUNDS = 500  # exchange rounds of the Poisson-mixture fit
 FD_SUM_ROW = 1e4  # weight of the least-squares row that holds the mixture weights to sum 1
+FD_VERTEX_LN_PHI = 1.0  # ln sup phi above which a round first moves weight onto its top atom
 
 
 def _phi_maxima(ks, a, grid, log_pois_grid):
@@ -529,6 +537,32 @@ def _phi_maxima(ks, a, grid, log_pois_grid):
     return ts, best
 
 
+def _vertex_step(p: np.ndarray, q: np.ndarray, col: np.ndarray) -> float:
+    """argmax over s in [0, 1) of sum_k p_k ln((1 - s) q_k + s col_k).
+
+    The objective is concave in s, with slope phi - 1 > 0 at s = 0 when col
+    is the Poisson column of an atom where phi > 1.  Newton steps on the slope
+    stay inside the bracket of its root and bisect it when they would leave;
+    the bracket's lower end is returned, where the slope is still positive, so
+    the step never descends.
+    """
+    diff = col - q
+    lo, hi, s = 0.0, 1.0, 0.0
+    for _ in range(60):
+        ratio = diff / (q + s * diff)
+        slope = float(p @ ratio)
+        if slope > 0.0:
+            lo = s
+        else:
+            hi = s
+        newton = s + slope / float(p @ ratio**2)
+        s_next = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(s_next - s) <= 1e-12 * s_next:
+            break
+        s = s_next
+    return lo
+
+
 def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     """Minimize KL(p || q), q_k = sum_j w_j pois(k; t_j), over mixing measures on [0, t_cap].
 
@@ -544,7 +578,10 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     on the quadratic model sum_k p_k (sum_j w_j pois(k; t_j)/q_k - 2)^2 with a
     heavy row for sum_j w_j = 1, then an Armijo backtrack on sum_k p_k ln q_k.
     Atoms left at weight 0 are dropped, and a step that no backtrack makes an
-    ascent ends the loop.
+    ascent ends the loop.  Where ln sup phi exceeds ``FD_VERTEX_LN_PHI`` (a tail
+    the model has emptied, where it can at most double q per step), the round
+    first moves weight onto the atom of largest phi by the exact line search of
+    ``_vertex_step``.
 
     With L = p/q on the supported levels, Tr[rho log2 L] = KL(p || q), so the
     primal value of L is exactly the dual minus log2 sup phi.  Returns the atoms,
@@ -556,9 +593,9 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     log_pois_grid = _log_poisson(ks, grid)
     root_p = np.sqrt(p)
     # start with one atom per half unit of sqrt(t), carrying the weight of its nearest levels
-    atoms, nearest = np.unique(np.minimum(np.round(2.0 * np.sqrt(ks)) ** 2 / 4.0, t_cap),
-                               return_inverse=True)
-    w = np.bincount(nearest, weights=p)
+    start = np.minimum(np.round(2.0 * np.sqrt(ks)) ** 2 / 4.0, t_cap)
+    atoms = _distinct(start)
+    w = np.bincount(np.searchsorted(atoms, start), weights=p)
     pois = np.exp(_log_poisson(ks, atoms))
     q = pois @ w
     rounds = 0
@@ -572,11 +609,17 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
         atoms = np.concatenate([atoms, new])
         w = np.concatenate([w, np.zeros(new.size)])
         pois = np.hstack([pois, np.exp(_log_poisson(ks, new))])
+        if ln_phi.max() > FD_VERTEX_LN_PHI:
+            top = w.size - new.size + int(np.argmax(ln_phi[ln_phi > 0.0]))
+            s = _vertex_step(p, q, pois[:, top])
+            w *= 1.0 - s
+            w[top] += s
+            q = pois @ w
         ratio = pois / q[:, None]
         model = root_p[:, None] * ratio
         scale = np.linalg.norm(model, axis=0)  # unit columns keep small tail weights resolvable
         target = nnls(np.vstack([model / scale, FD_SUM_ROW / scale]),
-                      np.append(2.0 * root_p, FD_SUM_ROW))[0] / scale
+                      np.append(2.0 * root_p, FD_SUM_ROW)) / scale
         direction = target / target.sum() - w
         slope = float(p @ ratio @ direction)
         for step in 0.5 ** np.arange(34):
@@ -795,10 +838,9 @@ def classical_ansatz_upper_bound(
             if val < best:
                 best, best_param = val, float(s)
         if best_param is not None:
-            res = minimize_scalar(d_squeezed, method="bounded",
-                                  bounds=(max(best_param - 0.1, 1e-3), best_param + 0.1))
-            if res.fun < best:
-                best, best_param = float(res.fun), float(res.x)
+            s_min, d_min = bounded_minimum(d_squeezed, max(best_param - 0.1, 1e-3), best_param + 0.1)
+            if d_min < best:
+                best, best_param = float(d_min), float(s_min)
         meta["ansatz_description"] = f"squeezed-thermal ansatz, best s={best_param}"
     elif family == "coherent_mixture":
         if not points:
@@ -807,13 +849,10 @@ def classical_ansatz_upper_bound(
         n_pts = len(points)
         best_w = np.full(n_pts, 1.0 / n_pts)
         best = divergence(best_w)
-        if n_pts > 1:
-            res = minimize(
-                lambda x: divergence(np.exp(x) / np.sum(np.exp(x))),
-                np.zeros(n_pts),
-                method="Nelder-Mead",
-                options={"maxiter": 400, "fatol": 1e-12},
-            )
+        # +inf at equal weights means rho leaves the atoms' span, which no weights mend
+        if n_pts > 1 and math.isfinite(best):
+            res = nelder_mead(lambda x: divergence(np.exp(x) / np.sum(np.exp(x))),
+                              np.zeros(n_pts), maxiter=400, fatol=1e-12)
             cand = np.exp(res.x) / np.sum(np.exp(res.x))
             val = divergence(cand)
             if val < best:

@@ -19,10 +19,9 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InsufficientCutoffError, UsageError
-from .fock_core import DensityOperator, coherent_vector, pure_state
+from .fock_core import DensityOperator, coherent_vector, log_factorials, pure_state
 
 GAUSSIAN_FAMILIES = ("coherent", "thermal", "squeezed")
 
@@ -174,9 +173,10 @@ def squeezed_amplitudes(r: float, cutoff: int) -> np.ndarray:
     n = np.arange((cutoff + 1) // 2)
     # cosh overflows from |r| ~ 710, where ln cosh r = |r| - ln 2 to rounding
     log_cosh = math.log(math.cosh(r)) if abs(r) < 700.0 else abs(r) - math.log(2.0)
+    log_fact = log_factorials(2 * n.size)
     log_mag = (
         -0.5 * log_cosh
-        + 0.5 * (gammaln(2 * n + 1) - 2.0 * gammaln(n + 1))
+        + 0.5 * (log_fact[2 * n] - 2.0 * log_fact[n])
         + n * math.log(abs(t) / 2.0)
     )
     signs = np.where(n % 2 == 0, 1.0, -1.0) if t > 0 else 1.0

@@ -18,7 +18,6 @@ import pytest
 from cvres.fock_core import (
     DensityOperator,
     beam_splitter_fock_column,
-    beam_splitter_unitary,
     coherent_vector,
     dephase,
     fock_state,
@@ -58,6 +57,7 @@ from cvres.rates import (
     noisy_fock_dilution_rate_bound,
 )
 from cvres.states import gaussian_descriptor
+from oracles import beam_splitter_unitary
 
 LOG2E = math.log2(math.e)
 

@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvres.cli import main
+from cvres.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -346,14 +349,12 @@ class TestFigure:
         from cvres import nonclassicality as nc
         from cvres import rates
 
-        real = nc.minimize
+        real = nc.nelder_mead
 
         def failing(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.success = False
-            return res
+            return real(*args, **kwargs)._replace(success=False)
 
-        monkeypatch.setattr(nc, "minimize", failing)
+        monkeypatch.setattr(nc, "nelder_mead", failing)
         monkeypatch.setattr(rates, "cat_interval", rates.cat_interval.__wrapped__)
         code, out, _ = run_cli(
             ["figure", "--name", "cat", "--alpha-grid", "0.3", "--sign", "+", "--cutoff", "30"],
@@ -533,3 +534,39 @@ def test_unread_flags_rejected(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["monotone", "--state", FOCK1, "--which", "sandwich", "--max-iters", "5"],
+    ["figure", "--name", "cat", "--alpha-grid", "0.3", "--sign", "+", "--threads", "2"],
+    ["protocol", "--task", "fock-dilution", "--n", "3", "--lam", "0.4"],
+    ["certify", "--epsilon", "0.1", "--energy", "1", "--nats"],
+])
+def test_one_command_parser_parses_as_the_full_one(argv):
+    full = vars(build_parser().parse_args(argv))
+    assert vars(build_parser(argv[0]).parse_args(argv)) == full
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["figure", "--help"], ["nonsense"]])
+def test_help_and_unknown_commands(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    if argv == ["nonsense"]:
+        assert code == 1 and "invalid choice" in err
+    else:
+        assert code == 0 and out.startswith("usage: cvres")
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency: importing the CLI and certifying one
+    # supremum must load no scipy module, nor numpy.ma (which np.unique pulls in)
+    import cvres
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvres.__file__)))
+    code = ("import sys, numpy as np, cvres.cli\n"
+            "from cvres.nonclassicality import coherent_sup_certified\n"
+            "coherent_sup_certified(np.diag([0.0, 1.0]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -8,7 +8,6 @@ from cvres.fock_core import (
     DensityOperator,
     TruncatedOperator,
     beam_splitter_fock_column,
-    beam_splitter_unitary,
     coherent_vector,
     dephase,
     fock_state,
@@ -21,6 +20,7 @@ from cvres.fock_core import (
     vacuum_state,
 )
 from cvres.states import StateSpec, cat_amplitudes, make_state, thermal_weights
+from oracles import beam_splitter_unitary
 
 
 def fock_projector(n, d):
@@ -111,6 +111,16 @@ class TestCoherentVector:
         vec, _ = coherent_vector(1j, 20)
         assert vec[1] == pytest.approx(1j * math.exp(-0.5))
 
+
+class TestLogFactorials:
+    def test_values_and_sharing(self):
+        from cvres.fock_core import log_factorials
+
+        table = log_factorials(50)
+        assert table.shape == (50,) and not table.flags.writeable
+        assert table[0] == table[1] == 0.0
+        assert all(table[k] == math.lgamma(k + 1.0) for k in range(50))
+        assert np.array_equal(log_factorials(500)[:50], table)  # regrown, same values
 
 class TestBeamSplitter:
     def test_lambda_one_identity(self):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import OptimizeResult, minimize, minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
 from cvres import nonclassicality
+from cvres._optim import SimplexResult
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
 from cvres.entropies import von_neumann_entropy, wehrl_entropy
@@ -380,6 +381,26 @@ class TestFockDiagonal:
         assert res.lower.value == 0.0
         assert res.upper.value <= 1e-6
 
+    def test_far_tail_is_regrown_in_few_rounds(self):
+        # the first weight step empties the tail, where phi then reaches e^60; a step
+        # towards the top atom refills it, where one NNLS step at most doubles q
+        spec = StateSpec("noisy_fock", {"n": 2, "nu": 1, "p": 0.3}, 40)
+        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
+        assert res.lower.converged
+        assert res.lower.certificate["iterations"] <= 20
+
+    def test_vertex_step_is_the_exact_line_maximum(self):
+        ks = np.arange(12.0)
+        p = np.exp(nonclassicality._log_poisson(ks, np.array([3.0]))[:, 0])
+        p /= p.sum()
+        q = np.exp(nonclassicality._log_poisson(ks, np.array([1.0]))[:, 0])
+        col = np.exp(nonclassicality._log_poisson(ks, np.array([5.0]))[:, 0])
+        s = nonclassicality._vertex_step(p, q, col)
+        grid = np.linspace(0.0, 1.0, 20001)[:-1]
+        values = np.log(np.outer(1.0 - grid, q) + np.outer(grid, col)) @ p
+        assert s == pytest.approx(grid[np.argmax(values)], abs=1e-4)
+        assert abs(p @ ((col - q) / (q + s * (col - q)))) < 1e-9  # the slope vanishes there
+
     def test_certificate_counts_rounds(self):
         fock = fock_diagonal_ncm(fock_state(2, 20)).lower.certificate
         assert fock["iterations"] == 0  # one atom at t = 2 is already optimal
@@ -454,12 +475,12 @@ class TestCatReflection:
         # at x[1] = 60 the even block must be exponentiated at the clipped value
         x_far = np.array([0.0, 60.0])
 
-        def fake_minimize(fun, x0, **kwargs):
-            return OptimizeResult(x=x_far, fun=fun(x_far), success=True, nit=1)
+        def fake_nelder_mead(fun, x0, **kwargs):
+            return SimplexResult(x_far, fun(x_far), 1, True)
 
         rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 35), deficit_tol=1e-6)
         up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[0.3, -0.3, 0.0])
-        monkeypatch.setattr(nonclassicality, "minimize", fake_minimize)
+        monkeypatch.setattr(nonclassicality, "nelder_mead", fake_nelder_mead)
         lo = cat_gamma_lower_bound(cat_state(0.3, "+", 35))
         assert lo.value <= up.value
 
@@ -660,6 +681,16 @@ class TestClassicalAnsatz:
 
     def test_support_mismatch_is_infinite(self):
         up = classical_ansatz_upper_bound(fock_state(1, 12), "coherent_mixture", points=[0.0])
+        assert up.value == math.inf and up.certificate["support_mismatch"]
+
+    def test_support_mismatch_skips_the_search(self, monkeypatch):
+        # +inf at equal weights holds for every weight, so the simplex is never built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the weight search ran on an objective that is +inf everywhere")
+
+        monkeypatch.setattr(nonclassicality, "nelder_mead", unreachable)
+        rho = make_state(StateSpec("fock", {"n": 1}, 6))
+        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[1.0, -1.0, 0.0])
         assert up.value == math.inf and up.certificate["support_mismatch"]
 
     def test_cat2_mixture_gap(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvres.errors import DegenerateParameterError, UsageError
-from cvres.fock_core import DensityOperator, beam_splitter_unitary, fock_state, tensor_states
+from cvres.fock_core import DensityOperator, fock_state, tensor_states
 from cvres.states import StateSpec, cat_amplitudes, make_state
 from cvres.nonclassicality import MonotoneBound, fock_closed_form
 from cvres import rates
@@ -25,6 +25,7 @@ from cvres.rates import (
     rate_upper_bound,
     thermo_rate_bound,
 )
+from oracles import beam_splitter_unitary
 
 
 def loop_series_oracle(n, p, lam, rounds=100000):
