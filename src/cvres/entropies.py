@@ -310,23 +310,6 @@ def wehrl_entropy(rho: DensityOperator, grid: QuadratureGrid | None = None) -> W
     return WehrlEstimate(value, grid.tail_bits)
 
 
-def husimi_kl_on_grid(
-    rho: DensityOperator, sigma: DensityOperator, grid: QuadratureGrid | None = None
-) -> float:
-    """Grid value of the classical KL between the two Husimi functions, in bits."""
-    if rho.modes != 1 or sigma.modes != 1:
-        raise UsageError("husimi_kl_on_grid supports single-mode states")
-    if grid is None:
-        grid = default_quadrature_grid(max(rho.energy, sigma.energy), rho.cutoff)
-    q_r = np.clip(_husimi_on_grid(rho, grid), 1e-300, None)
-    q_s = np.clip(_husimi_on_grid(sigma, grid), 1e-300, None)
-    integrand = q_r * (np.log2(q_r) - np.log2(q_s))
-    t = grid.radial_nodes
-    radial_sum = grid.radial_weights * np.exp(np.minimum(t, 700))
-    angular_mean = integrand.mean(axis=1) * (2.0 * math.pi)
-    return 0.5 * float(np.dot(radial_sum, angular_mean))
-
-
 def husimi_sup(rho: DensityOperator) -> float:
     """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
     if rho.modes != 1:

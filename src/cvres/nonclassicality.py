@@ -38,7 +38,7 @@ from .entropies import (
     wehrl_entropy,
 )
 from .errors import BoundConsistencyError, UsageError
-from .fock_core import DensityOperator, coherent_vector, log_factorials
+from .fock_core import DensityOperator, coherent_vector, displacement_columns, log_factorials
 from .states import (
     FockDiagonalState,
     GaussianDescriptor,
@@ -58,7 +58,8 @@ def g_thermal(x: float) -> float:
         raise UsageError("g is defined for x >= 0")
     if x == 0.0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    # log1p keeps the digits of ln(1 + x) that log2(x + 1) drops for small x
+    return (x + 1.0) * math.log1p(x) * LOG2E - x * math.log2(x)
 
 
 def truncation_certificate(eps: float, energy: float, modes: int = 1) -> float:
@@ -686,6 +687,55 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
                               _certified(state, "NC", "upper", dual_bits, certificate, **fold))
 
 
+CENTRE_PAD = 20  # Fock levels past the cutoff kept of a centred diagonal
+
+
+def centred_dephased_ncm(rho: DensityOperator) -> FockDiagonalResult:
+    """Certified pair for a single-mode matrix from its centred, dephased diagonal.
+
+    The monotones are invariant under displacements and cannot rise under phase
+    averaging.  With beta = Tr[rho a], let p_c be the diagonal of
+    D(-beta) rho D(-beta)^+, and q the Poisson mixture that ``fock_diagonal_ncm``
+    fits to it.  Then NCM(rho) >= NCM(diag p_c) >= the program's lower bound,
+    and the classical state D(beta) sigma_q D(beta)^+ gives the upper bound
+    D(rho || D(beta) sigma_q D(beta)^+) = KL(p_c || q) + H(p_c) - S(rho).
+
+    p_c is kept on d + ``CENTRE_PAD`` levels.  The mass tau it loses there is
+    exact, the trace minus what is kept, and the centred state has energy at
+    most (sqrt(E) + |beta|)^2.  So the cut costs c = truncation_certificate(tau,
+    that energy), folded here once on the lower side and twice on the upper
+    side: once on KL and once on H(p_c), which the cut lowers by at most
+    h(tau) + tau g(E/tau) <= c.  The input's own truncation is folded on rho
+    by ``_certified``.  Both certificates carry the raw value before that fold.
+    """
+    if rho.modes != 1:
+        raise UsageError("centred_dephased_ncm handles single-mode states")
+    rho_n = rho.renormalized()
+    ent, d = rho_n.entries, rho.cutoff
+    beta = complex(np.sqrt(np.arange(1.0, d)) @ np.diagonal(ent, offset=-1))
+    cols = displacement_columns(-beta, d + CENTRE_PAD, d)
+    p_c = np.clip(np.real(np.sum((cols @ ent) * cols.conj(), axis=1)), 0.0, None)
+    tau = min(max(rho_n.trace() - float(p_c.sum()), 0.0), 1.0)
+    pad = truncation_certificate(tau, (math.sqrt(max(rho_n.energy, 0.0)) + abs(beta)) ** 2)
+    p = p_c / p_c.sum()
+    exact = fock_diagonal_ncm(FockDiagonalState(tuple(range(p.size)), p, 0.0))
+    dephasing = max(entropy_of_probabilities(p) - von_neumann_entropy(rho_n), 0.0)
+
+    shared = {k: v for k, v in exact.lower.certificate.items() if not k.startswith("truncation_")}
+    shared.update(ansatz_description=f"centred at {beta:.6g} and dephased: "
+                                     + shared["ansatz_description"],
+                  pad_epsilon=tau, pad_correction_bits=pad)
+    raw_lower = exact.lower.value - pad
+    raw_upper = exact.upper.value + dephasing + 2.0 * pad
+    converged = exact.lower.converged
+    return FockDiagonalResult(
+        _certified(rho, "NCM", "lower", raw_lower, {**shared, "raw_value_bits": raw_lower},
+                   converged=converged),
+        _certified(rho, "NC", "upper", raw_upper,
+                   {**shared, "dephasing_entropy_bits": dephasing, "raw_value_bits": raw_upper},
+                   converged=converged))
+
+
 def noisy_fock_closed_form(p: float) -> float:
     """Analytic value for p|1><1| + (1-p)|0><0| in bits."""
     if not (0.0 <= p <= 1.0):
@@ -971,9 +1021,12 @@ def bound_sandwich(
     One list of candidate bounds, the best of each side taken: the energy
     bound for every state; the exact program for single-mode Fock-diagonal
     states; for a state built from a spec, its family's bounds
-    (``_family_bounds``); for any other single-mode state that is not
-    Fock-diagonal, the dense exp(H) ascent.  A nonempty interval is enforced
-    loudly.
+    (``_family_bounds``).  Any other single-mode state that is not
+    Fock-diagonal gets the centred and dephased pair
+    (``centred_dephased_ncm``), and the dense exp(H) ascent only when that
+    pair's raw gap exceeds 2 ``FD_TOL_BITS``: an ascent value is at most
+    NCM <= NC <= the pair's raw upper bound, so it could not raise the lower
+    bound by more.  A nonempty interval is enforced loudly.
     """
     candidates = [energy_upper_bound(ideal_energy(rho), rho.modes)]
     if rho.modes == 1 and rho.fock_diagonal:
@@ -981,7 +1034,11 @@ def bound_sandwich(
     if rho.spec is not None:
         candidates.extend(_family_bounds(rho))
     elif rho.modes == 1 and not rho.fock_diagonal:
-        candidates.append(gamma_lower_bound(rho, cfg))
+        lower, upper = centred_dephased_ncm(rho)
+        candidates += [lower, upper]
+        gap = upper.certificate["raw_value_bits"] - lower.certificate["raw_value_bits"]
+        if gap > 2 * FD_TOL_BITS:
+            candidates.append(gamma_lower_bound(rho, cfg))
 
     # max and min keep the first of equal values, so list order settles ties
     lowers = [b for b in candidates if b.direction == "lower"] or [

@@ -147,28 +147,6 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
     )
 
 
-def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: int = 0) -> float:
-    """Sampled success frequency; exists only to cross-check the exact path.
-
-    Each shot draws |n> with probability p, else vacuum, which never heralds;
-    |n> then runs count rounds until one count (success) or more (failure).
-    """
-    p0_fock, p1_fock, _ = _one_round_branches(n, lam)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(shots):
-        if rng.random() >= p:
-            continue
-        for _ in range(10_000):
-            r = rng.random()
-            if r < p1_fock:
-                hits += 1
-                break
-            if r >= p1_fock + p0_fock:
-                break
-    return hits / shots
-
-
 # ---------------------------------------------------------------------------
 # cat-state protocols
 # ---------------------------------------------------------------------------

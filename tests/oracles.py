@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
+from cvres.entropies import QuadratureGrid, _husimi_on_grid, default_quadrature_grid
 from cvres.errors import UsageError
-from cvres.fock_core import TruncatedOperator
+from cvres.fock_core import DensityOperator, TruncatedOperator
+from cvres.rates import _one_round_branches
 
 
 def beam_splitter_unitary(lam: float, cutoff: int) -> TruncatedOperator:
@@ -41,3 +43,42 @@ def beam_splitter_unitary(lam: float, cutoff: int) -> TruncatedOperator:
             block = np.real(np.conj(phase)[:, None] * expm * phase[None, :])
         u[np.ix_(flat, flat)] = block
     return TruncatedOperator(2, d, u, hermitian=False)
+
+
+def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: int = 0) -> float:
+    """Sampled success frequency; exists only to cross-check the exact path.
+
+    Each shot draws |n> with probability p, else vacuum, which never heralds;
+    |n> then runs count rounds until one count (success) or more (failure).
+    """
+    p0_fock, p1_fock, _ = _one_round_branches(n, lam)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(shots):
+        if rng.random() >= p:
+            continue
+        for _ in range(10_000):
+            r = rng.random()
+            if r < p1_fock:
+                hits += 1
+                break
+            if r >= p1_fock + p0_fock:
+                break
+    return hits / shots
+
+
+def husimi_kl_on_grid(
+    rho: DensityOperator, sigma: DensityOperator, grid: QuadratureGrid | None = None
+) -> float:
+    """Grid value of the classical KL between the two Husimi functions, in bits."""
+    if rho.modes != 1 or sigma.modes != 1:
+        raise UsageError("husimi_kl_on_grid supports single-mode states")
+    if grid is None:
+        grid = default_quadrature_grid(max(rho.energy, sigma.energy), rho.cutoff)
+    q_r = np.clip(_husimi_on_grid(rho, grid), 1e-300, None)
+    q_s = np.clip(_husimi_on_grid(sigma, grid), 1e-300, None)
+    integrand = q_r * (np.log2(q_r) - np.log2(q_s))
+    t = grid.radial_nodes
+    radial_sum = grid.radial_weights * np.exp(np.minimum(t, 700))
+    angular_mean = integrand.mean(axis=1) * (2.0 * math.pi)
+    return 0.5 * float(np.dot(radial_sum, angular_mean))

@@ -26,7 +26,6 @@ from cvres.fock_core import (
 )
 from cvres.states import StateSpec, make_state, exact_energy
 from cvres.entropies import (
-    husimi_kl_on_grid,
     kl_divergence,
     measured_relative_entropy,
     relative_entropy,
@@ -57,7 +56,7 @@ from cvres.rates import (
     noisy_fock_dilution_rate_bound,
 )
 from cvres.states import gaussian_descriptor
-from oracles import beam_splitter_unitary
+from oracles import beam_splitter_unitary, husimi_kl_on_grid
 
 LOG2E = math.log2(math.e)
 

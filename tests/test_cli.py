@@ -151,7 +151,19 @@ class TestMonotone:
         assert code == 1
         assert "ncm-lower" in err
 
-    def test_nonconvergence_exit_2(self, capsys):
+    def test_nonconvergence_exit_2(self, capsys, monkeypatch):
+        # the centred pair wins the lower side here; it reports the program's own verdict
+        import dataclasses
+
+        from cvres import nonclassicality as nc
+
+        real = nc.fock_diagonal_ncm
+
+        def failing(state):
+            return nc.FockDiagonalResult(
+                *(dataclasses.replace(b, converged=False) for b in real(state)))
+
+        monkeypatch.setattr(nc, "fock_diagonal_ncm", failing)
         rng = np.random.default_rng(0)
         g = rng.normal(size=(6, 6))
         mat = g @ g.T

@@ -9,7 +9,6 @@ from cvres.entropies import (
     QuadratureGrid,
     ascend,
     default_quadrature_grid,
-    husimi_kl_on_grid,
     husimi_q,
     husimi_sup,
     kl_divergence,
@@ -19,6 +18,7 @@ from cvres.entropies import (
     wehrl_entropy,
 )
 from cvres.states import StateSpec, make_state
+from oracles import husimi_kl_on_grid
 
 LOG2E = math.log2(math.e)
 

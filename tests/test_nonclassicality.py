@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
@@ -11,7 +12,7 @@ from cvres import nonclassicality
 from cvres._optim import SimplexResult
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
-from cvres.entropies import von_neumann_entropy, wehrl_entropy
+from cvres.entropies import entropy_of_probabilities, von_neumann_entropy, wehrl_entropy
 from cvres.states import (
     GaussianDescriptor,
     StateSpec,
@@ -29,6 +30,7 @@ from cvres.nonclassicality import (
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
+    centred_dephased_ncm,
     classical_ansatz_upper_bound,
     coherent_sup_certified,
     energy_upper_bound,
@@ -570,6 +572,15 @@ class TestEnergyBound:
             )
             assert res.fun == pytest.approx(g_thermal(x), abs=1e-8)
 
+    @pytest.mark.parametrize("x", [1e-17, 1e-12])
+    def test_g_keeps_its_digits_at_small_x(self, x):
+        # log2(x + 1) would drop the digits of ln(1 + x): 2.5 % low at 1e-17
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            dx = decimal.Decimal(x)
+            reference = ((dx + 1) * (dx + 1).ln() - dx * dx.ln()) / decimal.Decimal(2).ln()
+        assert g_thermal(x) == pytest.approx(float(reference), rel=1e-12)
+
 
 class TestWehrlHusimiPair:
     def test_vacuum(self):
@@ -784,6 +795,100 @@ class TestDephasingMonotonicity:
         assert exact.lower.value <= upper.value + 1e-6
 
 
+def _displaced_mixture(beta: complex, d: int, weights: dict) -> DensityOperator:
+    """Truncated D(beta) (sum_n w_n |n><n|) D(beta)^+, from the ladder on a padded space."""
+    pad = d + 60
+    coh, _ = coherent_vector(beta, pad)
+    ent = np.zeros((d, d), dtype=complex)
+    vec = coh
+    for n in range(max(weights) + 1):
+        if n in weights:
+            ent += weights[n] * np.outer(vec[:d], vec[:d].conj())
+        raised = np.zeros(pad, dtype=complex)
+        raised[1:] = np.sqrt(np.arange(1, pad)) * vec[:-1]
+        vec = (raised - np.conj(beta) * vec) / math.sqrt(n + 1)
+    return DensityOperator.from_matrix(ent, 1, d)
+
+
+def _random_raw_state(d: int, rank: int, seed: int) -> DensityOperator:
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    mat = g @ g.conj().T
+    return DensityOperator.from_matrix(mat / np.trace(mat), 1, d)
+
+
+class TestCentredDephased:
+    """The centred and dephased pair for raw single-mode matrices."""
+
+    def test_interval_is_covariant(self):
+        # the same noisy Fock state displaced by the four quarter turns and three random betas
+        rng = np.random.default_rng(4)
+        betas = [1j**k for k in range(4)] + list(
+            rng.uniform(0.5, 1.2, 3) * np.exp(2j * math.pi * rng.random(3)))
+        intervals = [bound_sandwich(_displaced_mixture(b, 30, {1: 0.6, 0: 0.4})) for b in betas]
+        first = [b.certificate["raw_value_bits"] for b in intervals[0]]
+        for pair in intervals:
+            assert [b.certificate["raw_value_bits"] for b in pair] == pytest.approx(first, abs=1e-7)
+            # the fold differs only by the trace's rounding, a deficit of at most a few ulp
+            assert [b.value for b in pair] == pytest.approx([b.value for b in intervals[0]], abs=2e-6)
+
+    @pytest.mark.parametrize("beta, weights, truth", [
+        (1.0, {1: 1.0}, fock_closed_form(1)),
+        (0.8, {2: 1.0}, fock_closed_form(2)),
+        (1.0, {1: 0.6, 0: 0.4}, noisy_fock_closed_form(0.6)),
+    ])
+    def test_displaced_states_reach_the_closed_form(self, beta, weights, truth):
+        lo, hi = bound_sandwich(_displaced_mixture(beta, 30, weights))
+        assert lo.converged and hi.converged
+        assert lo.certificate["ansatz_description"].startswith("centred at")
+        assert truth - 1e-5 <= lo.value <= truth <= hi.value <= truth + 1e-5
+        assert lo.certificate["raw_value_bits"] == pytest.approx(truth, abs=1e-7)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 6), pure=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_lower_below_upper_on_random_states(self, d, pure, seed):
+        rho = _random_raw_state(d, 1 if pure else d, seed)
+        lower, upper = centred_dephased_ncm(rho)
+        assert lower.value <= upper.value
+        assert upper.value <= energy_upper_bound(rho.energy).value + 1e-9
+
+    def test_ascent_runs_only_on_a_gap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense ascent ran")
+
+        monkeypatch.setattr(nonclassicality, "gamma_lower_bound", refuse)
+        lo, hi = bound_sandwich(_displaced_mixture(1.0, 20, {1: 1.0}))
+        assert hi.value - lo.value <= 1e-5
+        with pytest.raises(AssertionError, match="dense ascent ran"):
+            bound_sandwich(_random_raw_state(6, 6, 0))
+
+    def test_mass_past_the_pad_is_folded(self):
+        # half the coherent state of amplitude 3 and half |39> at cutoff 40: centring
+        # by about 1.5 spreads |39> past level d + CENTRE_PAD
+        d = 40
+        coh, _ = coherent_vector(3.0, d)
+        ent = 0.5 * np.outer(coh, coh.conj())
+        ent[39, 39] += 0.5
+        rho = DensityOperator.from_matrix(ent / np.real(np.trace(ent)), 1, d)
+        beta = complex(np.sqrt(np.arange(1.0, d)) @ np.diagonal(rho.entries, offset=-1))
+        a = np.diag(np.sqrt(np.arange(1.0, 400)), 1)
+        shifted = expm(np.conj(beta) * a - beta * a.T)[:, :d]  # D(-beta) on 400 levels
+        p_c = np.real(np.einsum("mj,jk,mk->m", shifted, rho.entries, shifted.conj()))
+        kept = p_c[:d + nonclassicality.CENTRE_PAD]
+        tau = 1.0 - float(kept.sum())
+        assert tau > 1e-3
+        pad = truncation_certificate(tau, (math.sqrt(rho.energy) + abs(beta)) ** 2)
+        cut = fock_diagonal_ncm(DensityOperator.from_matrix(np.diag(kept / kept.sum()), 1, kept.size))
+        dephasing = entropy_of_probabilities(kept / kept.sum()) - von_neumann_entropy(rho)
+
+        lower, upper = centred_dephased_ncm(rho)
+        assert lower.certificate["pad_epsilon"] == pytest.approx(tau, rel=1e-8)
+        assert lower.certificate["pad_correction_bits"] == pytest.approx(pad, rel=1e-6)
+        assert lower.certificate["raw_value_bits"] == pytest.approx(cut.lower.value - pad, abs=1e-6)
+        assert upper.certificate["raw_value_bits"] == pytest.approx(
+            cut.upper.value + dephasing + 2.0 * pad, abs=1e-6)
+
+
 def certificate_reference(eps, energy, modes):
     """m*eps*g(2E/(m*eps)) + g(eps) in 660-digit decimals.
 
@@ -995,7 +1100,8 @@ class TestSandwich:
         assert gamma_lower_bound(rho).value <= hi.value + SANDWICH_SLACK
 
     def test_cat_path_follows_the_spec(self):
-        # one matrix: the family bounds when make_state built it, the dense ascent as a raw matrix
+        # one matrix: the family bounds when make_state built it, the dephased pair as a raw
+        # matrix, whose centre is 0 by parity; its lower side beats 5 ascent iterations
         rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 20))
         raw = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
         np.testing.assert_array_equal(raw.entries, rho.entries)
@@ -1003,8 +1109,9 @@ class TestSandwich:
         raw_lo, raw_hi = bound_sandwich(raw, OptimizerConfig(max_iters=5))
         assert lo.certificate["ansatz_description"].startswith("cat parity-block ansatz")
         assert hi.certificate["ansatz_description"].startswith("coherent mixture")
-        assert raw_lo.certificate["ansatz_description"] == "dense exp(H) ascent"
-        assert raw_hi.certificate["ansatz_description"].startswith("thermal family")
+        assert raw_lo.certificate["ansatz_description"].startswith("centred at 0+0j and dephased")
+        assert raw_hi.certificate["ansatz_description"].startswith("centred at 0+0j and dephased")
+        assert raw_lo.value > gamma_lower_bound(raw, OptimizerConfig(max_iters=5)).value
 
     def test_product_additivity(self):
         plus = StateSpec("cat", {"alpha": 1, "sign": "+"}, 30)

@@ -18,14 +18,13 @@ from cvres.rates import (
     cat_dilution_formulas,
     closed_form_ps,
     fock_dilution,
-    fock_dilution_monte_carlo,
     free_energy,
     noisy_fock_dilution_rate_bound,
     protocol_figure_data,
     rate_upper_bound,
     thermo_rate_bound,
 )
-from oracles import beam_splitter_unitary
+from oracles import beam_splitter_unitary, fock_dilution_monte_carlo
 
 
 def loop_series_oracle(n, p, lam, rounds=100000):
