@@ -43,6 +43,7 @@ from .nonclassicality import (
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
+    cat_mixture_upper_bound,
     centred_dephased_ncm,
     classical_ansatz_upper_bound,
     coherent_sup_certified,

@@ -87,18 +87,18 @@ def _real_entries(values, dim: int) -> np.ndarray:
 
 
 def _grid(text: str) -> list[float]:
-    """Parse "a:b:n" (n evenly spaced points) or a comma list of finite numbers."""
+    """Parse "a:b:n" (n >= 1 evenly spaced points) or a comma list of finite numbers."""
     try:
         if ":" in text:
             a, b, n = text.split(":")
             values = [float(x) for x in np.linspace(float(a), float(b), int(n))]
         else:
             values = [float(x) for x in text.split(",")]
-        if all(map(math.isfinite, values)):
+        if values and all(map(math.isfinite, values)):
             return values
     except ValueError:
         pass
-    raise UsageError(f"grid {text!r} must be a:b:n or a comma list of finite numbers")
+    raise UsageError(f"grid {text!r} must be a:b:n with n >= 1 or a comma list of finite numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,11 @@ def _figure_squeezed(args) -> tuple[list[str], list[list], bool]:
         spec = StateSpec("squeezed", {"r": r}, args.cutoff or max(40, int(40 + 50 * r * r)))
         rho = make_state(spec, deficit_tol=1e-5)
         g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
-        up_th = nc.classical_ansatz_upper_bound(rho, "thermal")
-        up_sq = nc.classical_ansatz_upper_bound(rho, "squeezed_thermal")
+        up = nc.classical_ansatz_upper_bound(rho)
+        # the thermal column is the ansatz's unsqueezed member, s = 0
+        up_th = up.certificate["unsqueezed_raw_bits"] + up.certificate["truncation_correction_bits"]
         up_en = nc.energy_upper_bound(nc.ideal_energy(rho), 1)
-        rows.append([r, g_lower.value, up_th.value, up_sq.value, up_en.value])
+        rows.append([r, g_lower.value, up_th, up.value, up_en.value])
     header = ["r", "lower_bits", "upper_thermal_bits", "upper_sq_thermal_bits",
               "upper_energy_bits"]
     return header, rows, True
@@ -245,6 +246,8 @@ def cmd_figure(args) -> int:
     # rows run serially: they are Python-bound, and a thread pool was slower on every figure
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    if args.cutoff is not None and args.cutoff < 1:
+        raise UsageError(f"--cutoff must be at least 1, got {args.cutoff}")
     if args.name in ("noisy-fock-fixed-n", "noisy-fock-fixed-nu"):
         header, rows, converged = _figure_noisy_fock(args)
     elif args.name == "cat":

@@ -308,6 +308,8 @@ class TestFigure:
         ["--name", "cat", "--alpha-grid", "1:2:x"],
         ["--name", "cat", "--alpha-grid", "0.3,nan"],
         ["--name", "squeezed", "--r-grid", "0.1,,0.2"],
+        ["--name", "noisy-fock-fixed-n", "--p-grid", "0:1:0"],
+        ["--name", "cat", "--alpha-grid", "0.3:1:-2"],
         ["--name", "noisy-fock-fixed-nu", "--n-grid", "1.5", "--cutoff", "10"],
     ])
     def test_malformed_grid_exit_1(self, argv, capsys):
@@ -388,6 +390,15 @@ class TestFigure:
                                 "--threads", threads], capsys)
         assert code == 1
         assert "--threads must be at least 1" in err
+
+    @pytest.mark.parametrize("name, cutoff", [("squeezed", "0"), ("cat", "0"),
+                                              ("noisy-fock-fixed-n", "-3")])
+    def test_cutoff_below_one_rejected(self, name, cutoff, capsys):
+        # 0 is not "not given": it would fall back to the default cutoff and exit 0
+        code, out, err = run_cli(["figure", "--name", name, "--cutoff", cutoff], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "--cutoff must be at least 1" in err
 
     def test_threads_flag_matches_serial(self, tmp_path):
         args = ["figure", "--name", "noisy-fock-fixed-nu", "--nu", "0", "--n-grid", "1",

@@ -30,6 +30,7 @@ from cvres.nonclassicality import (
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
+    cat_mixture_upper_bound,
     centred_dephased_ncm,
     classical_ansatz_upper_bound,
     coherent_sup_certified,
@@ -481,7 +482,7 @@ class TestCatReflection:
             return SimplexResult(x_far, fun(x_far), 1, True)
 
         rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 35), deficit_tol=1e-6)
-        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[0.3, -0.3, 0.0])
+        up = cat_mixture_upper_bound(rho)
         monkeypatch.setattr(nonclassicality, "nelder_mead", fake_nelder_mead)
         lo = cat_gamma_lower_bound(cat_state(0.3, "+", 35))
         assert lo.value <= up.value
@@ -581,6 +582,18 @@ class TestEnergyBound:
             reference = ((dx + 1) * (dx + 1).ln() - dx * dx.ln()) / decimal.Decimal(2).ln()
         assert g_thermal(x) == pytest.approx(float(reference), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [1e2, 1e8, 1e12, 1e20, 1e300])
+    def test_g_keeps_its_digits_at_large_x(self, x):
+        # (x + 1) ln(1 + x) - x ln x cancels: it gave 41.3047 for 41.3058 at 1e12 and 0 at 1e20
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(int(math.log10(x)) + 40):  # the reference cancels as well
+            mx = mpmath.mpf(x)
+            reference = ((mx + 1) * mpmath.log(mx + 1) - mx * mpmath.log(mx)) / mpmath.log(2)
+        assert g_thermal(x) == pytest.approx(float(reference), rel=1e-14)
+
+    def test_energy_bound_at_huge_energy(self):
+        assert energy_upper_bound(1e20, 1).value == pytest.approx(math.log2(1e20 * math.e), rel=1e-14)
+
 
 class TestWehrlHusimiPair:
     def test_vacuum(self):
@@ -632,16 +645,32 @@ class TestGaussianBounds:
             assert got == 0.0
 
 
+def _random_state(rng, d: int, rank: int | None = None) -> DensityOperator:
+    g = rng.normal(size=(d, rank or d)) + 1j * rng.normal(size=(d, rank or d))
+    mat = g @ g.conj().T
+    return DensityOperator.from_matrix(mat / np.trace(mat), 1, d)
+
+
+def _ladder(d: int) -> np.ndarray:
+    """The lowering operator on d levels."""
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+def _ansatz_raw(rho) -> float:
+    up = classical_ansatz_upper_bound(rho)
+    return up.value - up.certificate["truncation_correction_bits"]
+
+
 class TestClassicalAnsatz:
     def test_coherent_self(self):
         rho = make_state(StateSpec("coherent", {"alpha": 1.5}, 40))
-        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[1.5])
+        up = classical_ansatz_upper_bound(rho)
         assert up.value <= 1e-6
 
     @pytest.mark.parametrize("case", ["fock1", "squeezed", "noisy_fock", "random"])
     def test_fock1_thermal_family(self, case):
-        # the exact optimum nu = <n> against a fine scan of
-        # D(rho || tau_nu) = -S(rho) + log2(1+nu) - <n> log2(nu/(1+nu))
+        # s = 0: the exact optimum nu = n_c = <n> - |beta|^2 against a fine scan of
+        # D(rho || D tau_nu D^+) = -S(rho) + log2(1+nu) - n_c log2(nu/(1+nu))
         if case == "fock1":
             rho = fock_state(1, 30)
         elif case == "squeezed":
@@ -649,21 +678,71 @@ class TestClassicalAnsatz:
         elif case == "noisy_fock":
             rho = make_state(StateSpec("noisy_fock", {"n": 2, "nu": 0.5, "p": 0.4}, 40))
         else:
-            rng = np.random.default_rng(11)
-            g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            mat = g @ g.conj().T
-            rho = DensityOperator.from_matrix(mat / np.trace(mat), 1, 6)
-        up = classical_ansatz_upper_bound(rho, "thermal")
-        raw = up.value - up.certificate["truncation_correction_bits"]
+            rho = _random_state(np.random.default_rng(11), 6)
+        up = classical_ansatz_upper_bound(rho)
+        raw = up.certificate["unsqueezed_raw_bits"]
         rho_n = rho.renormalized()
-        mean = float(np.dot(np.arange(rho.cutoff), rho_n.diagonal()))
+        beta = np.trace(rho_n.entries @ _ladder(rho.cutoff))
+        n_c = float(np.dot(np.arange(rho.cutoff), rho_n.diagonal())) - abs(beta) ** 2
+        assert raw == pytest.approx(g_thermal(n_c) - von_neumann_entropy(rho_n), abs=1e-12)
         nus = np.geomspace(1e-3, 50.0, 200_001)
-        scan = -von_neumann_entropy(rho_n) + np.log2(1 + nus) - mean * np.log2(nus / (1 + nus))
+        scan = -von_neumann_entropy(rho_n) + np.log2(1 + nus) - n_c * np.log2(nus / (1 + nus))
         assert np.all(raw <= scan + 1e-12)
         assert raw == pytest.approx(scan.min(), abs=1e-9)
+        assert up.value <= raw + up.certificate["truncation_correction_bits"]
         if case == "fock1":
-            # 1-d calculus oracle: min over nu of D(|1><1| || tau_nu) = g(1) = 2 at nu = 1
+            # 1-d calculus oracle: min over nu of D(|1><1| || tau_nu) = g(1) = 2 at nu = 1,
+            # and no squeezing helps a phase-invariant state
             assert up.value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariant_under_rotation(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = _random_state(rng, 6)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi) * np.arange(6))
+        turned = DensityOperator.from_matrix(rho.entries * np.outer(phases, phases.conj()), 1, 6)
+        assert _ansatz_raw(turned) == pytest.approx(_ansatz_raw(rho), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariant_under_displacement(self, seed):
+        # D(gamma) rho D(gamma)^+ of a d = 6 state, from expm on 160 levels cut to 60, whose
+        # tail is far below the tolerance; the ansatz moves its displacement along
+        rng = np.random.default_rng(seed)
+        rho = _random_state(rng, 6)
+        gamma = complex(*rng.uniform(-0.8, 0.8, 2))
+        a = _ladder(160)
+        disp = expm(gamma * a.conj().T - np.conj(gamma) * a)
+        padded = np.zeros((160, 160), dtype=complex)
+        padded[:6, :6] = rho.entries
+        moved = (disp @ padded @ disp.conj().T)[:60, :60]
+        moved = DensityOperator.from_matrix(moved / np.trace(moved), 1, 60, validate=False)
+        assert _ansatz_raw(moved) == pytest.approx(_ansatz_raw(rho), abs=1e-9)
+
+    @pytest.mark.parametrize("r", [0.005, 0.02, 0.047, 0.3, -0.7, 1.2, -1.8])
+    def test_never_above_the_squeezed_thermal_family(self, r):
+        # N = n_s: D(s) = -S + log2(1 + n_s) - E_s log2(n_s/(1 + n_s)), scanned finely; the
+        # tolerance is that of the refinement (bounded Brent, 1e-5 in s)
+        rho = make_state(StateSpec("squeezed", {"r": r}, max(40, int(40 + 50 * r * r))),
+                         deficit_tol=1e-5)
+        rho_n = rho.renormalized()
+        d = rho.cutoff
+        mean = float(np.dot(np.arange(d), rho_n.diagonal()))
+        m = abs(np.trace(rho_n.entries @ _ladder(d) @ _ladder(d)))
+        s = np.linspace(1e-4, 2.6, 100_001)
+        n_s = 0.5 * np.expm1(2.0 * s)
+        frame = np.cosh(2.0 * s) * mean + np.sinh(s) ** 2 - np.sinh(2.0 * s) * m
+        family = -von_neumann_entropy(rho_n) + np.log2(1 + n_s) - frame * np.log2(n_s / (1 + n_s))
+        assert _ansatz_raw(rho) <= family.min() + 1e-9
+
+    @given(d=st.integers(2, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_lower_bounds_stay_below(self, d, rank, seed):
+        rho = _random_state(np.random.default_rng(seed), d, min(rank, d))
+        upper = classical_ansatz_upper_bound(rho).value
+        lower, _ = centred_dephased_ncm(rho)
+        for bound in (lower, husimi_lower_bound(rho),
+                      gamma_lower_bound(rho, OptimizerConfig(max_iters=5))):
+            assert bound.value <= upper + 1e-9, bound.certificate
 
     @pytest.mark.parametrize("case", ["cat0.3+", "cat0.3-", "cat1+", "random0", "random1"])
     def test_gram_divergence_matches_dense(self, case):
@@ -691,31 +770,48 @@ class TestClassicalAnsatz:
             assert divergence(w) == pytest.approx(dense, abs=1e-12)
 
     def test_support_mismatch_is_infinite(self):
-        up = classical_ansatz_upper_bound(fock_state(1, 12), "coherent_mixture", points=[0.0])
-        assert up.value == math.inf and up.certificate["support_mismatch"]
+        # rho keeps weight outside the atoms' span, so every weight vector scores +inf
+        rng = np.random.default_rng(3)
+        for rho, points in [(fock_state(1, 12), [0.0]), (fock_state(1, 6), [1.0, -1.0, 0.0])]:
+            divergence = nonclassicality._coherent_mixture_divergence(rho, points)
+            n = len(points)
+            for w in [np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), 4)]:
+                assert divergence(w) == math.inf
 
-    def test_support_mismatch_skips_the_search(self, monkeypatch):
-        # +inf at equal weights holds for every weight, so the simplex is never built
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the weight search ran on an objective that is +inf everywhere")
-
-        monkeypatch.setattr(nonclassicality, "nelder_mead", unreachable)
-        rho = make_state(StateSpec("fock", {"n": 1}, 6))
-        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[1.0, -1.0, 0.0])
-        assert up.value == math.inf and up.certificate["support_mismatch"]
+    @pytest.mark.parametrize("alpha, sign, cutoff", [(0.3, "+", 35), (0.3, "-", 35), (1.0, "+", 30),
+                                                     (2.0, "+", 40)])
+    def test_cat_mixture_matches_a_dense_scan(self, alpha, sign, cutoff):
+        # the 1-d search on equal weights of +-alpha against a scan of all three weights
+        rho = cat_state(alpha, sign, cutoff)
+        up = cat_mixture_upper_bound(rho)
+        raw = up.value - up.certificate["truncation_correction_bits"]
+        divergence = nonclassicality._coherent_mixture_divergence(
+            rho.renormalized(), [alpha, -alpha, 0.0])
+        grid = np.linspace(0.0, 1.0, 41)
+        scan = min(divergence(np.array([x, y, max(1.0 - x - y, 0.0)]))
+                   for x in grid for y in grid if x + y <= 1.0 + 1e-12 and x + y > 0.0)
+        assert raw <= scan + 1e-12
+        w0 = float(up.certificate["ansatz_description"].split("vacuum weight ")[1])
+        # the certificate prints w0 to 9 digits
+        assert raw == pytest.approx(divergence(np.array([0.5 * (1 - w0), 0.5 * (1 - w0), w0])),
+                                    abs=1e-12)
 
     def test_cat2_mixture_gap(self):
         spec = StateSpec("cat", {"alpha": 2, "sign": "+"}, 40)
         rho = make_state(spec, deficit_tol=1e-7)
-        up = classical_ansatz_upper_bound(rho, "coherent_mixture", points=[2.0, -2.0, 0.0])
+        up = cat_mixture_upper_bound(rho)
         lo = cat_gamma_lower_bound(cat_state(2.0, "+", 40))
         assert up.value - lo.value < 0.5
         assert lo.value <= up.value + 1e-9
 
+    def test_cat_mixture_takes_a_cat(self):
+        with pytest.raises(UsageError):
+            cat_mixture_upper_bound(make_state(StateSpec("coherent", {"alpha": 1.0}, 20)))
+
     def test_squeezed_thermal_closed_form(self):
         spec = StateSpec("squeezed", {"r": 1}, 60)
         rho = make_state(spec, deficit_tol=1e-6)
-        up = classical_ansatz_upper_bound(rho, "squeezed_thermal")
+        up = classical_ansatz_upper_bound(rho)
         # numerically verified value: min over s of log2(1+N) + sinh^2(r-s) log2(1+1/N)
         res = minimize_scalar(
             lambda s: math.log2(1 + 0.5 * (math.exp(2 * s) - 1))
@@ -731,49 +827,47 @@ class TestClassicalAnsatz:
     def test_squeezed_thermal_either_sign(self, r):
         # squeezed(-r) is squeezed(r) turned by a quarter period, and so is its best ansatz
         values = [classical_ansatz_upper_bound(make_state(StateSpec("squeezed", {"r": x}, 200),
-                                                          deficit_tol=1e-5),
-                                               "squeezed_thermal").value for x in (r, -r)]
+                                                          deficit_tol=1e-5)).value
+                  for x in (r, -r)]
         assert values[1] == pytest.approx(values[0], rel=1e-12)
 
     @pytest.mark.parametrize("case", [(0.3, 40), (0.9, 80), (-0.9, 80), "random"])
     def test_squeezed_thermal_frame_energy_identity(self, case):
-        # reference: the squeezed-frame energy Tr[rho S n S^T] by an expm padded
-        # far enough past the cutoff that its own truncation error is negligible
-        from scipy.linalg import expm
-
+        # reference: D(rho || sigma) with Tr[rho log2 sigma] from the frame energy
+        # Tr[rho D S n S^+ D^+], by expm padded far enough past the cutoff that its own
+        # truncation error is negligible
         if case == "random":
-            rng = np.random.default_rng(4)
-            g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            mat = g @ g.conj().T
-            rho = DensityOperator.from_matrix(mat / np.trace(mat), 1, 8)
+            rho = _random_state(np.random.default_rng(4), 8)
         else:
             rho = make_state(StateSpec("squeezed", {"r": case[0]}, case[1]), deficit_tol=1e-5)
         rho_n = rho.renormalized()
         d = rho.cutoff
-        # the ansatz squeezes along the quadrature that <a^2> picks out: rotate rho
-        # by exp(-i phi n) until <a^2> is real and at most 0, the quadrature S squeezes
-        a2_mean = np.dot(np.sqrt(np.arange(1.0, d - 1) * np.arange(2.0, d)),
-                         np.diagonal(rho_n.entries, offset=-2))
-        u = np.sqrt(-abs(a2_mean) / a2_mean + 0j) if a2_mean != 0 else 1.0
-        phases = u ** np.arange(d)
         pad = d + 200
+        a = _ladder(pad)
         ent_pad = np.zeros((pad, pad), dtype=complex)
-        ent_pad[:d, :d] = rho_n.entries * np.outer(phases, phases.conj())
-        k = np.arange(pad - 2)
-        a2 = np.zeros((pad, pad))
-        a2[k, k + 2] = np.sqrt((k + 1.0) * (k + 2.0))
-        number_op = np.diag(np.arange(pad, dtype=float))
+        ent_pad[:d, :d] = rho_n.entries
+        # centre rho at beta, then rotate it by exp(-i phi n) until <a^2> is real and at
+        # most 0, the quadrature S squeezes
+        beta = np.trace(ent_pad @ a)
+        centre = expm(np.conj(beta) * a - beta * a.conj().T)
+        ent_pad = centre @ ent_pad @ centre.conj().T
+        a2_mean = np.trace(ent_pad @ a @ a)
+        u = np.sqrt(-abs(a2_mean) / a2_mean + 0j) if abs(a2_mean) > 0 else 1.0
+        phases = u ** np.arange(pad)
+        ent_pad = ent_pad * np.outer(phases, phases.conj())
+        number_op = a.conj().T @ a
         s_bits = von_neumann_entropy(rho_n)
 
         def d_reference(s):
-            sq = expm(0.5 * s * (a2 - a2.T))
-            frame = float(np.real(np.trace(ent_pad @ sq @ number_op @ sq.T)))
+            sq = expm(0.5 * s * (a @ a - (a @ a).conj().T))
+            frame = float(np.real(np.trace(ent_pad @ sq @ number_op @ sq.conj().T)))
             n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
-            return -s_bits + math.log2(1 + n_s) - frame * math.log2(n_s / (1 + n_s))
+            n = max(frame, n_s)
+            return -s_bits + math.log2(1 + n) - frame * math.log2(n / (1 + n))
 
-        up = classical_ansatz_upper_bound(rho, "squeezed_thermal")
-        raw = up.value - up.certificate["truncation_correction_bits"]
-        best_s = float(up.certificate["ansatz_description"].split("best s=")[1])
+        raw = _ansatz_raw(rho)
+        best_s = float(classical_ansatz_upper_bound(rho).certificate["ansatz_description"]
+                       .split("best s=")[1])
         assert raw == pytest.approx(d_reference(best_s), abs=1e-9)
         assert raw <= min(d_reference(s) for s in [0.05, 0.3, 0.8]) + 1e-9
 
@@ -790,8 +884,7 @@ class TestDephasingMonotonicity:
         spec = StateSpec("cat", {"alpha": alpha, "sign": "+"}, d)
         rho = make_state(spec, deficit_tol=1e-7)
         exact = fock_diagonal_ncm(dephase(rho))
-        upper = classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                             points=[alpha, -alpha, 0.0])
+        upper = cat_mixture_upper_bound(rho)
         assert exact.lower.value <= upper.value + 1e-6
 
 
@@ -970,7 +1063,7 @@ class TestTruncationFold:
         rho = make_state(self.THERMAL, deficit_tol=1e-4)
         rho_n = rho.renormalized()
         s_bits = von_neumann_entropy(rho_n)
-        up = classical_ansatz_upper_bound(rho, "thermal")
+        up = classical_ansatz_upper_bound(rho)
         raw = g_thermal(rho_n.energy) - s_bits
         assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
         up = wehrl_upper_bound(rho)
@@ -978,14 +1071,11 @@ class TestTruncationFold:
         raw = est.bits + est.tail_bits - s_bits
         assert up.value - self._correction(up, rho, 1.0) == pytest.approx(raw, abs=1e-12)
         sq, sq_energy = make_state(self.SQUEEZED, deficit_tol=1e-4), exact_energy(self.SQUEEZED)
-        self._correction(classical_ansatz_upper_bound(sq, "squeezed_thermal"), sq, sq_energy)
+        self._correction(classical_ansatz_upper_bound(sq), sq, sq_energy)
         cat = make_state(self.CAT, deficit_tol=1e-6)
-        mixture = classical_ansatz_upper_bound(cat, "coherent_mixture", points=[1.0, -1.0, 0.0])
+        mixture = cat_mixture_upper_bound(cat)
         assert math.isfinite(mixture.value)
         self._correction(mixture, cat, exact_energy(self.CAT))
-        mismatch = classical_ansatz_upper_bound(sq, "coherent_mixture", points=[0.0])
-        assert mismatch.value == math.inf and mismatch.certificate["support_mismatch"]
-        self._correction(mismatch, sq, sq_energy)
 
     def test_fock_diagonal_pair(self):
         spec = StateSpec("noisy_fock", {"n": 2, "nu": 1, "p": 0.4}, 20)
@@ -1017,13 +1107,11 @@ class TestTruncationFold:
         bounds = [gamma_lower_bound(rho, OptimizerConfig(max_iters=3)),
                   husimi_lower_bound(rho),
                   wehrl_upper_bound(rho),
-                  classical_ansatz_upper_bound(rho, "thermal"),
-                  classical_ansatz_upper_bound(rho, "squeezed_thermal"),
-                  classical_ansatz_upper_bound(rho, "coherent_mixture", points=[1.0])]
+                  classical_ansatz_upper_bound(rho)]
         if rho.fock_diagonal:
             bounds.extend(fock_diagonal_ncm(rho))
         if spec.family == "cat":
-            bounds.append(cat_gamma_lower_bound(rho))
+            bounds += [cat_gamma_lower_bound(rho), cat_mixture_upper_bound(rho)]
         correction = truncation_certificate(eps, energy, 1)
         for bound in bounds:
             assert bound.certificate["truncation_correction_bits"] == correction, bound.certificate
@@ -1151,16 +1239,11 @@ class TestSandwichDominance:
         energy = exact_energy(spec)
         lo, hi = bound_sandwich(rho)
         lowers = [husimi_lower_bound(rho)]
-        uppers = [energy_upper_bound(energy),
-                  classical_ansatz_upper_bound(rho, "thermal"),
-                  classical_ansatz_upper_bound(rho, "squeezed_thermal")]
+        uppers = [energy_upper_bound(energy), classical_ansatz_upper_bound(rho)]
         if spec.family in ("coherent", "thermal", "squeezed"):
             g_lower, g_upper = gaussian_bounds(gaussian_descriptor(spec))
             lowers.append(g_lower)
             uppers.append(g_upper)
-        if spec.family == "coherent":
-            uppers.append(classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                                       points=[spec.params["alpha"]]))
         if rho.fock_diagonal:
             lowers.append(fock_diagonal_ncm(rho).lower)
         for b in lowers:

@@ -36,17 +36,6 @@ class TestNelderMead:
         assert np.array_equal(ours.x, ref.x)
         assert ours.fun == ref.fun and ours.nit == ref.nit and ours.success == ref.success
 
-    def test_coherent_mixture_objective_matches_scipy(self, monkeypatch):
-        calls = _recorded(monkeypatch, "nelder_mead")
-        rho = make_state(StateSpec("cat", {"alpha": 0.8, "sign": "+"}, 30), deficit_tol=1e-6)
-        nonclassicality.classical_ansatz_upper_bound(rho, "coherent_mixture",
-                                                     points=[0.8, -0.8, 0.0])
-        (fun, x0), opts = calls[0]
-        ours = nelder_mead(fun, x0, **opts)
-        ref = minimize(fun, x0, method="Nelder-Mead", options=opts)
-        assert np.array_equal(ours.x, ref.x)
-        assert ours.fun == ref.fun and ours.nit == ref.nit and ours.success == ref.success
-
     def test_maxiter_is_reported(self):
         def rosen(x):
             return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
@@ -58,11 +47,8 @@ class TestNelderMead:
 
 
 class TestBoundedMinimum:
-    @pytest.mark.parametrize("r", [0.25, -0.7, 1.2])
-    def test_squeezed_thermal_objective_matches_scipy(self, monkeypatch, r):
-        calls = _recorded(monkeypatch, "bounded_minimum")
-        rho = make_state(StateSpec("squeezed", {"r": r}, 100), deficit_tol=1e-6)
-        nonclassicality.classical_ansatz_upper_bound(rho, "squeezed_thermal")
+    @staticmethod
+    def _matches_scipy(calls):
         (fun, lo, hi), _ = calls[0]
         evaluations = []
 
@@ -73,6 +59,20 @@ class TestBoundedMinimum:
         x, value = bounded_minimum(counted, lo, hi)
         ref = minimize_scalar(fun, method="bounded", bounds=(lo, hi))
         assert x == ref.x and value == ref.fun and len(evaluations) == ref.nit
+
+    @pytest.mark.parametrize("r", [0.25, -0.7, 1.2])
+    def test_squeezed_thermal_objective_matches_scipy(self, monkeypatch, r):
+        calls = _recorded(monkeypatch, "bounded_minimum")
+        rho = make_state(StateSpec("squeezed", {"r": r}, 100), deficit_tol=1e-6)
+        nonclassicality.classical_ansatz_upper_bound(rho)
+        self._matches_scipy(calls)
+
+    @pytest.mark.parametrize("alpha, sign", [(0.8, "+"), (1.0, "-")])
+    def test_cat_mixture_objective_matches_scipy(self, monkeypatch, alpha, sign):
+        calls = _recorded(monkeypatch, "bounded_minimum")
+        rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, 30), deficit_tol=1e-6)
+        nonclassicality.cat_mixture_upper_bound(rho)
+        self._matches_scipy(calls)
 
     def test_minimum_at_an_edge(self):
         x, value = bounded_minimum(lambda s: (s - 3.0) ** 2, 0.0, 1.0)
