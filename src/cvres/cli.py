@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nonclassicality as nc
 from . import rates
-from .errors import CvresError, UsageError
+from .errors import CvresError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator
 from .states import FockDiagonalState, StateSpec, _count, gaussian_descriptor, make_state
 
@@ -222,7 +222,14 @@ def _figure_squeezed(args) -> tuple[list[str], list[list], bool]:
     rows = []
     for r in rs:
         spec = StateSpec("squeezed", {"r": r}, args.cutoff or max(40, int(40 + 50 * r * r)))
-        rho = make_state(spec, deficit_tol=1e-5)
+        try:
+            rho = make_state(spec, deficit_tol=1e-5)
+        except InsufficientCutoffError as exc:
+            if args.cutoff:
+                raise
+            # the default cutoff falls short from about r = 1.9: take the one the error names
+            spec = StateSpec("squeezed", {"r": r}, exc.required_cutoff)
+            rho = make_state(spec, deficit_tol=1e-5)
         g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
         up = nc.classical_ansatz_upper_bound(rho)
         # the thermal column is the ansatz's unsqueezed member, s = 0

@@ -243,9 +243,29 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     return out
 
 
+def _envelope_terms(entries) -> tuple[float, np.ndarray, np.ndarray]:
+    """The cap max(largest eigenvalue of L, 0), and the finite ln W_s of the envelope
+    with their powers s/2 (``_envelope_log_weights``)."""
+    entries = np.asarray(entries)
+    cap = max(float(np.max(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)))), 0.0)
+    ln_w = _envelope_log_weights(entries)
+    finite = np.isfinite(ln_w)
+    return cap, ln_w[finite], (0.5 * np.arange(ln_w.size))[finite]
+
+
+def _envelope_at(ln_w: np.ndarray, powers: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The envelope F(t) = e^(-t) sum_s W_s t^(s/2) at each t > 0 (at t = 0 the
+    constant term would meet 0 * log 0)."""
+    vals = ln_w + powers * np.log(t)[:, None] - t[:, None]
+    m = vals.max(axis=1)
+    return np.exp(m) * np.exp(vals - m[:, None]).sum(axis=1)
+
+
 SUP_MAX_SPLITS = 20000  # branch-and-bound budget of one certified supremum, in interior nodes
 SUP_FANOUT = 8  # pieces each live segment is cut into per branch-and-bound level
-INNER_TOL = 1e-9  # relative slack of the certified inner sup in every lower-bound engine
+# relative slack of the certified inner sup that every lower-bound engine emits; the even
+# cat's search certifies only its winner at it
+INNER_TOL = 1e-9
 
 
 def _curvature_table(
@@ -306,23 +326,11 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     largest eigenvalue of L caps the result since truncated coherent vectors
     have norm at most one.
     """
-    entries = np.asarray(entries)
-    cap = max(float(np.max(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)))), 0.0)
-    ln_w = _envelope_log_weights(entries)
-    powers = 0.5 * np.arange(ln_w.size)
-    finite = np.isfinite(ln_w)
-    if not np.any(finite) or cap == 0.0:
+    cap, ln_w, powers = _envelope_terms(entries)
+    if not ln_w.size or cap == 0.0:
         return CertifiedSup(0.0, 0.0, 0.0, 0.0, 0, 0)
-    ln_w = ln_w[finite]
-    powers = powers[finite]
     t_max = max(float(powers[-1]), 1.0)
     curve_exps, _, ln_curve_bound = _curvature_table(powers, ln_w)
-
-    def envelope_at(t: np.ndarray) -> np.ndarray:
-        # t > 0 only: at t = 0 the constant term would meet 0 * log 0
-        vals = ln_w + powers * np.log(t)[:, None] - t[:, None]
-        m = vals.max(axis=1)
-        return np.exp(m) * np.exp(vals - m[:, None]).sum(axis=1)
 
     def segment_bounds(a, b, fa, fb):
         lo = np.maximum(a, 1e-300)
@@ -335,7 +343,7 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
 
     probes = _distinct(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
     values = np.concatenate([[math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0],
-                             envelope_at(probes[1:])])
+                             _envelope_at(ln_w, powers, probes[1:])])
     i_best = int(np.argmax(values))
     best, best_t = float(values[i_best]), float(probes[i_best])
     a, b, fa, fb = probes[:-1], probes[1:], values[:-1], values[1:]
@@ -356,7 +364,7 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
         nodes = a[:, None] + (b - a)[:, None] * grid
         nodes[:, -1] = b
         inner = nodes[:, 1:-1].ravel()
-        f_inner = envelope_at(inner)
+        f_inner = _envelope_at(ln_w, powers, inner)
         i_node = int(f_inner.argmax())
         if f_inner[i_node] > best:
             best, best_t = float(f_inner[i_node]), float(inner[i_node])
@@ -368,6 +376,55 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     certified = max(min(top, cap), 0.0)
     return CertifiedSup(certified, best_t, t_max, max(0.0, certified - min(best, certified)),
                         levels, splits)
+
+
+# where _envelope_max samples F, as fractions of the search radius: uniform in sqrt(t)
+ENVELOPE_GRID = np.linspace(0.0, 1.0, 33)[1:] ** 2
+
+
+def _envelope_max(entries) -> float:
+    """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
+
+    F and the cap are those of the certified supremum, whose value is never below
+    this one.  F is sampled on ``ENVELOPE_GRID`` times the search radius and at
+    every power, where its monomials peak, and each local maximum of the samples
+    is polished by Newton steps on g(u) = ln F(u^2), u = sqrt(t), whose
+    derivatives are 2E[p]/u - 2u and (4Var[p] - 2E[p])/u^2 - 2 under the softmax
+    weights W_s t^p over the powers.  Unlike ln F, g stays smooth at 0 where a
+    half-integer power makes ln F steep.  For searches that need a certificate
+    only at their winner.
+    """
+    cap, ln_w, powers = _envelope_terms(entries)
+    if not ln_w.size or cap == 0.0:
+        return 0.0
+    grid = _distinct(np.concatenate([max(float(powers[-1]), 1.0) * ENVELOPE_GRID,
+                                     powers[powers > 0.0]]))
+    values = _envelope_at(ln_w, powers, grid)
+    left = np.concatenate([[-np.inf], values[:-1]])
+    right = np.concatenate([values[1:], [-np.inf]])
+    idx = np.flatnonzero((values > left) & (values >= right))
+    # each point moves within its grid neighbours; the first may move almost to t = 0
+    edges = np.sqrt(np.concatenate([[1e-300], grid, [grid[-1]]]))
+    lo, hi, u = edges[idx], edges[idx + 2], edges[idx + 1]
+    moments = np.stack([np.ones_like(powers), powers, powers**2], axis=1)
+    # at most 8 steps: Newton converges quadratically, so once no step moves u by 1e-5
+    # of itself, ln F sits at its peak to rounding
+    for _ in range(8):
+        terms = ln_w + 2.0 * powers * np.log(u)[:, None]
+        total, first, second = (np.exp(terms - terms.max(axis=1, keepdims=True)) @ moments).T
+        mean = first / total
+        curv = (4.0 * (second / total - mean**2) - 2.0 * mean) / u**2 - 2.0
+        step = np.where(curv < 0.0, 2.0 * (u - mean / u) / np.where(curv < 0.0, curv, -1.0), 0.0)
+        u_next = np.clip(u + step, lo, hi)
+        done = np.all(np.abs(u_next - u) <= 1e-5 * u)
+        u = u_next
+        if done:
+            break
+    t = u * u
+    best = max(float(values.max()), float(_envelope_at(ln_w, powers, t).max()))
+    if powers[0] == 0.0:
+        best = max(best, math.exp(ln_w[0]))  # F(0) = W_0
+    return min(best, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +496,10 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
     cat+, plus a 1e-12 floor on the complement so L stays positive definite.
     The other parity block would only raise <beta|L|beta>, and the scale of L
     is fixed by <cat|log L|cat> = 0, so Tr[rho log L] vanishes and the bound
-    is -log2 of the certified supremum; the even cat searches the two free
-    entries of log M.
+    is -log2 of the certified supremum.  The even cat searches the two free
+    entries of log M by Nelder-Mead on the uncertified envelope peak
+    (``_envelope_max``, which the certificate never undercuts) and certifies
+    the winner alone, to ``INNER_TOL``: one certified supremum per bound.
     """
     if rho.spec is None or rho.spec.family != "cat":
         raise UsageError("cat_gamma_lower_bound takes a cat state built by make_state")
@@ -458,22 +517,19 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
         ansatz = "cat parity-block ansatz |cat><cat|"
     else:
         basis = np.stack([psi, v0 / norm_v0])
-        best = (-math.inf, None)
 
-        def objective(x):
+        def ansatz_at(x):
             # only the top is clipped, since a floor would flatten the objective and stall
             # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
-            nonlocal best
             x1, x2 = np.minimum(x, 50.0)
             m, _, _ = exp_hermitian(np.array([[0.0, x1], [x1, x2]]))
-            cert = coherent_sup_certified(basis.T @ m @ basis, tol=INNER_TOL)
-            value = -math.log2(cert.value + floor)
-            if value > best[0]:
-                best = (value, cert)
-            return -value
+            return basis.T @ m @ basis
 
-        res = nelder_mead(objective, np.array([0.0, -8.0]), maxiter=250, xatol=1e-6, fatol=1e-9)
-        raw, cert = best
+        # the search reads the uncertified envelope peak; one supremum certifies its winner
+        res = nelder_mead(lambda x: math.log2(_envelope_max(ansatz_at(x)) + floor),
+                          np.array([0.0, -8.0]), maxiter=250, xatol=1e-6, fatol=1e-9)
+        cert = coherent_sup_certified(ansatz_at(res.x), tol=INNER_TOL)
+        raw = -math.log2(cert.value + floor)
         iterations, converged = int(res.nit), bool(res.success)
         ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
     return _certified(rho, "NCM", "lower", raw,

@@ -346,6 +346,20 @@ class TestFigure:
         assert float(row[1]) == pytest.approx(math.log2(math.cosh(1.0)), abs=1e-4)
         assert float(row[4]) == pytest.approx(2.337, abs=2e-3)
 
+    def test_squeezed_default_cutoff_grows_at_large_r(self, capsys):
+        # 40 + 50 r^2 = 240 misses the deficit tolerance at r = 2; the row is built at 360
+        code, out, _ = run_cli(["figure", "--name", "squeezed", "--r-grid", "2.0"], capsys)
+        assert code == 0
+        row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+        assert row[1] == pytest.approx(math.log2(math.cosh(2.0)), abs=1e-4)
+        assert row[1] <= min(row[2:])
+
+    def test_squeezed_given_cutoff_stays_strict(self, capsys):
+        code, out, err = run_cli(["figure", "--name", "squeezed", "--r-grid", "2.0",
+                                  "--cutoff", "240"], capsys)
+        assert (code, out) == (1, "")
+        assert "use cutoff >= 360" in err
+
     def test_cat_schema(self, capsys):
         code, out, _ = run_cli(
             ["figure", "--name", "cat", "--alpha-grid", "1.0", "--sign", "+",

@@ -27,6 +27,7 @@ from cvres.nonclassicality import (
     OptimizerConfig,
     _curvature_table,
     _envelope_log_weights,
+    _envelope_max,
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
@@ -242,6 +243,47 @@ class TestCertifiedSupLevels:
         for alpha in radius * np.exp(2j * math.pi * rng.random(200)):
             vec, _ = coherent_vector(alpha, d)
             assert float(np.real(np.vdot(vec, l_mat @ vec))) <= cert.value * (1 + 1e-12)
+
+
+def _cat_ansatz_matrices(alpha: float, d: int, seed: int) -> list[np.ndarray]:
+    """L = B^T exp([[0, x1], [x1, x2]]) B on span{cat+, vacuum}, at the even cat search's points."""
+    psi = cat_amplitudes(alpha, "+", d)
+    psi = psi / np.linalg.norm(psi)
+    v0 = -psi[0] * psi
+    v0[0] += 1.0
+    basis = np.stack([psi, v0 / np.linalg.norm(v0)])
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([[[0.0, -8.0], [0.5, -3.0]], rng.uniform(-10.0, 5.0, size=(10, 2))])
+    return [basis.T @ expm(np.array([[0.0, x1], [x1, x2]])) @ basis for x1, x2 in points]
+
+
+class TestEnvelopeMax:
+    @pytest.mark.parametrize("tol", [nonclassicality.INNER_TOL, 1e-12])
+    @pytest.mark.parametrize("kind", SUP_KINDS + ["cat0.3", "cat1", "cat2.5"])
+    def test_between_best_value_and_certificate(self, kind, tol):
+        # the search reads this value; only its winner is certified
+        if kind.startswith("cat"):
+            alpha = float(kind[3:])
+            mats = _cat_ansatz_matrices(alpha, 60 if alpha > 2 else 30, 0)
+        else:
+            mats = [_sup_test_matrix(kind, seed) for seed in range(3)]
+        for l_mat in mats:
+            cert = coherent_sup_certified(l_mat, tol=tol)
+            value = _envelope_max(l_mat)
+            assert value <= cert.value
+            assert value >= (cert.value - cert.gap) * (1 - 1e-9)
+
+    @pytest.mark.parametrize("coupling", [1e-2, 1e-4, 1e-6])
+    def test_peak_next_to_the_vacuum(self, coupling):
+        # F(t) = e^(-t) (1 + 2 c sqrt(t)) peaks near t = c^2, far inside the first grid cell
+        l_mat = np.array([[1.0, coupling], [coupling, 0.0]])
+        cert = coherent_sup_certified(l_mat, tol=1e-12)
+        value = _envelope_max(l_mat)
+        assert (cert.value - cert.gap) * (1 - 1e-12) <= value <= cert.value
+
+    def test_zero_and_negative_matrices(self):
+        assert _envelope_max(np.zeros((4, 4))) == 0.0
+        assert _envelope_max(-np.eye(3)) == 0.0
 
 
 class TestCurvatureTable:
@@ -521,6 +563,35 @@ class TestCatReflection:
         raw = bound.certificate["raw_value_bits"]
         assert raw <= sampled
         assert raw >= sampled - math.log2(1 + nonclassicality.INNER_TOL) - 1e-11
+
+    def test_even_cat_is_one_supremum(self, monkeypatch):
+        # the search reads the uncertified envelope peak, so only its winner is certified
+        calls = []
+        inner = nonclassicality.coherent_sup_certified
+
+        def recording(entries, *, tol):
+            calls.append((entries, inner(entries, tol=tol)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nonclassicality, "coherent_sup_certified", recording)
+        bound = cat_gamma_lower_bound(cat_state(0.5, "+", 30))
+        assert len(calls) == 1
+        l_mat, cert = calls[0]
+        raw = bound.certificate["raw_value_bits"]
+        assert raw == -math.log2(cert.value + 1e-12)
+        rng = np.random.default_rng(2)
+        betas = rng.uniform(0.0, 2.5, size=400) * np.exp(2j * math.pi * rng.random(400))
+        sampled = max(float(np.real(np.vdot(v, l_mat @ v)))
+                      for v in (coherent_vector(b, 30)[0] for b in betas))
+        assert raw <= -math.log2(sampled)
+
+    # values of the search that certified every point it read (tree c4f1ef0)
+    @pytest.mark.parametrize("alpha, before", [(0.3, 0.013949648617842782),
+                                               (0.5, 0.10032487238066669),
+                                               (1.0, 0.7517312048899026)])
+    def test_even_cat_keeps_its_value(self, alpha, before):
+        bound = cat_gamma_lower_bound(cat_state(alpha, "+", 30))
+        assert bound.value >= before - math.log2(1 + nonclassicality.INNER_TOL)
 
     def test_odd_cat_tends_to_single_photon(self):
         values = [cat_gamma_lower_bound(cat_state(a, "-", 30)).value for a in (0.2, 0.05, 0.01)]
