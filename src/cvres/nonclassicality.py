@@ -378,53 +378,69 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
                         levels, splits)
 
 
-# where _envelope_max samples F, as fractions of the search radius: uniform in sqrt(t)
+# where the uncertified peak samples F, as fractions of the search radius: uniform in sqrt(t)
 ENVELOPE_GRID = np.linspace(0.0, 1.0, 33)[1:] ** 2
+
+
+def _envelope_grid(powers: np.ndarray) -> np.ndarray:
+    """Where ``_polished_peak`` samples F: ``ENVELOPE_GRID`` times the search radius, and
+    every power, where its monomials peak."""
+    return _distinct(np.concatenate([max(float(powers[-1]), 1.0) * ENVELOPE_GRID,
+                                     powers[powers > 0.0]]))
+
+
+def _polished_peak(ln_w: np.ndarray, powers: np.ndarray, grid: np.ndarray,
+                   values: np.ndarray) -> float:
+    """Uncertified max over t of F(t) = e^(-t) sum_s W_s t^(s/2), from its ``values`` on ``grid``.
+
+    Each local maximum of the samples is polished by Newton steps on
+    g(u) = ln F(u^2), u = sqrt(t), whose derivatives are 2E[p]/u - 2u and
+    (4Var[p] - 2E[p])/u^2 - 2 under the softmax weights W_s t^p over the powers.
+    Unlike ln F, g stays smooth at 0 where a half-integer power makes ln F steep.
+    ln_w may hold -inf for a weight that is zero.
+    """
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
+    # each point moves within its grid neighbours; the first may move almost to t = 0
+    edges = np.sqrt(np.concatenate([[1e-300], grid, [grid[-1]]])).tolist()
+    two_p = 2.0 * powers
+    moments = powers[:, None] ** np.arange(3.0)
+    best = float(values.max())
+    for i in peaks.tolist():
+        lo, u, hi = edges[i:i + 3]
+        # at most 8 steps: Newton converges quadratically, so once a step moves u by
+        # at most 1e-5 of itself, ln F sits at its peak to rounding; the pass after
+        # the last step only reads F at the final u
+        done = False
+        for k in range(9):
+            terms = ln_w + two_p * math.log(u)
+            top = float(terms.max())
+            total, first, second = (np.exp(terms - top) @ moments).tolist()
+            if done or k == 8:
+                break
+            mean = first / total
+            curv = (4.0 * (second / total - mean * mean) - 2.0 * mean) / (u * u) - 2.0
+            u_next = min(max(u + 2.0 * (u - mean / u) / curv, lo), hi) if curv < 0.0 else u
+            done = abs(u_next - u) <= 1e-5 * u
+            u = u_next
+        best = max(best, math.exp(top - u * u) * total)
+    if powers[0] == 0.0:
+        best = max(best, math.exp(ln_w[0]))  # F(0) = W_0
+    return best
 
 
 def _envelope_max(entries) -> float:
     """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
 
     F and the cap are those of the certified supremum, whose value is never below
-    this one.  F is sampled on ``ENVELOPE_GRID`` times the search radius and at
-    every power, where its monomials peak, and each local maximum of the samples
-    is polished by Newton steps on g(u) = ln F(u^2), u = sqrt(t), whose
-    derivatives are 2E[p]/u - 2u and (4Var[p] - 2E[p])/u^2 - 2 under the softmax
-    weights W_s t^p over the powers.  Unlike ln F, g stays smooth at 0 where a
-    half-integer power makes ln F steep.  For searches that need a certificate
-    only at their winner.
+    this one.  F is sampled on ``_envelope_grid`` and polished by
+    ``_polished_peak``.  For searches that need a certificate only at their winner.
     """
     cap, ln_w, powers = _envelope_terms(entries)
     if not ln_w.size or cap == 0.0:
         return 0.0
-    grid = _distinct(np.concatenate([max(float(powers[-1]), 1.0) * ENVELOPE_GRID,
-                                     powers[powers > 0.0]]))
-    values = _envelope_at(ln_w, powers, grid)
-    left = np.concatenate([[-np.inf], values[:-1]])
-    right = np.concatenate([values[1:], [-np.inf]])
-    idx = np.flatnonzero((values > left) & (values >= right))
-    # each point moves within its grid neighbours; the first may move almost to t = 0
-    edges = np.sqrt(np.concatenate([[1e-300], grid, [grid[-1]]]))
-    lo, hi, u = edges[idx], edges[idx + 2], edges[idx + 1]
-    moments = np.stack([np.ones_like(powers), powers, powers**2], axis=1)
-    # at most 8 steps: Newton converges quadratically, so once no step moves u by 1e-5
-    # of itself, ln F sits at its peak to rounding
-    for _ in range(8):
-        terms = ln_w + 2.0 * powers * np.log(u)[:, None]
-        total, first, second = (np.exp(terms - terms.max(axis=1, keepdims=True)) @ moments).T
-        mean = first / total
-        curv = (4.0 * (second / total - mean**2) - 2.0 * mean) / u**2 - 2.0
-        step = np.where(curv < 0.0, 2.0 * (u - mean / u) / np.where(curv < 0.0, curv, -1.0), 0.0)
-        u_next = np.clip(u + step, lo, hi)
-        done = np.all(np.abs(u_next - u) <= 1e-5 * u)
-        u = u_next
-        if done:
-            break
-    t = u * u
-    best = max(float(values.max()), float(_envelope_at(ln_w, powers, t).max()))
-    if powers[0] == 0.0:
-        best = max(best, math.exp(ln_w[0]))  # F(0) = W_0
-    return min(best, cap)
+    grid = _envelope_grid(powers)
+    return min(_polished_peak(ln_w, powers, grid, _envelope_at(ln_w, powers, grid)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +503,59 @@ def gamma_lower_bound(rho: DensityOperator, cfg: OptimizerConfig | None = None) 
                       sup=cert, converged=report.converged)
 
 
+def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
+    """L(x) = B^T exp(M(x)) B for the even cat, B the rows psi and v0 (orthonormal),
+    M(x) = [[0, x1], [x1, x2]] with x clipped at 50 from above, and the closed-form
+    envelope of L(x) that its search reads.
+
+    span{psi, v0} = span{e0, tau}, tau the normalised tail of psi on levels n >= 1.
+    With [[A, b], [b, C]] = T^T exp(M) T, T = [B e0, B tau], L is
+    A e0e0^T + b (e0 tau^T + tau e0^T) + C tau tau^T, and e0 and tau have disjoint
+    supports, so |L_jk| is |A|, |b| |tau_k| or |C| |tau_j tau_k| and W and F are
+    |A|, |b| and |C| times those of the three fixed matrices, whose values on
+    ``_envelope_grid`` are tabulated once.  The cap is exp(lambda_max(M)), since B
+    has orthonormal rows.  Returns (ansatz_at, peak_and_cap): x -> L(x), and
+    x -> (``_polished_peak`` of F, cap), whose minimum is ``_envelope_max(L(x))``;
+    both take exp(M) from ``exp_hermitian``.
+    """
+    basis = np.stack([psi, v0])
+    tail = psi.copy()
+    tail[0] = 0.0
+    tail /= np.linalg.norm(tail)
+    e0 = np.zeros_like(psi)
+    e0[0] = 1.0
+    t_mat = np.column_stack([basis[:, 0], basis @ tail])
+    # rows map exp(M) flattened to A, b and C
+    to_abc = np.stack([np.outer(t_mat[:, i], t_mat[:, j]).ravel()
+                       for i, j in ((0, 0), (0, 1), (1, 1))])
+    ln_rows = np.stack([_envelope_log_weights(m) for m in (
+        np.outer(e0, e0), np.outer(e0, tail) + np.outer(tail, e0), np.outer(tail, tail))])
+    finite = np.isfinite(ln_rows).any(axis=0)
+    ln_rows, powers = ln_rows[:, finite], 0.5 * np.flatnonzero(finite)
+    grid = _envelope_grid(powers)
+    table = np.stack([_envelope_at(row, powers, grid) for row in ln_rows], axis=1)
+    rows = np.exp(ln_rows)
+
+    def exp_m(x):
+        # only the top is clipped, since a floor would flatten the objective and stall
+        # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
+        x1, x2 = np.minimum(x, 50.0)
+        m, evals, _ = exp_hermitian(np.array([[0.0, x1], [x1, x2]]))
+        return m, math.exp(evals[-1])
+
+    def ansatz_at(x):
+        return basis.T @ exp_m(x)[0] @ basis
+
+    def peak_and_cap(x):
+        m, cap = exp_m(x)
+        coef = np.abs(to_abc @ m.ravel())
+        with np.errstate(divide="ignore"):
+            ln_w = np.log(coef @ rows)
+        return _polished_peak(ln_w, powers, grid, table @ coef), cap
+
+    return ansatz_at, peak_and_cap
+
+
 def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
     """Parity-block lower bound for a cat state built by ``make_state``.
 
@@ -497,9 +566,11 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
     The other parity block would only raise <beta|L|beta>, and the scale of L
     is fixed by <cat|log L|cat> = 0, so Tr[rho log L] vanishes and the bound
     is -log2 of the certified supremum.  The even cat searches the two free
-    entries of log M by Nelder-Mead on the uncertified envelope peak
-    (``_envelope_max``, which the certificate never undercuts) and certifies
-    the winner alone, to ``INNER_TOL``: one certified supremum per bound.
+    entries of log M by Nelder-Mead on the uncertified envelope peak, which the
+    certificate never undercuts, read from the closed form of ``_even_cat_ansatz``
+    (a 2 x 2 exponential and three weights per point, no d x d matrix); it
+    certifies the winner alone, on the full L, to ``INNER_TOL``: one certified
+    supremum per bound.
     """
     if rho.spec is None or rho.spec.family != "cat":
         raise UsageError("cat_gamma_lower_bound takes a cat state built by make_state")
@@ -516,17 +587,9 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
         raw, iterations, converged = -math.log2(cert.value + floor), 0, True
         ansatz = "cat parity-block ansatz |cat><cat|"
     else:
-        basis = np.stack([psi, v0 / norm_v0])
-
-        def ansatz_at(x):
-            # only the top is clipped, since a floor would flatten the objective and stall
-            # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
-            x1, x2 = np.minimum(x, 50.0)
-            m, _, _ = exp_hermitian(np.array([[0.0, x1], [x1, x2]]))
-            return basis.T @ m @ basis
-
+        ansatz_at, peak_and_cap = _even_cat_ansatz(psi, v0 / norm_v0)
         # the search reads the uncertified envelope peak; one supremum certifies its winner
-        res = nelder_mead(lambda x: math.log2(_envelope_max(ansatz_at(x)) + floor),
+        res = nelder_mead(lambda x: math.log2(min(*peak_and_cap(x)) + floor),
                           np.array([0.0, -8.0]), maxiter=250, xatol=1e-6, fatol=1e-9)
         cert = coherent_sup_certified(ansatz_at(res.x), tol=INNER_TOL)
         raw = -math.log2(cert.value + floor)
@@ -965,7 +1028,8 @@ def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
     best_w0, best = bounded_minimum(at, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
     if best >= values[i]:
         best_w0, best = grid[i], values[i]
-    return _certified(rho, "NC", "upper", best,
+    # D >= 0: the rounding of a near-vacuum cat must not certify a negative value
+    return _certified(rho, "NC", "upper", max(best, 0.0),
                       {"ansatz_description": f"coherent mixture on +-{a:g} and 0, "
                                              f"vacuum weight {best_w0:.9g}"})
 

@@ -372,6 +372,13 @@ class TestFigure:
         row = lines[1].split(",")
         assert float(row[2]) <= float(row[3])
 
+    def test_vacuum_cat_row(self, capsys):
+        # the even cat at alpha = 0 is the vacuum: no bound may fall below 0
+        code, out, _ = run_cli(["figure", "--name", "cat", "--alpha-grid", "0", "--sign", "+"],
+                               capsys)
+        assert code == 0
+        assert out.strip().split("\n") == ["alpha,sign,lower_bits,upper_bits", "0,+,0,0"]
+
     def test_cat_unconverged_exit_2(self, capsys, monkeypatch):
         # the even cat's search reports Nelder-Mead's own verdict
         from cvres import nonclassicality as nc

@@ -12,7 +12,13 @@ from cvres import nonclassicality
 from cvres._optim import SimplexResult
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
-from cvres.entropies import entropy_of_probabilities, von_neumann_entropy, wehrl_entropy
+from cvres.entropies import (
+    entropy_of_probabilities,
+    exp_hermitian,
+    von_neumann_entropy,
+    wehrl_entropy,
+)
+from cvres.rates import required_cat_cutoff
 from cvres.states import (
     GaussianDescriptor,
     StateSpec,
@@ -28,6 +34,7 @@ from cvres.nonclassicality import (
     _curvature_table,
     _envelope_log_weights,
     _envelope_max,
+    _even_cat_ansatz,
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
@@ -245,13 +252,18 @@ class TestCertifiedSupLevels:
             assert float(np.real(np.vdot(vec, l_mat @ vec))) <= cert.value * (1 + 1e-12)
 
 
-def _cat_ansatz_matrices(alpha: float, d: int, seed: int) -> list[np.ndarray]:
-    """L = B^T exp([[0, x1], [x1, x2]]) B on span{cat+, vacuum}, at the even cat search's points."""
+def _even_cat_basis(alpha: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows cat+ and v0 (the vacuum orthogonalised against cat+) of the even cat's ansatz."""
     psi = cat_amplitudes(alpha, "+", d)
     psi = psi / np.linalg.norm(psi)
     v0 = -psi[0] * psi
     v0[0] += 1.0
-    basis = np.stack([psi, v0 / np.linalg.norm(v0)])
+    return psi, v0 / np.linalg.norm(v0)
+
+
+def _cat_ansatz_matrices(alpha: float, d: int, seed: int) -> list[np.ndarray]:
+    """L = B^T exp([[0, x1], [x1, x2]]) B on span{cat+, vacuum}, at the even cat search's points."""
+    basis = np.stack(_even_cat_basis(alpha, d))
     rng = np.random.default_rng(seed)
     points = np.concatenate([[[0.0, -8.0], [0.5, -3.0]], rng.uniform(-10.0, 5.0, size=(10, 2))])
     return [basis.T @ expm(np.array([[0.0, x1], [x1, x2]])) @ basis for x1, x2 in points]
@@ -284,6 +296,28 @@ class TestEnvelopeMax:
     def test_zero_and_negative_matrices(self):
         assert _envelope_max(np.zeros((4, 4))) == 0.0
         assert _envelope_max(-np.eye(3)) == 0.0
+
+
+class TestEvenCatClosedForm:
+    @pytest.mark.parametrize("alpha", [0.3, math.sqrt(2.0) * 0.3, 0.5, 1.0, 2.4])
+    def test_matches_the_generic_envelope(self, alpha):
+        # x = 60 and 80 sit beyond the clip at 50; x1 = 0 leaves exp(M) diagonal; x2 = -2000
+        # underflows the lower eigenvalue's exponential
+        rng = np.random.default_rng(3)
+        points = np.concatenate([[[0.0, -8.0], [60.0, 80.0], [50.0, -3.0], [-3.0, 60.0],
+                                  [0.0, 3.0], [0.0, -20.0], [0.0, 0.0], [0.3, -2000.0]],
+                                 rng.uniform(-10.0, 5.0, size=(25, 2))])
+        for d in sorted({required_cat_cutoff(alpha), 30, 40}):
+            basis = np.stack(_even_cat_basis(alpha, d))
+            ansatz_at, peak_and_cap = _even_cat_ansatz(*basis)
+            for x in points:
+                l_mat = ansatz_at(x)
+                x1, x2 = np.minimum(x, 50.0)
+                ref = basis.T @ exp_hermitian(np.array([[0.0, x1], [x1, x2]]))[0] @ basis
+                assert np.max(np.abs(l_mat - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
+                peak, cap = peak_and_cap(x)
+                assert cap == pytest.approx(float(np.linalg.eigvalsh(l_mat)[-1]), rel=1e-14)
+                assert min(peak, cap) == pytest.approx(_envelope_max(l_mat), rel=1e-12)
 
 
 class TestCurvatureTable:
@@ -585,12 +619,15 @@ class TestCatReflection:
                       for v in (coherent_vector(b, 30)[0] for b in betas))
         assert raw <= -math.log2(sampled)
 
-    # values of the search that certified every point it read (tree c4f1ef0)
-    @pytest.mark.parametrize("alpha, before", [(0.3, 0.013949648617842782),
-                                               (0.5, 0.10032487238066669),
-                                               (1.0, 0.7517312048899026)])
-    def test_even_cat_keeps_its_value(self, alpha, before):
-        bound = cat_gamma_lower_bound(cat_state(alpha, "+", 30))
+    # values of the search that certified every point it read (tree c4f1ef0), and at
+    # cutoff 8 the cat table's and the protocol figure's states (tree 1da6ab6)
+    @pytest.mark.parametrize("alpha, cutoff, before", [(0.3, 30, 0.013949648617842782),
+                                                       (0.5, 30, 0.10032487238066669),
+                                                       (1.0, 30, 0.7517312048899026),
+                                                       (0.3, 8, 0.013936588138299271),
+                                                       (math.sqrt(2.0) * 0.3, 8, 0.053662635709248174)])
+    def test_even_cat_keeps_its_value(self, alpha, cutoff, before):
+        bound = cat_gamma_lower_bound(cat_state(alpha, "+", cutoff))
         assert bound.value >= before - math.log2(1 + nonclassicality.INNER_TOL)
 
     def test_odd_cat_tends_to_single_photon(self):
@@ -874,6 +911,13 @@ class TestClassicalAnsatz:
         lo = cat_gamma_lower_bound(cat_state(2.0, "+", 40))
         assert up.value - lo.value < 0.5
         assert lo.value <= up.value + 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 1e-5])
+    def test_near_vacuum_cat_interval_holds_zero(self, alpha):
+        # at alpha = 0 and 1e-9 the mixture's divergence rounds to -6.4e-16
+        rho = cat_state(alpha, "+", 8)
+        upper, lower = cat_mixture_upper_bound(rho), cat_gamma_lower_bound(rho)
+        assert upper.value >= 0.0 >= lower.value
 
     def test_cat_mixture_takes_a_cat(self):
         with pytest.raises(UsageError):
