@@ -390,23 +390,34 @@ def _envelope_grid(powers: np.ndarray) -> np.ndarray:
 
 
 def _polished_peak(ln_w: np.ndarray, powers: np.ndarray, grid: np.ndarray,
-                   values: np.ndarray) -> float:
-    """Uncertified max over t of F(t) = e^(-t) sum_s W_s t^(s/2), from its ``values`` on ``grid``.
+                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every local maximum (t, F) of F(t) = e^(-t) sum_p W_p t^p, from its ``values`` on ``grid``.
 
     Each local maximum of the samples is polished by Newton steps on
     g(u) = ln F(u^2), u = sqrt(t), whose derivatives are 2E[p]/u - 2u and
-    (4Var[p] - 2E[p])/u^2 - 2 under the softmax weights W_s t^p over the powers.
+    (4Var[p] - 2E[p])/u^2 - 2 under the softmax weights W_p t^p over the powers.
     Unlike ln F, g stays smooth at 0 where a half-integer power makes ln F steep.
-    ln_w may hold -inf for a weight that is zero.
+    Each point moves within its grid neighbours, the first almost to t = 0, and
+    replaces its grid point only where higher.  A grid point at t = 0 is read as
+    it is.  F(0) = W_0 is the caller's, so a sample maximum at the first grid
+    point t_1 > 0 skips its polish where F provably falls on (0, t_1].  ln_w may
+    hold -inf for a weight that is zero.
     """
     padded = np.concatenate([[-np.inf], values, [-np.inf]])
     peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
-    # each point moves within its grid neighbours; the first may move almost to t = 0
-    edges = np.sqrt(np.concatenate([[1e-300], grid, [grid[-1]]])).tolist()
+    ts, fs = grid[peaks], values[peaks]
+    edges = np.sqrt(np.maximum(np.concatenate([[0.0], grid, [grid[-1]]]), 1e-300)).tolist()
     two_p = 2.0 * powers
     moments = powers[:, None] ** np.arange(3.0)
-    best = float(values.max())
-    for i in peaks.tolist():
+    for j, i in enumerate(peaks.tolist()):
+        if grid[i] == 0.0:
+            continue
+        if i == 0 and powers[0] == 0.0 and powers[1:].min(initial=1.0) >= 1.0:
+            # with S(t) = sum_p W_p t^p, F' = e^(-t)(S' - S) <= e^(-t)(S'(t_1) - W_0) on
+            # (0, t_1], since S >= W_0 and S' rises: F falls there if S'(t_1) <= W_0
+            slope = ln_w[1:] + np.log(powers[1:]) + (powers[1:] - 1.0) * math.log(grid[0])
+            if np.logaddexp.reduce(slope, initial=-np.inf) <= ln_w[0]:
+                continue
         lo, u, hi = edges[i:i + 3]
         # at most 8 steps: Newton converges quadratically, so once a step moves u by
         # at most 1e-5 of itself, ln F sits at its peak to rounding; the pass after
@@ -423,24 +434,27 @@ def _polished_peak(ln_w: np.ndarray, powers: np.ndarray, grid: np.ndarray,
             u_next = min(max(u + 2.0 * (u - mean / u) / curv, lo), hi) if curv < 0.0 else u
             done = abs(u_next - u) <= 1e-5 * u
             u = u_next
-        best = max(best, math.exp(top - u * u) * total)
-    if powers[0] == 0.0:
-        best = max(best, math.exp(ln_w[0]))  # F(0) = W_0
-    return best
+        polished = math.exp(top - u * u) * total
+        if polished > fs[j]:
+            ts[j], fs[j] = min(u * u, grid[-1]), polished
+    return ts, fs
 
 
 def _envelope_max(entries) -> float:
     """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
 
     F and the cap are those of the certified supremum, whose value is never below
-    this one.  F is sampled on ``_envelope_grid`` and polished by
-    ``_polished_peak``.  For searches that need a certificate only at their winner.
+    this one.  F is sampled on ``_envelope_grid``; the largest of the maxima that
+    ``_polished_peak`` returns and F(0) = W_0 is its peak.  For searches that need
+    a certificate only at their winner.
     """
     cap, ln_w, powers = _envelope_terms(entries)
     if not ln_w.size or cap == 0.0:
         return 0.0
     grid = _envelope_grid(powers)
-    return min(_polished_peak(ln_w, powers, grid, _envelope_at(ln_w, powers, grid)), cap)
+    fs = _polished_peak(ln_w, powers, grid, _envelope_at(ln_w, powers, grid))[1]
+    f_0 = math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0  # F(0) = W_0
+    return min(max(float(fs.max()), f_0), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +565,8 @@ def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
         coef = np.abs(to_abc @ m.ravel())
         with np.errstate(divide="ignore"):
             ln_w = np.log(coef @ rows)
-        return _polished_peak(ln_w, powers, grid, table @ coef), cap
+        peak = float(_polished_peak(ln_w, powers, grid, table @ coef)[1].max())
+        return max(peak, math.exp(ln_w[0])), cap  # F(0) = W_0
 
     return ansatz_at, peak_and_cap
 
@@ -623,41 +638,27 @@ FD_SUM_ROW = 1e4  # weight of the least-squares row that holds the mixture weigh
 FD_VERTEX_LN_PHI = 1.0  # ln sup phi above which a round first moves weight onto its top atom
 
 
-def _phi_maxima(ks, a, grid, log_pois_grid):
-    """Local maxima (t, ln phi(t)) of ln phi(t) = logsumexp_k(a_k + ln pois(k; t)).
+def _phi_maxima(ks: np.ndarray, t_cap: float):
+    """ln ell -> local maxima (t, ln phi(t)) on [0, t_cap] of phi(t) = e^(-t) sum_k (ell_k/k!) t^k.
 
-    The maxima of the grid values are polished together by Newton steps on ln phi,
-    whose derivatives are E[k]/t - 1 and (Var[k] - E[k])/t^2 under the softmax
-    weights over k.  Each step stays between the point's grid neighbours, and a
-    polished point replaces its grid point only where it is higher.
-    """
-    def log_phi(log_pois):  # and the softmax weights over k
-        v = a[:, None] + log_pois
-        top = v.max(axis=0)
-        v = np.exp(v - top)
-        total = v.sum(axis=0)
-        return top + np.log(total), v / total
+    phi is sampled by one product with the Poisson table of a grid uniform in
+    sqrt(t), where Poisson bumps have constant width, that holds t = 0 only with
+    level 0 (else phi(0) = 0); ``_polished_peak`` polishes the samples' maxima,
+    with ln W_k = ln ell_k - ln k! shifted by max ln ell so nothing overflows."""
+    grid = t_cap * np.linspace(0.0, 1.0, max(257, int(32.0 * math.sqrt(t_cap)) + 1)) ** 2
+    if ks.min() > 0.0:
+        grid = grid[1:]
+    pois_grid = np.exp(_log_poisson(ks, grid))
+    ln_fact = log_factorials(int(ks.max()) + 1)[ks.astype(np.intp)]
 
-    ln_phi, _ = log_phi(log_pois_grid)
-    left = np.concatenate([[-np.inf], ln_phi[:-1]])
-    right = np.concatenate([ln_phi[1:], [-np.inf]])
-    idx = np.flatnonzero((ln_phi > left) & (ln_phi >= right))
-    ts, best = grid[idx], ln_phi[idx]
-    inner = ts > 0.0
-    i = idx[inner]
-    lo = np.maximum(grid[np.maximum(i - 1, 0)], 0.5 * grid[i])  # Newton needs t > 0
-    hi = grid[np.minimum(i + 1, grid.size - 1)]
-    t = grid[i]
-    for _ in range(6):
-        _, weights = log_phi(_log_poisson(ks, t))
-        mean = ks @ weights
-        curv = (ks**2 @ weights - mean**2 - mean) / t**2
-        step = np.where(curv < 0.0, (1.0 - mean / t) / np.where(curv < 0.0, curv, -1.0), 0.0)
-        t = np.clip(t + step, lo, hi)
-    polished, _ = log_phi(_log_poisson(ks, t))
-    ts[inner] = np.where(polished > best[inner], t, ts[inner])
-    best[inner] = np.maximum(polished, best[inner])
-    return ts, best
+    def maxima(ln_ell):
+        shift = float(ln_ell.max())
+        ts, phi = _polished_peak(ln_ell - ln_fact - shift, ks, grid,
+                                 np.exp(ln_ell - shift) @ pois_grid)
+        with np.errstate(divide="ignore"):
+            return ts, np.log(phi) + shift
+
+    return maxima
 
 
 def _vertex_step(p: np.ndarray, q: np.ndarray, col: np.ndarray) -> float:
@@ -693,15 +694,14 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     (Lindsay, Ann. Statist. 11, 1983); phi averages to exactly 1 under the
     mixing measure, and past the largest supported level it only falls, so
     [0, t_cap] is exhaustive.  One exchange loop (the constrained Newton method
-    of Y. Wang, J. R. Stat. Soc. B 69, 2007): each round finds the local maxima of
-    ln phi on one grid, uniform in sqrt(t) where Poisson bumps have constant
-    width.  It stops once log2 sup phi <= FD_TOL_BITS/4, or once KL(p || q) is
-    that small, since [0, KL] is then already that narrow.  Otherwise it adds the
-    maxima with phi > 1 as atoms of zero weight and takes one weight step: NNLS
-    on the quadratic model sum_k p_k (sum_j w_j pois(k; t_j)/q_k - 2)^2 with a
-    heavy row for sum_j w_j = 1, then an Armijo backtrack on sum_k p_k ln q_k.
-    Atoms left at weight 0 are dropped, and a step that no backtrack makes an
-    ascent ends the loop.  Where ln sup phi exceeds ``FD_VERTEX_LN_PHI`` (a tail
+    of Y. Wang, J. R. Stat. Soc. B 69, 2007): each round finds the local maxima
+    of phi with ``_phi_maxima``.  It stops once log2 sup phi <= FD_TOL_BITS/4,
+    or once KL(p || q) is that small, since [0, KL] is then already that narrow.
+    Otherwise it adds the maxima with phi > 1 as atoms of zero weight and takes
+    one weight step: NNLS on the quadratic model sum_k p_k (sum_j w_j pois(k; t_j)
+    /q_k - 2)^2 with a heavy row for sum_j w_j = 1, then an Armijo backtrack on
+    sum_k p_k ln q_k.  Atoms left at weight 0 are dropped, and a step that no
+    backtrack makes an ascent ends the loop.  Where ln sup phi exceeds ``FD_VERTEX_LN_PHI`` (a tail
     the model has emptied, where it can at most double q per step), the round
     first moves weight onto the atom of largest phi by the exact line search of
     ``_vertex_step``.
@@ -710,10 +710,7 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     primal value of L is exactly the dual minus log2 sup phi.  Returns the atoms,
     q on the supported levels and the number of rounds.
     """
-    grid = t_cap * np.linspace(0.0, 1.0, max(257, int(32.0 * math.sqrt(t_cap)) + 1)) ** 2
-    if ks.min() > 0.0:
-        grid = grid[1:]  # without the vacuum level phi(0) = 0
-    log_pois_grid = _log_poisson(ks, grid)
+    phi_maxima = _phi_maxima(ks, t_cap)
     root_p = np.sqrt(p)
     # start with one atom per half unit of sqrt(t), carrying the weight of its nearest levels
     start = np.minimum(np.round(2.0 * np.sqrt(ks)) ** 2 / 4.0, t_cap)
@@ -724,7 +721,7 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     rounds = 0
     while rounds < FD_MAX_ROUNDS:
         ln_ell = np.log(p / q)
-        ts, ln_phi = _phi_maxima(ks, ln_ell, grid, log_pois_grid)
+        ts, ln_phi = phi_maxima(ln_ell)
         if LOG2E * min(float(ln_phi.max()), float(p @ ln_ell)) <= 0.25 * FD_TOL_BITS:
             break
         rounds += 1
@@ -763,10 +760,11 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
 
     For this class the whole monotone hierarchy collapses to one number, so a
     matched lower/upper pair is emitted.  The dual side is KL(p || q) for the
-    Poisson mixture q of ``_poisson_mixture_fit``.  The primal side is L = p/q
-    on the supported levels and 0 elsewhere, whose value is the dual minus
-    log2 sup phi; the certified supremum of diag(L) over all amplitudes bounds
-    sup phi, so its log2 is the duality gap.
+    Poisson mixture q of ``_poisson_mixture_fit``, whose rounds find the maxima
+    of phi with the envelope peak's Newton polish, ``_polished_peak``.  The
+    primal side is L = p/q on the supported levels and 0 elsewhere, whose value
+    is the dual minus log2 sup phi; the certified supremum of diag(L) over all
+    amplitudes bounds sup phi, so its log2 is the duality gap.
     """
     if isinstance(state, FockDiagonalState):
         ks = np.array([float(k) for k in state.indices])

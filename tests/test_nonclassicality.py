@@ -286,9 +286,16 @@ class TestEnvelopeMax:
             assert value >= (cert.value - cert.gap) * (1 - 1e-9)
 
     @pytest.mark.parametrize("coupling", [1e-2, 1e-4, 1e-6])
-    def test_peak_next_to_the_vacuum(self, coupling):
-        # F(t) = e^(-t) (1 + 2 c sqrt(t)) peaks near t = c^2, far inside the first grid cell
-        l_mat = np.array([[1.0, coupling], [coupling, 0.0]])
+    @pytest.mark.parametrize("power", [0.5, 1.0])
+    def test_peak_next_to_the_vacuum(self, coupling, power):
+        if power == 0.5:
+            # F(t) = e^(-t) (1 + 2 c sqrt(t)) peaks near t = c^2, far inside the first grid cell
+            l_mat = np.array([[1.0, coupling], [coupling, 0.0]])
+        else:
+            # F(t) = e^(-t) (1 + (1 + c) t) peaks at t = c/(1 + c), about c^2/2 above F(0):
+            # the slope (1 + c) exceeds W_0 = 1, so the first cell keeps its polish
+            k = (1.0 + coupling) / math.sqrt(2.0)
+            l_mat = np.array([[1.0, 0.0, k], [0.0, 0.0, 0.0], [k, 0.0, 0.0]])
         cert = coherent_sup_certified(l_mat, tol=1e-12)
         value = _envelope_max(l_mat)
         assert (cert.value - cert.gap) * (1 - 1e-12) <= value <= cert.value
@@ -485,6 +492,91 @@ class TestFockDiagonal:
         assert fock["iterations"] == 0  # one atom at t = 2 is already optimal
         rho = make_state(StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.5}, 12))
         assert fock_diagonal_ncm(rho).lower.certificate["iterations"] >= 1
+
+
+def _fit_grid_values(monkeypatch, ks, ln_ell, t_cap):
+    """The grid and the values of phi / max ell on it that the fit's polish receives."""
+    seen = []
+    inner = nonclassicality._polished_peak
+
+    def recording(ln_w, powers, grid, values):
+        seen.append((grid, values))
+        return inner(ln_w, powers, grid, values)
+
+    monkeypatch.setattr(nonclassicality, "_polished_peak", recording)
+    nonclassicality._phi_maxima(ks, t_cap)(ln_ell)
+    return seen[0]
+
+
+def _ln_phi(ks, ln_ell, ts):
+    """ln phi(t) = logsumexp_k(ln ell_k + ln pois(k; t)), level by level."""
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_ln_t = np.where(ks[:, None] == 0.0, 0.0, ks[:, None] * np.log(ts[None, :]))
+    v = ln_ell[:, None] + k_ln_t - ts[None, :] - gammaln(ks + 1.0)[:, None]
+    top = np.maximum(v.max(axis=0), -1e300)  # phi(0) = 0 without level 0
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(v - top).sum(axis=0))
+
+
+class TestPhiMaxima:
+    @pytest.mark.parametrize("case", ["span700", "span700-no-vacuum", "tail", "flat"])
+    def test_grid_values_match_logsumexp(self, case, monkeypatch):
+        # the shifted weights and the table product neither overflow nor warn, and
+        # agree with the per-level logsumexp wherever phi >= 1e-300 max ell
+        rng = np.random.default_rng(11)
+        if case.startswith("span700"):
+            ks = np.arange(1.0 if case.endswith("no-vacuum") else 0.0, 41.0)
+            ln_ell = np.linspace(-700.0, 700.0, ks.size)
+            rng.shuffle(ln_ell)
+        elif case == "tail":
+            ks = np.arange(0.0, 81.0, 2.0)
+            ln_ell = np.linspace(0.0, 700.0, ks.size)
+        else:
+            ks = np.array([0.0, 3.0, 4.0, 9.0])
+            ln_ell = rng.uniform(-1.0, 1.0, ks.size)
+        grid, values = _fit_grid_values(monkeypatch, ks, ln_ell, float(ks.max()))
+        ln_phi = _ln_phi(ks, ln_ell, grid)
+        shift = float(ln_ell.max())
+        keep = ln_phi >= math.log(1e-300) + shift
+        assert np.count_nonzero(keep) > grid.size // 2
+        ref = np.exp(ln_phi[keep] - shift)
+        assert np.max(np.abs(values[keep] - ref) / ref) <= 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(levels=st.sets(st.integers(0, 40), min_size=1), seed=st.integers(0, 2**32 - 1))
+    @example(levels={0}, seed=0)  # t_cap = 1e-9
+    @example(levels={7}, seed=0)  # the polished top level rounds past t_cap without its clip
+    @example(levels={0, 1, 2, 5}, seed=0)
+    def test_largest_maximum_matches_a_fine_search(self, levels, seed):
+        ks = np.array(sorted(levels), dtype=float)
+        ln_ell = np.random.default_rng(seed).uniform(-60.0, 60.0, ks.size)
+        t_cap = max(float(ks.max()), 1e-9)  # as fock_diagonal_ncm sets it
+        ts, ln_phi = nonclassicality._phi_maxima(ks, t_cap)(ln_ell)
+        assert np.all((ts >= 0.0) & (ts <= t_cap))
+        # oracle: a 20001-point sqrt(t) grid, its best point refined between its neighbours
+        grid = t_cap * np.linspace(0.0, 1.0, 20001) ** 2
+        fine = _ln_phi(ks, ln_ell, grid)
+        i = int(np.argmax(fine))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        res = minimize_scalar(lambda t: -_ln_phi(ks, ln_ell, [t])[0], bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-14 * max(hi, 1.0)})
+        oracle = max(float(fine[i]), -float(res.fun))
+        assert abs(float(ln_phi.max()) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+    # (nu, n, p, cutoff, rounds the fit took with its own six-step Newton loop)
+    BENCH_ROWS = [(0.0, 1, 0.2, 20, 11), (0.0, 1, 0.5, 20, 4), (0.0, 1, 0.8, 20, 6),
+                  (0.0, 2, 0.2, 20, 4), (0.0, 2, 0.5, 20, 3), (0.0, 2, 0.8, 20, 9),
+                  (0.5, 2, 0.3, 40, 12), (0.5, 2, 0.7, 40, 10),
+                  (1.0, 2, 0.3, 40, 16), (1.0, 2, 0.7, 40, 12)]
+
+    @pytest.mark.parametrize("nu, n, p, cutoff, rounds", BENCH_ROWS)
+    def test_bench_rows_fit_in_no_more_rounds(self, nu, n, p, cutoff, rounds):
+        # the noisy-Fock rows of the benchmark's figure commands
+        spec = StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, cutoff)
+        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["iterations"] <= rounds
 
 
 class TestGamma:
