@@ -56,6 +56,7 @@ from .nonclassicality import (
     husimi_lower_bound,
     ideal_energy,
     noisy_fock_closed_form,
+    quadrature_lower_bound,
     truncation_certificate,
     wehrl_upper_bound,
 )

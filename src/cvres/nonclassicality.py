@@ -4,10 +4,11 @@ Lower bounds come from the variational program
 
     sup over positive L of  Tr[rho log2 L] - log2 sup_alpha <alpha|L|alpha>,
 
-whose every feasible L yields a valid lower bound; the inner supremum always
-enters through a certified upper bound, so reported values never overshoot.
-Upper bounds come from explicit classical ansatz states, the energy bound
-m*g(E/m), Wehrl-entropy estimates, and the Gaussian closed forms.  Bounds for
+whose every feasible L yields a valid lower bound; the inner supremum enters
+through a certified upper bound, or exactly for the closed forms (Fock, and
+L = exp(-x X^2) on a quadrature), so reported values never overshoot.  Upper
+bounds come from explicit classical ansatz states, the energy bound m*g(E/m),
+Wehrl-entropy estimates, and the Gaussian closed forms.  Bounds for
 the ideal (untruncated) state are obtained by folding in the spectral
 truncation certificate m*eps*g(2E/(m*eps)) + g(eps), at the energy E of the
 ideal state that ``make_state`` recorded on the state (``ideal_energy``).
@@ -40,11 +41,11 @@ from .entropies import (
 from .errors import BoundConsistencyError, UsageError
 from .fock_core import DensityOperator, coherent_vector, displacement_columns, log_factorials
 from .states import (
+    GAUSSIAN_FAMILIES,
     FockDiagonalState,
     GaussianDescriptor,
     cat_amplitudes,
     exact_energy,
-    gaussian_descriptor,
 )
 
 
@@ -193,6 +194,20 @@ def _certified(
     if sup is not None:
         head.update(inner_sup_radius=sup.radius_sq, inner_sup_grid_error=sup.gap)
     return MonotoneBound(quantity, direction, value, {**head, **certificate}, converged)
+
+
+def _moments(rho: DensityOperator) -> tuple[complex, float, float]:
+    """(beta, n_c, |m_c|) of a normalised single-mode rho: beta = Tr[rho a] =
+    sum_m sqrt(m) rho[m, m-1], n_c = <n> - |beta|^2 (floored at 0) and m_c = <a^2> - beta^2."""
+    if rho.modes != 1:
+        raise UsageError(f"the moment bounds take a single-mode state, not {rho.modes} modes")
+    ent, d = rho.entries, rho.cutoff
+    beta = complex(np.sqrt(np.arange(1.0, d)) @ np.diagonal(ent, offset=-1))
+    k = np.arange(d - 2)
+    weights, off2 = np.sqrt((k + 1.0) * (k + 2.0)), np.diagonal(ent, offset=-2)
+    m_c = abs(complex(np.dot(weights, off2.real), np.dot(weights, off2.imag)) - beta * beta)
+    n_c = max(float(np.dot(np.arange(d), np.real(np.diagonal(ent)))) - abs(beta) ** 2, 0.0)
+    return beta, n_c, m_c
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +843,9 @@ def centred_dephased_ncm(rho: DensityOperator) -> FockDiagonalResult:
     h(tau) + tau g(E/tau) <= c.  The input's own truncation is folded on rho
     by ``_certified``.  Both certificates carry the raw value before that fold.
     """
-    if rho.modes != 1:
-        raise UsageError("centred_dephased_ncm handles single-mode states")
     rho_n = rho.renormalized()
     ent, d = rho_n.entries, rho.cutoff
-    beta = complex(np.sqrt(np.arange(1.0, d)) @ np.diagonal(ent, offset=-1))
+    beta = _moments(rho_n)[0]
     cols = displacement_columns(-beta, d + CENTRE_PAD, d)
     p_c = np.clip(np.real(np.sum((cols @ ent) * cols.conj(), axis=1)), 0.0, None)
     tau = min(max(rho_n.trace() - float(p_c.sum()), 0.0), 1.0)
@@ -894,6 +907,23 @@ def husimi_lower_bound(rho: DensityOperator) -> MonotoneBound:
     raw = -math.log2(max(math.pi**rho.modes * husimi_sup(rho_n), 1e-300)) - von_neumann_entropy(rho_n)
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": "Husimi-peak estimate", "raw_value_bits": raw})
+
+
+def quadrature_lower_bound(rho: DensityOperator) -> MonotoneBound:
+    """Lower bound from L = exp(-x X^2), X the centred quadrature of least variance v/2.
+
+    Tr[rho ln L] = -x v/2 and sup_alpha <alpha|L|alpha> = 1/sqrt(1+x) exactly, so the value
+    (ln(1+x) - x v)/2 nats peaks at x = 1/v - 1: (v - 1 - ln v)/2 if v < 1, else 0 at x = 0.
+    """
+    beta, n_c, m_c = _moments(rho.renormalized())
+    # the sums behind n_c and m_c (d terms, total size below <n> + 1) round v by less than
+    # 12 d eps (<n> + 1); raised by more, v never reads rounding (v = 1 if coherent) as squeezing
+    rounding = 16.0 * rho.cutoff * np.finfo(float).eps * (n_c + abs(beta) ** 2 + 1.0)
+    v = 2.0 * n_c + 1.0 - 2.0 * m_c + rounding
+    raw = 0.5 * LOG2E * (v - 1.0 - math.log(v)) if v < 1.0 else 0.0
+    return _certified(rho, "NCM", "lower", raw,
+                      {"ansatz_description": f"squeezed quadrature, variance {v:.6g}",
+                       "raw_value_bits": raw})
 
 
 def _gaussian_entropy_bits(gd: GaussianDescriptor) -> float:
@@ -974,16 +1004,9 @@ def classical_ansatz_upper_bound(rho: DensityOperator) -> MonotoneBound:
     ``SQUEEZE_GRID`` is refined; D >= 0 floors the value.  The certificate also
     carries the raw value of the unsqueezed member, s = 0.
     """
-    if rho.modes != 1:
-        raise UsageError("the classical Gaussian ansatz is single mode")
     rho_n = rho.renormalized()
-    ent, d = rho_n.entries, rho.cutoff
+    _, n_c, m_c = _moments(rho_n)
     s_bits = von_neumann_entropy(rho_n)
-    beta = complex(np.sqrt(np.arange(1.0, d)) @ np.diagonal(ent, offset=-1))
-    k = np.arange(d - 2)
-    weights, off2 = np.sqrt((k + 1.0) * (k + 2.0)), np.diagonal(ent, offset=-2)
-    m_c = abs(complex(np.dot(weights, off2.real), np.dot(weights, off2.imag)) - beta * beta)
-    n_c = max(float(np.dot(np.arange(d), np.real(np.diagonal(ent)))) - abs(beta) ** 2, 0.0)
 
     def divergence(s: float) -> float:
         n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
@@ -1099,13 +1122,8 @@ SANDWICH_SLACK = 1e-9
 
 
 def _family_bounds(rho: DensityOperator) -> list[MonotoneBound]:
-    """The family-specific bounds of ``rho.spec`` that can set an endpoint of the sandwich.
-
-    Left out because they never do: the Gaussian upper bound (at least 1 bit
-    above the winning upper on every Gaussian family, squeezing of either
-    sign included) and the Gaussian lower bound on coherent and thermal states
-    (identically 0, since g(nu) >= log2(1+nu)).
-    """
+    """The bounds of ``rho.spec`` that no generic engine gives: the Fock closed form,
+    and the cat's parity-block ansatz and {+-alpha, 0} mixture."""
     fam, params = rho.spec.family, rho.spec.params
     if fam == "fock":
         exact = fock_closed_form(params["n"])
@@ -1113,11 +1131,6 @@ def _family_bounds(rho: DensityOperator) -> list[MonotoneBound]:
                 MonotoneBound("NC", "upper", exact, {"ansatz_description": "Fock closed form"})]
     if fam == "cat":
         return [cat_gamma_lower_bound(rho), cat_mixture_upper_bound(rho)]
-    if fam in ("coherent", "thermal"):
-        return [classical_ansatz_upper_bound(rho)]
-    if fam == "squeezed":
-        g_lower, _ = gaussian_bounds(gaussian_descriptor(rho.spec))
-        return [g_lower, classical_ansatz_upper_bound(rho)]
     return []
 
 
@@ -1128,26 +1141,28 @@ def bound_sandwich(
     """Best available interval [lower on NCM, upper on NC] for one state.
 
     One list of candidate bounds, the best of each side taken: the energy
-    bound for every state; the exact program for single-mode Fock-diagonal
-    states; for a state built from a spec, its family's bounds
-    (``_family_bounds``).  Any other single-mode state that is not
-    Fock-diagonal gets the centred and dephased pair
-    (``centred_dephased_ncm``), and the dense exp(H) ascent only when that
-    pair's raw gap exceeds 2 ``FD_TOL_BITS``: an ascent value is at most
-    NCM <= NC <= the pair's raw upper bound, so it could not raise the lower
-    bound by more.  A nonempty interval is enforced loudly.
+    bound; the exact program if single-mode Fock-diagonal; if dense and single
+    mode, the quadrature and classical-Gaussian bounds, and the centred and
+    dephased pair (``centred_dephased_ncm``) unless Fock-diagonal or a Gaussian
+    spec; what a spec's family adds (``_family_bounds``).  A raw matrix whose
+    pair's raw gap exceeds 2 ``FD_TOL_BITS`` gets the dense exp(H) ascent: its
+    value is at most NCM <= NC <= the pair's raw upper, so it could not raise
+    the lower bound by more.  A nonempty interval is enforced loudly.
     """
     candidates = [energy_upper_bound(ideal_energy(rho), rho.modes)]
     if rho.modes == 1 and rho.fock_diagonal:
         candidates.extend(fock_diagonal_ncm(rho))
+    if isinstance(rho, DensityOperator) and rho.modes == 1:
+        candidates += [quadrature_lower_bound(rho), classical_ansatz_upper_bound(rho)]
+        gaussian = rho.spec is not None and rho.spec.family in GAUSSIAN_FAMILIES
+        if not (rho.fock_diagonal or gaussian):
+            lower, upper = centred_dephased_ncm(rho)
+            candidates += [lower, upper]
+            gap = upper.certificate["raw_value_bits"] - lower.certificate["raw_value_bits"]
+            if rho.spec is None and gap > 2 * FD_TOL_BITS:
+                candidates.append(gamma_lower_bound(rho, cfg))
     if rho.spec is not None:
         candidates.extend(_family_bounds(rho))
-    elif rho.modes == 1 and not rho.fock_diagonal:
-        lower, upper = centred_dephased_ncm(rho)
-        candidates += [lower, upper]
-        gap = upper.certificate["raw_value_bits"] - lower.certificate["raw_value_bits"]
-        if gap > 2 * FD_TOL_BITS:
-            candidates.append(gamma_lower_bound(rho, cfg))
 
     # max and min keep the first of equal values, so list order settles ties
     lowers = [b for b in candidates if b.direction == "lower"] or [

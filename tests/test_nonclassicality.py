@@ -11,7 +11,13 @@ from scipy.special import gammaln
 from cvres import nonclassicality
 from cvres._optim import SimplexResult
 from cvres.errors import UsageError
-from cvres.fock_core import DensityOperator, coherent_vector, fock_state, pure_state
+from cvres.fock_core import (
+    DensityOperator,
+    coherent_vector,
+    displacement_columns,
+    fock_state,
+    pure_state,
+)
 from cvres.entropies import (
     entropy_of_probabilities,
     exp_hermitian,
@@ -52,6 +58,7 @@ from cvres.nonclassicality import (
     ideal_energy,
     noisy_fock_closed_form,
     product_interval,
+    quadrature_lower_bound,
     truncation_certificate,
     truncation_epsilon,
     wehrl_upper_bound,
@@ -1079,6 +1086,69 @@ class TestClassicalAnsatz:
         assert raw <= min(d_reference(s) for s in [0.05, 0.3, 0.8]) + 1e-9
 
 
+class TestQuadratureBound:
+    """The closed form from L = exp(-x X^2) on the quadrature of least variance."""
+
+    @pytest.mark.parametrize("x", [0.2, 1.0, 3.0])
+    def test_closed_form_supremum(self, x):
+        # sup_alpha <alpha|exp(-x X^2)|alpha> = 1/sqrt(1+x); L is built on 80 levels so
+        # that its top-left 40 x 40 block, which is certified, carries no truncation error
+        a = _ladder(80)
+        evals, vecs = np.linalg.eigh((a + a.T) / math.sqrt(2.0))
+        ell = (vecs * np.exp(-x * evals**2)) @ vecs.T
+        cert = coherent_sup_certified(ell[:40, :40])
+        assert cert.value == pytest.approx(1.0 / math.sqrt(1.0 + x), abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock", {"n": 0}, 20),
+        StateSpec("fock", {"n": 3}, 20),
+        StateSpec("thermal", {"nu": 0.5}, 40),
+        StateSpec("thermal", {"nu": 2.0}, 60),
+        StateSpec("coherent", {"alpha": 1.2}, 40),
+        StateSpec("coherent", {"alpha": 1.5}, 40),
+        StateSpec("coherent", {"alpha": [0.5, 0.7]}, 30),
+        StateSpec("coherent", {"alpha": [-2.0, 0.3]}, 40),
+    ], ids=lambda spec: spec.to_json())
+    def test_zero_without_squeezing(self, spec):
+        # v = 2<n> + 1 on a Fock-diagonal state and v = 1 on a coherent state, where centring
+        # cancels <n> and <a^2> against |beta|^2 and beta^2 to a few ulp, which the rounding
+        # allowance covers: (v - 1 - ln v)/2 would turn them into 1e-32 to 1e-30 bits
+        bound = quadrature_lower_bound(make_state(spec, deficit_tol=1e-5))
+        assert bound.certificate["raw_value_bits"] == 0.0
+        assert bound.value == 0.0
+
+    def test_squeezed_vacuum_closed_form(self):
+        # v = e^(-2r): (e^(-2r) - 1 + 2r)/2 nats, above log2 cosh r, the Gaussian lower bound
+        for r in (0.3, -0.5, 0.9):
+            rho = make_state(StateSpec("squeezed", {"r": r}, 80), deficit_tol=1e-5)
+            raw = quadrature_lower_bound(rho).certificate["raw_value_bits"]
+            assert raw == pytest.approx(0.5 * LOG2E * (math.exp(-2 * abs(r)) - 1 + 2 * abs(r)),
+                                        abs=1e-9)
+            assert raw > math.log2(math.cosh(r))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(r=st.floats(0.3, 0.8), w=st.floats(0.0, 0.05), theta=st.floats(0.0, 2 * math.pi),
+           gamma=st.complex_numbers(max_magnitude=1.0), seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_rotation_and_displacement(self, r, w, theta, gamma, seed):
+        # a squeezed vacuum mixed with a little of a random 3-level state, on 40 levels;
+        # its displacement by gamma is kept on 40 + 60 levels, past which nothing is left
+        d, rows = 40, 100
+        squeezed = make_state(StateSpec("squeezed", {"r": r}, d), deficit_tol=1e-5)
+        ent = (1.0 - w) * squeezed.renormalized().entries
+        ent[:3, :3] += w * _random_state(np.random.default_rng(seed), 3).entries
+        rho = DensityOperator.from_matrix(ent, 1, d)
+        phases = np.exp(1j * theta * np.arange(d))
+        turned = DensityOperator.from_matrix(ent * np.outer(phases, phases.conj()), 1, d)
+        cols = displacement_columns(gamma, rows, d)
+        moved = cols @ ent @ cols.conj().T
+        moved = DensityOperator.from_matrix(moved / np.trace(moved), 1, rows, validate=False)
+        raw = quadrature_lower_bound(rho).certificate["raw_value_bits"]
+        assert raw > 0.0
+        for other in (turned, moved):
+            assert quadrature_lower_bound(other).certificate["raw_value_bits"] == pytest.approx(
+                raw, abs=1e-9)
+
+
 @pytest.mark.slow
 class TestDephasingMonotonicity:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -1394,19 +1464,32 @@ class TestSandwich:
         assert lo.value <= hi.value
         assert gamma_lower_bound(rho).value <= hi.value + SANDWICH_SLACK
 
-    def test_cat_path_follows_the_spec(self):
-        # one matrix: the family bounds when make_state built it, the dephased pair as a raw
-        # matrix, whose centre is 0 by parity; its lower side beats 5 ascent iterations
-        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 20))
-        raw = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
-        np.testing.assert_array_equal(raw.entries, rho.entries)
-        lo, hi = bound_sandwich(rho)
-        raw_lo, raw_hi = bound_sandwich(raw, OptimizerConfig(max_iters=5))
+    def test_spec_cat_takes_the_centred_pair(self):
+        # a spec-built cat gets the generic candidates of a raw matrix, whose centre is 0 by
+        # parity, and its family adds the parity-block ansatz and the {+-alpha, 0} mixture
+        pair = "centred at 0+0j and dephased"
+        cats = {(a, sign): make_state(StateSpec("cat", {"alpha": a, "sign": sign}, 20))
+                for a, sign in ((0.3, "+"), (0.3, "-"), (0.3 * math.sqrt(2.0), "+"))}
+        intervals = {key: bound_sandwich(rho) for key, rho in cats.items()}
+        lo, hi = intervals[0.3, "+"]
         assert lo.certificate["ansatz_description"].startswith("cat parity-block ansatz")
+        assert hi.certificate["ansatz_description"].startswith(pair)
+        assert all(b.certificate["ansatz_description"].startswith(pair)
+                   for b in intervals[0.3, "-"])
+        hi = intervals[0.3 * math.sqrt(2.0), "+"][1]
         assert hi.certificate["ansatz_description"].startswith("coherent mixture")
-        assert raw_lo.certificate["ansatz_description"].startswith("centred at 0+0j and dephased")
-        assert raw_hi.certificate["ansatz_description"].startswith("centred at 0+0j and dephased")
-        assert raw_lo.value > gamma_lower_bound(raw, OptimizerConfig(max_iters=5)).value
+        for key, rho in cats.items():
+            raw = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
+            np.testing.assert_array_equal(raw.entries, rho.entries)
+            raw_lo, raw_hi = bound_sandwich(raw, OptimizerConfig(max_iters=5))
+            lo, hi = intervals[key]
+            assert raw_lo.value <= lo.value <= hi.value <= raw_hi.value
+
+    def test_sparse_basel_keeps_its_interval(self):
+        # a FockDiagonalState takes the diagonal program alone: the moment engines need a matrix
+        lo, hi = bound_sandwich(make_state(StateSpec("basel", {"n_max": 3}, 9)))
+        assert lo.value == 0.0
+        assert hi.value == pytest.approx(2.28612228, abs=1e-8)
 
     def test_product_additivity(self):
         plus = StateSpec("cat", {"alpha": 1, "sign": "+"}, 30)
@@ -1440,12 +1523,16 @@ class TestSandwichDominance:
         StateSpec("squeezed", {"r": -1.7}, 150),
         StateSpec("squeezed", {"r": -2.0}, 300),
         StateSpec("noisy_fock", {"n": 2, "nu": 0.5, "p": 0.4}, 40),
+        StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 20),
+        StateSpec("cat", {"alpha": 0.3, "sign": "-"}, 20),
+        StateSpec("cat", {"alpha": 1.0, "sign": "+"}, 30),
+        StateSpec("cat", {"alpha": 1.0, "sign": "-"}, 30),
     ], ids=lambda spec: spec.to_json())
     def test_never_looser(self, spec):
         rho = make_state(spec, deficit_tol=1e-5)
         energy = exact_energy(spec)
         lo, hi = bound_sandwich(rho)
-        lowers = [husimi_lower_bound(rho)]
+        lowers = [husimi_lower_bound(rho), quadrature_lower_bound(rho)]
         uppers = [energy_upper_bound(energy), classical_ansatz_upper_bound(rho)]
         if spec.family in ("coherent", "thermal", "squeezed"):
             g_lower, g_upper = gaussian_bounds(gaussian_descriptor(spec))
@@ -1453,6 +1540,10 @@ class TestSandwichDominance:
             uppers.append(g_upper)
         if rho.fock_diagonal:
             lowers.append(fock_diagonal_ncm(rho).lower)
+        elif spec.family not in ("coherent", "thermal", "squeezed"):
+            pair = centred_dephased_ncm(rho)
+            lowers.append(pair.lower)
+            uppers.append(pair.upper)
         for b in lowers:
             assert lo.value >= b.value - 1e-12, b.certificate
         for b in uppers:
