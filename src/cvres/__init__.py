@@ -39,7 +39,6 @@ from .entropies import (
 )
 from .nonclassicality import (
     MonotoneBound,
-    OptimizerConfig,
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,

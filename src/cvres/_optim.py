@@ -5,7 +5,8 @@
 they visit the same points and return the same results as
 ``minimize(method="Nelder-Mead")`` and ``minimize_scalar(method="bounded")``
 called with the same options.  ``nnls`` is the Lawson-Hanson active-set
-method with guards for the degenerate problems of the Poisson-mixture fit.
+method, each passive set solved afresh by one numpy QR, with guards for the
+degenerate problems of the Poisson-mixture fit.
 """
 
 from __future__ import annotations
@@ -174,135 +175,65 @@ def _sign_or_one(v: float) -> float:
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin of ||a x - b|| over x >= 0: the NNLS routine of Lawson and Hanson
-    (Solving Least Squares Problems, 1974, ch. 23), as scipy runs it.
+    """argmin of ||a x - b|| over x >= 0: the active-set method of Lawson and Hanson
+    (Solving Least Squares Problems, 1974, ch. 23).
 
-    Columns enter the passive set P through Householder reflections and leave
-    it through Givens rotations, so the dual vector a^T (b - a x) is formed
-    from the rows below the triangle, free of the cancellation a heavy row
-    would bring.  A candidate column that is numerically dependent on P, or
-    whose own weight in the solve that would admit it is not positive, is
-    skipped until the dual vector is next formed.  The inner loop, which
-    interpolates back to feasibility, runs at most 3n steps in all; past them
-    the current feasible point is returned.
+    Each passive set P is solved from scratch by one complete QR, a[:, P] =
+    [Q1 Q2] R.  The dual vector is a^T Q2 Q2^T b, a^T applied to the part of b
+    off the span of P's columns: that is the residual b - a x without the
+    cancellation a heavy row (the Poisson-mixture fit's sum row) brings to it.
+    A candidate column is skipped until the dual vector is next formed if it
+    makes P numerically dependent (R's smallest pivot at most 1e-14 of its
+    largest) or if its own weight in the solve that would admit it is not
+    positive.  The inner loop, which interpolates back to feasibility and drops
+    every weight it or rounding leaves at <= 0, runs at most 3n steps in all;
+    past them the current feasible point is returned.
     """
-    a = np.array(a, dtype=float)  # both are transformed in place
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     m, n = a.shape
     x = np.zeros(n)
-    w = np.zeros(n)
-    index = np.arange(n)  # index[:k] is P in triangle order, index[k:] the rest
-    k = 0
+    passive = np.zeros(n, dtype=bool)
+    resid = b  # the part of b off the span of P's columns
     steps = 0
 
-    def back_substitute(z: np.ndarray) -> np.ndarray:
-        for i in range(k - 1, -1, -1):
-            col = index[i]
-            z[i] /= a[i, col]
-            z[:i] -= a[:i, col] * z[i]
-        return z
+    def solve(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z on ``cols`` from the complete QR of a[:, cols], the part of b off their
+        span, and R's pivots in magnitude."""
+        q, r = np.linalg.qr(a[:, cols], mode="complete")
+        k = np.count_nonzero(cols)
+        qtb = q.T @ b
+        z = np.zeros(n)
+        z[cols] = np.linalg.solve(r[:k], qtb[:k])
+        return z, q[:, k:] @ qtb[k:], np.abs(r.diagonal())
 
-    while k < min(m, n):
-        w[index[k:]] = b[k:] @ a[k:, index[k:]]
+    while np.count_nonzero(passive) < m:
+        w = a.T @ resid
+        skip = passive.copy()
         while True:  # the candidate of largest dual value that passes both tests
-            pos = k + int(np.argmax(w[index[k:]]))
-            j = index[pos]
-            if not w[j] > 0.0:
+            dual = np.where(skip, -np.inf, w)
+            j = int(np.argmax(dual))
+            if not dual[j] > 0.0:
                 return x
-            saved = a[k, j]
-            up = _householder(a[k:, j])
-            unorm = math.sqrt(float(a[:k, j] @ a[:k, j]))
-            if (unorm + abs(a[k, j]) * 0.01) - unorm > 0.0:
-                z = b.copy()
-                _reflect(a[k:, j], up, z[k:, None])
-                if z[k] / a[k, j] > 0.0:
-                    break
-            a[k, j] = saved
-            w[j] = 0.0
-        b = z
-        index[pos], index[k] = index[k], j
-        k += 1
-        rest = index[k:]
-        block = a[k - 1:, rest]
-        _reflect(a[k - 1:, j], up, block)
-        a[k - 1:, rest] = block
-        a[k:, j] = 0.0
-        w[j] = 0.0
-        z = back_substitute(b.copy())
+            skip[j] = True
+            trial = passive.copy()
+            trial[j] = True
+            z, resid, pivots = solve(trial)
+            if pivots.min() > 1e-14 * pivots.max() and z[j] > 0.0:
+                break
+        passive[j] = True
         while True:  # step back towards x until every weight in P is positive
             steps += 1
             if steps > 3 * n:
                 return x
-            hit = np.flatnonzero(z[:k] <= 0.0)
-            if hit.size == 0:
+            hit = passive & (z <= 0.0)
+            if not hit.any():
                 break
-            passive = index[:k]
-            ratios = -x[passive[hit]] / (z[hit] - x[passive[hit]])
-            x[passive] += ratios.min() * (z[:k] - x[passive])
-            out = int(hit[np.argmin(ratios)])
-            while True:  # rounding may leave more weights at <= 0; they leave too
-                x[index[out]] = 0.0
-                k = _leave(a, b, index, k, out)
-                bad = np.flatnonzero(x[index[:k]] <= 0.0)
-                if bad.size == 0:
-                    break
-                out = int(bad[0])
-            z = back_substitute(b.copy())
-        x[index[:k]] = z[:k]
+            ratios = x[hit] / (x[hit] - z[hit])
+            x += ratios.min() * (z - x)
+            x[np.flatnonzero(hit)[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0  # rounding may leave more weights at <= 0; they leave too
+            x[~passive] = 0.0
+            z, resid, _ = solve(passive)
+        x = z
     return x
-
-
-def _householder(u: np.ndarray) -> float | None:
-    """Make u the store of a Householder reflection that zeroes u[1:]: u[0] becomes
-    the new pivot and u[1:] the vector's tail; returns the vector's head, or None
-    where there is nothing to reflect."""
-    cl = float(np.abs(u).max()) if u.size > 1 else 0.0
-    if cl <= 0.0:
-        return None
-    norm = cl * math.sqrt(float(np.sum((u / cl) ** 2)))
-    if u[0] > 0.0:
-        norm = -norm
-    up = u[0] - norm
-    u[0] = norm
-    return up
-
-
-def _reflect(u: np.ndarray, up: float | None, c: np.ndarray) -> None:
-    """Apply the reflection stored in (up, u) to the columns of c, in place."""
-    if up is None or c.size == 0 or not up * u[0] < 0.0:
-        return
-    sm = (up * c[0] + u[1:] @ c[1:]) * (1.0 / (up * u[0]))
-    c[0] += sm * up
-    c[1:] += np.outer(u[1:], sm)
-
-
-def _leave(a: np.ndarray, b: np.ndarray, index: np.ndarray, k: int, out: int) -> int:
-    """Move the column at triangle position ``out`` from P to the rest, restoring the
-    triangle of a (and b with it) by Givens rotations; returns the new size of P."""
-    gone = index[out]
-    for pos in range(out + 1, k):
-        col = index[pos]
-        index[pos - 1] = col
-        c, s, sig = _givens(a[pos - 1, col], a[pos, col])
-        top = a[pos - 1].copy()
-        a[pos - 1] = c * top + s * a[pos]
-        a[pos] = -s * top + c * a[pos]
-        a[pos - 1, col], a[pos, col] = sig, 0.0
-        b[pos - 1], b[pos] = c * b[pos - 1] + s * b[pos], -s * b[pos - 1] + c * b[pos]
-    index[k - 1] = gone
-    return k - 1
-
-
-def _givens(p: float, q: float) -> tuple[float, float, float]:
-    """(c, s, r) with c p + s q = r and -s p + c q = 0."""
-    if abs(p) > abs(q):
-        ratio = q / p
-        root = math.sqrt(1.0 + ratio * ratio)
-        c = math.copysign(1.0 / root, p)
-        return c, c * ratio, abs(p) * root
-    if q != 0.0:
-        ratio = p / q
-        root = math.sqrt(1.0 + ratio * ratio)
-        s = math.copysign(1.0 / root, q)
-        return s * ratio, s, abs(q) * root
-    return 0.0, 1.0, 0.0

@@ -109,7 +109,7 @@ _WHICH = ("ncm-lower", "nc-upper", "fd-exact", "energy-upper", "wehrl-upper",
           "husimi-lower", "gaussian-lower", "gaussian-upper", "sandwich")
 
 
-def _bounds_for(which: str, rho, cfg) -> list[nc.MonotoneBound]:
+def _bounds_for(which: str, rho, max_iters: int) -> list[nc.MonotoneBound]:
     if isinstance(rho, FockDiagonalState):
         # sparse basel-family state: only the diagonal engines apply
         if which == "ncm-lower":
@@ -124,13 +124,13 @@ def _bounds_for(which: str, rho, cfg) -> list[nc.MonotoneBound]:
         raise UsageError(f"selector {which!r} is not available for the basel family; "
                          "use ncm-lower or fd-exact")
     if which == "ncm-lower":
-        lo, _ = nc.bound_sandwich(rho, cfg)
+        lo, _ = nc.bound_sandwich(rho, max_iters=max_iters)
         return [lo]
     if which == "nc-upper":
-        _, hi = nc.bound_sandwich(rho, cfg)
+        _, hi = nc.bound_sandwich(rho, max_iters=max_iters)
         return [hi]
     if which == "sandwich":
-        lo, hi = nc.bound_sandwich(rho, cfg)
+        lo, hi = nc.bound_sandwich(rho, max_iters=max_iters)
         return [lo, hi]
     if which == "fd-exact":
         res = nc.fock_diagonal_ncm(rho)
@@ -151,13 +151,12 @@ def _bounds_for(which: str, rho, cfg) -> list[nc.MonotoneBound]:
 
 def cmd_monotone(args) -> int:
     rho = _load_state(args.state)
-    cfg = nc.OptimizerConfig(max_iters=args.max_iters, objective_tol=args.tol)
     selectors = [w.strip() for w in args.which.split(",") if w.strip()]
     if not selectors:
         raise UsageError("--which must name at least one bound")
     bounds: list[nc.MonotoneBound] = []
     for sel in selectors:
-        bounds.extend(_bounds_for(sel, rho, cfg))
+        bounds.extend(_bounds_for(sel, rho, args.max_iters))
     payload = []
     for b in bounds:
         doc = json.loads(b.to_json())
@@ -382,7 +381,6 @@ def _monotone_options(p):
     p.add_argument("--state", required=True, help="state spec JSON, @file, or raw-matrix JSON file")
     p.add_argument("--which", default="sandwich", help=f"comma list from: {', '.join(_WHICH)}")
     p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-8)
     _common_options(p)
 
 

@@ -8,7 +8,6 @@ returned value is always a valid lower bound on the true quantity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,20 +73,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 @dataclass(frozen=True)
 class OptimizerReport:
-    value_bits: float
     iterations: int
     converged: bool
-    gradient_norm: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value_bits": self.value_bits,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "gradient_norm": self.gradient_norm,
-            }
-        )
 
 
 def exp_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,7 +120,6 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
     step = 0.5
     iters = 0
     converged = False
-    gnorm = 0.0
     for iters in range(1, max_iters + 1):
         grad = gradient(x, aux)
         gnorm = float(np.linalg.norm(grad))
@@ -157,7 +143,7 @@ def ascend(evaluate, gradient, x0, max_iters: int, objective_tol: float):
         if 0.0 <= gain < objective_tol:
             converged = gnorm**2 <= objective_tol
             break
-    return best_x, best_value, best_aux, OptimizerReport(best_value, iters, converged, gnorm)
+    return best_x, best_value, best_aux, OptimizerReport(iters, converged)
 
 
 def measured_relative_entropy(

@@ -117,16 +117,6 @@ def fock_closed_form(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 300
-    objective_tol: float = 1e-8  # bits
-
-    def __post_init__(self):
-        if self.objective_tol <= 0:
-            raise UsageError("objective_tol must be positive")
-
-
-@dataclass(frozen=True)
 class MonotoneBound:
     quantity: str  # NCM | NC | free_energy
     direction: str  # lower | upper
@@ -489,7 +479,7 @@ def _coherent_witness_weight(entries: np.ndarray, t_star: float) -> np.ndarray:
     return phase * np.outer(v, v)
 
 
-def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float, CertifiedSup, OptimizerReport]:
+def _gamma_ascent_dense(rho_m: np.ndarray, max_iters: int) -> tuple[float, CertifiedSup, OptimizerReport]:
     delta = 1e-9
     evals, vecs = np.linalg.eigh(rho_m)
     h = (vecs * np.log(np.maximum(evals, delta))) @ vecs.conj().T
@@ -510,22 +500,21 @@ def _gamma_ascent_dense(rho_m: np.ndarray, cfg: OptimizerConfig) -> tuple[float,
         grad_tr = exp_frechet_gradient(evals, vecs, weight)
         return LOG2E * (rho_m - grad_tr / max(cert.value, 1e-300))
 
-    _, best_value, (best_cert, *_), report = ascend(
-        evaluate, gradient, h, cfg.max_iters, cfg.objective_tol)
+    _, best_value, (best_cert, *_), report = ascend(evaluate, gradient, h, max_iters, 1e-8)
     return best_value, best_cert, report
 
 
-def gamma_lower_bound(rho: DensityOperator, cfg: OptimizerConfig | None = None) -> MonotoneBound:
+def gamma_lower_bound(rho: DensityOperator, *, max_iters: int = 300) -> MonotoneBound:
     """Certified lower bound on the measured relative entropy of nonclassicality.
 
-    Any iterate of the ascent is feasible, so the best value found (minus the
-    truncation correction, floored at zero) is a valid bound for the ideal
-    state whose truncation this is.
+    Any iterate of the ascent, which takes at most ``max_iters`` steps, is
+    feasible, so the best value found (minus the truncation correction, floored
+    at zero) is a valid bound for the ideal state whose truncation this is.
     """
     if rho.modes != 1:
         raise UsageError("gamma_lower_bound operates on single-mode states; use product "
                          "ansatz helpers for tensor inputs")
-    raw, cert, report = _gamma_ascent_dense(rho.renormalized().entries, cfg or OptimizerConfig())
+    raw, cert, report = _gamma_ascent_dense(rho.renormalized().entries, max_iters)
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": "dense exp(H) ascent", "raw_value_bits": raw,
                        "iterations": report.iterations},
@@ -1121,33 +1110,18 @@ def basel_divergence_bound(n_max: int) -> float:
 SANDWICH_SLACK = 1e-9
 
 
-def _family_bounds(rho: DensityOperator) -> list[MonotoneBound]:
-    """The bounds of ``rho.spec`` that no generic engine gives: the Fock closed form,
-    and the cat's parity-block ansatz and {+-alpha, 0} mixture."""
-    fam, params = rho.spec.family, rho.spec.params
-    if fam == "fock":
-        exact = fock_closed_form(params["n"])
-        return [MonotoneBound("NCM", "lower", exact, {"ansatz_description": "Fock closed form"}),
-                MonotoneBound("NC", "upper", exact, {"ansatz_description": "Fock closed form"})]
-    if fam == "cat":
-        return [cat_gamma_lower_bound(rho), cat_mixture_upper_bound(rho)]
-    return []
-
-
-def bound_sandwich(
-    rho: DensityOperator,
-    cfg: OptimizerConfig | None = None,
-) -> tuple[MonotoneBound, MonotoneBound]:
+def bound_sandwich(rho: DensityOperator, *, max_iters: int = 300) -> tuple[MonotoneBound, MonotoneBound]:
     """Best available interval [lower on NCM, upper on NC] for one state.
 
     One list of candidate bounds, the best of each side taken: the energy
     bound; the exact program if single-mode Fock-diagonal; if dense and single
     mode, the quadrature and classical-Gaussian bounds, and the centred and
     dephased pair (``centred_dephased_ncm``) unless Fock-diagonal or a Gaussian
-    spec; what a spec's family adds (``_family_bounds``).  A raw matrix whose
-    pair's raw gap exceeds 2 ``FD_TOL_BITS`` gets the dense exp(H) ascent: its
-    value is at most NCM <= NC <= the pair's raw upper, so it could not raise
-    the lower bound by more.  A nonempty interval is enforced loudly.
+    spec; for a cat spec, what no generic engine gives: its parity-block ansatz
+    and {+-alpha, 0} mixture.  A raw matrix whose pair's raw gap exceeds
+    2 ``FD_TOL_BITS`` gets the dense exp(H) ascent of at most ``max_iters``
+    steps: its value is at most NCM <= NC <= the pair's raw upper, so it could
+    not raise the lower bound by more.  A nonempty interval is enforced loudly.
     """
     candidates = [energy_upper_bound(ideal_energy(rho), rho.modes)]
     if rho.modes == 1 and rho.fock_diagonal:
@@ -1160,9 +1134,9 @@ def bound_sandwich(
             candidates += [lower, upper]
             gap = upper.certificate["raw_value_bits"] - lower.certificate["raw_value_bits"]
             if rho.spec is None and gap > 2 * FD_TOL_BITS:
-                candidates.append(gamma_lower_bound(rho, cfg))
-    if rho.spec is not None:
-        candidates.extend(_family_bounds(rho))
+                candidates.append(gamma_lower_bound(rho, max_iters=max_iters))
+    if rho.spec is not None and rho.spec.family == "cat":
+        candidates += [cat_gamma_lower_bound(rho), cat_mixture_upper_bound(rho)]
 
     # max and min keep the first of equal values, so list order settles ties
     lowers = [b for b in candidates if b.direction == "lower"] or [

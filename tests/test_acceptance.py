@@ -32,7 +32,6 @@ from cvres.entropies import (
     wehrl_entropy,
 )
 from cvres.nonclassicality import (
-    OptimizerConfig,
     basel_divergence_bound,
     bound_sandwich,
     cat_gamma_lower_bound,
@@ -95,7 +94,7 @@ def test_criterion_02_noisy_fock_curve():
 
 def test_criterion_03_generic_gamma_vs_exact():
     t0 = time.time()
-    bound = gamma_lower_bound(fock_state(1, 20), OptimizerConfig())
+    bound = gamma_lower_bound(fock_state(1, 20))
     elapsed = time.time() - t0
     ok = bound.value >= LOG2E - 1e-4 and elapsed < 30.0
     assert report(3, f"generic ascent on |1><1| gives {bound.value:.6f}", ok, elapsed, 30)
@@ -248,14 +247,13 @@ def test_criterion_09_rate_tightness():
 def test_criterion_10_sandwich_soundness():
     t0 = time.time()
     d = 50
-    cfg = OptimizerConfig()
     ok = True
 
     def check_state(spec, deficit_tol=1e-6):
         nonlocal ok
         rho = make_state(spec, deficit_tol=deficit_tol)
         energy = exact_energy(spec)
-        lo, hi = bound_sandwich(rho, cfg)
+        lo, hi = bound_sandwich(rho)
         lowers = [lo.value, husimi_lower_bound(rho).value]
         uppers = [hi.value, energy_upper_bound(energy, 1).value,
                   wehrl_upper_bound(rho).value]
@@ -279,9 +277,7 @@ def test_criterion_10_sandwich_soundness():
         check_state(StateSpec("squeezed", {"r": r}, 70), deficit_tol=1e-5)
 
     lo_cat, hi_cat = bound_sandwich(
-        make_state(StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60), deficit_tol=1e-7),
-        OptimizerConfig(),
-    )
+        make_state(StateSpec("cat", {"alpha": 2.5, "sign": "+"}, 60), deficit_tol=1e-7))
     width = hi_cat.value - lo_cat.value
     contained = 0.5 <= lo_cat.value and hi_cat.value <= 1.5
     ok = ok and contained and width < 0.5

@@ -529,7 +529,7 @@ class TestCertify:
     def test_unconverged_interval_exit_2(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
 
-        def unconverged(rho, cfg=None):
+        def unconverged(rho, *, max_iters=300):
             return (nc.MonotoneBound("NCM", "lower", 1.0, converged=False),
                     nc.MonotoneBound("NC", "upper", 2.0))
 

@@ -109,13 +109,6 @@ class TestMeasuredRelativeEntropy:
             dephased = kl_divergence(dephase(r1).diagonal(), dephase(r2).diagonal())
             assert dephased <= val + 1e-6
 
-    def test_report_serializes(self):
-        import json
-
-        _, rep = measured_relative_entropy(diag_state([0.5, 0.5]), diag_state([0.4, 0.6]))
-        doc = json.loads(rep.to_json())
-        assert set(doc) == {"value_bits", "iterations", "converged", "gradient_norm"}
-
 
 class TestAscend:
     def test_tiny_gain_at_kink_is_not_converged(self):
@@ -126,7 +119,6 @@ class TestAscend:
                                      lambda x, _: 1.0 if x < c else -1.0, 0.0, 50, 1e-8)
         assert 0.0 < value < 1e-8
         assert report.iterations == 1
-        assert report.gradient_norm == 1.0
         assert not report.converged
 
 
