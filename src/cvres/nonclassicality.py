@@ -388,15 +388,15 @@ ENVELOPE_GRID = np.linspace(0.0, 1.0, 33)[1:] ** 2
 
 
 def _envelope_grid(powers: np.ndarray) -> np.ndarray:
-    """Where ``_polished_peak`` samples F: ``ENVELOPE_GRID`` times the search radius, and
-    every power, where its monomials peak."""
+    """Where the uncertified peak samples F, the grid of its ``_peak_polisher``:
+    ``ENVELOPE_GRID`` times the search radius, and every power, where its monomials peak."""
     return _distinct(np.concatenate([max(float(powers[-1]), 1.0) * ENVELOPE_GRID,
                                      powers[powers > 0.0]]))
 
 
-def _polished_peak(ln_w: np.ndarray, powers: np.ndarray, grid: np.ndarray,
-                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every local maximum (t, F) of F(t) = e^(-t) sum_p W_p t^p, from its ``values`` on ``grid``.
+def _peak_polisher(powers: np.ndarray, grid: np.ndarray):
+    """(ln_w, values) -> every local maximum (t, F) of F(t) = e^(-t) sum_p W_p t^p, from its
+    ``values`` on ``grid``; what depends on the powers and the grid alone is formed once.
 
     Each local maximum of the samples is polished by Newton steps on
     g(u) = ln F(u^2), u = sqrt(t), whose derivatives are 2E[p]/u - 2u and
@@ -408,41 +408,46 @@ def _polished_peak(ln_w: np.ndarray, powers: np.ndarray, grid: np.ndarray,
     point t_1 > 0 skips its polish where F provably falls on (0, t_1].  ln_w may
     hold -inf for a weight that is zero.
     """
-    padded = np.concatenate([[-np.inf], values, [-np.inf]])
-    peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
-    ts, fs = grid[peaks], values[peaks]
     edges = np.sqrt(np.maximum(np.concatenate([[0.0], grid, [grid[-1]]]), 1e-300)).tolist()
-    two_p = 2.0 * powers
-    moments = powers[:, None] ** np.arange(3.0)
-    for j, i in enumerate(peaks.tolist()):
-        if grid[i] == 0.0:
-            continue
-        if i == 0 and powers[0] == 0.0 and powers[1:].min(initial=1.0) >= 1.0:
-            # with S(t) = sum_p W_p t^p, F' = e^(-t)(S' - S) <= e^(-t)(S'(t_1) - W_0) on
-            # (0, t_1], since S >= W_0 and S' rises: F falls there if S'(t_1) <= W_0
-            slope = ln_w[1:] + np.log(powers[1:]) + (powers[1:] - 1.0) * math.log(grid[0])
-            if np.logaddexp.reduce(slope, initial=-np.inf) <= ln_w[0]:
+    two_p, moments = 2.0 * powers, powers[:, None] ** np.arange(3.0)
+    # with S(t) = sum_p W_p t^p, F' = e^(-t)(S' - S) <= e^(-t)(S'(t_1) - W_0) on (0, t_1],
+    # since S >= W_0 and S' rises: F falls there if S'(t_1) <= W_0
+    first_cell = grid[0] > 0.0 and powers[0] == 0.0 and powers[1:].min(initial=1.0) >= 1.0
+    if first_cell:
+        ln_p, ln_t1 = np.log(powers[1:]), (powers[1:] - 1.0) * math.log(grid[0])
+
+    def polish(ln_w: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        padded = np.concatenate([[-np.inf], values, [-np.inf]])
+        peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
+        ts, fs = grid[peaks], values[peaks]
+        for j, i in enumerate(peaks.tolist()):
+            if grid[i] == 0.0:
                 continue
-        lo, u, hi = edges[i:i + 3]
-        # at most 8 steps: Newton converges quadratically, so once a step moves u by
-        # at most 1e-5 of itself, ln F sits at its peak to rounding; the pass after
-        # the last step only reads F at the final u
-        done = False
-        for k in range(9):
-            terms = ln_w + two_p * math.log(u)
-            top = float(terms.max())
-            total, first, second = (np.exp(terms - top) @ moments).tolist()
-            if done or k == 8:
-                break
-            mean = first / total
-            curv = (4.0 * (second / total - mean * mean) - 2.0 * mean) / (u * u) - 2.0
-            u_next = min(max(u + 2.0 * (u - mean / u) / curv, lo), hi) if curv < 0.0 else u
-            done = abs(u_next - u) <= 1e-5 * u
-            u = u_next
-        polished = math.exp(top - u * u) * total
-        if polished > fs[j]:
-            ts[j], fs[j] = min(u * u, grid[-1]), polished
-    return ts, fs
+            if i == 0 and first_cell and np.logaddexp.reduce(
+                    ln_w[1:] + ln_p + ln_t1, initial=-np.inf) <= ln_w[0]:
+                continue
+            lo, u, hi = edges[i:i + 3]
+            # at most 8 steps: Newton converges quadratically, so once a step moves u by
+            # at most 1e-5 of itself, ln F sits at its peak to rounding; the pass after
+            # the last step only reads F at the final u
+            done = False
+            for k in range(9):
+                terms = ln_w + two_p * math.log(u)
+                top = float(terms.max())
+                total, first, second = (np.exp(terms - top) @ moments).tolist()
+                if done or k == 8:
+                    break
+                mean = first / total
+                curv = (4.0 * (second / total - mean * mean) - 2.0 * mean) / (u * u) - 2.0
+                u_next = min(max(u + 2.0 * (u - mean / u) / curv, lo), hi) if curv < 0.0 else u
+                done = abs(u_next - u) <= 1e-5 * u
+                u = u_next
+            polished = math.exp(top - u * u) * total
+            if polished > fs[j]:
+                ts[j], fs[j] = min(u * u, grid[-1]), polished
+        return ts, fs
+
+    return polish
 
 
 def _envelope_max(entries) -> float:
@@ -450,14 +455,14 @@ def _envelope_max(entries) -> float:
 
     F and the cap are those of the certified supremum, whose value is never below
     this one.  F is sampled on ``_envelope_grid``; the largest of the maxima that
-    ``_polished_peak`` returns and F(0) = W_0 is its peak.  For searches that need
-    a certificate only at their winner.
+    its ``_peak_polisher`` returns and F(0) = W_0 is its peak.  For searches that
+    need a certificate only at their winner.
     """
     cap, ln_w, powers = _envelope_terms(entries)
     if not ln_w.size or cap == 0.0:
         return 0.0
     grid = _envelope_grid(powers)
-    fs = _polished_peak(ln_w, powers, grid, _envelope_at(ln_w, powers, grid))[1]
+    fs = _peak_polisher(powers, grid)(ln_w, _envelope_at(ln_w, powers, grid))[1]
     f_0 = math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0  # F(0) = W_0
     return min(max(float(fs.max()), f_0), cap)
 
@@ -531,10 +536,10 @@ def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
     A e0e0^T + b (e0 tau^T + tau e0^T) + C tau tau^T, and e0 and tau have disjoint
     supports, so |L_jk| is |A|, |b| |tau_k| or |C| |tau_j tau_k| and W and F are
     |A|, |b| and |C| times those of the three fixed matrices, whose values on
-    ``_envelope_grid`` are tabulated once.  The cap is exp(lambda_max(M)), since B
-    has orthonormal rows.  Returns (ansatz_at, peak_and_cap): x -> L(x), and
-    x -> (``_polished_peak`` of F, cap), whose minimum is ``_envelope_max(L(x))``;
-    both take exp(M) from ``exp_hermitian``.
+    ``_envelope_grid`` are tabulated once, as is its ``_peak_polisher``.  The cap is
+    exp(lambda_max(M)), since B has orthonormal rows.  Returns (ansatz_at, peak_and_cap):
+    x -> L(x), and x -> (polished peak of F, cap), whose minimum is ``_envelope_max(L(x))``
+    (both inf where exp(lambda_max) overflows); both read exp(M) in closed form.
     """
     basis = np.stack([psi, v0])
     tail = psi.copy()
@@ -542,10 +547,11 @@ def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
     tail /= np.linalg.norm(tail)
     e0 = np.zeros_like(psi)
     e0[0] = 1.0
-    t_mat = np.column_stack([basis[:, 0], basis @ tail])
-    # rows map exp(M) flattened to A, b and C
-    to_abc = np.stack([np.outer(t_mat[:, i], t_mat[:, j]).ravel()
-                       for i, j in ((0, 0), (0, 1), (1, 1))])
+    (t00, t01), (t10, t11) = np.column_stack([basis[:, 0], basis @ tail]).tolist()
+    # rows map the entries (m00, m01, m11) of exp(M) to A, b and C
+    to_abc = ((t00 * t00, 2.0 * t00 * t10, t10 * t10),
+              (t00 * t01, t00 * t11 + t10 * t01, t10 * t11),
+              (t01 * t01, 2.0 * t01 * t11, t11 * t11))
     ln_rows = np.stack([_envelope_log_weights(m) for m in (
         np.outer(e0, e0), np.outer(e0, tail) + np.outer(tail, e0), np.outer(tail, tail))])
     finite = np.isfinite(ln_rows).any(axis=0)
@@ -553,23 +559,37 @@ def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
     grid = _envelope_grid(powers)
     table = np.stack([_envelope_at(row, powers, grid) for row in ln_rows], axis=1)
     rows = np.exp(ln_rows)
+    polish = _peak_polisher(powers, grid)
 
     def exp_m(x):
         # only the top is clipped, since a floor would flatten the objective and stall
         # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
-        x1, x2 = np.minimum(x, 50.0)
-        m, evals, _ = exp_hermitian(np.array([[0.0, x1], [x1, x2]]))
-        return m, math.exp(evals[-1])
+        x1, x2 = min(float(x[0]), 50.0), min(float(x[1]), 50.0)
+        if x1 == 0.0:  # M and exp(M) are diagonal
+            return (1.0, 0.0, math.exp(x2)), math.exp(max(x2, 0.0))
+        # lambda_+ = h + r cancels for h < 0: there it is x1 (x1 / (r - h)), since the
+        # eigenvalues multiply to -x1^2 (which may overflow); lambda_- = x2 - lambda_+
+        h, r = 0.5 * x2, math.hypot(x1, 0.5 * x2)
+        top = h + r if h >= 0.0 else x1 * (x1 / (r - h))
+        e_top, e_low = math.exp(top), math.exp(x2 - top)  # e^top overflows past ~709.78
+        norm = math.hypot(x1, top)
+        c, s = x1 / norm, top / norm  # (c, s) spans the top eigenvector, (-s, c) the other
+        return (e_top * c * c + e_low * s * s, (e_top - e_low) * c * s,
+                e_top * s * s + e_low * c * c), e_top
 
     def ansatz_at(x):
-        return basis.T @ exp_m(x)[0] @ basis
+        (m00, m01, m11), _ = exp_m(x)
+        return basis.T @ np.array([[m00, m01], [m01, m11]]) @ basis
 
     def peak_and_cap(x):
-        m, cap = exp_m(x)
-        coef = np.abs(to_abc @ m.ravel())
+        try:
+            (m00, m01, m11), cap = exp_m(x)
+        except OverflowError:  # e^lambda_max overflows: the worst value, which the simplex drops
+            return math.inf, math.inf
+        coef = np.array([abs(p * m00 + q * m01 + r * m11) for p, q, r in to_abc])
         with np.errstate(divide="ignore"):
             ln_w = np.log(coef @ rows)
-        peak = float(_polished_peak(ln_w, powers, grid, table @ coef)[1].max())
+        peak = float(polish(ln_w, table @ coef)[1].max())
         return max(peak, math.exp(ln_w[0])), cap  # F(0) = W_0
 
     return ansatz_at, peak_and_cap
@@ -587,9 +607,9 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
     is -log2 of the certified supremum.  The even cat searches the two free
     entries of log M by Nelder-Mead on the uncertified envelope peak, which the
     certificate never undercuts, read from the closed form of ``_even_cat_ansatz``
-    (a 2 x 2 exponential and three weights per point, no d x d matrix); it
-    certifies the winner alone, on the full L, to ``INNER_TOL``: one certified
-    supremum per bound.
+    (a closed-form 2 x 2 exponential, three weights and one polish per point, with
+    no LAPACK call and no d x d matrix); it certifies the winner alone, on the
+    full L, to ``INNER_TOL``: one certified supremum per bound.
     """
     if rho.spec is None or rho.spec.family != "cat":
         raise UsageError("cat_gamma_lower_bound takes a cat state built by make_state")
@@ -647,18 +667,18 @@ def _phi_maxima(ks: np.ndarray, t_cap: float):
 
     phi is sampled by one product with the Poisson table of a grid uniform in
     sqrt(t), where Poisson bumps have constant width, that holds t = 0 only with
-    level 0 (else phi(0) = 0); ``_polished_peak`` polishes the samples' maxima,
-    with ln W_k = ln ell_k - ln k! shifted by max ln ell so nothing overflows."""
+    level 0 (else phi(0) = 0); one ``_peak_polisher`` per fit polishes the samples'
+    maxima, with ln W_k = ln ell_k - ln k! shifted by max ln ell so nothing overflows."""
     grid = t_cap * np.linspace(0.0, 1.0, max(257, int(32.0 * math.sqrt(t_cap)) + 1)) ** 2
     if ks.min() > 0.0:
         grid = grid[1:]
     pois_grid = np.exp(_log_poisson(ks, grid))
     ln_fact = log_factorials(int(ks.max()) + 1)[ks.astype(np.intp)]
+    polish = _peak_polisher(ks, grid)
 
     def maxima(ln_ell):
         shift = float(ln_ell.max())
-        ts, phi = _polished_peak(ln_ell - ln_fact - shift, ks, grid,
-                                 np.exp(ln_ell - shift) @ pois_grid)
+        ts, phi = polish(ln_ell - ln_fact - shift, np.exp(ln_ell - shift) @ pois_grid)
         with np.errstate(divide="ignore"):
             return ts, np.log(phi) + shift
 
@@ -765,7 +785,7 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
     For this class the whole monotone hierarchy collapses to one number, so a
     matched lower/upper pair is emitted.  The dual side is KL(p || q) for the
     Poisson mixture q of ``_poisson_mixture_fit``, whose rounds find the maxima
-    of phi with the envelope peak's Newton polish, ``_polished_peak``.  The
+    of phi with the envelope peak's Newton polish, ``_peak_polisher``.  The
     primal side is L = p/q on the supported levels and 0 elsewhere, whose value
     is the dual minus log2 sup phi; the certified supremum of diag(L) over all
     amplitudes bounds sup phi, so its log2 is the duality gap.

@@ -315,11 +315,14 @@ class TestEnvelopeMax:
 class TestEvenCatClosedForm:
     @pytest.mark.parametrize("alpha", [0.3, math.sqrt(2.0) * 0.3, 0.5, 1.0, 2.4])
     def test_matches_the_generic_envelope(self, alpha):
-        # x = 60 and 80 sit beyond the clip at 50; x1 = 0 leaves exp(M) diagonal; x2 = -2000
-        # underflows the lower eigenvalue's exponential
+        # x = 60 and 80 sit beyond the clip at 50; x1 = 0 leaves exp(M) diagonal, and
+        # with x2 > 0 its top direction is not the vacuum's; x1 = 1e-200 squares to 0;
+        # x2 = -800 and -2000 underflow the lower eigenvalue's exponential
         rng = np.random.default_rng(3)
         points = np.concatenate([[[0.0, -8.0], [60.0, 80.0], [50.0, -3.0], [-3.0, 60.0],
-                                  [0.0, 3.0], [0.0, -20.0], [0.0, 0.0], [0.3, -2000.0]],
+                                  [0.0, 3.0], [0.0, 40.0], [0.0, 70.0], [0.0, -20.0],
+                                  [0.0, 0.0], [1e-200, -5.0], [-1e-200, 4.0], [1e-200, 0.0],
+                                  [0.3, -800.0], [0.3, -2000.0], [55.0, 65.0]],
                                  rng.uniform(-10.0, 5.0, size=(25, 2))])
         for d in sorted({required_cat_cutoff(alpha), 30, 40}):
             basis = np.stack(_even_cat_basis(alpha, d))
@@ -332,6 +335,12 @@ class TestEvenCatClosedForm:
                 peak, cap = peak_and_cap(x)
                 assert cap == pytest.approx(float(np.linalg.eigvalsh(l_mat)[-1]), rel=1e-14)
                 assert min(peak, cap) == pytest.approx(_envelope_max(l_mat), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[-800.0, 0.0], [-1e300, -800.0], [-710.0, 50.0]])
+    def test_overflowing_point_reads_inf(self, x):
+        # e^(lambda_max) overflows a double: the search reads its worst value, not nan
+        _, peak_and_cap = _even_cat_ansatz(*_even_cat_basis(0.3, 8))
+        assert peak_and_cap(np.array(x)) == (math.inf, math.inf)
 
 
 class TestCurvatureTable:
@@ -500,15 +509,20 @@ class TestFockDiagonal:
 
 
 def _fit_grid_values(monkeypatch, ks, ln_ell, t_cap):
-    """The grid and the values of phi / max ell on it that the fit's polish receives."""
+    """The grid and the values of phi / max ell on it that the fit's polisher receives."""
     seen = []
-    inner = nonclassicality._polished_peak
+    factory = nonclassicality._peak_polisher
 
-    def recording(ln_w, powers, grid, values):
-        seen.append((grid, values))
-        return inner(ln_w, powers, grid, values)
+    def recording(powers, grid):
+        polish = factory(powers, grid)
 
-    monkeypatch.setattr(nonclassicality, "_polished_peak", recording)
+        def record(ln_w, values):
+            seen.append((grid, values))
+            return polish(ln_w, values)
+
+        return record
+
+    monkeypatch.setattr(nonclassicality, "_peak_polisher", recording)
     nonclassicality._phi_maxima(ks, t_cap)(ln_ell)
     return seen[0]
 
@@ -735,6 +749,29 @@ class TestCatReflection:
     def test_even_cat_keeps_its_value(self, alpha, cutoff, before):
         bound = cat_gamma_lower_bound(cat_state(alpha, "+", cutoff))
         assert bound.value >= before - math.log2(1 + nonclassicality.INNER_TOL)
+
+    # values of the search that took exp(M) from one LAPACK eigh per point (tree cc317ed)
+    @pytest.mark.parametrize("alpha, cutoff, before", [(0.3, 8, 0.013936588138299271),
+                                                       (math.sqrt(2.0) * 0.3, 8, 0.053662635709248174),
+                                                       (1.0, 23, 0.7517312048787979),
+                                                       (2.4, 54, 0.9999844603809988)])
+    def test_even_cat_matches_the_eigh_search(self, alpha, cutoff, before):
+        assert cat_gamma_lower_bound(cat_state(alpha, "+", cutoff)).value == pytest.approx(
+            before, rel=0.0, abs=1e-12)
+
+    def test_even_cat_search_calls_no_eigensolver_per_point(self, monkeypatch):
+        # the search reads some 200 points; only the certificate of its winner may call
+        rho = cat_state(0.3, "+", 8)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        bound = cat_gamma_lower_bound(rho)
+        assert bound.certificate["iterations"] >= 100
+        assert len(calls) <= 2
 
     def test_odd_cat_tends_to_single_photon(self):
         values = [cat_gamma_lower_bound(cat_state(a, "-", 30)).value for a in (0.2, 0.05, 0.01)]
