@@ -1,101 +1,18 @@
-"""The three small optimisers the bounds need, in numpy alone.
+"""The two small optimisers the bounds need, in numpy alone.
 
-``nelder_mead`` and ``bounded_minimum`` follow scipy.optimize's
-``_minimize_neldermead`` and ``_minimize_scalar_bounded`` step for step, so
-they visit the same points and return the same results as
-``minimize(method="Nelder-Mead")`` and ``minimize_scalar(method="bounded")``
-called with the same options.  ``nnls`` is the Lawson-Hanson active-set
-method, each passive set solved afresh by one numpy QR, with guards for the
-degenerate problems of the Poisson-mixture fit.
+``bounded_minimum`` follows scipy.optimize's ``_minimize_scalar_bounded`` step
+for step, so it visits the same points and returns the same result as
+``minimize_scalar(method="bounded")`` with the default options.  ``nnls`` is
+the Lawson-Hanson active-set method, each passive set solved afresh by one
+numpy QR, with guards for the degenerate problems of the Poisson-mixture fit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-
-
-class SimplexResult(NamedTuple):
-    x: np.ndarray
-    fun: float
-    nit: int  # iterations, counted from 1 as scipy counts them
-    success: bool  # False once maxiter stopped the search
-
-
-# the standard coefficients: reflection, expansion, contraction, shrink
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025  # the start simplex moves a coordinate by 5 %, or to 0.00025 from 0
-
-
-def nelder_mead(
-    fun: Callable[[np.ndarray], float],
-    x0,
-    *,
-    maxiter: int,
-    xatol: float = 1e-4,
-    fatol: float = 1e-4,
-) -> SimplexResult:
-    """Unbounded Nelder-Mead from scipy's default start simplex around ``x0``.
-
-    Stops once every vertex lies within ``xatol`` of the best one in each
-    coordinate and every value within ``fatol`` of the best, or once the
-    iteration count reaches ``maxiter``.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim[k + 1] = y
-    fsim = np.array([fun(v) for v in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice here; the default argsort need not be stable
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
-        fxr = fun(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
-            fxe = fun(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:  # outside contraction
-            xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
-            fxc = fun(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:  # inside contraction
-            xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
-            fxcc = fun(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
-                fsim[j] = fun(sim[j])
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return SimplexResult(sim[0], float(np.min(fsim)), iterations, iterations < maxiter)
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -104,9 +21,10 @@ _BOUNDED_XATOL = 1e-5
 _BOUNDED_MAXFUN = 500
 
 
-def bounded_minimum(fun: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """(x, fun(x)) at Brent's minimum of ``fun`` on [lo, hi] (golden section plus parabolas),
-    to 1e-5 absolute in x within 500 evaluations."""
+def bounded_minimum(fun: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, bool]:
+    """(x, fun(x), closed) at Brent's minimum of ``fun`` on [lo, hi] (golden section plus
+    parabolas), to 1e-5 absolute in x within 500 evaluations; ``closed`` is False when the
+    budget ran out first, where scipy reports status 1."""
     a, b = lo, hi
     fulc = a + _GOLDEN * (b - a)
     nfc = xf = fulc
@@ -165,8 +83,8 @@ def bounded_minimum(fun: Callable[[float], float], lo: float, hi: float) -> tupl
         tol1 = _SQRT_EPS * abs(xf) + _BOUNDED_XATOL / 3.0
         tol2 = 2.0 * tol1
         if num >= _BOUNDED_MAXFUN:
-            break
-    return xf, fx
+            return xf, fx, False
+    return xf, fx, True
 
 
 def _sign_or_one(v: float) -> float:

@@ -23,12 +23,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._optim import bounded_minimum, nelder_mead, nnls
+from ._optim import bounded_minimum, nnls
 from .entropies import (
     _ZERO_BIN,
     LN2,
     LOG2E,
-    SUPPORT_TOL,
     OptimizerReport,
     ascend,
     entropy_of_probabilities,
@@ -526,32 +525,43 @@ def gamma_lower_bound(rho: DensityOperator, *, max_iters: int = 300) -> Monotone
                       sup=cert, converged=report.converged)
 
 
-def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
-    """L(x) = B^T exp(M(x)) B for the even cat, B the rows psi and v0 (orthonormal),
-    M(x) = [[0, x1], [x1, x2]] with x clipped at 50 from above, and the closed-form
-    envelope of L(x) that its search reads.
+CAT_C_TOL = 1e-12  # |sup F - 1| at which the even cat's solve for c_max(b) stops
+CAT_C_STEPS = 30  # Newton steps that solve may take
 
-    span{psi, v0} = span{e0, tau}, tau the normalised tail of psi on levels n >= 1.
-    With [[A, b], [b, C]] = T^T exp(M) T, T = [B e0, B tau], L is
-    A e0e0^T + b (e0 tau^T + tau e0^T) + C tau tau^T, and e0 and tau have disjoint
-    supports, so |L_jk| is |A|, |b| |tau_k| or |C| |tau_j tau_k| and W and F are
-    |A|, |b| and |C| times those of the three fixed matrices, whose values on
-    ``_envelope_grid`` are tabulated once, as is its ``_peak_polisher``.  The cap is
-    exp(lambda_max(M)), since B has orthonormal rows.  Returns (ansatz_at, peak_and_cap):
-    x -> L(x), and x -> (polished peak of F, cap), whose minimum is ``_envelope_max(L(x))``
-    (both inf where exp(lambda_max) overflows); both read exp(M) in closed form.
+
+def _even_cat_ansatz(psi: np.ndarray):
+    """The even cat's ansatz L = e0 e0^T + b (e0 tau^T + tau e0^T) + c tau tau^T and its search.
+
+    tau is the normalised tail of psi on levels n >= 1, so span{e0, tau} = span{cat+, vacuum}
+    and L is E = [[1, b], [b, c]] in the basis (e0, tau): the scale of L is free, so E00 = 1.
+    e0 and tau have disjoint supports, so |L_jk| is 1, |b| |tau_k| or |c| |tau_j tau_k|, and
+    the envelope is F = F_e0 + |b| F_x + |c| F_tau with F(0) = 1; the three fixed envelopes are
+    tabulated once on ``_envelope_grid``, as is its ``_peak_polisher``.
+
+    The search maximises v(b) = (log2 E)_psi,psi, in closed form, at c = c_max(b), the largest
+    c with sup over t > 0 of F at most 1 = F(0), so that v is the bound before certification.
+    A smaller c only lowers log E, which is operator monotone, and v is concave in b, since
+    (log E)_psi,psi is concave in E and c <= c_max(b) is a convex set: Brent's search
+    (``bounded_minimum``) is safe.  It runs over b >= 0, since (log E)_01 has the sign of b and
+    psi's coordinates are positive, on [0, b_hi], b_hi where the grid's value of c_max meets
+    b^2; a b whose solve leaves E not positive definite reads +inf.  The solve starts from the
+    grid's min of (1 - F_e0 - b F_x) / F_tau, never below c_max(b), and takes Newton steps on
+    the largest polished peak: sup F is convex in c, with slope F_tau at its peak.
+
+    Returns (matrix, peak, search): (b, c) -> L; (b, c) -> (t, F) at the largest polished peak
+    of F on t > 0, whose max with F(0) = 1 is ``_envelope_max(L)`` for c >= 0 (F(t) is then
+    <sqrt t|L|sqrt t> at |b|, below the top eigenvalue, so the cap never binds); and
+    search() -> (the winner's L, scaled so that <psi|log L|psi> = 0, its uncertified bound
+    in bits, the peaks read, and whether Brent closed its bracket and the winner's solve met
+    ``CAT_C_TOL``).
     """
-    basis = np.stack([psi, v0])
     tail = psi.copy()
     tail[0] = 0.0
-    tail /= np.linalg.norm(tail)
+    coords = (float(psi[0]), float(np.linalg.norm(tail)))  # psi in the basis (e0, tau)
+    tail /= coords[1]
     e0 = np.zeros_like(psi)
     e0[0] = 1.0
-    (t00, t01), (t10, t11) = np.column_stack([basis[:, 0], basis @ tail]).tolist()
-    # rows map the entries (m00, m01, m11) of exp(M) to A, b and C
-    to_abc = ((t00 * t00, 2.0 * t00 * t10, t10 * t10),
-              (t00 * t01, t00 * t11 + t10 * t01, t10 * t11),
-              (t01 * t01, 2.0 * t01 * t11, t11 * t11))
+    basis = np.stack([e0, tail])
     ln_rows = np.stack([_envelope_log_weights(m) for m in (
         np.outer(e0, e0), np.outer(e0, tail) + np.outer(tail, e0), np.outer(tail, tail))])
     finite = np.isfinite(ln_rows).any(axis=0)
@@ -560,39 +570,58 @@ def _even_cat_ansatz(psi: np.ndarray, v0: np.ndarray):
     table = np.stack([_envelope_at(row, powers, grid) for row in ln_rows], axis=1)
     rows = np.exp(ln_rows)
     polish = _peak_polisher(powers, grid)
+    gap, cross, square = 1.0 - table[:, 0], table[:, 1], table[:, 2]  # 1 - F_e0, F_x, F_tau
 
-    def exp_m(x):
-        # only the top is clipped, since a floor would flatten the objective and stall
-        # the search; log M[0, 0] = 0 keeps the trace term at zero at every point
-        x1, x2 = min(float(x[0]), 50.0), min(float(x[1]), 50.0)
-        if x1 == 0.0:  # M and exp(M) are diagonal
-            return (1.0, 0.0, math.exp(x2)), math.exp(max(x2, 0.0))
-        # lambda_+ = h + r cancels for h < 0: there it is x1 (x1 / (r - h)), since the
-        # eigenvalues multiply to -x1^2 (which may overflow); lambda_- = x2 - lambda_+
-        h, r = 0.5 * x2, math.hypot(x1, 0.5 * x2)
-        top = h + r if h >= 0.0 else x1 * (x1 / (r - h))
-        e_top, e_low = math.exp(top), math.exp(x2 - top)  # e^top overflows past ~709.78
-        norm = math.hypot(x1, top)
-        c, s = x1 / norm, top / norm  # (c, s) spans the top eigenvector, (-s, c) the other
-        return (e_top * c * c + e_low * s * s, (e_top - e_low) * c * s,
-                e_top * s * s + e_low * c * c), e_top
+    def matrix(b, c):
+        return basis.T @ np.array([[1.0, b], [b, c]]) @ basis
 
-    def ansatz_at(x):
-        (m00, m01, m11), _ = exp_m(x)
-        return basis.T @ np.array([[m00, m01], [m01, m11]]) @ basis
-
-    def peak_and_cap(x):
-        try:
-            (m00, m01, m11), cap = exp_m(x)
-        except OverflowError:  # e^lambda_max overflows: the worst value, which the simplex drops
-            return math.inf, math.inf
-        coef = np.array([abs(p * m00 + q * m01 + r * m11) for p, q, r in to_abc])
+    def peak(b, c):
+        coef = np.array([1.0, abs(b), abs(c)])
         with np.errstate(divide="ignore"):
-            ln_w = np.log(coef @ rows)
-        peak = float(polish(ln_w, table @ coef)[1].max())
-        return max(peak, math.exp(ln_w[0])), cap  # F(0) = W_0
+            ts, fs = polish(np.log(coef @ rows), table @ coef)
+        j = int(np.argmax(fs))
+        return float(ts[j]), float(fs[j])
 
-    return ansatz_at, peak_and_cap
+    def log_value(b, c):
+        # E's eigenvalues are top and det / top, top's eigenvector (r - h, b) ~ (b, r + h)
+        h = 0.5 * (c - 1.0)
+        r = math.hypot(b, h)
+        top = 0.5 * (1.0 + c) + r
+        low = (c - b * b) / top
+        u0, u1 = (r - h, b) if h <= 0.0 else (b, r + h)
+        cos2 = (u0 * coords[0] + u1 * coords[1]) ** 2 / (u0 * u0 + u1 * u1)
+        return math.log2(low) + cos2 * math.log2(top / low)
+
+    def c_max(b):
+        """(c, F at its largest peak, peaks read, solved), F = inf where E is not positive definite."""
+        c = float(np.min((gap - b * cross) / square))
+        for k in range(CAT_C_STEPS):
+            if c <= b * b:
+                return c, math.inf, k, False
+            t, f = peak(b, c)
+            if abs(f - 1.0) <= CAT_C_TOL:
+                return c, f, k + 1, True
+            c -= (f - 1.0) / float(np.exp(ln_rows[2] + powers * math.log(t) - t).sum())
+        return c, f, CAT_C_STEPS, False
+
+    def search():
+        solves = {}
+
+        def loss(b):
+            c, f, _, _ = solves[b] = c_max(b)
+            return -log_value(b, c) if f < math.inf else math.inf
+
+        b_hi = float(np.min(2.0 * gap / (cross + np.sqrt(cross * cross + 4.0 * square * gap))))
+        b, _, closed = bounded_minimum(loss, 0.0, b_hi)
+        if solves[b][1] == math.inf:  # no point read was feasible; b = 0 always is
+            b, closed = 0.0, False
+            loss(b)
+        c, f, _, solved = solves[b]
+        value = log_value(b, c)
+        reads = sum(s[2] for s in solves.values())
+        return matrix(b, c) * 2.0 ** -value, value - math.log2(max(f, 1.0)), reads, closed and solved
+
+    return matrix, peak, search
 
 
 def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
@@ -600,39 +629,35 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
 
     L acts on the cat's own parity block: |cat><cat| alone for the odd cat
     (and for an even cat whose span holds no other even direction), or
-    exp(log M) on span{cat+, v0} with v0 the vacuum orthogonalised against
-    cat+, plus a 1e-12 floor on the complement so L stays positive definite.
-    The other parity block would only raise <beta|L|beta>, and the scale of L
-    is fixed by <cat|log L|cat> = 0, so Tr[rho log L] vanishes and the bound
-    is -log2 of the certified supremum.  The even cat searches the two free
-    entries of log M by Nelder-Mead on the uncertified envelope peak, which the
-    certificate never undercuts, read from the closed form of ``_even_cat_ansatz``
-    (a closed-form 2 x 2 exponential, three weights and one polish per point, with
-    no LAPACK call and no d x d matrix); it certifies the winner alone, on the
-    full L, to ``INNER_TOL``: one certified supremum per bound.
+    the even cat's ansatz on span{cat+, vacuum} (``_even_cat_ansatz``), plus a
+    1e-12 floor on the complement so L stays positive definite.  The other
+    parity block would only raise <beta|L|beta>, and the scale of L is fixed by
+    <cat|log L|cat> = 0, so Tr[rho log L] vanishes and the bound is -log2 of
+    the certified supremum.  The even cat's search is one-dimensional: Brent
+    over the off-diagonal entry b of E = [[1, b], [b, c]], with c solved so that
+    the uncertified envelope peak, which the certificate never undercuts, ties
+    F(0); each point reads closed forms and a few polished peaks, with no
+    LAPACK call and no d x d matrix.  It certifies the winner alone, on the
+    full L, to ``INNER_TOL``: one certified supremum per bound.  Its
+    ``iterations`` counts the peaks read, and it is converged when Brent closed
+    its bracket and the winner's solve for c met its tolerance.
     """
     if rho.spec is None or rho.spec.family != "cat":
         raise UsageError("cat_gamma_lower_bound takes a cat state built by make_state")
     sign = rho.spec.params["sign"]
     psi = cat_amplitudes(rho.spec.params["alpha"], sign, rho.cutoff)
     psi = psi / np.linalg.norm(psi)
-    v0 = -psi[0] * psi
-    v0[0] += 1.0
-    norm_v0 = np.linalg.norm(v0)
     floor = 1e-12
 
-    if sign == "-" or norm_v0 < 1e-8:
+    if sign == "-" or np.linalg.norm(psi[1:]) < 1e-8:
         cert = coherent_sup_certified(np.outer(psi, psi), tol=INNER_TOL)
         raw, iterations, converged = -math.log2(cert.value + floor), 0, True
         ansatz = "cat parity-block ansatz |cat><cat|"
     else:
-        ansatz_at, peak_and_cap = _even_cat_ansatz(psi, v0 / norm_v0)
-        # the search reads the uncertified envelope peak; one supremum certifies its winner
-        res = nelder_mead(lambda x: math.log2(min(*peak_and_cap(x)) + floor),
-                          np.array([0.0, -8.0]), maxiter=250, xatol=1e-6, fatol=1e-9)
-        cert = coherent_sup_certified(ansatz_at(res.x), tol=INNER_TOL)
+        *_, search = _even_cat_ansatz(psi)
+        l_mat, _, iterations, converged = search()
+        cert = coherent_sup_certified(l_mat, tol=INNER_TOL)
         raw = -math.log2(cert.value + floor)
-        iterations, converged = int(res.nit), bool(res.success)
         ansatz = "cat parity-block ansatz on span{cat+, vacuum}"
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": ansatz, "raw_value_bits": raw, "iterations": iterations},
@@ -966,8 +991,14 @@ def _coherent_mixture_divergence(rho: DensityOperator, points: Sequence[complex]
     coherent vectors, G = V^+ V and R = V^+ rho V, the nonzero spectrum
     (lam_k, y_k) of sigma_w is that of sqrt(w) G sqrt(w), and its eigenvectors
     are V c_k with c_k = sqrt(w) y_k / sqrt(lam_k).  So D = -S(rho) - sum_k
-    c_k^+ R c_k log2 lam_k, and +inf once rho keeps more than ``SUPPORT_TOL`` of
-    its trace outside that span; each evaluation is one n x n ``eigh``.
+    m_k log2 lam_k, m_k = c_k^+ R c_k; each evaluation is one n x n ``eigh``.
+
+    The weights m_k must add up to Tr rho.  What they miss is rho's weight
+    outside the span, which makes D infinite, or the rounding of the frame,
+    which 1/sqrt(lam_k) amplifies on near-parallel atoms (three coherent
+    vectors at |a| << 1 share all but ~|a|^4 of their span).  So D is +inf
+    unless it is at least 1e9 times what it cannot resolve: that miss, plus
+    1e-15 Tr rho for the rounding of any weight, times max(1, |log2 lam_k|).
     """
     vecs = np.stack([coherent_vector(a, rho.cutoff)[0] for a in points], axis=1)
     gram = vecs.conj().T @ vecs
@@ -988,9 +1019,10 @@ def _coherent_mixture_divergence(rho: DensityOperator, points: Sequence[complex]
         keep = lam > max(float(lam[-1]) * 1e-15, 1e-300)
         c = root_w[:, None] * y[:, keep] / np.sqrt(lam[keep])
         mass = np.real(np.einsum("ik,ij,jk->k", c.conj(), overlap, c))
-        if tr_rho - float(mass.sum()) > SUPPORT_TOL:
-            return math.inf
-        return -s_bits - float(np.dot(mass, np.log2(lam[keep])))
+        log_lam = np.log2(lam[keep])
+        value = -s_bits - float(np.dot(mass, log_lam))
+        miss = abs(tr_rho - float(mass.sum())) + 1e-15 * tr_rho
+        return value if miss * max(1.0, float(np.abs(log_lam).max())) <= 1e-9 * value else math.inf
 
     return divergence
 
@@ -1029,7 +1061,7 @@ def classical_ansatz_upper_bound(rho: DensityOperator) -> MonotoneBound:
     # a squeezed winner is refined on s >= 1e-3, which keeps the values of squeezed specs;
     # from s = 0 the bracket reaches down to the kink at E_s = n_s
     lo = max(SQUEEZE_GRID[i] - 0.1, 1e-3) if i else 0.0
-    best_s, best = bounded_minimum(divergence, lo, SQUEEZE_GRID[i] + 0.1)
+    best_s, best, _ = bounded_minimum(divergence, lo, SQUEEZE_GRID[i] + 0.1)
     if best >= values[i]:
         best_s, best = SQUEEZE_GRID[i], values[i]
     return _certified(rho, "NC", "upper", max(best, 0.0),
@@ -1055,11 +1087,10 @@ def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
     grid = VACUUM_WEIGHT_GRID
     values = [at(w0) for w0 in grid]
     i = int(np.argmin(values))
-    best_w0, best = bounded_minimum(at, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
+    best_w0, best, _ = bounded_minimum(at, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
     if best >= values[i]:
         best_w0, best = grid[i], values[i]
-    # D >= 0: the rounding of a near-vacuum cat must not certify a negative value
-    return _certified(rho, "NC", "upper", max(best, 0.0),
+    return _certified(rho, "NC", "upper", best,
                       {"ansatz_description": f"coherent mixture on +-{a:g} and 0, "
                                              f"vacuum weight {best_w0:.9g}"})
 

@@ -380,16 +380,17 @@ class TestFigure:
         assert out.strip().split("\n") == ["alpha,sign,lower_bits,upper_bits", "0,+,0,0"]
 
     def test_cat_unconverged_exit_2(self, capsys, monkeypatch):
-        # the even cat's search reports Nelder-Mead's own verdict
+        # the even cat's search reports Brent's own verdict on its bracket
         from cvres import nonclassicality as nc
         from cvres import rates
 
-        real = nc.nelder_mead
+        real = nc.bounded_minimum
 
         def failing(*args, **kwargs):
-            return real(*args, **kwargs)._replace(success=False)
+            x, value, _ = real(*args, **kwargs)
+            return x, value, False
 
-        monkeypatch.setattr(nc, "nelder_mead", failing)
+        monkeypatch.setattr(nc, "bounded_minimum", failing)
         monkeypatch.setattr(rates, "cat_interval", rates.cat_interval.__wrapped__)
         code, out, _ = run_cli(
             ["figure", "--name", "cat", "--alpha-grid", "0.3", "--sign", "+", "--cutoff", "30"],

@@ -9,7 +9,6 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
 from cvres import nonclassicality
-from cvres._optim import SimplexResult
 from cvres.errors import UsageError
 from cvres.fock_core import (
     DensityOperator,
@@ -21,7 +20,6 @@ from cvres.fock_core import (
 )
 from cvres.entropies import (
     entropy_of_probabilities,
-    exp_hermitian,
     von_neumann_entropy,
     wehrl_entropy,
 )
@@ -260,20 +258,22 @@ class TestCertifiedSupLevels:
 
 
 def _even_cat_basis(alpha: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows cat+ and v0 (the vacuum orthogonalised against cat+) of the even cat's ansatz."""
+    """cat+, normalised, and the basis (e0, tau) of its ansatz, tau its normalised tail on n >= 1."""
     psi = cat_amplitudes(alpha, "+", d)
     psi = psi / np.linalg.norm(psi)
-    v0 = -psi[0] * psi
-    v0[0] += 1.0
-    return psi, v0 / np.linalg.norm(v0)
+    tail = psi.copy()
+    tail[0] = 0.0
+    return psi, np.stack([np.eye(d)[0], tail / np.linalg.norm(tail)])
 
 
 def _cat_ansatz_matrices(alpha: float, d: int, seed: int) -> list[np.ndarray]:
-    """L = B^T exp([[0, x1], [x1, x2]]) B on span{cat+, vacuum}, at the even cat search's points."""
-    basis = np.stack(_even_cat_basis(alpha, d))
+    """L = B^T [[1, b], [b, c]] B on span{e0, tau}, at points of the even cat's search."""
+    _, basis = _even_cat_basis(alpha, d)
     rng = np.random.default_rng(seed)
-    points = np.concatenate([[[0.0, -8.0], [0.5, -3.0]], rng.uniform(-10.0, 5.0, size=(10, 2))])
-    return [basis.T @ expm(np.array([[0.0, x1], [x1, x2]])) @ basis for x1, x2 in points]
+    b = rng.uniform(0.0, 1.5, size=10)
+    points = np.concatenate([[[0.15, 0.5], [0.5, 2.0]],
+                             np.column_stack([b, b * b + rng.uniform(0.0, 5.0, size=10)])])
+    return [basis.T @ np.array([[1.0, b], [b, c]]) @ basis for b, c in points]
 
 
 class TestEnvelopeMax:
@@ -315,32 +315,22 @@ class TestEnvelopeMax:
 class TestEvenCatClosedForm:
     @pytest.mark.parametrize("alpha", [0.3, math.sqrt(2.0) * 0.3, 0.5, 1.0, 2.4])
     def test_matches_the_generic_envelope(self, alpha):
-        # x = 60 and 80 sit beyond the clip at 50; x1 = 0 leaves exp(M) diagonal, and
-        # with x2 > 0 its top direction is not the vacuum's; x1 = 1e-200 squares to 0;
-        # x2 = -800 and -2000 underflow the lower eigenvalue's exponential
+        # b = 0 and c = 0 drop a fixed envelope, and 1e-200 squares to 0; negative b
+        # reads as |b|; large entries put the peak far from F(0) = 1
         rng = np.random.default_rng(3)
-        points = np.concatenate([[[0.0, -8.0], [60.0, 80.0], [50.0, -3.0], [-3.0, 60.0],
-                                  [0.0, 3.0], [0.0, 40.0], [0.0, 70.0], [0.0, -20.0],
-                                  [0.0, 0.0], [1e-200, -5.0], [-1e-200, 4.0], [1e-200, 0.0],
-                                  [0.3, -800.0], [0.3, -2000.0], [55.0, 65.0]],
-                                 rng.uniform(-10.0, 5.0, size=(25, 2))])
+        points = np.concatenate([[[0.0, 0.0], [0.0, 1.0], [0.0, 40.0], [0.5, 0.0], [0.15, 0.5],
+                                  [1e-200, 2.0], [1e-200, 1e-200], [-0.4, 0.5], [-3.0, 60.0],
+                                  [3.0, 40.0], [1e3, 1e7], [0.2, 1e-300]],
+                                 np.column_stack([rng.uniform(-2.0, 2.0, 25),
+                                                  rng.uniform(0.0, 10.0, 25)])])
         for d in sorted({required_cat_cutoff(alpha), 30, 40}):
-            basis = np.stack(_even_cat_basis(alpha, d))
-            ansatz_at, peak_and_cap = _even_cat_ansatz(*basis)
-            for x in points:
-                l_mat = ansatz_at(x)
-                x1, x2 = np.minimum(x, 50.0)
-                ref = basis.T @ exp_hermitian(np.array([[0.0, x1], [x1, x2]]))[0] @ basis
+            psi, basis = _even_cat_basis(alpha, d)
+            matrix, peak, _ = _even_cat_ansatz(psi)
+            for b, c in points:
+                l_mat = matrix(b, c)
+                ref = basis.T @ np.array([[1.0, b], [b, c]]) @ basis
                 assert np.max(np.abs(l_mat - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
-                peak, cap = peak_and_cap(x)
-                assert cap == pytest.approx(float(np.linalg.eigvalsh(l_mat)[-1]), rel=1e-14)
-                assert min(peak, cap) == pytest.approx(_envelope_max(l_mat), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [[-800.0, 0.0], [-1e300, -800.0], [-710.0, 50.0]])
-    def test_overflowing_point_reads_inf(self, x):
-        # e^(lambda_max) overflows a double: the search reads its worst value, not nan
-        _, peak_and_cap = _even_cat_ansatz(*_even_cat_basis(0.3, 8))
-        assert peak_and_cap(np.array(x)) == (math.inf, math.inf)
+                assert max(peak(b, c)[1], 1.0) == pytest.approx(_envelope_max(l_mat), rel=1e-12)
 
 
 class TestCurvatureTable:
@@ -670,18 +660,18 @@ class TestCatReflection:
         bound = cat_gamma_lower_bound(cat_state(0.25, "-", 30))
         assert bound.value > 1.2
 
-    def test_out_of_range_point_stays_feasible(self, monkeypatch):
-        # at x[1] = 60 the even block must be exponentiated at the clipped value
-        x_far = np.array([0.0, 60.0])
+    def test_infeasible_winner_falls_back_unconverged(self, monkeypatch):
+        # at b_hi the grid's c is b^2, so E is singular there: a search that returns it
+        # leaves the bound to b = 0, flagged
+        def at_the_edge(fun, lo, hi):
+            return hi, fun(hi), True
 
-        def fake_nelder_mead(fun, x0, **kwargs):
-            return SimplexResult(x_far, fun(x_far), 1, True)
-
-        rho = make_state(StateSpec("cat", {"alpha": 0.3, "sign": "+"}, 35), deficit_tol=1e-6)
-        up = cat_mixture_upper_bound(rho)
-        monkeypatch.setattr(nonclassicality, "nelder_mead", fake_nelder_mead)
-        lo = cat_gamma_lower_bound(cat_state(0.3, "+", 35))
-        assert lo.value <= up.value
+        rho = cat_state(0.5, "+", 30)
+        best = cat_gamma_lower_bound(rho)
+        monkeypatch.setattr(nonclassicality, "bounded_minimum", at_the_edge)
+        bound = cat_gamma_lower_bound(rho)
+        assert not bound.converged
+        assert 0.0 < bound.value < best.value
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
     def test_even_cat_converges_below_cap(self, alpha):
@@ -750,17 +740,80 @@ class TestCatReflection:
         bound = cat_gamma_lower_bound(cat_state(alpha, "+", cutoff))
         assert bound.value >= before - math.log2(1 + nonclassicality.INNER_TOL)
 
-    # values of the search that took exp(M) from one LAPACK eigh per point (tree cc317ed)
-    @pytest.mark.parametrize("alpha, cutoff, before", [(0.3, 8, 0.013936588138299271),
-                                                       (math.sqrt(2.0) * 0.3, 8, 0.053662635709248174),
-                                                       (1.0, 23, 0.7517312048787979),
-                                                       (2.4, 54, 0.9999844603809988)])
-    def test_even_cat_matches_the_eigh_search(self, alpha, cutoff, before):
-        assert cat_gamma_lower_bound(cat_state(alpha, "+", cutoff)).value == pytest.approx(
-            before, rel=0.0, abs=1e-12)
+    # values of the one-dimensional search over b, and of the Nelder-Mead search over
+    # log E that took exp(M) from one LAPACK eigh per point (tree cc317ed)
+    @pytest.mark.parametrize("alpha, cutoff, value, simplex", [
+        (0.3, 8, 0.013936588138614477, 0.013936588138299271),
+        (math.sqrt(2.0) * 0.3, 8, 0.05366263617892541, 0.053662635709248174),
+        (1.0, 23, 0.7517312048848218, 0.7517312048787979),
+        (2.4, 54, 0.9999844603809107, 0.9999844603809988)])
+    def test_even_cat_matches_the_eigh_search(self, alpha, cutoff, value, simplex):
+        bound = cat_gamma_lower_bound(cat_state(alpha, "+", cutoff)).value
+        assert bound == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert bound >= simplex - 1e-12
+
+    # the cat table's default grid at its cutoffs, from the Nelder-Mead search (tree 06837c3)
+    @pytest.mark.parametrize("alpha, before", zip(np.linspace(0.4, 2.4, 11).tolist(), [
+        0.04280096623523945, 0.19444235872957363, 0.48013859465443604, 0.7517309732213849,
+        0.903123607842903, 0.9676328629190257, 0.990159048944311, 0.9969110541240217,
+        0.9993418691053375, 0.9998682931054904, 0.9999739770777895]))
+    def test_default_grid_keeps_its_value(self, alpha, before):
+        rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": "+"},
+                                   required_cat_cutoff(alpha, 1e-9)), deficit_tol=1e-7)
+        bound = cat_gamma_lower_bound(rho)
+        assert bound.converged
+        assert bound.value >= before - math.log2(1 + nonclassicality.INNER_TOL)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.05, 3.0))
+    def test_even_cat_search_is_the_ansatz_optimum(self, alpha):
+        # the search fixes E00 = 1 and takes the largest c; scipy maximises over (E00, b)
+        # with c at its largest value, sup_t F <= 1 taken on a fine grid and refined
+        d = required_cat_cutoff(alpha)
+        psi, basis = _even_cat_basis(alpha, d)
+        _, value, _, converged = _even_cat_ansatz(psi)[2]()
+        coords = basis @ psi
+        k = np.arange(d)
+        # at real sqrt(t) every entry is nonnegative, so F is <sqrt(t)|L|sqrt(t)>
+        def parts(t):
+            t = np.atleast_1d(t)
+            v = np.exp(0.5 * (k * np.log(t)[:, None] - gammaln(k + 1.0)) - 0.5 * t[:, None])
+            x = v @ basis[1]
+            return v[:, 0] ** 2, 2.0 * v[:, 0] * x, x * x
+
+        grid = (np.linspace(0.0, 1.0, 4001)[1:] ** 2) * (d + 10.0)
+        tables = parts(grid)
+
+        def c_top(e00, b):
+            def ratio(t):
+                f_e0, f_x, f_tau = (p[0] for p in parts(t))
+                return (1.0 - e00 * f_e0 - b * f_x) / f_tau
+            r = (1.0 - e00 * tables[0] - b * tables[1]) / tables[2]
+            i = int(np.argmin(r))
+            lo, hi = grid[i - 1] if i else grid[0] * 1e-6, grid[min(i + 1, grid.size - 1)]
+            res = minimize_scalar(ratio, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-14 * hi})
+            return min(float(r[i]), float(res.fun))
+
+        def loss(x):
+            e00, b = x
+            if not 0.0 < e00 <= 1.0 or b < 0.0:
+                return math.inf
+            c = c_top(e00, b)
+            if c * e00 <= b * b:
+                return math.inf
+            lam, vec = np.linalg.eigh(np.array([[e00, b], [b, c]]))
+            return -float((vec.T @ coords) ** 2 @ np.log2(lam))
+
+        best = min((minimize(loss, [e00, 0.1], method="Nelder-Mead",
+                             options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 2000})
+                    for e00 in (1.0, 0.9)), key=lambda r: r.fun)
+        assert converged
+        assert value >= -best.fun - 1e-10
 
     def test_even_cat_search_calls_no_eigensolver_per_point(self, monkeypatch):
-        # the search reads some 200 points; only the certificate of its winner may call
+        # the search reads some 27 peaks at about 10 points b; only the certificate of
+        # its winner may call
         rho = cat_state(0.3, "+", 8)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -770,7 +823,7 @@ class TestCatReflection:
 
             monkeypatch.setattr(np.linalg, name, counted)
         bound = cat_gamma_lower_bound(rho)
-        assert bound.certificate["iterations"] >= 100
+        assert bound.certificate["iterations"] >= 20
         assert len(calls) <= 2
 
     def test_odd_cat_tends_to_single_photon(self):
@@ -1046,6 +1099,19 @@ class TestClassicalAnsatz:
         # the certificate prints w0 to 9 digits
         assert raw == pytest.approx(divergence(np.array([0.5 * (1 - w0), 0.5 * (1 - w0), w0])),
                                     abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-3, 3e-3, 0.01])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_near_vacuum_cat_interval_is_ordered(self, alpha, sign):
+        # the atoms +-alpha and 0 share all but ~alpha^4 of their span: where rounding
+        # hides the mixture's value it reads +inf rather than 0
+        rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign},
+                                   required_cat_cutoff(alpha, 1e-9)), deficit_tol=1e-7)
+        lower, upper = bound_sandwich(rho)
+        assert lower.value <= upper.value
+        assert cat_mixture_upper_bound(rho).value >= quadrature_lower_bound(rho).value
+        if sign == "+":
+            assert upper.value > 0.0
 
     def test_cat2_mixture_gap(self):
         spec = StateSpec("cat", {"alpha": 2, "sign": "+"}, 40)

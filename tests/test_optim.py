@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.optimize import nnls as scipy_nnls
 
 from cvres import nonclassicality
-from cvres._optim import bounded_minimum, nelder_mead, nnls
+from cvres._optim import bounded_minimum, nnls
 from cvres.states import StateSpec, make_state
 
 
@@ -25,27 +25,6 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-class TestNelderMead:
-    def test_even_cat_objective_matches_scipy(self, monkeypatch):
-        calls = _recorded(monkeypatch, "nelder_mead")
-        rho = make_state(StateSpec("cat", {"alpha": 0.5, "sign": "+"}, 30), deficit_tol=1e-6)
-        nonclassicality.cat_gamma_lower_bound(rho)
-        (fun, x0), opts = calls[0]
-        ours = nelder_mead(fun, x0, **opts)
-        ref = minimize(fun, x0, method="Nelder-Mead", options=opts)
-        assert np.array_equal(ours.x, ref.x)
-        assert ours.fun == ref.fun and ours.nit == ref.nit and ours.success == ref.success
-
-    def test_maxiter_is_reported(self):
-        def rosen(x):
-            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-        ours = nelder_mead(rosen, [-1.2, 1.0], maxiter=20)
-        ref = minimize(rosen, [-1.2, 1.0], method="Nelder-Mead", options={"maxiter": 20})
-        assert not ours.success and ours.nit == ref.nit == 20
-        assert np.array_equal(ours.x, ref.x)
-
-
 class TestBoundedMinimum:
     @staticmethod
     def _matches_scipy(calls):
@@ -56,9 +35,10 @@ class TestBoundedMinimum:
             evaluations.append(s)
             return fun(s)
 
-        x, value = bounded_minimum(counted, lo, hi)
+        x, value, closed = bounded_minimum(counted, lo, hi)
         ref = minimize_scalar(fun, method="bounded", bounds=(lo, hi))
         assert x == ref.x and value == ref.fun and len(evaluations) == ref.nit
+        assert closed == (ref.status == 0)
 
     @pytest.mark.parametrize("r", [0.25, -0.7, 1.2])
     def test_squeezed_thermal_objective_matches_scipy(self, monkeypatch, r):
@@ -74,9 +54,28 @@ class TestBoundedMinimum:
         nonclassicality.cat_mixture_upper_bound(rho)
         self._matches_scipy(calls)
 
+    def test_even_cat_objective_matches_scipy(self, monkeypatch):
+        # the even cat's search over b, whose points past positive definiteness read +inf
+        calls = _recorded(monkeypatch, "bounded_minimum")
+        rho = make_state(StateSpec("cat", {"alpha": 0.5, "sign": "+"}, 30), deficit_tol=1e-6)
+        nonclassicality.cat_gamma_lower_bound(rho)
+        self._matches_scipy(calls)
+
     def test_minimum_at_an_edge(self):
-        x, value = bounded_minimum(lambda s: (s - 3.0) ** 2, 0.0, 1.0)
+        x, value, closed = bounded_minimum(lambda s: (s - 3.0) ** 2, 0.0, 1.0)
         ref = minimize_scalar(lambda s: (s - 3.0) ** 2, method="bounded", bounds=(0.0, 1.0))
+        assert x == ref.x and value == ref.fun and closed
+
+    def test_budget_is_reported(self):
+        # golden sections from a bracket of 1e105 need more than the 500 evaluations;
+        # scipy's parabola products overflow numpy scalars on the way
+        def fun(s):
+            return abs(s - 1.0)
+
+        x, value, closed = bounded_minimum(fun, 0.0, 1e105)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = minimize_scalar(fun, method="bounded", bounds=(0.0, 1e105))
+        assert not closed and ref.status == 1
         assert x == ref.x and value == ref.fun
 
 
