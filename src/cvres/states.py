@@ -149,7 +149,9 @@ def thermal_weights(nu: float, cutoff: int) -> np.ndarray:
 
 def cat_norm(alpha: float, sign: str) -> float:
     """Norm N of |alpha> +- |-alpha>, so the cat is (|alpha> +- |-alpha>) / N."""
-    norm_sq = 2.0 * (1.0 + (1.0 if sign == "+" else -1.0) * math.exp(-2.0 * alpha * alpha))
+    # N^2 = 2 (1 +- e^(-2a^2)), the odd cat's by expm1, which keeps its digits at small alpha
+    x = -2.0 * alpha * alpha
+    norm_sq = 2.0 * (1.0 + math.exp(x) if sign == "+" else -math.expm1(x))
     if norm_sq <= 0.0:
         raise UsageError("odd cat state needs alpha != 0")
     return math.sqrt(norm_sq)
@@ -277,9 +279,8 @@ def exact_energy(spec: StateSpec) -> float:
         a2 = p["alpha"] ** 2 if abs(p["alpha"]) < 1e154 else math.inf
         if a2 == 0.0:
             return 0.0
-        s = 1.0 if p["sign"] == "+" else -1.0
-        e = math.exp(-2.0 * a2)
-        return a2 * (1.0 - s * e) / (1.0 + s * e)
+        plus, minus = 1.0 + math.exp(-2.0 * a2), -math.expm1(-2.0 * a2)  # 1 +- e^(-2a^2)
+        return a2 * minus / plus if p["sign"] == "+" else a2 * plus / minus
     if fam == "squeezed":
         return math.sinh(p["r"]) ** 2 if abs(p["r"]) < 355.0 else math.inf
     _, w, _ = basel_weights(p["n_max"])

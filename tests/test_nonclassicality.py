@@ -20,6 +20,7 @@ from cvres.fock_core import (
 )
 from cvres.entropies import (
     entropy_of_probabilities,
+    relative_entropy,
     von_neumann_entropy,
     wehrl_entropy,
 )
@@ -1048,63 +1049,95 @@ class TestClassicalAnsatz:
                       gamma_lower_bound(rho, max_iters=5)):
             assert bound.value <= upper + 1e-9, bound.certificate
 
-    @pytest.mark.parametrize("case", ["cat0.3+", "cat0.3-", "cat1+", "random0", "random1"])
-    def test_gram_divergence_matches_dense(self, case):
-        from cvres.entropies import relative_entropy
+    @staticmethod
+    def _dense_mixture(rho, alpha, weights):
+        """Dense D(rho || sigma / Tr sigma), sigma = w+ |a><a| + w- |-a><-a| + w0 |0><0|."""
+        d = rho.cutoff
+        sigma = sum(w * np.outer(v, v.conj()) for w, v in zip(
+            weights, (coherent_vector(a, d)[0] for a in (alpha, -alpha, 0.0))))
+        sigma = DensityOperator.from_matrix(sigma / np.trace(sigma), 1, d, validate=False)
+        return relative_entropy(rho.renormalized(), sigma)
 
-        d = 30
-        rng = np.random.default_rng(sum(map(ord, case)))
-        if case.startswith("cat"):
-            alpha, sign = float(case[3:-1]), case[-1]
-            points = [alpha, -alpha, 0.0]
-            rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign}, d))
+    @staticmethod
+    def _mixture_raw(up):
+        w0 = float(up.certificate["ansatz_description"].split("vacuum weight ")[1])
+        return up.value - up.certificate["truncation_correction_bits"], w0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_cat_mixture_closed_form_matches_dense(self, monkeypatch, alpha, sign):
+        # the even cat's objective is the one handed to Brent; the odd cat reads w0 = 0 unsearched
+        searched = []
+        real = nonclassicality.bounded_minimum
+
+        def recording(fun, lo, hi):
+            searched.append(fun)
+            return real(fun, lo, hi)
+
+        monkeypatch.setattr(nonclassicality, "bounded_minimum", recording)
+        rho = cat_state(alpha, sign, required_cat_cutoff(alpha, 1e-9))
+        raw, w0 = self._mixture_raw(cat_mixture_upper_bound(rho))
+
+        def dense(w):
+            return self._dense_mixture(rho, alpha, (0.5 * (1.0 - w), 0.5 * (1.0 - w), w))
+
+        # the certificate prints w0 to 9 digits
+        assert raw == pytest.approx(dense(w0), abs=1e-12)
+        weights = [1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999]
+        if sign == "-":
+            assert not searched and w0 == 0.0
+            assert all(dense(w) >= raw for w in weights)  # D only rises with w0
         else:
-            points = list(rng.uniform(-1.2, 1.2, 3) + 1j * rng.uniform(-1.2, 1.2, 3))
-            vecs = np.stack([coherent_vector(a, d)[0] for a in points], axis=1)
-            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            ent = vecs @ g @ g.conj().T @ vecs.conj().T
-            rho = DensityOperator.from_matrix(ent / np.trace(ent), 1, d, validate=False)
-        divergence = nonclassicality._coherent_mixture_divergence(rho, points)
-        comps = [np.outer(v, v.conj()) for v in (coherent_vector(a, d)[0] for a in points)]
-        for _ in range(5):
-            w = rng.dirichlet(np.ones(3))
-            sigma = sum(wi * ci for wi, ci in zip(w, comps))
-            sigma = DensityOperator.from_matrix(sigma / np.trace(sigma), 1, d, validate=False)
-            dense = relative_entropy(rho, sigma)
-            assert divergence(w) == pytest.approx(dense, abs=1e-12)
-
-    def test_support_mismatch_is_infinite(self):
-        # rho keeps weight outside the atoms' span, so every weight vector scores +inf
-        rng = np.random.default_rng(3)
-        for rho, points in [(fock_state(1, 12), [0.0]), (fock_state(1, 6), [1.0, -1.0, 0.0])]:
-            divergence = nonclassicality._coherent_mixture_divergence(rho, points)
-            n = len(points)
-            for w in [np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), 4)]:
-                assert divergence(w) == math.inf
+            (divergence,) = searched
+            for w in weights:
+                assert divergence(w) == pytest.approx(dense(w), abs=1e-12)
 
     @pytest.mark.parametrize("alpha, sign, cutoff", [(0.3, "+", 35), (0.3, "-", 35), (1.0, "+", 30),
                                                      (2.0, "+", 40)])
     def test_cat_mixture_matches_a_dense_scan(self, alpha, sign, cutoff):
         # the 1-d search on equal weights of +-alpha against a scan of all three weights
         rho = cat_state(alpha, sign, cutoff)
-        up = cat_mixture_upper_bound(rho)
-        raw = up.value - up.certificate["truncation_correction_bits"]
-        divergence = nonclassicality._coherent_mixture_divergence(
-            rho.renormalized(), [alpha, -alpha, 0.0])
+        raw, w0 = self._mixture_raw(cat_mixture_upper_bound(rho))
         grid = np.linspace(0.0, 1.0, 41)
-        scan = min(divergence(np.array([x, y, max(1.0 - x - y, 0.0)]))
+        scan = min(self._dense_mixture(rho, alpha, (x, y, max(1.0 - x - y, 0.0)))
                    for x in grid for y in grid if x + y <= 1.0 + 1e-12 and x + y > 0.0)
         assert raw <= scan + 1e-12
-        w0 = float(up.certificate["ansatz_description"].split("vacuum weight ")[1])
-        # the certificate prints w0 to 9 digits
-        assert raw == pytest.approx(divergence(np.array([0.5 * (1 - w0), 0.5 * (1 - w0), w0])),
-                                    abs=1e-12)
+        assert raw == pytest.approx(
+            self._dense_mixture(rho, alpha, (0.5 * (1 - w0), 0.5 * (1 - w0), w0)), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1])
+    def test_near_vacuum_mixture_keeps_its_digits(self, alpha):
+        # the even block's determinant w0 (1 - w0) c1^2 / sigma_00^2 is formed without
+        # cancellation, so D stays finite and exact where sigma's atoms are nearly parallel
+        mpmath = pytest.importorskip("mpmath")
+        d = required_cat_cutoff(alpha, 1e-9)
+        rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": "+"}, d), deficit_tol=1e-7)
+        raw, w0 = self._mixture_raw(cat_mixture_upper_bound(rho))
+        assert math.isfinite(raw)
+        with mpmath.workdps(60):
+            a, w = mpmath.mpf(alpha), mpmath.mpf(w0)
+            plus = [mpmath.exp(-a * a / 2) * a**n / mpmath.sqrt(mpmath.factorial(n))
+                    for n in range(d)]
+            minus = [(-1) ** n * x for n, x in enumerate(plus)]
+            sigma = mpmath.matrix(d, d)
+            for i in range(d):
+                for j in range(d):
+                    sigma[i, j] = (1 - w) * (plus[i] * plus[j] + minus[i] * minus[j]) / 2
+            sigma[0, 0] += w
+            tr = sum(sigma[i, i] for i in range(d))
+            psi = [x + y for x, y in zip(plus, minus)]
+            norm = mpmath.sqrt(sum(x * x for x in psi))
+            vals, vecs = mpmath.eigsy(sigma)
+            # sigma has rank 3; rho lies in its support, which the cut at 1e-40 keeps
+            reference = -sum((sum(vecs[i, k] * psi[i] for i in range(d)) / norm) ** 2
+                             * mpmath.log(vals[k] / tr, 2) for k in range(d) if vals[k] > 1e-40)
+        assert raw == pytest.approx(float(reference), rel=1e-9, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-3, 3e-3, 0.01])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_near_vacuum_cat_interval_is_ordered(self, alpha, sign):
-        # the atoms +-alpha and 0 share all but ~alpha^4 of their span: where rounding
-        # hides the mixture's value it reads +inf rather than 0
+        # the atoms +-alpha and 0 share all but ~alpha^4 of their span; the mixture's
+        # closed form stays finite and positive there
         rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": sign},
                                    required_cat_cutoff(alpha, 1e-9)), deficit_tol=1e-7)
         lower, upper = bound_sandwich(rho)
@@ -1123,7 +1156,7 @@ class TestClassicalAnsatz:
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-9, 1e-5])
     def test_near_vacuum_cat_interval_holds_zero(self, alpha):
-        # at alpha = 0 and 1e-9 the mixture's divergence rounds to -6.4e-16
+        # the mixture's closed form reads 0 at alpha = 0 and 8.6e-24 bits at 1e-9
         rho = cat_state(alpha, "+", 8)
         upper, lower = cat_mixture_upper_bound(rho), cat_gamma_lower_bound(rho)
         assert upper.value >= 0.0 >= lower.value

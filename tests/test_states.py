@@ -80,6 +80,20 @@ class TestMakeState:
         assert np.all(even.diagonal()[1::2] == 0.0)
         assert np.all(odd.diagonal()[0::2] == 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_small_odd_cat_keeps_its_norm(self, alpha):
+        # 1 - e^(-2 alpha^2) cancels unless formed by expm1: at alpha = 1e-6 the trace read
+        # 1.000022, at 1e-5 a deficit of 8.3e-8, and the energy 1.0008 at 1e-7
+        rho = make_state(StateSpec("cat", {"alpha": alpha, "sign": "-"}, 8))
+        assert abs(rho.trace() - 1.0) <= 1e-12
+        assert rho.trace_deficit <= 1e-12
+        # a^2 (1 +- e^(-2a^2)) / (1 -+ e^(-2a^2)) is a^2 coth(a^2) for the odd cat, a^2 tanh(a^2)
+        # for the even one
+        a2 = alpha * alpha
+        assert exact_energy(rho.spec) == pytest.approx(a2 / math.tanh(a2), rel=1e-14)
+        even = StateSpec("cat", {"alpha": alpha, "sign": "+"}, 8)
+        assert exact_energy(even) == pytest.approx(a2 * math.tanh(a2), rel=1e-14)
+
     def test_squeezed_r0_is_vacuum(self):
         rho = make_state(StateSpec("squeezed", {"r": 0}, 10))
         assert rho.diagonal()[0] == 1.0
