@@ -2,9 +2,11 @@
 
 ``bounded_minimum`` follows scipy.optimize's ``_minimize_scalar_bounded`` step
 for step, so it visits the same points and returns the same result as
-``minimize_scalar(method="bounded")`` with the default options.  ``nnls`` is
-the Lawson-Hanson active-set method, each passive set solved afresh by one
-numpy QR, with guards for the degenerate problems of the Poisson-mixture fit.
+``minimize_scalar(method="bounded")`` with the default options.
+``simplex_lstsq`` is least squares on the simplex c . x = 1, x >= 0: the
+Lawson-Hanson active-set method with the equality held exactly, each passive
+set solved afresh by one reduced numpy QR, as the Poisson-mixture fit's weight
+step needs it.
 """
 
 from __future__ import annotations
@@ -92,57 +94,54 @@ def _sign_or_one(v: float) -> float:
     return -1.0 if v < 0.0 else 1.0
 
 
-def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin of ||a x - b|| over x >= 0: the active-set method of Lawson and Hanson
-    (Solving Least Squares Problems, 1974, ch. 23).
+def simplex_lstsq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """argmin of ||a x - b|| over x >= 0 with c . x = 1 held exactly (c > 0): the
+    active-set method of Lawson and Hanson (Solving Least Squares Problems, 1974,
+    ch. 23) on the simplex, started at its best vertex e_j / c_j.
 
-    Each passive set P is solved from scratch by one complete QR, a[:, P] =
-    [Q1 Q2] R.  The dual vector is a^T Q2 Q2^T b, a^T applied to the part of b
-    off the span of P's columns: that is the residual b - a x without the
-    cancellation a heavy row (the Poisson-mixture fit's sum row) brings to it.
-    A candidate column is skipped until the dual vector is next formed if it
-    makes P numerically dependent (R's smallest pivot at most 1e-14 of its
-    largest) or if its own weight in the solve that would admit it is not
-    positive.  The inner loop, which interpolates back to feasibility and drops
-    every weight it or rounding leaves at <= 0, runs at most 3n steps in all;
-    past them the current feasible point is returned.
+    Each passive set P is solved afresh: the weight of x's largest share c_i x_i
+    on P is eliminated through c . x = 1, the rest solved by one reduced numpy QR.
+    On P, g = a^T (a x - b) equals -lam c, and c . x = 1 gives lam = -x . g, so
+    the multipliers w = (x . g) c - g need no penalty row.  A candidate is skipped
+    until w is next formed if it makes P numerically dependent (a pivot of R at
+    most 1e-14 of a's largest column norm on P) or gets no positive weight.  The
+    inner loop, which interpolates back to feasibility and drops every weight it
+    or rounding leaves at <= 0, runs at most 3n steps in all; past them, or on a
+    dependent set, the current feasible point is returned.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = a.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    resid = b  # the part of b off the span of P's columns
+    passive = np.arange(n) == np.argmin(np.linalg.norm(a / c - b[:, None], axis=0))
+    x = np.where(passive, 1.0 / c, 0.0)
     steps = 0
 
-    def solve(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """z on ``cols`` from the complete QR of a[:, cols], the part of b off their
-        span, and R's pivots in magnitude."""
-        q, r = np.linalg.qr(a[:, cols], mode="complete")
-        k = np.count_nonzero(cols)
-        qtb = q.T @ b
+    def solve(cols: np.ndarray) -> np.ndarray | None:
+        """z on ``cols`` with c . z = 1, or None where ``cols`` are numerically dependent."""
+        idx = np.flatnonzero(cols)
+        i = idx[np.argmax(c[idx] * x[idx])]
+        rest = idx[idx != i]
+        q, r = np.linalg.qr(a[:, rest] - np.outer(a[:, i] / c[i], c[rest]))
+        if not np.all(np.abs(r.diagonal()) > 1e-14 * np.linalg.norm(a[:, idx], axis=0).max()):
+            return None
         z = np.zeros(n)
-        z[cols] = np.linalg.solve(r[:k], qtb[:k])
-        return z, q[:, k:] @ qtb[k:], np.abs(r.diagonal())
+        z[rest] = np.linalg.solve(r, q.T @ (b - a[:, i] / c[i]))
+        z[i] = (1.0 - c[rest] @ z[rest]) / c[i]
+        return z
 
-    while np.count_nonzero(passive) < m:
-        w = a.T @ resid
-        skip = passive.copy()
-        while True:  # the candidate of largest dual value that passes both tests
-            dual = np.where(skip, -np.inf, w)
-            j = int(np.argmax(dual))
-            if not dual[j] > 0.0:
+    while np.count_nonzero(passive) <= m:
+        g = a.T @ (a @ x - b)
+        w = np.where(passive, -np.inf, (x @ g) * c - g)
+        while True:  # the candidate of largest multiplier that passes both tests
+            j = int(np.argmax(w))
+            if not w[j] > 0.0:
                 return x
-            skip[j] = True
-            trial = passive.copy()
-            trial[j] = True
-            z, resid, pivots = solve(trial)
-            if pivots.min() > 1e-14 * pivots.max() and z[j] > 0.0:
+            w[j] = -np.inf
+            z = solve(passive | (np.arange(n) == j))
+            if z is not None and z[j] > 0.0:
                 break
         passive[j] = True
         while True:  # step back towards x until every weight in P is positive
             steps += 1
-            if steps > 3 * n:
+            if steps > 3 * n or z is None:
                 return x
             hit = passive & (z <= 0.0)
             if not hit.any():
@@ -152,6 +151,6 @@ def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             x[np.flatnonzero(hit)[np.argmin(ratios)]] = 0.0
             passive &= x > 0.0  # rounding may leave more weights at <= 0; they leave too
             x[~passive] = 0.0
-            z, resid, _ = solve(passive)
+            z = solve(passive)
         x = z
     return x

@@ -150,6 +150,8 @@ def _bounds_for(which: str, rho, max_iters: int) -> list[nc.MonotoneBound]:
 
 
 def cmd_monotone(args) -> int:
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
     rho = _load_state(args.state)
     selectors = [w.strip() for w in args.which.split(",") if w.strip()]
     if not selectors:

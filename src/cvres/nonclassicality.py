@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._optim import bounded_minimum, nnls
+from ._optim import bounded_minimum, simplex_lstsq
 from .entropies import (
     LN2,
     LOG2E,
@@ -690,7 +690,6 @@ def _log_poisson(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
 FD_MAX_ROUNDS = 500  # exchange rounds of the Poisson-mixture fit
-FD_SUM_ROW = 1e4  # weight of the least-squares row that holds the mixture weights to sum 1
 FD_VERTEX_LN_PHI = 1.0  # ln sup phi above which a round first moves weight onto its top atom
 
 
@@ -754,8 +753,8 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     of phi with ``_phi_maxima``.  It stops once log2 sup phi <= FD_TOL_BITS/4,
     or once KL(p || q) is that small, since [0, KL] is then already that narrow.
     Otherwise it adds the maxima with phi > 1 as atoms of zero weight and takes
-    one weight step: NNLS on the quadratic model sum_k p_k (sum_j w_j pois(k; t_j)
-    /q_k - 2)^2 with a heavy row for sum_j w_j = 1, then an Armijo backtrack on
+    one weight step: ``simplex_lstsq`` on the quadratic model sum_k p_k (sum_j w_j
+    pois(k; t_j)/q_k - 2)^2 over w >= 0 with sum_j w_j = 1, then an Armijo backtrack on
     sum_k p_k ln q_k.  Atoms left at weight 0 are dropped, and a step that no
     backtrack makes an ascent ends the loop.  Where ln sup phi exceeds ``FD_VERTEX_LN_PHI`` (a tail
     the model has emptied, where it can at most double q per step), the round
@@ -794,9 +793,7 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
         ratio = pois / q[:, None]
         model = root_p[:, None] * ratio
         scale = np.linalg.norm(model, axis=0)  # unit columns keep small tail weights resolvable
-        target = nnls(np.vstack([model / scale, FD_SUM_ROW / scale]),
-                      np.append(2.0 * root_p, FD_SUM_ROW)) / scale
-        direction = target / target.sum() - w
+        direction = simplex_lstsq(model / scale, 2.0 * root_p, 1.0 / scale) / scale - w
         slope = float(p @ ratio @ direction)
         for step in 0.5 ** np.arange(34):
             with np.errstate(divide="ignore"):  # a step that empties a level scores -inf

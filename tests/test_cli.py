@@ -151,6 +151,14 @@ class TestMonotone:
         assert code == 1
         assert "ncm-lower" in err
 
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    def test_max_iters_below_one_rejected(self, max_iters, capsys):
+        # an ascent of no steps would report its start point with exit 0
+        code, out, err = run_cli(["monotone", "--state", FOCK1, "--max-iters", max_iters], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "--max-iters must be at least 1" in err
+
     def test_nonconvergence_exit_2(self, capsys, monkeypatch):
         # the centred pair wins the lower side here; it reports the program's own verdict
         import dataclasses

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from scipy.optimize import nnls as scipy_nnls
 
 from cvres import nonclassicality
-from cvres._optim import bounded_minimum, nnls
+from cvres._optim import bounded_minimum, simplex_lstsq
 from cvres.states import StateSpec, make_state
 
 
@@ -87,48 +87,61 @@ class TestBoundedMinimum:
 
 
 def _problems():
-    """Random problems, problems with repeated and nearly repeated columns, and the
-    Poisson-mixture weight steps' shape: repeated atoms under a heavy row."""
+    """Random problems with sums c in [0.5, 2]; repeated columns with repeated sums (the
+    same vertex twice) and nearly repeated ones; and the Poisson-mixture weight steps'
+    shape, unit Poisson columns of repeated atoms."""
     rng = np.random.default_rng(7)
     for trial in range(240):
         m, n = int(rng.integers(2, 30)), int(rng.integers(1, 16))
         a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        c = rng.uniform(0.5, 2.0, n)
         kind = trial % 4
         if kind == 1:
-            a = a[:, rng.integers(0, max(1, n // 2), n)]
+            cols = rng.integers(0, max(1, n // 2), n)
+            a, c = a[:, cols], c[cols]
         elif kind == 2:
             a = np.abs(a)
             a = np.hstack([a, a * (1.0 + 1e-9 * rng.standard_normal(a.shape))])
+            c = np.tile(c, 2)
         elif kind == 3:
-            ks = np.arange(m - 1, dtype=float)
+            ks = np.arange(m, dtype=float)
             ts = np.repeat(rng.uniform(0.0, m, n), 2) + np.tile([0.0, 1e-7], n)
-            cols = np.exp(nonclassicality._log_poisson(ks, ts))
-            cols /= np.linalg.norm(cols, axis=0)
-            a = np.vstack([cols, 1e4 * np.ones(cols.shape[1])])
-        b = rng.standard_normal(a.shape[0])
-        if kind == 3:
-            b = np.append(2.0 * np.sqrt(rng.dirichlet(np.ones(m - 1))), 1e4)
-        yield a, b
+            a = np.exp(nonclassicality._log_poisson(ks, ts))
+            a /= np.linalg.norm(a, axis=0)
+            b = 2.0 * np.sqrt(rng.dirichlet(np.ones(m)))
+            c = rng.uniform(0.5, 2.0, 2 * n)
+        yield a, b, c
 
 
-def test_nnls_matches_scipy_residual():
-    for i, (a, b) in enumerate(_problems()):
-        x = nnls(a, b)
-        ref, ref_norm = scipy_nnls(a, b)
-        assert x.shape == ref.shape and np.all(x >= 0.0), i
+def test_simplex_lstsq_matches_scipy_residual():
+    # the oracle holds c . x = 1 by a heavy row and is renormalised onto it
+    for i, (a, b, c) in enumerate(_problems()):
+        x = simplex_lstsq(a, b, c)
+        assert x.shape == c.shape and np.all(x >= 0.0), i
+        assert abs(c @ x - 1.0) <= 1e-12, i
+        ref, _ = scipy_nnls(np.vstack([a, 1e6 * c]), np.append(b, 1e6))
+        ref /= c @ ref
         ours = float(np.linalg.norm(a @ x - b))
-        assert ours <= ref_norm * (1.0 + 1e-9) + 1e-12 * float(np.linalg.norm(b)), i
+        assert ours <= float(np.linalg.norm(a @ ref - b)) + 1e-12, i
 
 
-def test_nnls_small_cases():
-    a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(nnls(a, np.array([2.0, 1.0, 1.0])), [1.5, 1.0])
-    assert np.array_equal(nnls(a, -np.ones(3)), [0.0, 0.0])
-    assert np.array_equal(nnls(np.zeros((3, 2)), np.ones(3)), [0.0, 0.0])
+def test_simplex_lstsq_single_column():
+    x = simplex_lstsq(np.array([[1.0], [2.0]]), np.array([5.0, -1.0]), np.array([2.0]))
+    assert np.array_equal(x, [0.5])
 
 
-def test_nnls_duplicate_columns_share_no_negative_weight():
+def test_simplex_lstsq_duplicate_columns_share_no_negative_weight():
     a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
-    x = nnls(a, np.array([1.0, 3.0, 1.0]))
+    x = simplex_lstsq(a, np.array([0.5, 1.5, 0.5]), np.ones(3))
     assert np.all(x >= 0.0)
-    assert math.isclose(x[0] + x[1], 1.0, rel_tol=1e-12) and math.isclose(x[2], 1.0, rel_tol=1e-12)
+    assert math.isclose(x[0] + x[1], 0.5, rel_tol=1e-12) and math.isclose(x[2], 0.5, rel_tol=1e-12)
+
+
+def test_simplex_lstsq_more_columns_than_rows():
+    # b lies inside the hull of the vertices a_j / c_j, so the residual vanishes
+    a = np.array([[1.0, 0.0, 1.0, 4.0, 0.0], [0.0, 1.0, 1.0, 0.0, 4.0]])
+    c = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+    x = simplex_lstsq(a, np.array([0.7, 1.2]), c)
+    assert np.all(x >= 0.0) and abs(c @ x - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ x - [0.7, 1.2]) <= 1e-14
