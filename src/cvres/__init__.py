@@ -10,11 +10,9 @@ from .errors import (
 )
 from .fock_core import (
     DensityOperator,
-    TruncatedOperator,
     coherent_vector,
     dephase,
     partial_trace,
-    tensor_product,
     tensor_states,
     trace_distance,
 )
@@ -30,7 +28,6 @@ from .entropies import (
     OptimizerReport,
     QuadratureGrid,
     husimi_q,
-    husimi_sup,
     kl_divergence,
     measured_relative_entropy,
     relative_entropy,
@@ -53,6 +50,7 @@ from .nonclassicality import (
     gamma_lower_bound,
     gaussian_bounds,
     husimi_lower_bound,
+    husimi_sup,
     ideal_energy,
     noisy_fock_closed_form,
     quadrature_lower_bound,

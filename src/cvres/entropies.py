@@ -294,13 +294,3 @@ def wehrl_entropy(rho: DensityOperator, grid: QuadratureGrid | None = None) -> W
     angular_mean = integrand.mean(axis=1) * (2.0 * math.pi)
     value = 0.5 * float(np.dot(radial_sum, angular_mean))
     return WehrlEstimate(value, grid.tail_bits)
-
-
-def husimi_sup(rho: DensityOperator) -> float:
-    """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
-    if rho.modes != 1:
-        raise UsageError("husimi_sup supports single-mode states")
-    from .nonclassicality import INNER_TOL, coherent_sup_certified
-
-    cert = coherent_sup_certified(rho.entries, tol=INNER_TOL)
-    return cert.value / math.pi

@@ -45,42 +45,6 @@ def log_factorials(size: int) -> np.ndarray:
     return _LOG_FACTORIALS[:size]
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, order="C")
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Dense operator on the truncated m-mode Fock space."""
-
-    modes: int
-    cutoff: int
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        if self.modes < 1 or self.cutoff < 1:
-            raise UsageError("modes and cutoff must be positive")
-        dim = self.cutoff**self.modes
-        entries = _as_readonly(self.entries)
-        if entries.shape != (dim, dim):
-            raise UsageError(
-                f"entries must be {dim}x{dim} for modes={self.modes}, cutoff={self.cutoff}, "
-                f"got {entries.shape}"
-            )
-        if self.hermitian:
-            dev = np.max(np.abs(entries - entries.conj().T))
-            if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(entries)))):
-                raise UsageError(f"operator flagged hermitian deviates by {dev:.3e}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff**self.modes
-
-
 def total_photon_numbers(modes: int, cutoff: int) -> np.ndarray:
     """k_1+...+k_m for every flattened multi-index, in index order."""
     idx = np.unravel_index(np.arange(cutoff**modes), (cutoff,) * modes)
@@ -89,26 +53,46 @@ def total_photon_numbers(modes: int, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A (possibly subnormalized) state on the truncated space.
+    """A (possibly subnormalized) state on the truncated m-mode space.
 
+    ``entries`` is the read-only d^m x d^m matrix: one the caller can still write
+    to is copied, one that is already read-only (another state's) is shared.
     ``trace_deficit`` is the mass lost to the cutoff: constructors keep the
     honest subnormalized matrix rather than renormalizing, so certificates can
     consume the deficit directly.  ``energy`` is the mean photon number of the
     truncated matrix.  ``spec`` is the ``StateSpec`` the state was built from:
     only ``states.make_state`` sets it, so every derived state carries None.
+    Outside matrices enter through ``from_matrix``, which checks hermiticity;
+    the states derived from them (renormalized, dephased, tensor products) are
+    hermitian by construction.
     """
 
-    op: TruncatedOperator
+    modes: int
+    cutoff: int
+    entries: np.ndarray
     trace_deficit: float
     energy: float
     fock_diagonal: bool = field(default=False)
     spec: StateSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.modes < 1 or self.cutoff < 1:
+            raise UsageError("modes and cutoff must be positive")
+        dim = self.cutoff**self.modes
+        entries = np.asarray(self.entries, dtype=complex)
+        if entries.flags.writeable:
+            entries = np.array(entries, order="C")
+            entries.setflags(write=False)
+        if entries.shape != (dim, dim):
+            raise UsageError(
+                f"entries must be {dim}x{dim} for modes={self.modes}, cutoff={self.cutoff}, "
+                f"got {entries.shape}"
+            )
         if not (0.0 <= self.trace_deficit < 1.0):
             raise UsageError(f"trace deficit {self.trace_deficit} outside [0, 1)")
         if self.energy < -1e-12:
             raise UsageError("energy must be nonnegative")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_matrix(
@@ -119,11 +103,14 @@ class DensityOperator:
         *,
         validate: bool = True,
     ) -> "DensityOperator":
-        op = TruncatedOperator(modes, cutoff, entries, hermitian=True)
-        diag = np.real(np.diagonal(op.entries))
+        ent = cls(modes, cutoff, entries, 0.0, 0.0).entries
+        dev = np.max(np.abs(ent - ent.conj().T))
+        if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(ent)))):
+            raise UsageError(f"matrix deviates from hermitian by {dev:.3e}")
+        diag = np.real(np.diagonal(ent))
         trace = float(np.sum(diag))
         if validate:
-            evals = np.linalg.eigvalsh(op.entries)
+            evals = np.linalg.eigvalsh(ent)
             if evals[0] < PSD_EIGENVALUE_TOL:
                 raise UsageError(f"matrix not positive semidefinite (min eig {evals[0]:.3e})")
             if not (0.0 < trace <= 1.0 + 1e-10):
@@ -131,25 +118,9 @@ class DensityOperator:
         numbers = total_photon_numbers(modes, cutoff)
         energy = float(np.dot(numbers, diag))
         deficit = min(max(0.0, 1.0 - trace), 1.0 - 1e-300)
-        off = op.entries - np.diag(np.diagonal(op.entries))
+        off = ent - np.diag(np.diagonal(ent))
         diagonal = bool(np.max(np.abs(off)) <= 1e-14)
-        return cls(op, deficit, energy, fock_diagonal=diagonal)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
-
-    @property
-    def modes(self) -> int:
-        return self.op.modes
-
-    @property
-    def cutoff(self) -> int:
-        return self.op.cutoff
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
+        return cls(modes, cutoff, ent, deficit, energy, fock_diagonal=diagonal)
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -165,32 +136,19 @@ class DensityOperator:
         if self.trace_deficit == 0.0:
             return self
         tr = self.trace()
-        return DensityOperator(
-            TruncatedOperator(self.modes, self.cutoff, self.entries / tr, hermitian=True),
-            0.0,
-            self.energy / tr,
-            fock_diagonal=self.fock_diagonal,
-        )
-
-
-def tensor_product(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """Kronecker composition with ``a``'s modes first."""
-    if a.cutoff != b.cutoff:
-        raise ConfigurationError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    return TruncatedOperator(
-        a.modes + b.modes,
-        a.cutoff,
-        np.kron(a.entries, b.entries),
-        hermitian=a.hermitian and b.hermitian,
-    )
+        return DensityOperator(self.modes, self.cutoff, self.entries / tr, 0.0, self.energy / tr,
+                               fock_diagonal=self.fock_diagonal)
 
 
 def tensor_states(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    op = tensor_product(a.op, b.op)
+    """Kronecker composition with ``a``'s modes first."""
+    if a.cutoff != b.cutoff:
+        raise ConfigurationError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
     tr_a, tr_b = a.trace(), b.trace()
     deficit = max(0.0, 1.0 - tr_a * tr_b)
     energy = a.energy * tr_b + b.energy * tr_a
-    return DensityOperator(op, deficit, energy, fock_diagonal=a.fock_diagonal and b.fock_diagonal)
+    return DensityOperator(a.modes + b.modes, a.cutoff, np.kron(a.entries, b.entries), deficit,
+                           energy, fock_diagonal=a.fock_diagonal and b.fock_diagonal)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -299,9 +257,8 @@ def beam_splitter_fock_column(n: int, lam: float) -> np.ndarray:
 
 def dephase(rho: DensityOperator) -> DensityOperator:
     """Zero the off-diagonal Fock entries; trace and diagonal are untouched."""
-    ent = np.diag(np.diagonal(rho.entries)).astype(complex)
-    op = TruncatedOperator(rho.modes, rho.cutoff, ent, hermitian=True)
-    return DensityOperator(op, rho.trace_deficit, rho.energy, fock_diagonal=True)
+    return DensityOperator(rho.modes, rho.cutoff, np.diag(np.diagonal(rho.entries)),
+                           rho.trace_deficit, rho.energy, fock_diagonal=True)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -32,7 +32,6 @@ from .entropies import (
     entropy_of_probabilities,
     exp_frechet_gradient,
     exp_hermitian,
-    husimi_sup,
     von_neumann_entropy,
     wehrl_entropy,
 )
@@ -317,19 +316,28 @@ def _monomial_max(exps: np.ndarray, ln_coef: np.ndarray, lo: np.ndarray, hi: np.
 def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     """Certified upper bound on sup over all alpha in C of <alpha|L|alpha>.
 
-    Works on the absolute-coefficient envelope F(t) = e^(-t) sum_s W_s t^(s/2),
-    which dominates the target for every phase of alpha; the segment bounds
-    combine per-monomial maxima with the curvature bound of ``_curvature_table``.
-    Each level of the branch-and-bound retires the segments whose bound is within
-    ``tol`` (relative) of the best attained envelope value and cuts every other
-    segment into ``SUP_FANOUT`` equal pieces: one envelope pass evaluates all
-    interior nodes and one pass bounds all the pieces.  The result is the largest
-    bound of any segment, live or retired.  Beyond the largest power the
-    envelope decreases, so the search radius t <= d-1 is exhaustive; the
-    largest eigenvalue of L caps the result since truncated coherent vectors
-    have norm at most one.
+    Works on the absolute-coefficient envelope F(t) = e^(-t) sum_s W_s t^(s/2) of
+    ``_envelope_terms``, which dominates the target for every phase of alpha,
+    capped by the largest eigenvalue of L since truncated coherent vectors have
+    norm at most one; ``_envelope_sup_certified`` bounds it.
     """
-    cap, ln_w, powers = _envelope_terms(entries)
+    return _envelope_sup_certified(*_envelope_terms(entries), tol=tol)
+
+
+def _envelope_sup_certified(cap: float, ln_w: np.ndarray, powers: np.ndarray, *,
+                            tol: float) -> CertifiedSup:
+    """Certified upper bound on sup over t >= 0 of min(F(t), cap), F(t) = e^(-t) sum_s W_s
+    t^(p_s), from the finite ln W_s and their ascending powers p_s >= 0.
+
+    The segment bounds combine per-monomial maxima with the curvature bound of
+    ``_curvature_table``.  Each level of the branch-and-bound retires the
+    segments whose bound is within ``tol`` (relative) of the best attained
+    envelope value and cuts every other segment into ``SUP_FANOUT`` equal
+    pieces: one envelope pass evaluates all interior nodes and one pass bounds
+    all the pieces.  The result is the largest bound of any segment, live or
+    retired.  Beyond the largest power the envelope decreases, so the search
+    radius t <= max(p_s, 1) is exhaustive.
+    """
     if not ln_w.size or cap == 0.0:
         return CertifiedSup(0.0, 0.0, 0.0, 0.0, 0, 0)
     t_max = max(float(powers[-1]), 1.0)
@@ -821,7 +829,8 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
     """
     if isinstance(state, FockDiagonalState):
         ks = np.array([float(k) for k in state.indices])
-        weights = np.asarray(state.weights, dtype=float)
+        order = np.argsort(ks)  # the certificate's envelope takes its powers ascending
+        ks, weights = ks[order], np.asarray(state.weights, dtype=float)[order]
         if max(state.indices) > 4096:
             raise UsageError("support reaches too high a Fock level for the dense program; "
                              "use basel_divergence_bound for the basel family")
@@ -844,9 +853,9 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
     ell = p / q
     # KL against a normalized mixture is nonnegative; guard float dust
     dual_bits = max(LOG2E * float(p @ np.log(ell)), 0.0)
-    ell_full = np.zeros(int(m_top) + 1)
-    ell_full[ks.astype(int)] = ell
-    cert = coherent_sup_certified(np.diag(ell_full), tol=1e-12)
+    # diag(ell) has eigenvalues ell and envelope weights W_k = ell_k / k! on t^k
+    ln_w = np.log(ell) - log_factorials(int(m_top) + 1)[ks.astype(np.intp)]
+    cert = _envelope_sup_certified(float(ell.max()), ln_w, ks, tol=1e-12)
     # primal = dual - log2 sup phi; gap is the width of [max(primal, 0), dual]
     gap = min(max(math.log2(cert.value), 0.0), dual_bits)
 
@@ -942,6 +951,13 @@ def wehrl_upper_bound(rho: DensityOperator) -> MonotoneBound:
     return _certified(rho, "NC", "upper", est.bits + est.tail_bits - von_neumann_entropy(rho_n),
                       {"grid_tail_bits": est.tail_bits,
                        "ansatz_description": "Wehrl-entropy estimate"})
+
+
+def husimi_sup(rho: DensityOperator) -> float:
+    """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
+    if rho.modes != 1:
+        raise UsageError("husimi_sup supports single-mode states")
+    return coherent_sup_certified(rho.entries, tol=INNER_TOL).value / math.pi
 
 
 def husimi_lower_bound(rho: DensityOperator) -> MonotoneBound:

@@ -152,13 +152,17 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
 # ---------------------------------------------------------------------------
 
 def required_cat_cutoff(alpha: float, tol: float = 1e-10) -> int:
-    d = max(8, int(4 * alpha * alpha) + 8)
+    """The first cutoff, from 4 alpha^2 + 8 growing by 40%, at which the even cat loses
+    at most ``tol``; a UsageError when alpha is not finite or no cutoff below 4096 does."""
+    if not math.isfinite(alpha):
+        raise UsageError(f"cat alpha must be finite, got {alpha}")
+    d = max(8, int(min(4 * alpha * alpha, 4096.0)) + 8)
     while d < 4096:
         amps = cat_amplitudes(alpha, "+", d)
         if 1.0 - float(np.sum(amps**2)) <= tol:
             return d
         d = int(d * 1.4) + 1
-    return d
+    raise UsageError(f"no cat cutoff below 4096 holds alpha = {alpha} within deficit {tol}")
 
 
 def _check_cutoff(alpha: float, cutoff: int | None) -> int:

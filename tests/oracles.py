@@ -6,12 +6,12 @@ import numpy as np
 
 from cvres.entropies import QuadratureGrid, _husimi_on_grid, default_quadrature_grid
 from cvres.errors import UsageError
-from cvres.fock_core import DensityOperator, TruncatedOperator
+from cvres.fock_core import DensityOperator
 from cvres.rates import _one_round_branches
 
 
-def beam_splitter_unitary(lam: float, cutoff: int) -> TruncatedOperator:
-    """Two-mode beam splitter of transmissivity ``lam``.
+def beam_splitter_unitary(lam: float, cutoff: int) -> np.ndarray:
+    """Two-mode beam splitter of transmissivity ``lam``, as a d^2 x d^2 matrix.
 
     Built per total-photon-number block by exponentiating the tridiagonal
     generator arccos(sqrt(lam)) * (a^dag b - a b^dag); blocks reaching past the
@@ -42,7 +42,7 @@ def beam_splitter_unitary(lam: float, cutoff: int) -> TruncatedOperator:
             expm = (v * np.exp(-1j * w)) @ v.T
             block = np.real(np.conj(phase)[:, None] * expm * phase[None, :])
         u[np.ix_(flat, flat)] = block
-    return TruncatedOperator(2, d, u, hermitian=False)
+    return u
 
 
 def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: int = 0) -> float:

@@ -167,7 +167,7 @@ def test_criterion_07_beam_splitter():
     for n in range(1, 7):
         vec = np.zeros(d * d, dtype=complex)
         vec[n * d] = 1.0
-        out = (u.entries @ vec).reshape(d, d)
+        out = (u @ vec).reshape(d, d)
         sim = np.array([out[n - ell, ell] for ell in range(n + 1)])
         ok &= np.max(np.abs(sim - beam_splitter_fock_column(n, 0.5))) < 1e-10
     for alpha in (0.5, 1.0):
@@ -176,15 +176,15 @@ def test_criterion_07_beam_splitter():
             vb, _ = coherent_vector(beta, d)
             ta, _ = coherent_vector((alpha + beta) / math.sqrt(2), d)
             tb, _ = coherent_vector((-alpha + beta) / math.sqrt(2), d)
-            ok &= np.max(np.abs(u.entries @ np.kron(va, vb) - np.kron(ta, tb))) < 1e-10
+            ok &= np.max(np.abs(u @ np.kron(va, vb) - np.kron(ta, tb))) < 1e-10
     totals = total_photon_numbers(2, d)
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         w = beam_splitter_unitary(lam, d)
         # exact block structure, so global unitarity reduces to the blocks
-        ok &= bool(np.all(w.entries[totals[:, None] != totals[None, :]] == 0.0))
+        ok &= bool(np.all(w[totals[:, None] != totals[None, :]] == 0.0))
         for n in range(2 * d - 1):
             flat = np.where(totals == n)[0]
-            block = w.entries[np.ix_(flat, flat)]
+            block = w[np.ix_(flat, flat)]
             ok &= np.max(np.abs(block @ block.conj().T - np.eye(flat.size))) < 1e-10
     elapsed = time.time() - t0
     ok = ok and elapsed < 5.0

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -607,6 +609,31 @@ def test_help_and_unknown_commands(argv, capsys):
         assert code == 1 and "invalid choice" in err
     else:
         assert code == 0 and out.startswith("usage: cvres")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["protocol", "--task", task, "--alpha", alpha]
+      for task in ("cat-amplify", "cat-dilute") for alpha in ("nan", "inf", "1e6")),
+    *(["figure", "--name", name, "--alpha-grid", "1e6"] for name in ("cat", "protocols")),
+], ids=" ".join)
+def test_unworkable_cat_alpha_exit_1(argv, capsys):
+    # no cutoff below 4096 holds such a cat: a usage error, before any matrix is allocated
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_no_import_inside_a_function():
+    # a call-time import compiles its module inside the command that first runs it
+    import cvres
+
+    found = []
+    for path in sorted(pathlib.Path(cvres.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 def test_import_leaves_scipy_out():

@@ -10,13 +10,13 @@ from cvres.entropies import (
     ascend,
     default_quadrature_grid,
     husimi_q,
-    husimi_sup,
     kl_divergence,
     measured_relative_entropy,
     relative_entropy,
     von_neumann_entropy,
     wehrl_entropy,
 )
+from cvres.nonclassicality import husimi_sup
 from cvres.states import StateSpec, make_state
 from oracles import husimi_kl_on_grid
 

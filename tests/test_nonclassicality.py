@@ -419,6 +419,16 @@ class TestFockDiagonal:
         with pytest.raises(UsageError):
             fock_diagonal_ncm(FockDiagonalState((0,), np.array([1e-20]), 0.0))
 
+    def test_level_order_is_immaterial(self):
+        # the certificate's envelope reads the levels as powers of t, in ascending order
+        from cvres.states import FockDiagonalState
+
+        ordered = fock_diagonal_ncm(FockDiagonalState((0, 3, 7), np.array([0.2, 0.5, 0.3]), 0.0))
+        shuffled = fock_diagonal_ncm(FockDiagonalState((7, 0, 3), np.array([0.3, 0.2, 0.5]), 0.0))
+        for a, b in zip(ordered, shuffled):
+            assert b.value == pytest.approx(a.value, rel=1e-12)
+            assert b.certificate["duality_gap_bits"] == a.certificate["duality_gap_bits"]
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["sparse", "even", "geometric", "dense"]),
            d=st.integers(2, 40), start=st.sampled_from([0, 2]),
@@ -1646,6 +1656,36 @@ class TestSandwich:
     def test_product_needs_a_factor(self):
         with pytest.raises(UsageError):
             product_interval([])
+
+
+class TestCrossCutoffSandwich:
+    """Every interval holds the same true value, so no cutoff's lower bound exceeds
+    another cutoff's upper bound of the same state."""
+
+    @staticmethod
+    def assert_nested(family, params, cutoffs, deficit_tol):
+        intervals = [bound_sandwich(make_state(StateSpec(family, params, d),
+                                               deficit_tol=deficit_tol)) for d in cutoffs]
+        for d_lo, (lo, _) in zip(cutoffs, intervals):
+            for d_hi, (_, hi) in zip(cutoffs, intervals):
+                assert lo.value <= hi.value + SANDWICH_SLACK, (d_lo, d_hi, lo.value, hi.value)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 4), nu=st.floats(0.0, 2.0), p=st.floats(0.0, 1.0))
+    def test_noisy_fock(self, n, nu, p):
+        self.assert_nested("noisy_fock", {"n": n, "nu": nu, "p": p}, (30, 45, 70), 1e-4)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.1, 2.0), sign=st.sampled_from(["+", "-"]))
+    def test_cat(self, alpha, sign):
+        d = required_cat_cutoff(alpha, 1e-9)
+        self.assert_nested("cat", {"alpha": alpha, "sign": sign}, (d, d + 8, d + 20), 1e-7)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(r=st.floats(-1.2, 1.2))
+    def test_squeezed(self, r):
+        d = max(40, int(40 + 50 * r * r))  # the squeezed figure's default cutoff
+        self.assert_nested("squeezed", {"r": r}, (d, d + 15), 1e-5)
 
 
 class TestSandwichDominance:

@@ -155,7 +155,7 @@ class TestDenseReference:
     def run_dense(monkeypatch, protocol, alpha, left, right):
         def dense_split(terms, d):
             u = beam_splitter_unitary(0.5, d)
-            return (u.entries @ np.kron(left(d), right(d))).reshape(d, d)
+            return (u @ np.kron(left(d), right(d))).reshape(d, d)
 
         with monkeypatch.context() as m:
             m.setattr(rates, "_balanced_split", dense_split)
@@ -187,7 +187,7 @@ class TestDenseReference:
         d = n + 1
         vec = np.zeros(d * d, dtype=complex)
         vec[n * d] = 1.0
-        out = (beam_splitter_unitary(lam, d).entries @ vec).reshape(d, d)
+        out = (beam_splitter_unitary(lam, d) @ vec).reshape(d, d)
         p0, p1, fid = _one_round_branches(n, lam)
         assert p0 == pytest.approx(float(np.sum(np.abs(out[:, 0]) ** 2)), abs=1e-10)
         assert p1 == pytest.approx(float(np.sum(np.abs(out[:, 1]) ** 2)), abs=1e-10)
