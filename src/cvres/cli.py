@@ -4,6 +4,12 @@ Commands: monotone, figure, protocol, certify.  Exit codes: 0 success,
 1 usage error, 2 numerical non-convergence (bounds still emitted).
 Numeric output uses %.9g formatting with \n line endings so identical
 configurations produce byte-identical files.
+
+Every subcommand's options live in one table, ``SUBCOMMANDS``.  A plain command
+line (exact long flags, each with one valid value) is read straight off it;
+anything else (-h, abbreviations, --flag=value, values starting with "-", bad
+values) goes to the argparse parser built from the same table, so help, error
+messages and exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -371,88 +377,115 @@ def cmd_certify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _common_options(p, *, fmt=True, nats=True):
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    if fmt:  # figure always writes CSV
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-    if nats:  # protocol outputs carry no bits
-        p.add_argument("--nats", action="store_true", help="convert bit outputs to nats")
+# flag -> add_argument keywords; a flag's dest is its name without "--", "-" read as "_",
+# and its default None unless given
+_OUTPUT = {"--output": {"help": "output path (default stdout)"}}
+_FORMAT = {"--format": {"choices": ("csv", "json"), "default": "json"}}  # figure writes CSV only
+_NATS = {"--nats": {"action": "store_true", "default": False,  # protocol outputs carry no bits
+                    "help": "convert bit outputs to nats"}}
 
-
-def _monotone_options(p):
-    p.add_argument("--state", required=True, help="state spec JSON, @file, or raw-matrix JSON file")
-    p.add_argument("--which", default="sandwich", help=f"comma list from: {', '.join(_WHICH)}")
-    p.add_argument("--max-iters", type=int, default=300)
-    _common_options(p)
-
-
-def _figure_options(p):
-    p.add_argument("--name", required=True, help=f"one of: {', '.join(FIGURE_NAMES)}")
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--p-grid", dest="p_grid", default=None)
-    p.add_argument("--nu-grid", dest="nu_grid", default=None)
-    p.add_argument("--n-grid", dest="n_grid", default=None)
-    p.add_argument("--alpha-grid", dest="alpha_grid", default=None)
-    p.add_argument("--r-grid", dest="r_grid", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--sign", choices=("+", "-"), default=None)
-    p.add_argument("--task", choices=("amplify", "dilute"), default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: rows run serially (kept for existing command lines)")
-    _common_options(p, fmt=False)
-
-
-def _protocol_options(p):
-    p.add_argument("--task", required=True, choices=("fock-dilution", "cat-amplify", "cat-dilute"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--cutoff", type=int, default=None)
-    _common_options(p, nats=False)
-
-
-def _certify_options(p):
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--energy", type=float, required=True)
-    p.add_argument("--modes", type=int, default=1)
-    p.add_argument("--state", default=None)
-    _common_options(p)
-
-
-# name -> (help, options, handler) of every subcommand
+# name -> (help, options, handler) of every subcommand; each registers only the flags it reads
 SUBCOMMANDS = {
-    "monotone": ("certified bounds for one state", _monotone_options, cmd_monotone),
-    "figure": ("CSV tables behind the survey figures", _figure_options, cmd_figure),
-    "protocol": ("exact protocol simulation", _protocol_options, cmd_protocol),
-    "certify": ("truncation certificate and corrected interval", _certify_options, cmd_certify),
+    "monotone": ("certified bounds for one state", {
+        "--state": {"required": True, "help": "state spec JSON, @file, or raw-matrix JSON file"},
+        "--which": {"default": "sandwich", "help": f"comma list from: {', '.join(_WHICH)}"},
+        "--max-iters": {"type": int, "default": 300},
+        **_OUTPUT, **_FORMAT, **_NATS,
+    }, cmd_monotone),
+    "figure": ("CSV tables behind the survey figures", {
+        "--name": {"required": True, "help": f"one of: {', '.join(FIGURE_NAMES)}"},
+        "--cutoff": {"type": int},
+        "--p-grid": {},
+        "--nu-grid": {},
+        "--n-grid": {},
+        "--alpha-grid": {},
+        "--r-grid": {},
+        "--n": {"type": int},
+        "--nu": {"type": float},
+        "--sign": {"choices": ("+", "-")},
+        "--task": {"choices": ("amplify", "dilute")},
+        "--threads": {"type": int, "help": "accepted and ignored: rows run serially "
+                      "(kept for existing command lines)"},
+        **_OUTPUT, **_NATS,
+    }, cmd_figure),
+    "protocol": ("exact protocol simulation", {
+        "--task": {"required": True, "choices": ("fock-dilution", "cat-amplify", "cat-dilute")},
+        "--n": {"type": int, "default": 2},
+        "--p": {"type": float, "default": 1.0},
+        "--lam": {"type": float, "default": 0.5},
+        "--alpha": {"type": float, "default": 1.0},
+        "--cutoff": {"type": int},
+        **_OUTPUT, **_FORMAT,
+    }, cmd_protocol),
+    "certify": ("truncation certificate and corrected interval", {
+        "--epsilon": {"type": float, "required": True},
+        "--energy": {"type": float, "required": True},
+        "--modes": {"type": int, "default": 1},
+        "--state": {},
+        **_OUTPUT, **_FORMAT, **_NATS,
+    }, cmd_certify),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: every subcommand is listed, but only ``command``'s options are
-    added when it is named, since one call parses one command; all are when it is None."""
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would return for a plain command line, read straight off
+    ``SUBCOMMANDS``: a subcommand, then exact long flags of it, each but a store_true one
+    followed by one value that does not start with "-", converts by the flag's type and
+    lies in its choices, no flag twice, every required flag given.  None for anything
+    else, which ``build_parser`` reads with argparse's own help, errors and exit codes."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, options, handler = SUBCOMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kw = options.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as the next flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    return argparse.Namespace(
+        command=argv[0], func=handler,
+        **{flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
+           for flag, kw in options.items()})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full argparse parser, built from ``SUBCOMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="cvres",
         description="Certified nonclassicality bounds and protocol tables on truncated Fock space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, handler) in SUBCOMMANDS.items():
+    for name, (help_text, options, handler) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_options(p)
-            p.set_defaults(func=handler)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+    args = _plain_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (UsageError, CvresError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -199,7 +199,7 @@ def husimi_q(rho: DensityOperator, alpha) -> float:
     return max(val, 0.0) / math.pi**rho.modes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Polar quadrature for single-mode phase-space integrals.
 

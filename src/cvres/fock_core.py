@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -51,7 +51,7 @@ def total_photon_numbers(modes: int, cutoff: int) -> np.ndarray:
     return np.sum(np.stack(idx), axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: states compare by identity
 class DensityOperator:
     """A (possibly subnormalized) state on the truncated m-mode space.
 
@@ -72,8 +72,8 @@ class DensityOperator:
     entries: np.ndarray
     trace_deficit: float
     energy: float
-    fock_diagonal: bool = field(default=False)
-    spec: StateSpec | None = field(default=None, compare=False)
+    fock_diagonal: bool = False
+    spec: StateSpec | None = None
 
     def __post_init__(self):
         if self.modes < 1 or self.cutoff < 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class StateSpec:
         return cls(doc["family"], doc["params"], doc["cutoff"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDiagonalState:
     """Sparse diagonal state: weight[i] on Fock level index[i] (single mode).
 
@@ -119,7 +119,7 @@ class FockDiagonalState:
     weights: np.ndarray
     trace_deficit: float
     modes: int = 1
-    spec: StateSpec | None = field(default=None, compare=False)
+    spec: StateSpec | None = None
     fock_diagonal = True  # not a field: the sparse form holds diagonal states only
 
     def __post_init__(self):
@@ -287,7 +287,7 @@ def exact_energy(spec: StateSpec) -> float:
     return float(sum(wi * 2.0**j for j, wi in enumerate(w)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianDescriptor:
     """First and second moments: means s (length 2m) and covariance V (2m x 2m).
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvres.cli import build_parser, main
+from cvres.cli import SUBCOMMANDS, _plain_parse, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -591,15 +591,106 @@ def test_unread_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["monotone", "--state", FOCK1, "--which", "sandwich", "--max-iters", "5"],
-    ["figure", "--name", "cat", "--alpha-grid", "0.3", "--sign", "+", "--threads", "2"],
-    ["protocol", "--task", "fock-dilution", "--n", "3", "--lam", "0.4"],
-    ["certify", "--epsilon", "0.1", "--energy", "1", "--nats"],
+# per add_argument type, values the plain reader takes and values it must leave to argparse
+PLAIN_VALUES = {int: ["3", "0", "12", " 7"], float: ["0.5", "1e-3", "2", "nan", "inf"],
+                str: ["0.3,0.5", "@state.json", "", "a b", FOCK1, "figure"]}
+DECLINED_VALUES = {int: ["x", "1.5", "1e3", "", "-1"], float: ["x", "", "1,2", "-1", "-0.5"],
+                   str: ["-1", "--output", "-"]}
+
+
+@st.composite
+def table_argv(draw):
+    """A command line built from one subcommand's option table, and whether it is plain."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    options = SUBCOMMANDS[name][1]
+    required = [flag for flag, kw in options.items() if kw.get("required")]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=5, unique=draw(st.booleans())))
+    if draw(st.integers(0, 4)):  # most draws name every required flag
+        flags = draw(st.permutations(required + [f for f in flags if f not in required]))
+    argv, plain = [name], set(required) <= set(flags) and len(set(flags)) == len(flags)
+    for flag in flags:
+        kw = options[flag]
+        if "choices" in kw:
+            good, bad = [str(c) for c in kw["choices"] if not str(c).startswith("-")], ["bogus", "-"]
+        elif kw.get("action") == "store_true":
+            good, bad = [None], ["x"]
+        else:
+            good, bad = PLAIN_VALUES[kw.get("type", str)], DECLINED_VALUES[kw.get("type", str)]
+        value = draw(st.sampled_from(good))
+        form = draw(st.sampled_from(["plain"] * 20 + ["bad", "equals", "prefix", "help", "sep",
+                                                       "unknown", "no-value"]))
+        if form == "bad":
+            value = draw(st.sampled_from(bad))
+        tokens = [flag] + ([] if value is None else [value])
+        if form == "equals" and value is not None:
+            tokens = [f"{flag}={value}"]
+        elif form == "no-value":
+            tokens = [flag]
+        elif form == "prefix":
+            tokens[0] = flag[:-1]
+        elif form in ("help", "sep", "unknown"):
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          {"help": "-h", "sep": "--", "unknown": "--bogus"}[form])
+        argv += tokens
+        plain = plain and (form == "plain" or form in ("equals", "no-value") and value is None)
+    return argv, plain
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(drawn=table_argv())
+def test_plain_reader_agrees_with_argparse(drawn):
+    # the plain reader takes every plain command line and returns argparse's own namespace
+    argv, plain = drawn
+    args = _plain_parse(argv)
+    assert args is not None or not plain, argv
+    if any(argv.count(flag) > 1 for flag in SUBCOMMANDS[argv[0]][1]):
+        assert args is None, argv  # argparse would take the last, but a repeat is not plain
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"plain reader took {argv}, argparse refused it: {err.getvalue()}")
+        # by repr, so that nan reads as itself and 1 differs from 1.0 and True
+        assert {k: (type(v), repr(v)) for k, v in vars(args).items()} == {
+            k: (type(v), repr(v)) for k, v in vars(expected).items()}, argv
+
+
+def test_plain_command_line_leaves_locale_out(tmp_path):
+    # argparse's first gettext call imports locale; a plain command line never builds a parser
+    import cvres
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cvres.__file__)))
+    argv = ["protocol", "--task", "fock-dilution", "--n", "3", "--p", "1",
+            "--output", str(tmp_path / "out.json")]
+    code = ("import sys, cvres.cli\n"
+            f"print(cvres.cli.main({argv!r}), 'locale' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout
+    assert out.split() == ["0", "False"]
+    assert json.loads((tmp_path / "out.json").read_text())["task"] == "fock-dilution"
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["figure", "--alpha-g", "0.3", "--name", "cat"],
+     ["figure", "--alpha-grid", "0.3", "--name", "cat"]),
+    (["protocol", "--task", "fock-dilution", "--lam=0.4"],
+     ["protocol", "--task", "fock-dilution", "--lam", "0.4"]),
 ])
-def test_one_command_parser_parses_as_the_full_one(argv):
-    full = vars(build_parser().parse_args(argv))
-    assert vars(build_parser(argv[0]).parse_args(argv)) == full
+def test_argparse_forms_still_read(argv, same_as, capsys):
+    # an abbreviation or an = form goes to argparse, which reads it as the plain line
+    assert _plain_parse(argv) is None and _plain_parse(same_as) is not None
+    assert run_cli(argv, capsys) == run_cli(same_as, capsys)
+
+
+def test_negative_value_reaches_the_handler(capsys):
+    # argparse reads -1 as the grid, so the handler, not the parser, refuses it
+    argv = ["figure", "--name", "noisy-fock-fixed-n", "--nu-grid", "-1", "--p-grid", "0.5"]
+    assert _plain_parse(argv) is None
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: noisy_fock nu must be a finite real number >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["figure", "--help"], ["nonsense"]])

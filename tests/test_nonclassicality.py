@@ -1687,6 +1687,18 @@ class TestCrossCutoffSandwich:
         d = max(40, int(40 + 50 * r * r))  # the squeezed figure's default cutoff
         self.assert_nested("squeezed", {"r": r}, (d, d + 15), 1e-5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_noisy_fock_lower_bound_stable_in_cutoff(self, n):
+        # a larger cutoff folds in less truncation correction: the corrected lower bound
+        # may rise with it, but falls by no more than the Fock-diagonal program's tolerance
+        for nu in (0.0, 0.5, 1.0):
+            for p in (0.2, 0.5, 0.9):
+                lowers = [fock_diagonal_ncm(make_state(
+                    StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, d), deficit_tol=1e-4)
+                ).lower.value for d in (30, 45, 70)]
+                assert all(b >= a - 2 * nonclassicality.FD_TOL_BITS
+                           for a, b in zip(lowers, lowers[1:])), (nu, p, lowers)
+
 
 class TestSandwichDominance:
     """The sandwich is never looser than any engine that applies to the state."""

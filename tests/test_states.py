@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvres.entropies import default_quadrature_grid
 from cvres.errors import InsufficientCutoffError, UsageError
 from cvres.fock_core import (
     DensityOperator,
     dephase,
+    fock_state,
     partial_trace,
     total_photon_numbers,
     tensor_states,
@@ -357,3 +359,17 @@ class TestGaussianDescriptor:
 
         with pytest.raises(UsageError):
             GaussianDescriptor(np.zeros(2), 0.5 * np.eye(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fock_state(1, 3),
+    lambda: make_state(StateSpec("basel", {"n_max": 3}, 9)),
+    lambda: gaussian_descriptor(StateSpec("squeezed", {"r": 0.3}, 40)),
+    lambda: default_quadrature_grid(1.0, 20),
+], ids=["DensityOperator", "FockDiagonalState", "GaussianDescriptor", "QuadratureGrid"])
+def test_array_holders_compare_by_identity(build):
+    # a value __eq__ over an array field raises, and its __hash__ is unhashable
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a) != hash(b)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2 and a in {a} and b not in {a}
