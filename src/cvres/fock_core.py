@@ -63,8 +63,9 @@ class DensityOperator:
     truncated matrix.  ``spec`` is the ``StateSpec`` the state was built from:
     only ``states.make_state`` sets it, so every derived state carries None.
     Outside matrices enter through ``from_matrix``, which checks hermiticity;
-    the states derived from them (renormalized, dephased, tensor products) are
-    hermitian by construction.
+    matrices hermitian by construction (|psi><psi|, a family's diagonal) enter
+    through ``from_hermitian``, and the states derived from either (renormalized,
+    dephased, tensor products) are built directly.
     """
 
     modes: int
@@ -107,20 +108,36 @@ class DensityOperator:
         dev = np.max(np.abs(ent - ent.conj().T))
         if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(ent)))):
             raise UsageError(f"matrix deviates from hermitian by {dev:.3e}")
-        diag = np.real(np.diagonal(ent))
-        trace = float(np.sum(diag))
         if validate:
             evals = np.linalg.eigvalsh(ent)
             if evals[0] < PSD_EIGENVALUE_TOL:
                 raise UsageError(f"matrix not positive semidefinite (min eig {evals[0]:.3e})")
+            trace = float(np.sum(np.real(np.diagonal(ent))))
             if not (0.0 < trace <= 1.0 + 1e-10):
                 raise UsageError(f"trace {trace} outside (0, 1]")
+        return cls.from_hermitian(ent, modes, cutoff)
+
+    @classmethod
+    def from_hermitian(
+        cls,
+        entries: np.ndarray,
+        modes: int,
+        cutoff: int,
+        *,
+        spec: StateSpec | None = None,
+    ) -> "DensityOperator":
+        """The state of a matrix that is hermitian by construction, with no check of it:
+        the trace deficit, energy and Fock-diagonal flag are read off the matrix."""
+        ent = cls(modes, cutoff, entries, 0.0, 0.0).entries
+        diag = np.real(np.diagonal(ent))
+        trace = float(np.sum(diag))
         numbers = total_photon_numbers(modes, cutoff)
         energy = float(np.dot(numbers, diag))
         deficit = min(max(0.0, 1.0 - trace), 1.0 - 1e-300)
-        off = ent - np.diag(np.diagonal(ent))
-        diagonal = bool(np.max(np.abs(off)) <= 1e-14)
-        return cls(modes, cutoff, ent, deficit, energy, fock_diagonal=diagonal)
+        off = np.abs(ent)
+        np.fill_diagonal(off, 0.0)
+        diagonal = bool(np.max(off) <= 1e-14)
+        return cls(modes, cutoff, ent, deficit, energy, fock_diagonal=diagonal, spec=spec)
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -236,7 +253,7 @@ def fock_state(n: int, cutoff: int) -> DensityOperator:
 
 def pure_state(vec: np.ndarray, modes: int, cutoff: int) -> DensityOperator:
     vec = np.asarray(vec, dtype=complex)
-    return DensityOperator.from_matrix(np.outer(vec, vec.conj()), modes, cutoff, validate=False)
+    return DensityOperator.from_hermitian(np.outer(vec, vec.conj()), modes, cutoff)
 
 
 def beam_splitter_fock_column(n: int, lam: float) -> np.ndarray:

@@ -39,6 +39,7 @@ from .errors import BoundConsistencyError, UsageError
 from .fock_core import DensityOperator, coherent_vector, displacement_columns, log_factorials
 from .states import (
     GAUSSIAN_FAMILIES,
+    PURE_FAMILIES,
     FockDiagonalState,
     GaussianDescriptor,
     cat_amplitudes,
@@ -1009,45 +1010,54 @@ def gaussian_bounds(gd: GaussianDescriptor) -> tuple[MonotoneBound, MonotoneBoun
     )
 
 
-# the squeezings s scanned before refinement, as Python floats, which the objective takes fastest
-SQUEEZE_GRID = (0.0, *np.linspace(0.01, 2.5, 120).tolist())
-
-
 def classical_ansatz_upper_bound(rho: DensityOperator) -> MonotoneBound:
     """Upper bound D(rho || sigma) from a classical Gaussian state.
 
     sigma = D(beta) S(s) tau_N S(s)^+ D(beta)^+ with beta = Tr[rho a]; S(s) squeezes
     along the quadrature that m_c = <a^2> - beta^2 picks out; tau_N is thermal, and
-    sigma is classical iff N >= n_s = (e^(2s) - 1)/2.  With the squeezed-frame photon
-    number E_s = cosh(2s) n_c + sinh^2 s - sinh(2s) |m_c|, n_c = <n> - |beta|^2,
-    D = log2(1+N) - E_s log2(N/(1+N)) - S(rho), least at N = max(E_s, n_s): that is
-    g(E_s) - S(rho) when E_s >= n_s.  s = 0 is the thermal state about beta (coherent
-    when n_c = 0), N = n_s the squeezed-thermal state.  The best point of
-    ``SQUEEZE_GRID`` is refined; D >= 0 floors the value.  The certificate also
-    carries the raw value of the unsqueezed member, s = 0.
+    sigma is classical iff N >= n_s = (e^(2s) - 1)/2.  With a = n_c + 1/2,
+    n_c = <n> - |beta|^2, and m = |m_c|, the squeezed-frame photon number is
+    E_s = a cosh 2s - m sinh 2s - 1/2, and D = log2(1+N) - E_s log2(N/(1+N)) - S(rho)
+    is least at N = max(E_s, n_s).  E_s >= n_s holds exactly for s <= s_b, where
+    e^(4 s_b) = (a + m)/(1 + m - a), and s_b = inf when a - m >= 1; there D is
+    g(E_s) - S(rho), least where E_s is, at s* = artanh(m/a)/2.  Past s*, E_s and
+    n_s both rise, and D rises with each (N = n_s > E_s there).  So D is least at s*
+    when s* <= s_b; otherwise D falls on [0, s_b], and its minimum is the better of
+    D(s_b) and Brent's minimum over ln s on [s_b, s*].  s = 0 is the thermal state about beta
+    (coherent when n_c = 0).  D >= 0 floors the value.  A pure family built by
+    ``make_state`` has S(rho) = 0 with no eigensolver: the renormalised truncation
+    of a pure vector has rank one.  The certificate also carries the raw value of
+    the unsqueezed member, s = 0.
     """
     rho_n = rho.renormalized()
-    _, n_c, m_c = _moments(rho_n)
-    s_bits = von_neumann_entropy(rho_n)
+    _, n_c, m = _moments(rho_n)
+    pure = rho.spec is not None and rho.spec.family in PURE_FAMILIES
+    s_bits = 0.0 if pure else von_neumann_entropy(rho_n)
+    a = n_c + 0.5
 
     def divergence(s: float) -> float:
-        n_s = 0.5 * (math.exp(2.0 * s) - 1.0)
-        frame_energy = math.cosh(2.0 * s) * n_c + math.sinh(s) ** 2 - math.sinh(2.0 * s) * m_c
+        n_s = 0.5 * math.expm1(2.0 * s)
+        frame_energy = math.cosh(2.0 * s) * n_c + math.sinh(s) ** 2 - math.sinh(2.0 * s) * m
         if frame_energy >= n_s:  # N = E_s
             return -s_bits + g_thermal(frame_energy)
         return -s_bits + math.log2(1 + n_s) - frame_energy * math.log2(n_s / (1 + n_s))
 
-    values = [divergence(s) for s in SQUEEZE_GRID]
-    i = int(np.argmin(values))
-    # a squeezed winner is refined on s >= 1e-3, which keeps the values of squeezed specs;
-    # from s = 0 the bracket reaches down to the kink at E_s = n_s
-    lo = max(SQUEEZE_GRID[i] - 0.1, 1e-3) if i else 0.0
-    best_s, best, _ = bounded_minimum(divergence, lo, SQUEEZE_GRID[i] + 0.1)
-    if best >= values[i]:
-        best_s, best = SQUEEZE_GRID[i], values[i]
+    # n_c = 0 forces m = 0, since a^2 - m^2 >= 1/4: the centred state is the vacuum, and a
+    # nonzero m is rounding.  e^(4 s_b) - 1 = 2 n_c/(1 + m - a) keeps s_b's digits at small n_c.
+    s_star = 0.5 * math.atanh(m / a) if n_c > 0.0 else 0.0
+    s_b = math.inf if a - m >= 1.0 else 0.25 * math.log1p(2.0 * n_c / (1.0 + m - a))
+    if s_star <= s_b:
+        best_s, best = s_star, divergence(s_star)
+    else:
+        # Brent on ln s resolves s relative to itself: the minimum can sit just past a tiny s_b
+        ln_s, best, _ = bounded_minimum(lambda x: divergence(math.exp(x)),
+                                        math.log(s_b), math.log(s_star))
+        best_s, kink = math.exp(ln_s), divergence(s_b)
+        if kink <= best:
+            best_s, best = s_b, kink
     return _certified(rho, "NC", "upper", max(best, 0.0),
                       {"ansatz_description": f"classical Gaussian ansatz, best s={best_s}",
-                       "unsqueezed_raw_bits": max(values[0], 0.0)})
+                       "unsqueezed_raw_bits": max(divergence(0.0), 0.0)})
 
 
 def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
@@ -1063,9 +1073,11 @@ def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
     log2(1 + k-/k+) for the even cat, log2(1 + k+/k-) for the odd one, whose D only
     rises with w0: the odd cat reads D(0) with no search.  The even block is
     sigma_00 E, E = [[1, b], [b, c]] with det E = w0 (1 - w0) c1^2 / sigma_00^2, taken
-    as that product so that nothing cancels (``_log2_form``); ``bounded_minimum``
-    searches w0 on [0, 1], and the bound is the smaller of its minimum and D(0),
-    where the optimum sits from alpha ~ 2 on (Brent stops a few 1e-6 inside).
+    as that product so that nothing cancels (``_log2_form``).  D is written in
+    v = 1 - w0, and ``bounded_minimum`` searches ln v, which resolves v relative to
+    itself: the small cat's optimum sits at v ~ alpha^2/2, below what a fixed step in
+    w0 reaches.  The bound is the smaller of its minimum and D(0), where the optimum
+    sits from alpha ~ 2 on (Brent stops a few 1e-6 inside).
     """
     if rho.spec is None or rho.spec.family != "cat":
         raise UsageError("cat_mixture_upper_bound takes a cat state built by make_state")
@@ -1075,20 +1087,25 @@ def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
     k_even, k_odd = c0 * c0 + c1_sq, float(np.dot(amps[1::2], amps[1::2]))
     even = rho.spec.params["sign"] == "+"
     best_w0, best = 0.0, math.log1p(k_odd / k_even if even else k_even / k_odd) * LOG2E
-    if even and c1_sq > 0.0:  # at alpha = 0, sigma's even block is |0><0| for every w0
+    # at alpha = 0, sigma's even block is |0><0| for every w0; c1^2 > 1e-300 keeps ln v's bracket
+    if even and c1_sq > 1e-300:
         c1 = math.sqrt(c1_sq)
         x = (c0 / math.sqrt(k_even), c1 / math.sqrt(k_even))
 
-        def divergence(w0: float) -> float:
-            s00 = w0 + (1.0 - w0) * c0 * c0
-            b, c = (1.0 - w0) * c0 * c1 / s00, (1.0 - w0) * c1_sq / s00
-            # log2(Tr sigma / sigma_00) with Tr sigma - sigma_00 = (1 - w0)(c1^2 + k-)
-            head = math.log1p((1.0 - w0) * (c1_sq + k_odd) / s00) * LOG2E
+        def divergence(v: float) -> float:  # in v = 1 - w0, never formed from w0
+            w0 = 1.0 - v
+            s00 = w0 + v * c0 * c0
+            b, c = v * c0 * c1 / s00, v * c1_sq / s00
+            # log2(Tr sigma / sigma_00) with Tr sigma - sigma_00 = v (c1^2 + k-)
+            head = math.log1p(v * (c1_sq + k_odd) / s00) * LOG2E
             return head - _log2_form(b, c, w0 * c / s00, x)
 
-        w0, value, _ = bounded_minimum(divergence, 0.0, 1.0)
+        # Brent on ln v resolves the optimum at v ~ alpha^2/2; from v = 1e-300/c1^2, where
+        # c = v c1^2/sigma_00 is still a normal float
+        ln_v, value, _ = bounded_minimum(lambda y: divergence(math.exp(y)),
+                                         math.log(1e-300 / c1_sq), 0.0)
         if value < best:
-            best_w0, best = w0, value
+            best_w0, best = -math.expm1(ln_v), value
     return _certified(rho, "NC", "upper", best,
                       {"ansatz_description": f"coherent mixture on +-{a:g} and 0, "
                                              f"vacuum weight {best_w0:.9g}"})

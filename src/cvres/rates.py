@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .states import StateSpec, cat_amplitudes, cat_norm, make_state, thermal_wei
 @dataclass(frozen=True)
 class ProtocolOutcome:
     success_probability: float
-    copies_in: Fraction
-    copies_out: Fraction
+    copies_in: float  # 1, 2 or 1/2, exact as floats
+    copies_out: float
     rate_lower_bound: float
     output_fidelity_check: float
     details: dict = field(default_factory=dict)
@@ -34,7 +33,7 @@ class ProtocolOutcome:
     def __post_init__(self):
         if not (0.0 <= self.success_probability <= 1.0 + 1e-12):
             raise UsageError("success probability outside [0, 1]")
-        expected = self.success_probability * float(self.copies_out / self.copies_in)
+        expected = self.success_probability * (self.copies_out / self.copies_in)
         if abs(self.rate_lower_bound - expected) > 1e-9:
             raise UsageError("rate_lower_bound must equal success * copies_out/copies_in")
 
@@ -134,8 +133,8 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
     success = p * p1_fock / (1.0 - p0_fock)
     return ProtocolOutcome(
         success_probability=success,
-        copies_in=Fraction(1),
-        copies_out=Fraction(1),
+        copies_in=1.0,
+        copies_out=1.0,
         rate_lower_bound=success,
         output_fidelity_check=fid,
         details={
@@ -228,8 +227,8 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
         fid = float(np.abs(np.vdot(target, amp)) ** 2 / prob) if prob > 0 else 0.0
         outcomes[name] = ProtocolOutcome(
             success_probability=prob,
-            copies_in=Fraction(2),
-            copies_out=Fraction(1),
+            copies_in=2.0,
+            copies_out=1.0,
             rate_lower_bound=prob / 2.0,
             output_fidelity_check=fid,
             details={"cutoff": d},
@@ -272,8 +271,8 @@ def cat_dilution(alpha: float, cutoff: int | None = None) -> ProtocolOutcome:
     fid_minus = float(np.abs(np.vdot(minus, amp_minus)) ** 2 / p_minus) if p_minus > 0 else 0.0
     return ProtocolOutcome(
         success_probability=p_minus,
-        copies_in=Fraction(1),
-        copies_out=Fraction(1, 2),
+        copies_in=1.0,
+        copies_out=0.5,
         rate_lower_bound=p_minus / 2.0,
         output_fidelity_check=min(fid_plus, fid_minus),
         details={

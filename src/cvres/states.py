@@ -16,14 +16,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientCutoffError, UsageError
-from .fock_core import DensityOperator, coherent_vector, log_factorials, pure_state
+from .fock_core import DensityOperator, coherent_vector, log_factorials
 
 GAUSSIAN_FAMILIES = ("coherent", "thermal", "squeezed")
+PURE_FAMILIES = ("coherent", "cat", "squeezed")  # make_state builds these as |psi><psi|
 
 
 # Each converter returns its argument as a Python int, float, complex or str,
@@ -204,9 +205,6 @@ def _required_cutoff(deficit_at, start: int, tol: float, what: str, limit: int =
     return d
 
 
-_PURE = ("coherent", "cat", "squeezed")
-
-
 def _levels(family: str, p: dict, d: int) -> np.ndarray:
     """Amplitudes of a pure family, or diagonal weights of a mixed one, on Fock levels < d."""
     if family == "coherent":
@@ -248,23 +246,25 @@ def make_state(spec: StateSpec, *, deficit_tol: float = 1e-8):
         raise InsufficientCutoffError(f"{what} needs cutoff >= {p['n'] + 1}, got {d}",
                                       required_cutoff=p["n"] + 1)
 
-    def deficit_at(dd: int) -> float:
-        part = _levels(fam, p, dd)
-        return max(0.0, 1.0 - float(np.sum(np.abs(part) ** 2 if fam in _PURE else part)))
+    pure = fam in PURE_FAMILIES
 
-    deficit = deficit_at(d)
+    def deficit_of(part: np.ndarray) -> float:
+        return max(0.0, 1.0 - float(np.sum(np.abs(part) ** 2 if pure else part)))
+
+    part = _levels(fam, p, d)
+    deficit = deficit_of(part)
     if deficit > deficit_tol:
-        req = _required_cutoff(deficit_at, d, deficit_tol, what)
+        req = _required_cutoff(lambda dd: deficit_of(_levels(fam, p, dd)), d, deficit_tol, what)
         raise InsufficientCutoffError(
             f"{what} at cutoff {d} has deficit {deficit:.3e} > {deficit_tol}; use cutoff >= {req}",
             required_cutoff=req,
         )
-    part = _levels(fam, p, d)
-    if fam in _PURE:
-        rho = pure_state(part, 1, d)
+    if pure:
+        vec = np.asarray(part, dtype=complex)
+        ent = np.outer(vec, vec.conj())
     else:
-        rho = DensityOperator.from_matrix(np.diag(part.astype(complex)), 1, d, validate=False)
-    return replace(rho, spec=spec)
+        ent = np.diag(part.astype(complex))
+    return DensityOperator.from_hermitian(ent, 1, d, spec=spec)
 
 
 def exact_energy(spec: StateSpec) -> float:

@@ -729,14 +729,16 @@ def test_no_import_inside_a_function():
 
 def test_import_leaves_scipy_out():
     # numpy is the only runtime dependency: importing the CLI and certifying one
-    # supremum must load no scipy module, nor numpy.ma (which np.unique pulls in)
+    # supremum must load no scipy module, nor numpy.ma (which np.unique pulls in), nor
+    # fractions and decimal, which cost about 2 ms of import
     import cvres
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(cvres.__file__)))
     code = ("import sys, numpy as np, cvres.cli\n"
             "from cvres.nonclassicality import coherent_sup_certified\n"
             "coherent_sup_certified(np.diag([0.0, 1.0]))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'fractions', 'decimal')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True).stdout

@@ -63,6 +63,8 @@ from cvres.nonclassicality import (
     wehrl_upper_bound,
 )
 
+from oracles import classical_gaussian_scan
+
 LOG2E = math.log2(math.e)
 
 
@@ -1039,7 +1041,7 @@ class TestClassicalAnsatz:
     @pytest.mark.parametrize("r", [0.005, 0.02, 0.047, 0.3, -0.7, 1.2, -1.8])
     def test_never_above_the_squeezed_thermal_family(self, r):
         # N = n_s: D(s) = -S + log2(1 + n_s) - E_s log2(n_s/(1 + n_s)), scanned finely; the
-        # tolerance is that of the refinement (bounded Brent, 1e-5 in s)
+        # tolerance is that of the refinement (bounded Brent, 1e-5 in ln s)
         rho = make_state(StateSpec("squeezed", {"r": r}, max(40, int(40 + 50 * r * r))),
                          deficit_tol=1e-5)
         rho_n = rho.renormalized()
@@ -1051,6 +1053,52 @@ class TestClassicalAnsatz:
         frame = np.cosh(2.0 * s) * mean + np.sinh(s) ** 2 - np.sinh(2.0 * s) * m
         family = -von_neumann_entropy(rho_n) + np.log2(1 + n_s) - frame * np.log2(n_s / (1 + n_s))
         assert _ansatz_raw(rho) <= family.min() + 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=st.one_of(
+        st.tuples(st.just("squeezed"), st.floats(-1.5, 1.5)),
+        st.tuples(st.just("thermal"), st.floats(0.0, 3.0)),
+        st.tuples(st.just("cat"), st.floats(0.1, 2.0), st.sampled_from("+-")),
+        st.tuples(st.just("raw"), st.integers(2, 8), st.integers(0, 2**32 - 1)),
+    ))
+    def test_closed_form_against_a_dense_scan(self, case):
+        # s* or Brent on [s_b, s*] is never above a dense scan of every s, and never below
+        # the sandwich's certified lower bound
+        family = case[0]
+        if family == "squeezed":
+            spec = StateSpec("squeezed", {"r": case[1]}, max(40, int(40 + 50 * case[1] ** 2)))
+            rho = make_state(spec, deficit_tol=1e-5)
+        elif family == "thermal":
+            rho = make_state(StateSpec("thermal", {"nu": case[1]}, 80), deficit_tol=1e-5)
+        elif family == "cat":
+            rho = cat_state(case[1], case[2], required_cat_cutoff(case[1], 1e-9))
+        else:
+            rho = _random_state(np.random.default_rng(case[2]), case[1])
+        up = classical_ansatz_upper_bound(rho)
+        raw = up.value - up.certificate["truncation_correction_bits"]
+        assert raw <= classical_gaussian_scan(rho) + 1e-9
+        lower, _ = bound_sandwich(rho, max_iters=5)
+        assert up.value >= lower.value
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("coherent", {"alpha": [1.2, -0.4]}, 40),
+        StateSpec("cat", {"alpha": 1.0, "sign": "+"}, 30),
+        StateSpec("cat", {"alpha": 0.5, "sign": "-"}, 30),
+        StateSpec("squeezed", {"r": -0.9}, 80),
+    ], ids=lambda spec: spec.to_json())
+    def test_pure_spec_runs_no_eigensolver(self, monkeypatch, spec):
+        # make_state's truncation of a pure vector, renormalised, has rank one: S = 0 exactly
+        rho = make_state(spec, deficit_tol=1e-5)
+        raw_copy = DensityOperator.from_matrix(rho.entries, 1, rho.cutoff)
+
+        def refuse(state):
+            raise AssertionError("von_neumann_entropy ran")
+
+        monkeypatch.setattr(nonclassicality, "von_neumann_entropy", refuse)
+        up = classical_ansatz_upper_bound(rho)
+        assert math.isfinite(up.value) and up.value >= 0.0
+        with pytest.raises(AssertionError, match="von_neumann_entropy ran"):
+            classical_ansatz_upper_bound(raw_copy)  # a raw matrix still reads its entropy
 
     @given(d=st.integers(2, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -1079,7 +1127,8 @@ class TestClassicalAnsatz:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_cat_mixture_closed_form_matches_dense(self, monkeypatch, alpha, sign):
-        # the even cat's objective is the one handed to Brent; the odd cat reads w0 = 0 unsearched
+        # the even cat's objective is the one handed to Brent, in ln(1 - w0); the odd cat reads
+        # w0 = 0 unsearched
         searched = []
         real = nonclassicality.bounded_minimum
 
@@ -1103,7 +1152,7 @@ class TestClassicalAnsatz:
         else:
             (divergence,) = searched
             for w in weights:
-                assert divergence(w) == pytest.approx(dense(w), abs=1e-12)
+                assert divergence(math.log1p(-w)) == pytest.approx(dense(w), abs=1e-12)
 
     @pytest.mark.parametrize("alpha, sign, cutoff", [(0.3, "+", 35), (0.3, "-", 35), (1.0, "+", 30),
                                                      (2.0, "+", 40)])

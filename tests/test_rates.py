@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,7 +196,7 @@ class TestDenseReference:
 class TestProtocolOutcome:
     def test_rate_invariant_enforced(self):
         with pytest.raises(UsageError):
-            ProtocolOutcome(0.5, Fraction(2), Fraction(1), 0.5, 1.0)
+            ProtocolOutcome(0.5, 2.0, 1.0, 0.5, 1.0)
 
 
 class TestRateBounds:

@@ -16,8 +16,10 @@ from cvres.fock_core import (
     tensor_states,
 )
 from cvres.states import (
+    PURE_FAMILIES,
     FockDiagonalState,
     StateSpec,
+    _levels,
     basel_weights,
     exact_energy,
     gaussian_descriptor,
@@ -185,6 +187,71 @@ class TestMakeState:
     ])
     def test_exact_energy_past_float_range_is_inf(self, family, params):
         assert exact_energy(StateSpec(family, params, 10)) == math.inf
+
+
+class TestMakeStateFields:
+    """make_state builds each dense state in one pass; every field is the one that the
+    old route, pure_state or from_matrix on the family's levels, computed."""
+
+    @staticmethod
+    def _old_route(spec: StateSpec) -> tuple:
+        """(entries, trace_deficit, energy, fock_diagonal) as from_matrix computed them."""
+        part = _levels(spec.family, spec.params, spec.cutoff)
+        if spec.family in PURE_FAMILIES:
+            vec = np.asarray(part, dtype=complex)
+            ent = np.outer(vec, vec.conj())
+        else:
+            ent = np.diag(part.astype(complex))
+        diag = np.real(np.diagonal(ent))
+        trace = float(np.sum(diag))
+        energy = float(np.dot(total_photon_numbers(1, spec.cutoff), diag))
+        deficit = min(max(0.0, 1.0 - trace), 1.0 - 1e-300)
+        off = ent - np.diag(np.diagonal(ent))
+        return ent, deficit, energy, bool(np.max(np.abs(off)) <= 1e-14)
+
+    def assert_same_fields(self, spec):
+        rho = make_state(spec, deficit_tol=0.5)
+        entries, deficit, energy, diagonal = self._old_route(spec)
+        assert rho.entries.tobytes() == entries.tobytes()
+        assert not rho.entries.flags.writeable
+        assert (rho.modes, rho.cutoff) == (1, spec.cutoff)
+        assert repr(rho.trace_deficit) == repr(deficit)
+        assert repr(rho.energy) == repr(energy)
+        assert rho.fock_diagonal is diagonal
+        assert rho.spec is spec
+        return rho
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock", {"n": 3}, 8),
+        StateSpec("thermal", {"nu": 0.0}, 5),
+        StateSpec("thermal", {"nu": 1.3}, 40),
+        StateSpec("noisy_fock", {"n": 2, "nu": 0.5, "p": 0.4}, 30),
+        StateSpec("coherent", {"alpha": 0.0}, 6),
+        StateSpec("coherent", {"alpha": 1.2}, 40),
+        StateSpec("coherent", {"alpha": [0.7, -1.1]}, 40),
+        StateSpec("coherent", {"alpha": [-2.0, 0.3]}, 50),
+        StateSpec("cat", {"alpha": 1.0, "sign": "+"}, 30),
+        StateSpec("cat", {"alpha": -0.4, "sign": "-"}, 20),
+        StateSpec("squeezed", {"r": 0.5}, 50),
+        StateSpec("squeezed", {"r": -0.9}, 80),
+        StateSpec("squeezed", {"r": 0.0}, 4),
+    ], ids=lambda spec: spec.to_json())
+    def test_fields_match_the_old_route(self, spec):
+        self.assert_same_fields(spec)
+
+    @pytest.mark.parametrize("alpha", [[3e-15, 4e-15], [1e-13, 2e-13]])
+    def test_diagonal_rule_on_a_tiny_coherent_state(self, alpha):
+        # off-diagonals of |alpha| = 5e-15 fall below the 1e-14 rule, those of 2.2e-13 do not
+        rho = self.assert_same_fields(StateSpec("coherent", {"alpha": alpha}, 6))
+        assert rho.fock_diagonal is (abs(complex(*alpha)) < 1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=valid_specs())
+    def test_random_specs(self, spec):
+        try:
+            self.assert_same_fields(spec)
+        except InsufficientCutoffError as err:
+            self.assert_same_fields(StateSpec(spec.family, spec.params, err.required_cutoff))
 
 
 class TestBasel:
