@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -394,6 +395,20 @@ class TestFockDiagonal:
         assert res.upper.value == pytest.approx(expected, abs=1e-6)
         assert res.lower.certificate["duality_gap_bits"] <= 2e-6
 
+    def test_exact_fits_keep_the_closed_form_inside(self):
+        # on levels {0, 1} and on a Fock state the fit is exact, one atom, so the float KL
+        # lands within an ulp of the closed form on either side; the rounding allowance
+        # keeps the closed form inside every interval (without it, 25 of these 128 missed)
+        from cvres.states import FockDiagonalState
+
+        for p in np.linspace(0.01, 0.99, 99):
+            res = fock_diagonal_ncm(FockDiagonalState((0, 1), np.array([1.0 - p, p]), 0.0))
+            assert res.lower.value <= noisy_fock_closed_form(float(p)) <= res.upper.value, p
+            assert res.upper.value - res.lower.value <= 2e-13 + res.lower.certificate["duality_gap_bits"]
+        for n in range(1, 30):
+            res = fock_diagonal_ncm(FockDiagonalState((n,), np.array([1.0]), 0.0))
+            assert res.lower.value <= fock_closed_form(n) <= res.upper.value, n
+
     @pytest.mark.parametrize("p", [0.5, 0.9])
     def test_noisy_fock_closed_form(self, p):
         rho = make_state(StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": p}, 12))
@@ -611,6 +626,47 @@ class TestPhiMaxima:
         res = fock_diagonal_ncm(dephase(rho))
         assert res.lower.converged and res.upper.converged
         assert res.lower.certificate["iterations"] <= rounds
+
+    def test_newton_rounds_reach_the_single_atom(self):
+        # the optimum is one atom at t = 0.2; the exchange alone converges linearly there
+        # (11 rounds), Newton steps on the atom and the weights finish it
+        spec = StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.2}, 20)
+        res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["iterations"] <= 5
+        assert "(1 atoms)" in res.lower.certificate["ansatz_description"]
+
+    @pytest.mark.parametrize("family, params, cutoff, deficit_tol", [
+        *[("squeezed", {"r": r}, cutoff, tol) for r, cutoff in [(0.84, 75), (0.98, 88), (1.12, 102),
+                                                                (1.2, 112)]
+          for tol in (1e-3, 1e-6)],
+        ("noisy_fock", {"n": 2, "nu": 1, "p": 0.9}, 100, 1e-6),
+        ("noisy_fock", {"n": 3, "nu": 2, "p": 0.5}, 100, 1e-6),
+    ])
+    def test_far_tail_stall_takes_the_vertex_step(self, family, params, cutoff, deficit_tol):
+        # late rounds on far-tail peaks, where sum p ln q is flat to rounding, so no
+        # backtrack of the weight step ascends; a step towards the top new atom by the
+        # slope's root still moves, and the fit ends only if that step is 0.  Each of
+        # these fits ended unconverged at such a stall in some variant of the Newton step
+        rho = make_state(StateSpec(family, params, cutoff), deficit_tol=deficit_tol)
+        res = fock_diagonal_ncm(dephase(rho) if family == "squeezed" else rho)
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["noisy-fock-fixed-n", "noisy-fock-fixed-nu"])
+    def test_default_grid_figures_converge(self, name):
+        # every row of the two default-grid figures (cutoff 40, deficit_tol 1e-4)
+        ps = np.linspace(0.05, 0.95, 19)
+        curves = ([(nu, 1) for nu in (0.0, 1.0, 2.0, 3.0)] if name.endswith("-n")
+                  else [(0.0, n) for n in (1, 2, 3, 4)])
+        for nu, n in curves:
+            for p in ps:
+                spec = StateSpec("noisy_fock", {"n": n, "nu": nu, "p": float(p)}, 40)
+                res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
+                assert res.lower.converged and res.upper.converged, (nu, n, p)
+                gap = res.lower.certificate["duality_gap_bits"]
+                assert gap <= 2 * nonclassicality.FD_TOL_BITS, (nu, n, p, gap)
 
 
 class TestGamma:
@@ -1099,6 +1155,27 @@ class TestClassicalAnsatz:
         assert math.isfinite(up.value) and up.value >= 0.0
         with pytest.raises(AssertionError, match="von_neumann_entropy ran"):
             classical_ansatz_upper_bound(raw_copy)  # a raw matrix still reads its entropy
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("thermal", {"nu": 1}, 60),
+        StateSpec("thermal", {"nu": 0.3}, 30),
+        StateSpec("noisy_fock", {"n": 2, "nu": 1, "p": 0.5}, 40),
+        StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.2}, 20),
+    ], ids=lambda spec: spec.to_json())
+    def test_fock_diagonal_runs_no_eigensolver(self, monkeypatch, spec):
+        # a Fock-diagonal state's spectrum is its diagonal: S is its Shannon entropy
+        rho = make_state(spec, deficit_tol=1e-5)
+        assert rho.fock_diagonal
+        dense = classical_ansatz_upper_bound(dataclasses.replace(rho, fock_diagonal=False))
+
+        def refuse(state):
+            raise AssertionError("von_neumann_entropy ran")
+
+        monkeypatch.setattr(nonclassicality, "von_neumann_entropy", refuse)
+        up = classical_ansatz_upper_bound(rho)
+        # the flag also sets the truncation fold, so compare the raw values
+        raw, dense_raw = (b.value - b.certificate["truncation_correction_bits"] for b in (up, dense))
+        assert raw == pytest.approx(dense_raw, rel=0.0, abs=1e-14)
 
     @given(d=st.integers(2, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

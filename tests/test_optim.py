@@ -2,13 +2,16 @@
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.optimize import nnls as scipy_nnls
 
 from cvres import nonclassicality
-from cvres._optim import bounded_minimum, simplex_lstsq
+from cvres._optim import _newton_system, bounded_minimum, mixture_newton, simplex_lstsq
 from cvres.states import StateSpec, make_state
 
 
@@ -145,3 +148,92 @@ def test_simplex_lstsq_more_columns_than_rows():
     x = simplex_lstsq(a, np.array([0.7, 1.2]), c)
     assert np.all(x >= 0.0) and abs(c @ x - 1.0) <= 1e-12
     assert np.linalg.norm(a @ x - [0.7, 1.2]) <= 1e-14
+
+
+def _mixture(seed, levels, n_atoms, with_zero):
+    """A random target p on levels 0..levels-1 and a random mixture (atoms, w, pois) on it,
+    with q > 0 on every level as the fit keeps it: an atom at t = 0 only beside others."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(float(levels))
+    p = rng.dirichlet(np.ones(levels))
+    atoms = np.sort(rng.uniform(0.05, levels - 1.0, n_atoms))
+    if with_zero and n_atoms > 1:
+        atoms[0] = 0.0
+    w = rng.dirichlet(np.ones(n_atoms))
+    return ks, p, atoms, w, np.exp(nonclassicality._log_poisson(ks, atoms))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(3, 14), n_atoms=st.integers(1, 4),
+       with_zero=st.booleans())
+def test_newton_system_matches_central_differences(seed, levels, n_atoms, with_zero):
+    # the gradient and negated Hessian of sum p ln q in (the weights but w_i, ln t of the
+    # moving atoms), against central differences of the objective itself
+    ks, p, atoms, w, pois = _mixture(seed, levels, n_atoms, with_zero)
+    i, free, grad, hess = _newton_system(p, ks, atoms, w, pois, pois @ w)
+    assert i == int(np.argmax(w)) and np.array_equal(free, np.flatnonzero(atoms > 0.0))
+    rest = np.arange(n_atoms) != i
+
+    def objective(x):
+        w_x = w.copy()
+        w_x[rest] = x[:n_atoms - 1]
+        w_x[i] = 1.0 - w_x[rest].sum()
+        t_x = atoms.copy()
+        t_x[free] = np.exp(x[n_atoms - 1:])
+        return float(p @ np.log(np.exp(nonclassicality._log_poisson(ks, t_x)) @ w_x))
+
+    x0 = np.concatenate([w[rest], np.log(atoms[free])])
+    if x0.size == 0:
+        assert grad.size == 0 and hess.shape == (0, 0)
+        return
+    h = 1e-4
+    eye = h * np.eye(x0.size)
+    num_grad = np.array([(objective(x0 + e) - objective(x0 - e)) / (2 * h) for e in eye])
+    num_hess = np.array([[(objective(x0 + a + b) - objective(x0 + a - b)
+                           - objective(x0 - a + b) + objective(x0 - a - b)) / (4 * h * h)
+                          for b in eye] for a in eye])
+    scale = max(1.0, float(np.abs(hess).max()))
+    assert np.allclose(grad, num_grad, rtol=0.0, atol=1e-7 * scale)
+    assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(-hess, num_hess, rtol=0.0, atol=1e-5 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 30), n_atoms=st.integers(1, 5),
+       with_zero=st.booleans())
+def test_mixture_newton_ascends_on_the_simplex(seed, levels, n_atoms, with_zero):
+    # a step that returns ascends the normalised objective, keeps w > 0 with sum 1,
+    # keeps every atom in [0, t_cap], and raises no RuntimeWarning on the way
+    ks, p, atoms, w, pois = _mixture(seed, levels, n_atoms, with_zero)
+    t_cap = float(ks.max())
+
+    def columns(ts):
+        return np.exp(nonclassicality._log_poisson(ks, ts))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = mixture_newton(p, ks, atoms, w, pois, columns, t_cap)
+    if fit is None:
+        return
+    atoms_1, w_1, pois_1 = fit
+    assert np.all(w_1 > 0.0) and abs(w_1.sum() - 1.0) <= 1e-12
+    assert np.all((atoms_1 >= 0.0) & (atoms_1 <= t_cap))
+    assert np.array_equal(pois_1, columns(atoms_1))
+    assert p @ np.log(pois_1 @ w_1) - math.log(w_1.sum()) >= p @ np.log(pois @ w) - 1e-15
+
+
+def test_mixture_newton_merges_close_atoms():
+    # two atoms 0.01 apart in sqrt(t) merge at their weighted mean; then the Newton step
+    # moves the remaining atom towards the target's mean
+    ks = np.arange(6.0)
+    p = np.exp(nonclassicality._log_poisson(ks, np.array([2.0]))[:, 0])
+    p /= p.sum()
+    atoms = np.array([(math.sqrt(1.7) - 0.01) ** 2, 1.7])
+    w = np.array([0.25, 0.75])
+
+    def columns(ts):
+        return np.exp(nonclassicality._log_poisson(ks, ts))
+
+    atoms_1, w_1, _ = mixture_newton(p, ks, atoms, w, columns(atoms), columns, 5.0)
+    assert atoms_1.size == 1 and w_1[0] == 1.0
+    assert abs(atoms_1[0] - 2.0) < abs(w @ atoms - 2.0)
