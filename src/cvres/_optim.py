@@ -1,4 +1,4 @@
-"""The three small optimisers the bounds need, in numpy alone.
+"""The two small optimisers the bounds need, in numpy alone.
 
 ``bounded_minimum`` follows scipy.optimize's ``_minimize_scalar_bounded`` step
 for step, so it visits the same points and returns the same result as
@@ -6,9 +6,7 @@ for step, so it visits the same points and returns the same result as
 ``simplex_lstsq`` is least squares on the simplex c . x = 1, x >= 0: the
 Lawson-Hanson active-set method with the equality held exactly, each passive
 set solved afresh by one reduced numpy QR, as the Poisson-mixture fit's weight
-step needs it.  ``mixture_newton`` takes damped Newton steps on the atoms and
-weights of that mixture together, for the fit's last rounds, where the weight
-step alone converges only linearly.
+step needs it.
 """
 
 from __future__ import annotations
@@ -156,111 +154,3 @@ def simplex_lstsq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
             z = solve(passive)
         x = z
     return x
-
-
-_NEWTON_MERGE = 0.02  # atoms closer than this in sqrt(t) merge before a Newton step
-_NEWTON_DECREMENT = 1e-10  # a first Newton decrement below this skips the second step
-_NEWTON_BACKTRACKS = 30  # halvings of a Newton step before it counts as no ascent
-
-
-def mixture_newton(p: np.ndarray, ks: np.ndarray, atoms: np.ndarray, w: np.ndarray,
-                   pois: np.ndarray, columns: Callable[[np.ndarray], np.ndarray], t_cap: float):
-    """Up to two damped Newton steps on the atoms t and weights w of a Poisson mixture
-    q = pois @ w, pois[k, j] = pois(ks_k; t_j) as ``columns(t)`` makes it, that ascend
-    F = sum_k p_k ln q_k over sum_j w_j = 1, w >= 0 and t in [0, t_cap].
-
-    Atoms closer than 0.02 in sqrt(t) first merge at their weighted mean.  Each step
-    eliminates the largest weight through sum w = 1 and moves every atom with t > 0 in
-    x = ln t, where ln pois is k x - e^x - ln k!, so no step takes an atom to 0 or
-    below; an atom at 0 holds still, and one past t_cap is put back there (phi falls
-    past the top level, so F never pulls an atom out).  A failed Cholesky factorisation
-    of the negated Hessian H (``_newton_system``) returns None.  The step d = H^-1 g is
-    cut where the first weight reaches 0, and that atom leaves.  Armijo backtracking
-    takes it once sum_k p_k ln(q1_k/q_k) - ln(sum w1/sum w) >= (step/3) g.d: q1 - q is
-    formed from the weight changes and expm1 of the columns' log changes, and the
-    second term takes out the rounding of the weights' sum, so the test keeps its
-    digits where the gain is far below the rounding of q, as on far-tail atoms of tiny
-    weight.  The second step is skipped once the Newton decrement g.d is below 1e-10.
-    Returns (atoms, w, pois), or None when the first step finds no ascent.
-    """
-    order = np.argsort(atoms)
-    atoms, w, pois = atoms[order], w[order], pois[:, order]
-    head = np.concatenate([[True], np.diff(np.sqrt(atoms)) >= _NEWTON_MERGE])
-    if not head.all():
-        group = np.cumsum(head) - 1
-        merged = np.bincount(group) > 1
-        w_sum = np.bincount(group, weights=w)
-        atoms = np.where(merged, np.bincount(group, weights=w * atoms) / w_sum, atoms[head])
-        pois = pois[:, head].copy()
-        pois[:, merged] = columns(atoms[merged])
-        w = w_sum
-    for attempt in range(2):
-        q = pois @ w
-        i, free, grad, hess = _newton_system(p, ks, atoms, w, pois, q)
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            return None
-        delta = np.linalg.solve(hess, grad)
-        decrement = float(grad @ delta)
-        dw = np.insert(delta[:w.size - 1], i, -delta[:w.size - 1].sum())
-        dx = delta[w.size - 1:]
-        t, ln_room = atoms[free], np.log(t_cap / atoms[free])
-        falling = np.flatnonzero(dw < 0.0)
-        cuts = w[falling] / -dw[falling]
-        cut = min(1.0, float(cuts.min())) if cuts.size else 1.0
-        step = cut
-        for _ in range(_NEWTON_BACKTRACKS):
-            w1 = np.maximum(w + step * dw, 0.0)
-            if step == cut < 1.0:
-                w1[falling[np.argmin(cuts)]] = 0.0
-            ln_move = np.minimum(step * dx, ln_room)
-            t_move = t * np.expm1(ln_move)
-            grow = pois[:, free] * np.expm1(ks[:, None] * ln_move - t_move)
-            # a step that empties a level scores -inf (or nan, rounded below -1): no ascent
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = p @ np.log1p((pois @ (w1 - w) + grow @ w1[free]) / q)
-            gain -= math.log1p(float(np.sum(w1 - w)) / float(np.sum(w)))
-            if gain >= step * decrement / 3.0:
-                break
-            step *= 0.5
-        else:
-            return None if attempt == 0 else (atoms, w, pois)
-        atoms = atoms.copy()
-        atoms[free] = np.minimum(t + t_move, t_cap)
-        pois = pois.copy()
-        pois[:, free] = columns(atoms[free])
-        keep = w1 > 0.0
-        atoms, w, pois = atoms[keep], w1[keep], pois[:, keep]
-        if decrement < _NEWTON_DECREMENT:
-            break
-    return atoms, w, pois
-
-
-def _newton_system(p, ks, atoms, w, pois, q):
-    """(i, free, g, H) for ``mixture_newton``: the eliminated weight i, the indices of the
-    atoms that move, and the gradient and negated Hessian of F = sum_k p_k ln q_k in (the
-    weights other than w_i, ln t of the atoms in ``free``).
-
-    With J the Jacobian of q in those variables (columns pois_j - pois_i, then w_j
-    d pois_j/dx_j), H = J^T diag(p/q^2) J - sum_k (p_k/q_k) d^2 q_k.  The second
-    derivatives of q are d pois_j/dx_j between w_j and x_j (its negative between every
-    weight and x_i) and w_j d^2 pois_j/dx_j^2 on the diagonal, where
-    d pois/dx = pois (k - t) and d^2 pois/dx^2 = pois ((k - t)^2 - t).
-    """
-    ratio = p / q
-    free = np.flatnonzero(atoms > 0.0)
-    i = int(np.argmax(w))
-    rest = np.flatnonzero(np.arange(w.size) != i)
-    lin = ks[:, None] - atoms[free]
-    d1 = pois[:, free] * lin
-    jac = np.hstack([pois[:, rest] - pois[:, i:i + 1], d1 * w[free]])
-    hess = (jac.T * (ratio / q)) @ jac
-    c1 = ratio @ d1
-    diag = rest.size + np.arange(free.size)
-    at_i = free == i
-    hess[free[~at_i] - (free[~at_i] > i), diag[~at_i]] -= c1[~at_i]
-    hess[:rest.size, diag[at_i]] += c1[at_i]
-    hess[rest.size:, :rest.size] = hess[:rest.size, rest.size:].T
-    hess[diag, diag] -= w[free] * (ratio @ (pois[:, free] * (lin * lin - atoms[free])))
-    return i, free, ratio @ jac, hess

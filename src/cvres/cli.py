@@ -175,7 +175,7 @@ def cmd_monotone(args) -> int:
     else:
         rows = [
             [d["quantity"], d["direction"], d["value"],
-             d["certificate"].get("truncation_correction_bits", 0.0),
+             _bits_out(d["certificate"].get("truncation_correction_bits", 0.0), args.nats),
              d["converged"]]
             for d in payload
         ]

@@ -96,25 +96,17 @@ class DensityOperator:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_matrix(
-        cls,
-        entries: np.ndarray,
-        modes: int,
-        cutoff: int,
-        *,
-        validate: bool = True,
-    ) -> "DensityOperator":
+    def from_matrix(cls, entries: np.ndarray, modes: int, cutoff: int) -> "DensityOperator":
         ent = cls(modes, cutoff, entries, 0.0, 0.0).entries
         dev = np.max(np.abs(ent - ent.conj().T))
         if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(ent)))):
             raise UsageError(f"matrix deviates from hermitian by {dev:.3e}")
-        if validate:
-            evals = np.linalg.eigvalsh(ent)
-            if evals[0] < PSD_EIGENVALUE_TOL:
-                raise UsageError(f"matrix not positive semidefinite (min eig {evals[0]:.3e})")
-            trace = float(np.sum(np.real(np.diagonal(ent))))
-            if not (0.0 < trace <= 1.0 + 1e-10):
-                raise UsageError(f"trace {trace} outside (0, 1]")
+        evals = np.linalg.eigvalsh(ent)
+        if evals[0] < PSD_EIGENVALUE_TOL:
+            raise UsageError(f"matrix not positive semidefinite (min eig {evals[0]:.3e})")
+        trace = float(np.sum(np.real(np.diagonal(ent))))
+        if not (0.0 < trace <= 1.0 + 1e-10):
+            raise UsageError(f"trace {trace} outside (0, 1]")
         return cls.from_hermitian(ent, modes, cutoff)
 
     @classmethod
@@ -182,7 +174,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     for j in sorted(drop0, reverse=True):
         t = np.trace(t, axis1=j, axis2=j + (t.ndim // 2))
     dim = d ** len(keep0)
-    return DensityOperator.from_matrix(t.reshape(dim, dim), len(keep0), d, validate=False)
+    return DensityOperator.from_hermitian(t.reshape(dim, dim), len(keep0), d)
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
@@ -236,7 +228,7 @@ def vacuum_state(modes: int, cutoff: int) -> DensityOperator:
     dim = cutoff**modes
     ent = np.zeros((dim, dim), dtype=complex)
     ent[0, 0] = 1.0
-    return DensityOperator.from_matrix(ent, modes, cutoff, validate=False)
+    return DensityOperator.from_hermitian(ent, modes, cutoff)
 
 
 def fock_state(n: int, cutoff: int) -> DensityOperator:
@@ -248,7 +240,7 @@ def fock_state(n: int, cutoff: int) -> DensityOperator:
         )
     ent = np.zeros((cutoff, cutoff), dtype=complex)
     ent[n, n] = 1.0
-    return DensityOperator.from_matrix(ent, 1, cutoff, validate=False)
+    return DensityOperator.from_hermitian(ent, 1, cutoff)
 
 
 def pure_state(vec: np.ndarray, modes: int, cutoff: int) -> DensityOperator:

@@ -5,10 +5,11 @@ Lower bounds come from the variational program
     sup over positive L of  Tr[rho log2 L] - log2 sup_alpha <alpha|L|alpha>,
 
 whose every feasible L yields a valid lower bound; the inner supremum enters
-through a certified upper bound, or exactly for the closed forms (Fock, and
-L = exp(-x X^2) on a quadrature), so reported values never overshoot.  Upper
-bounds come from explicit classical ansatz states, the energy bound m*g(E/m),
-Wehrl-entropy estimates, and the Gaussian closed forms.  Bounds for
+through a certified upper bound (``_envelope``), or exactly for the closed forms
+(Fock, and L = exp(-x X^2) on a quadrature), so reported values never overshoot.
+Upper bounds come from explicit classical ansatz states, the energy bound
+m*g(E/m), the Gaussian closed forms and the Poisson mixture of ``_poisson``;
+``wehrl_upper_bound`` is an uncertified estimate that no interval uses.  Bounds for
 the ideal (untruncated) state are obtained by folding in the spectral
 truncation certificate m*eps*g(2E/(m*eps)) + g(eps), at the energy E of the
 ideal state that ``make_state`` recorded on the state (``ideal_energy``).
@@ -23,7 +24,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._optim import bounded_minimum, mixture_newton, simplex_lstsq
+from ._envelope import (CertifiedSup, _basel_envelope_sup, _envelope_at, _envelope_grid,
+                        _envelope_log_weights, _envelope_sup_certified, _envelope_terms,
+                        _peak_polisher)
+from ._optim import bounded_minimum
+from ._poisson import FD_TOL_BITS, _poisson_mixture_fit
 from .entropies import (
     LN2,
     LOG2E,
@@ -202,116 +207,9 @@ def _moments(rho: DensityOperator) -> tuple[complex, float, float]:
 # certified coherent supremum
 # ---------------------------------------------------------------------------
 
-class CertifiedSup(NamedTuple):
-    value: float  # certified upper bound on sup_alpha <alpha|L|alpha>
-    argmax_t: float  # best observed |alpha|^2
-    radius_sq: float  # search radius in t = |alpha|^2
-    gap: float  # certification slack (upper bound minus best evaluation)
-    levels: int  # branch-and-bound levels that split segments
-    splits: int  # interior nodes evaluated, SUP_FANOUT - 1 per split segment
-
-
-_HALF_LOG_FACTORIALS: dict[int, np.ndarray] = {}
-
-
-def _half_log_factorials(d: int) -> np.ndarray:
-    """(ln j! + ln k!)/2 for 0 <= j, k < d, cached per d and read-only since callers share it."""
-    if d not in _HALF_LOG_FACTORIALS:
-        log_fact = log_factorials(d)
-        table = 0.5 * (log_fact[:, None] + log_fact[None, :])
-        table.setflags(write=False)
-        _HALF_LOG_FACTORIALS[d] = table
-    return _HALF_LOG_FACTORIALS[d]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values in ascending order; np.unique would import numpy.ma on first use."""
-    out = np.sort(values)
-    return out[np.concatenate([[True], np.diff(out) > 0.0])]
-
-
-def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
-    """log W_s for the envelope e^(-t) sum_s W_s t^(s/2), W_s from |L_jk|/sqrt(j!k!)."""
-    mag = np.abs(np.asarray(entries))
-    d = mag.shape[0]
-    j = np.arange(d)
-    with np.errstate(divide="ignore"):
-        ln_c = np.log(mag) - _half_log_factorials(d)
-    by_s = np.full((2 * d - 1, d), -np.inf)  # row s = j + k holds the terms of W_s
-    by_s[j[:, None] + j[None, :], j[:, None]] = ln_c
-    m = np.max(by_s, axis=1)
-    out = np.full(2 * d - 1, -np.inf)
-    ok = np.isfinite(m)
-    out[ok] = m[ok] + np.log(np.sum(np.exp(by_s[ok] - m[ok, None]), axis=1))
-    return out
-
-
-def _envelope_terms(entries) -> tuple[float, np.ndarray, np.ndarray]:
-    """The cap max(largest eigenvalue of L, 0), and the finite ln W_s of the envelope
-    with their powers s/2 (``_envelope_log_weights``)."""
-    entries = np.asarray(entries)
-    cap = max(float(np.max(np.linalg.eigvalsh(0.5 * (entries + entries.conj().T)))), 0.0)
-    ln_w = _envelope_log_weights(entries)
-    finite = np.isfinite(ln_w)
-    return cap, ln_w[finite], (0.5 * np.arange(ln_w.size))[finite]
-
-
-def _envelope_at(ln_w: np.ndarray, powers: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The envelope F(t) = e^(-t) sum_s W_s t^(s/2) at each t > 0 (at t = 0 the
-    constant term would meet 0 * log 0)."""
-    vals = ln_w + powers * np.log(t)[:, None] - t[:, None]
-    m = vals.max(axis=1)
-    return np.exp(m) * np.exp(vals - m[:, None]).sum(axis=1)
-
-
-SUP_MAX_SPLITS = 20000  # branch-and-bound budget of one certified supremum, in interior nodes
-SUP_FANOUT = 8  # pieces each live segment is cut into per branch-and-bound level
 # relative slack of the certified inner sup that every lower-bound engine emits; the even
 # cat's search certifies only its winner at it
 INNER_TOL = 1e-9
-
-
-def _curvature_table(
-    powers: np.ndarray, ln_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponents e, coefficients c_e and log bound coefficients of F''(t) = e^(-t) sum_e c_e t^e.
-
-    Each W_s t^p of F(t) = e^(-t) sum_s W_s t^p, W_s = exp(ln_w_s), contributes
-    W_s [p(p-1) t^(p-2) - 2p t^(p-1) + t^p]; the exponents are multiples of 1/2, so
-    the integer 2e + 4 keys them exactly and opposite signs cancel.  Each group is
-    summed relative to its largest term, so weights far outside the float range
-    keep their share.  ln(|c_e| + 1e-14 sum|terms of e|) covers the rounding of
-    c_e, so sum_e exp(ln_bound_e) max t^e e^(-t) bounds |F''| on a segment.
-    """
-    exps = np.concatenate([powers - 2.0, powers - 1.0, powers])
-    factors = np.concatenate([powers * (powers - 1.0), -2.0 * powers, np.ones_like(powers)])
-    keep = factors != 0.0
-    key = np.rint(2.0 * exps[keep]).astype(np.intp) + 4
-    ln_terms = np.concatenate([ln_w, ln_w, ln_w])[keep] + np.log(np.abs(factors[keep]))
-    top = np.full(key.max() + 1, -np.inf)
-    np.maximum.at(top, key, ln_terms)
-    present = np.isfinite(top)
-    scaled = np.sign(factors[keep]) * np.exp(ln_terms - top[key])
-    coefs = np.bincount(key, weights=scaled)[present]
-    mags = np.bincount(key, weights=np.abs(scaled))[present]
-    top = top[present]
-    exps = 0.5 * (np.flatnonzero(present) - 4)
-    return exps, coefs * np.exp(top), top + np.log(np.abs(coefs) + 1e-14 * mags)
-
-
-def _monomial_max(exps: np.ndarray, ln_coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """sum over e of the max over [lo_i, hi_i] (rows, lo > 0) of exp(ln_coef_e) t^e e^(-t).
-
-    Each term peaks at t = e clipped into the segment; ln_coef_e enters the exponent,
-    so neither the weight nor the peak of a high power leaves the float range."""
-    t = np.maximum(exps, lo[:, None])
-    np.minimum(t, hi[:, None], out=t)
-    # in place: this pass runs twice per segment bound and dominates the supremum
-    v = np.log(t)
-    v *= exps
-    v -= t
-    v += ln_coef
-    return np.exp(v, out=v).sum(axis=1)
 
 
 def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
@@ -323,155 +221,6 @@ def coherent_sup_certified(entries, *, tol: float = 1e-10) -> CertifiedSup:
     norm at most one; ``_envelope_sup_certified`` bounds it.
     """
     return _envelope_sup_certified(*_envelope_terms(entries), tol=tol)
-
-
-def _envelope_sup_certified(cap: float, ln_w: np.ndarray, powers: np.ndarray, *,
-                            tol: float) -> CertifiedSup:
-    """Certified upper bound on sup over t >= 0 of min(F(t), cap), F(t) = e^(-t) sum_s W_s
-    t^(p_s), from the finite ln W_s and their ascending powers p_s >= 0.
-
-    The segment bounds combine per-monomial maxima with the curvature bound of
-    ``_curvature_table``.  Each level of the branch-and-bound retires the
-    segments whose bound is within ``tol`` (relative) of the best attained
-    envelope value and cuts every other segment into ``SUP_FANOUT`` equal
-    pieces: one envelope pass evaluates all interior nodes and one pass bounds
-    all the pieces.  The result is the largest bound of any segment, live or
-    retired.  Beyond the largest power the envelope decreases, so the search
-    radius t <= max(p_s, 1) is exhaustive.
-    """
-    if not ln_w.size or cap == 0.0:
-        return CertifiedSup(0.0, 0.0, 0.0, 0.0, 0, 0)
-    t_max = max(float(powers[-1]), 1.0)
-    curve_exps, _, ln_curve_bound = _curvature_table(powers, ln_w)
-
-    def segment_bounds(a, b, fa, fb):
-        lo = np.maximum(a, 1e-300)
-        peak = _monomial_max(powers, ln_w, lo, b)
-        # F'' is unbounded at t = 0 only when a half-integer power leaves a negative exponent
-        at_zero = (a <= 0.0) & (curve_exps[0] < 0.0)
-        d2 = _monomial_max(curve_exps, ln_curve_bound, np.where(at_zero, b, lo), b)
-        smooth = np.where(at_zero, np.inf, np.maximum(fa, fb) + 0.125 * (b - a) ** 2 * d2)
-        return np.minimum(peak, smooth)
-
-    probes = _distinct(np.concatenate([[0.0, t_max], powers[powers > 0.0]]))
-    values = np.concatenate([[math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0],
-                             _envelope_at(ln_w, powers, probes[1:])])
-    i_best = int(np.argmax(values))
-    best, best_t = float(values[i_best]), float(probes[i_best])
-    a, b, fa, fb = probes[:-1], probes[1:], values[:-1], values[1:]
-    bound = segment_bounds(a, b, fa, fb)
-    retired = 0.0
-    levels = splits = 0
-    grid = np.arange(SUP_FANOUT + 1) / SUP_FANOUT
-    while a.size:
-        live = np.minimum(bound, cap) - best > tol * max(best, 1e-300) + 1e-300
-        if not live.all():
-            retired = max(retired, float(bound[~live].max()))
-            a, b, fa, fb, bound = a[live], b[live], fa[live], fb[live], bound[live]
-        if not a.size or splits + a.size * (SUP_FANOUT - 1) > SUP_MAX_SPLITS:
-            break
-        levels += 1
-        splits += a.size * (SUP_FANOUT - 1)
-        # row i holds the edges a_i = node_0 < node_1 < ... < node_k = b_i of its pieces
-        nodes = a[:, None] + (b - a)[:, None] * grid
-        nodes[:, -1] = b
-        inner = nodes[:, 1:-1].ravel()
-        f_inner = _envelope_at(ln_w, powers, inner)
-        i_node = int(f_inner.argmax())
-        if f_inner[i_node] > best:
-            best, best_t = float(f_inner[i_node]), float(inner[i_node])
-        f_nodes = np.column_stack([fa, f_inner.reshape(a.size, -1), fb])
-        a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
-        fa, fb = f_nodes[:, :-1].ravel(), f_nodes[:, 1:].ravel()
-        bound = segment_bounds(a, b, fa, fb)
-    top = max(best, retired, float(bound.max()) if a.size else 0.0)
-    certified = max(min(top, cap), 0.0)
-    return CertifiedSup(certified, best_t, t_max, max(0.0, certified - min(best, certified)),
-                        levels, splits)
-
-
-# where the uncertified peak samples F, as fractions of the search radius: uniform in sqrt(t)
-ENVELOPE_GRID = np.linspace(0.0, 1.0, 33)[1:] ** 2
-
-
-def _envelope_grid(powers: np.ndarray) -> np.ndarray:
-    """Where the uncertified peak samples F, the grid of its ``_peak_polisher``:
-    ``ENVELOPE_GRID`` times the search radius, and every power, where its monomials peak."""
-    return _distinct(np.concatenate([max(float(powers[-1]), 1.0) * ENVELOPE_GRID,
-                                     powers[powers > 0.0]]))
-
-
-def _peak_polisher(powers: np.ndarray, grid: np.ndarray):
-    """(ln_w, values) -> every local maximum (t, F) of F(t) = e^(-t) sum_p W_p t^p, from its
-    ``values`` on ``grid``; what depends on the powers and the grid alone is formed once.
-
-    Each local maximum of the samples is polished by Newton steps on
-    g(u) = ln F(u^2), u = sqrt(t), whose derivatives are 2E[p]/u - 2u and
-    (4Var[p] - 2E[p])/u^2 - 2 under the softmax weights W_p t^p over the powers.
-    Unlike ln F, g stays smooth at 0 where a half-integer power makes ln F steep.
-    Each point moves within its grid neighbours, the first almost to t = 0, and
-    replaces its grid point only where higher.  A grid point at t = 0 is read as
-    it is.  F(0) = W_0 is the caller's, so a sample maximum at the first grid
-    point t_1 > 0 skips its polish where F provably falls on (0, t_1].  ln_w may
-    hold -inf for a weight that is zero.
-    """
-    edges = np.sqrt(np.maximum(np.concatenate([[0.0], grid, [grid[-1]]]), 1e-300)).tolist()
-    two_p, moments = 2.0 * powers, powers[:, None] ** np.arange(3.0)
-    # with S(t) = sum_p W_p t^p, F' = e^(-t)(S' - S) <= e^(-t)(S'(t_1) - W_0) on (0, t_1],
-    # since S >= W_0 and S' rises: F falls there if S'(t_1) <= W_0
-    first_cell = grid[0] > 0.0 and powers[0] == 0.0 and powers[1:].min(initial=1.0) >= 1.0
-    if first_cell:
-        ln_p, ln_t1 = np.log(powers[1:]), (powers[1:] - 1.0) * math.log(grid[0])
-
-    def polish(ln_w: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        padded = np.concatenate([[-np.inf], values, [-np.inf]])
-        peaks = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
-        ts, fs = grid[peaks], values[peaks]
-        for j, i in enumerate(peaks.tolist()):
-            if grid[i] == 0.0:
-                continue
-            if i == 0 and first_cell and np.logaddexp.reduce(
-                    ln_w[1:] + ln_p + ln_t1, initial=-np.inf) <= ln_w[0]:
-                continue
-            lo, u, hi = edges[i:i + 3]
-            # at most 8 steps: Newton converges quadratically, so once a step moves u by
-            # at most 1e-5 of itself, ln F sits at its peak to rounding; the pass after
-            # the last step only reads F at the final u
-            done = False
-            for k in range(9):
-                terms = ln_w + two_p * math.log(u)
-                top = float(terms.max())
-                total, first, second = (np.exp(terms - top) @ moments).tolist()
-                if done or k == 8:
-                    break
-                mean = first / total
-                curv = (4.0 * (second / total - mean * mean) - 2.0 * mean) / (u * u) - 2.0
-                u_next = min(max(u + 2.0 * (u - mean / u) / curv, lo), hi) if curv < 0.0 else u
-                done = abs(u_next - u) <= 1e-5 * u
-                u = u_next
-            polished = math.exp(top - u * u) * total
-            if polished > fs[j]:
-                ts[j], fs[j] = min(u * u, grid[-1]), polished
-        return ts, fs
-
-    return polish
-
-
-def _envelope_max(entries) -> float:
-    """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
-
-    F and the cap are those of the certified supremum, whose value is never below
-    this one.  F is sampled on ``_envelope_grid``; the largest of the maxima that
-    its ``_peak_polisher`` returns and F(0) = W_0 is its peak.  For searches that
-    need a certificate only at their winner.
-    """
-    cap, ln_w, powers = _envelope_terms(entries)
-    if not ln_w.size or cap == 0.0:
-        return 0.0
-    grid = _envelope_grid(powers)
-    fs = _peak_polisher(powers, grid)(ln_w, _envelope_at(ln_w, powers, grid))[1]
-    f_0 = math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0  # F(0) = W_0
-    return min(max(float(fs.max()), f_0), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -687,162 +436,6 @@ def cat_gamma_lower_bound(rho: DensityOperator) -> MonotoneBound:
 class FockDiagonalResult(NamedTuple):
     lower: MonotoneBound
     upper: MonotoneBound
-
-
-def _log_poisson(ks: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """ln pois(k; t) for integer-valued k (rows) and t (cols); t = 0 is the point mass at 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_ln_t = np.where(ks[:, None] == 0.0, 0.0, ks[:, None] * np.log(ts[None, :]))
-    log_fact = log_factorials(int(ks.max()) + 1)[ks.astype(np.intp)]
-    return k_ln_t - ts[None, :] - log_fact[:, None]
-
-
-FD_TOL_BITS = 1e-7  # half the primal-dual gap the Fock-diagonal program may leave
-FD_MAX_ROUNDS = 500  # rounds of the Poisson-mixture fit
-FD_VERTEX_LN_PHI = 1.0  # ln sup phi above which a round first moves weight onto its top atom
-FD_NEWTON_LN_PHI = 0.1  # ln sup phi below which a round may take Newton steps on atoms and weights
-FD_NEWTON_REACH = 0.25  # ... when every maximum with phi > 1 is this close to an atom in sqrt(t)
-FD_NEWTON_CUT = 4.0  # ... and the last Newton round cut ln sup phi by at least this factor
-
-
-def _phi_maxima(ks: np.ndarray, t_cap: float):
-    """ln ell -> local maxima (t, ln phi(t)) on [0, t_cap] of phi(t) = e^(-t) sum_k (ell_k/k!) t^k.
-
-    phi is sampled by one product with the Poisson table of a grid uniform in
-    sqrt(t), where Poisson bumps have constant width, that holds t = 0 only with
-    level 0 (else phi(0) = 0); one ``_peak_polisher`` per fit polishes the samples'
-    maxima, with ln W_k = ln ell_k - ln k! shifted by max ln ell so nothing overflows."""
-    grid = t_cap * np.linspace(0.0, 1.0, max(257, int(32.0 * math.sqrt(t_cap)) + 1)) ** 2
-    if ks.min() > 0.0:
-        grid = grid[1:]
-    pois_grid = np.exp(_log_poisson(ks, grid))
-    ln_fact = log_factorials(int(ks.max()) + 1)[ks.astype(np.intp)]
-    polish = _peak_polisher(ks, grid)
-
-    def maxima(ln_ell):
-        shift = float(ln_ell.max())
-        ts, phi = polish(ln_ell - ln_fact - shift, np.exp(ln_ell - shift) @ pois_grid)
-        with np.errstate(divide="ignore"):
-            return ts, np.log(phi) + shift
-
-    return maxima
-
-
-def _vertex_step(p: np.ndarray, q: np.ndarray, col: np.ndarray) -> float:
-    """argmax over s in [0, 1) of sum_k p_k ln((1 - s) q_k + s col_k).
-
-    The objective is concave in s, with slope phi - 1 > 0 at s = 0 when col
-    is the Poisson column of an atom where phi > 1.  Newton steps on the slope
-    stay inside the bracket of its root and bisect it when they would leave;
-    the bracket's lower end is returned, where the slope is still positive, so
-    the step never descends.
-    """
-    diff = col - q
-    lo, hi, s = 0.0, 1.0, 0.0
-    for _ in range(60):
-        ratio = diff / (q + s * diff)
-        slope = float(p @ ratio)
-        if slope > 0.0:
-            lo = s
-        else:
-            hi = s
-        newton = s + slope / float(p @ ratio**2)
-        s_next = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if abs(s_next - s) <= 1e-12 * s_next:
-            break
-        s = s_next
-    return lo
-
-
-def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
-    """Minimize KL(p || q), q_k = sum_j w_j pois(k; t_j), over mixing measures on [0, t_cap].
-
-    The fit is optimal iff phi(t) = sum_k (p_k/q_k) pois(k; t) <= 1 for all t
-    (Lindsay, Ann. Statist. 11, 1983); phi averages to exactly 1 under the
-    mixing measure, and past the largest supported level it only falls, so
-    [0, t_cap] is exhaustive.  One exchange loop (the constrained Newton method
-    of Y. Wang, J. R. Stat. Soc. B 69, 2007): each round finds the local maxima
-    of phi with ``_phi_maxima``.  It stops once log2 sup phi <= FD_TOL_BITS/4,
-    or once KL(p || q) is that small, since [0, KL] is then already that narrow.
-    Otherwise it adds the maxima with phi > 1 as atoms of zero weight and takes
-    one weight step: ``simplex_lstsq`` on the quadratic model sum_k p_k (sum_j w_j
-    pois(k; t_j)/q_k - 2)^2 over w >= 0 with sum_j w_j = 1, then an Armijo backtrack on
-    sum_k p_k ln q_k.  Atoms left at weight 0 are dropped.  Where ln sup phi exceeds
-    ``FD_VERTEX_LN_PHI`` (a tail the model has emptied, where it can at most double q
-    per step), the round first moves weight onto the new atom of largest phi by the
-    exact line search of ``_vertex_step``.  Where no backtrack ascends, the round
-    takes that line search instead, and the loop ends only if it returns 0: it finds
-    the root of the slope, so rounding in the objective cannot stop it.
-
-    The exchange moves an atom only by shifting weight to a neighbour, so it ends
-    linearly.  A round instead takes ``mixture_newton``'s steps on the atoms' positions
-    and weights (in place of the new atoms and the weight step) when ln sup phi <
-    ``FD_NEWTON_LN_PHI``, every maximum with phi > 1 lies within ``FD_NEWTON_REACH``
-    of an atom in sqrt(t), and the last Newton round, if any, cut ln sup phi at least
-    ``FD_NEWTON_CUT``-fold; where those steps fail, the round is an exchange round.
-
-    With L = p/q on the supported levels, Tr[rho log2 L] = KL(p || q), so the
-    primal value of L is exactly the dual minus log2 sup phi.  Returns the atoms,
-    q on the supported levels and the number of rounds.
-    """
-    phi_maxima = _phi_maxima(ks, t_cap)
-    root_p = np.sqrt(p)
-    # start with one atom per half unit of sqrt(t), carrying the weight of its nearest levels
-    start = np.minimum(np.round(2.0 * np.sqrt(ks)) ** 2 / 4.0, t_cap)
-    atoms = _distinct(start)
-    w = np.bincount(np.searchsorted(atoms, start), weights=p)
-
-    def columns(ts):
-        return np.exp(_log_poisson(ks, ts))
-
-    pois = columns(atoms)
-    q = pois @ w
-    rounds, newton_ok, newton_from = 0, True, None
-    while rounds < FD_MAX_ROUNDS:
-        ln_ell = np.log(p / q)
-        ts, ln_phi = phi_maxima(ln_ell)
-        top_ln_phi = float(ln_phi.max())
-        if LOG2E * min(top_ln_phi, float(p @ ln_ell)) <= 0.25 * FD_TOL_BITS:
-            break
-        rounds += 1
-        if newton_from is not None:
-            newton_ok, newton_from = FD_NEWTON_CUT * top_ln_phi <= newton_from, None
-        new = ts[ln_phi > 0.0]
-        if newton_ok and top_ln_phi < FD_NEWTON_LN_PHI and np.all(np.min(np.abs(
-                np.sqrt(new)[:, None] - np.sqrt(atoms)), axis=1) <= FD_NEWTON_REACH):
-            fit = mixture_newton(p, ks, atoms, w, pois, columns, t_cap)
-            if fit is not None:
-                atoms, w, pois = fit
-                q, newton_from = pois @ w, top_ln_phi
-                continue
-        top = w.size + int(np.argmax(ln_phi[ln_phi > 0.0]))
-        atoms = np.concatenate([atoms, new])
-        w = np.concatenate([w, np.zeros(new.size)])
-        pois = np.hstack([pois, columns(new)])
-        if top_ln_phi > FD_VERTEX_LN_PHI:
-            s = _vertex_step(p, q, pois[:, top])
-            w *= 1.0 - s
-            w[top] += s
-            q = pois @ w
-        ratio = pois / q[:, None]
-        model = root_p[:, None] * ratio
-        scale = np.linalg.norm(model, axis=0)  # unit columns keep small tail weights resolvable
-        direction = simplex_lstsq(model / scale, 2.0 * root_p, 1.0 / scale) / scale - w
-        slope = float(p @ ratio @ direction)
-        for step in 0.5 ** np.arange(34):
-            with np.errstate(divide="ignore"):  # a step that empties a level scores -inf
-                if p @ np.log(pois @ (w + step * direction) / q) >= step * slope / 3.0:
-                    break
-        else:  # no backtrack ascends: step towards the top new atom, and stop only if that is 0
-            step = _vertex_step(p, q, pois[:, top])
-            if step == 0.0:
-                break
-            direction = np.eye(1, w.size, top)[0] - w
-        w = w + step * direction
-        keep = w > 0.0
-        atoms, w, pois = atoms[keep], w[keep], pois[:, keep]
-        q = pois @ w
-    return atoms, q, rounds
 
 
 def fock_diagonal_ncm(state) -> FockDiagonalResult:
@@ -1158,44 +751,6 @@ def cat_mixture_upper_bound(rho: DensityOperator) -> MonotoneBound:
 # ---------------------------------------------------------------------------
 # basel-family divergence bound (log-domain throughout)
 # ---------------------------------------------------------------------------
-
-def _basel_envelope_sup(n_max: int) -> float:
-    """Certified sup over t of sum_n (2^(n/3)-1) e^(-t) t^(2^n) / (2^n)!.
-
-    Each term is unimodal with peak at t = 2^n and the peaks are geometrically
-    separated, so bounding every term by its maximum over dyadic windows
-    [2^(j-1/2), 2^(j+1/2)] is tight; far terms decay doubly exponentially.
-    """
-    if n_max < 1:
-        return 0.0
-    j_cap = min(n_max, 64)
-    n = np.arange(1, min(n_max, 400) + 1, dtype=float)
-    ln_w = np.log(np.exp2(n / 3.0) - 1.0)
-    k = np.exp2(n)
-    # stable Stirling form: e^(-t) t^k / k! <= exp(-k D(t/k)) / sqrt(2 pi k),
-    # D(r) = r - 1 - ln r, avoiding the catastrophic k ln k - lgamma cancellation
-    ln_stirling = -0.5 * np.log(2.0 * math.pi * k)
-
-    def window_sum(t_lo: float, t_hi: float) -> float:
-        r = np.clip(k, max(t_lo, 1e-300), t_hi) / k
-        ln_terms = ln_w - k * (r - 1.0 - np.log(r)) + ln_stirling
-        return float(np.sum(np.exp(np.clip(ln_terms, -745.0, 700.0))))
-
-    best = 0.0
-    for j in range(1, j_cap + 1):
-        lo = 0.0 if j == 1 else 2.0 ** (j - 0.5)
-        best = max(best, window_sum(lo, 2.0 ** (j + 0.5)))
-    if n_max > j_cap:
-        # region t > 2^(j_cap + 1/2): computed terms sit on their decreasing side,
-        # the rest are bounded by their Stirling peak 2^(-n/6)/sqrt(2 pi)
-        t_edge = 2.0 ** (j_cap + 0.5)
-        edge_sum = window_sum(t_edge, t_edge)
-        geo = (2.0 ** (-(j_cap + 1) / 6.0)) / (math.sqrt(2 * math.pi) * (1 - 2 ** (-1.0 / 6.0)))
-        best = max(best, edge_sum + geo)
-    if n_max > 400:
-        best += (2.0 ** (-401.0 / 6.0)) / (math.sqrt(2 * math.pi) * (1 - 2 ** (-1.0 / 6.0)))
-    return best
-
 
 def basel_divergence_bound(n_max: int) -> float:
     """Certified lower bound (bits) on the nonclassicality of the basel state.

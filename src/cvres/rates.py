@@ -78,8 +78,7 @@ def free_energy(rho: DensityOperator, beta: float) -> float:
     w = w1
     for _ in range(rho.modes - 1):
         w = np.kron(w, w1)
-    gamma = DensityOperator.from_matrix(np.diag(w.astype(complex)), rho.modes, rho.cutoff,
-                                        validate=False)
+    gamma = DensityOperator.from_hermitian(np.diag(w.astype(complex)), rho.modes, rho.cutoff)
     return relative_entropy(rho.renormalized(), gamma)
 
 

@@ -119,13 +119,13 @@ def test_criterion_05_measured_re_properties():
     def rand_state(d):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = g @ g.conj().T
-        return DensityOperator.from_matrix(m / np.real(np.trace(m)), 1, d, validate=False)
+        return DensityOperator.from_hermitian(m / np.real(np.trace(m)), 1, d)
 
     worst_comm = 0.0
     for _ in range(50):
         p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        a = DensityOperator.from_matrix(np.diag(p).astype(complex), 1, 4, validate=False)
-        b = DensityOperator.from_matrix(np.diag(q).astype(complex), 1, 4, validate=False)
+        a = DensityOperator.from_hermitian(np.diag(p).astype(complex), 1, 4)
+        b = DensityOperator.from_hermitian(np.diag(q).astype(complex), 1, 4)
         val, _ = measured_relative_entropy(a, b)
         worst_comm = max(worst_comm, abs(val - kl_divergence(p, q)))
 
@@ -148,10 +148,10 @@ def test_criterion_06_heterodyne_inequality():
     for _ in range(20):
         g1 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         g2 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = DensityOperator.from_matrix(g1 @ g1.conj().T / np.real(np.trace(g1 @ g1.conj().T)),
-                                        1, 8, validate=False)
-        b = DensityOperator.from_matrix(g2 @ g2.conj().T / np.real(np.trace(g2 @ g2.conj().T)),
-                                        1, 8, validate=False)
+        a = DensityOperator.from_hermitian(g1 @ g1.conj().T / np.real(np.trace(g1 @ g1.conj().T)),
+                                          1, 8)
+        b = DensityOperator.from_hermitian(g2 @ g2.conj().T / np.real(np.trace(g2 @ g2.conj().T)),
+                                          1, 8)
         val, _ = measured_relative_entropy(a, b)
         ok &= val >= husimi_kl_on_grid(a, b) - 1e-6
     elapsed = time.time() - t0

@@ -217,6 +217,19 @@ class TestMonotone:
         assert code == 0
         docs = json.loads(out)
         assert docs[0]["value"] == pytest.approx(1.0, abs=1e-6)  # log2(e) bits = 1 nat
+        # the CSV form converts every _bits column, as figure --nats does
+        state = '{"family":"noisy_fock","params":{"n":1,"nu":0.5,"p":0.5},"cutoff":18}'
+        rows = {}
+        for flags in ([], ["--nats"]):
+            code, out, _ = run_cli(["monotone", "--state", state, "--which", "fd-exact",
+                                    "--format", "csv"] + flags, capsys)
+            assert code == 0
+            lines = out.strip().split("\n")
+            assert lines[0] == "quantity,direction,value_bits,cert_bits,converged"
+            rows[bool(flags)] = [[float(x) for x in line.split(",")[2:4]] for line in lines[1:]]
+        assert rows[False][0][1] > 0.0
+        for bits, nats in zip(rows[False], rows[True]):
+            assert nats == pytest.approx([b * math.log(2.0) for b in bits], rel=1e-8)
 
     def test_basel_routing(self, capsys):
         state = '{"family":"basel","params":{"n_max":10},"cutoff":1025}'

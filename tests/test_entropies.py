@@ -26,12 +26,11 @@ LOG2E = math.log2(math.e)
 def random_state(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.real(np.trace(m)), 1, d, validate=False)
+    return DensityOperator.from_hermitian(m / np.real(np.trace(m)), 1, d)
 
 
 def diag_state(p):
-    return DensityOperator.from_matrix(np.diag(np.asarray(p)).astype(complex), 1, len(p),
-                                        validate=False)
+    return DensityOperator.from_hermitian(np.diag(np.asarray(p)).astype(complex), 1, len(p))
 
 
 class TestVonNeumann:

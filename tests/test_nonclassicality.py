@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
-from cvres import nonclassicality
+from cvres import _envelope, _poisson, nonclassicality
+from cvres._envelope import _curvature_table, _envelope_log_weights, _envelope_max
 from cvres.errors import UsageError
 from cvres.fock_core import (
     DensityOperator,
@@ -37,9 +38,6 @@ from cvres.states import (
 from cvres.nonclassicality import (
     SANDWICH_SLACK,
     MonotoneBound,
-    _curvature_table,
-    _envelope_log_weights,
-    _envelope_max,
     _even_cat_ansatz,
     basel_divergence_bound,
     bound_sandwich,
@@ -148,7 +146,7 @@ def _sup_test_matrix(kind: str, seed: int) -> np.ndarray:
 SUP_KINDS = ["random6", "random12", "random24", "displaced", "flat20", "flat40"]
 
 
-def _envelope(l_mat: np.ndarray, t: float) -> float:
+def _envelope_value(l_mat: np.ndarray, t: float) -> float:
     """e^(-t) v^T |L| v with v_j = t^(j/2)/sqrt(j!), the phase-blind envelope at t."""
     j = np.arange(l_mat.shape[0])
     v = np.exp(0.5 * j * math.log(t) - 0.5 * gammaln(j + 1)) if t > 0 else (j == 0) * 1.0
@@ -186,14 +184,14 @@ class TestCertifiedSupSoundness:
             best = cert.value - cert.gap
             assert cert.gap <= tol * best
             # within tol of the envelope value attained at argmax_t (or below it, at the cap)
-            assert cert.value <= _envelope(l_mat, cert.argmax_t) * (1 + tol + 1e-12)
+            assert cert.value <= _envelope_value(l_mat, cert.argmax_t) * (1 + tol + 1e-12)
             assert _largest_coherent_value(l_mat, cert, seed) <= cert.value * (1 + 1e-12)
 
     # on random12 and random24 the top eigenvalue caps the envelope before any split
     @pytest.mark.parametrize("kind", ["random6", "displaced", "flat20", "flat40"])
     def test_exhausted_split_budget_stays_sound(self, kind, monkeypatch):
         # the budget runs out with segments still live, so their bounds must count
-        monkeypatch.setattr(nonclassicality, "SUP_MAX_SPLITS", 2)
+        monkeypatch.setattr(_envelope, "SUP_MAX_SPLITS", 2)
         tol = 1e-12
         for seed in range(2):
             l_mat = _sup_test_matrix(kind, seed)
@@ -221,12 +219,12 @@ class TestCertifiedSupLevels:
         assert max(c.levels for c in certs) <= 8
         for c in certs:
             assert c.gap <= nonclassicality.INNER_TOL * (c.value - c.gap)
-            assert c.splits == 0 or c.splits % (nonclassicality.SUP_FANOUT - 1) == 0
+            assert c.splits == 0 or c.splits % (_envelope.SUP_FANOUT - 1) == 0
 
     @pytest.mark.parametrize("budget", [0, 7, 30, 100])
     @pytest.mark.parametrize("kind", ["random6", "displaced", "flat20"])
     def test_split_budget_counts_interior_nodes(self, kind, budget, monkeypatch):
-        monkeypatch.setattr(nonclassicality, "SUP_MAX_SPLITS", budget)
+        monkeypatch.setattr(_envelope, "SUP_MAX_SPLITS", budget)
         l_mat = _sup_test_matrix(kind, 0)
         cert = coherent_sup_certified(l_mat, tol=1e-12)
         assert cert.splits <= budget
@@ -234,7 +232,7 @@ class TestCertifiedSupLevels:
         assert _largest_coherent_value(l_mat, cert, 0) <= cert.value * (1 + 1e-12)
         t_grid = np.linspace(0.0, max(l_mat.shape[0] - 1.0, 1.0), 2001)
         top_eig = float(np.linalg.eigvalsh(l_mat)[-1])
-        grid_max = max(_envelope(l_mat, t) for t in t_grid)
+        grid_max = max(_envelope_value(l_mat, t) for t in t_grid)
         assert cert.value >= min(top_eig, grid_max) * (1 - 1e-12)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -474,14 +472,14 @@ class TestFockDiagonal:
         res = fock_diagonal_ncm(state)
         assert res.lower.converged and res.upper.converged
         assert res.lower.value <= res.upper.value
-        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
-        assert res.lower.certificate["iterations"] <= nonclassicality.FD_MAX_ROUNDS
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * _poisson.FD_TOL_BITS
+        assert res.lower.certificate["iterations"] <= _poisson.FD_MAX_ROUNDS
 
     def test_noisy_fock_found_row_converges(self):
         spec = StateSpec("noisy_fock", {"n": 2, "nu": 2, "p": 0.1}, 40)
         res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
         assert res.lower.converged and res.upper.converged
-        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * _poisson.FD_TOL_BITS
 
     def test_dephased_squeezed_long_tail(self):
         # the fit must be optimal out to t = 54, where p is about 1e-9
@@ -489,7 +487,7 @@ class TestFockDiagonal:
         res = fock_diagonal_ncm(dephase(rho))
         assert res.lower.converged
         assert res.upper.value == pytest.approx(0.3386844, abs=2e-7)
-        assert res.upper.value - res.lower.value <= 2 * nonclassicality.FD_TOL_BITS + 1e-9
+        assert res.upper.value - res.lower.value <= 2 * _poisson.FD_TOL_BITS + 1e-9
 
     @pytest.mark.slow
     def test_wide_thermal_converges(self):
@@ -509,11 +507,11 @@ class TestFockDiagonal:
 
     def test_vertex_step_is_the_exact_line_maximum(self):
         ks = np.arange(12.0)
-        p = np.exp(nonclassicality._log_poisson(ks, np.array([3.0]))[:, 0])
+        p = np.exp(_poisson._log_poisson(ks, np.array([3.0]))[:, 0])
         p /= p.sum()
-        q = np.exp(nonclassicality._log_poisson(ks, np.array([1.0]))[:, 0])
-        col = np.exp(nonclassicality._log_poisson(ks, np.array([5.0]))[:, 0])
-        s = nonclassicality._vertex_step(p, q, col)
+        q = np.exp(_poisson._log_poisson(ks, np.array([1.0]))[:, 0])
+        col = np.exp(_poisson._log_poisson(ks, np.array([5.0]))[:, 0])
+        s = _poisson._vertex_step(p, q, col)
         grid = np.linspace(0.0, 1.0, 20001)[:-1]
         values = np.log(np.outer(1.0 - grid, q) + np.outer(grid, col)) @ p
         assert s == pytest.approx(grid[np.argmax(values)], abs=1e-4)
@@ -529,7 +527,7 @@ class TestFockDiagonal:
 def _fit_grid_values(monkeypatch, ks, ln_ell, t_cap):
     """The grid and the values of phi / max ell on it that the fit's polisher receives."""
     seen = []
-    factory = nonclassicality._peak_polisher
+    factory = _poisson._peak_polisher
 
     def recording(powers, grid):
         polish = factory(powers, grid)
@@ -540,8 +538,8 @@ def _fit_grid_values(monkeypatch, ks, ln_ell, t_cap):
 
         return record
 
-    monkeypatch.setattr(nonclassicality, "_peak_polisher", recording)
-    nonclassicality._phi_maxima(ks, t_cap)(ln_ell)
+    monkeypatch.setattr(_poisson, "_peak_polisher", recording)
+    _poisson._phi_maxima(ks, t_cap)(ln_ell)
     return seen[0]
 
 
@@ -589,7 +587,7 @@ class TestPhiMaxima:
         ks = np.array(sorted(levels), dtype=float)
         ln_ell = np.random.default_rng(seed).uniform(-60.0, 60.0, ks.size)
         t_cap = max(float(ks.max()), 1e-9)  # as fock_diagonal_ncm sets it
-        ts, ln_phi = nonclassicality._phi_maxima(ks, t_cap)(ln_ell)
+        ts, ln_phi = _poisson._phi_maxima(ks, t_cap)(ln_ell)
         assert np.all((ts >= 0.0) & (ts <= t_cap))
         # oracle: a 20001-point sqrt(t) grid, its best point refined between its neighbours
         grid = t_cap * np.linspace(0.0, 1.0, 20001) ** 2
@@ -651,7 +649,7 @@ class TestPhiMaxima:
         rho = make_state(StateSpec(family, params, cutoff), deficit_tol=deficit_tol)
         res = fock_diagonal_ncm(dephase(rho) if family == "squeezed" else rho)
         assert res.lower.converged and res.upper.converged
-        assert res.lower.certificate["duality_gap_bits"] <= 2 * nonclassicality.FD_TOL_BITS
+        assert res.lower.certificate["duality_gap_bits"] <= 2 * _poisson.FD_TOL_BITS
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["noisy-fock-fixed-n", "noisy-fock-fixed-nu"])
@@ -666,7 +664,7 @@ class TestPhiMaxima:
                 res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
                 assert res.lower.converged and res.upper.converged, (nu, n, p)
                 gap = res.lower.certificate["duality_gap_bits"]
-                assert gap <= 2 * nonclassicality.FD_TOL_BITS, (nu, n, p, gap)
+                assert gap <= 2 * _poisson.FD_TOL_BITS, (nu, n, p, gap)
 
 
 class TestGamma:
@@ -683,7 +681,7 @@ class TestGamma:
         raised = np.zeros(pad, dtype=complex)
         raised[1:] = np.sqrt(np.arange(1, pad)) * coh[:-1]
         vec = (raised - coh)[:d]
-        rho = DensityOperator.from_matrix(np.outer(vec, vec.conj()), 1, d, validate=False)
+        rho = DensityOperator.from_hermitian(np.outer(vec, vec.conj()), 1, d)
         bound = gamma_lower_bound(rho)
         assert abs(bound.value - LOG2E) <= 1e-3 or not bound.converged
 
@@ -701,7 +699,7 @@ class TestGamma:
         for a, w in ((0.5, 0.3), (-0.5, 0.3), (1.2j, 0.4)):
             v, _ = coherent_vector(a, d)
             ent += w * np.outer(v, v.conj())
-        rho = DensityOperator.from_matrix(ent / np.real(np.trace(ent)), 1, d, validate=False)
+        rho = DensityOperator.from_hermitian(ent / np.real(np.trace(ent)), 1, d)
         assert gamma_lower_bound(rho).value <= 1e-4
 
     def test_fock_diagonal_consistency(self):
@@ -1091,7 +1089,7 @@ class TestClassicalAnsatz:
         padded = np.zeros((160, 160), dtype=complex)
         padded[:6, :6] = rho.entries
         moved = (disp @ padded @ disp.conj().T)[:60, :60]
-        moved = DensityOperator.from_matrix(moved / np.trace(moved), 1, 60, validate=False)
+        moved = DensityOperator.from_hermitian(moved / np.trace(moved), 1, 60)
         assert _ansatz_raw(moved) == pytest.approx(_ansatz_raw(rho), abs=1e-9)
 
     @pytest.mark.parametrize("r", [0.005, 0.02, 0.047, 0.3, -0.7, 1.2, -1.8])
@@ -1193,7 +1191,7 @@ class TestClassicalAnsatz:
         d = rho.cutoff
         sigma = sum(w * np.outer(v, v.conj()) for w, v in zip(
             weights, (coherent_vector(a, d)[0] for a in (alpha, -alpha, 0.0))))
-        sigma = DensityOperator.from_matrix(sigma / np.trace(sigma), 1, d, validate=False)
+        sigma = DensityOperator.from_hermitian(sigma / np.trace(sigma), 1, d)
         return relative_entropy(rho.renormalized(), sigma)
 
     @staticmethod
@@ -1423,7 +1421,7 @@ class TestQuadratureBound:
         turned = DensityOperator.from_matrix(ent * np.outer(phases, phases.conj()), 1, d)
         cols = displacement_columns(gamma, rows, d)
         moved = cols @ ent @ cols.conj().T
-        moved = DensityOperator.from_matrix(moved / np.trace(moved), 1, rows, validate=False)
+        moved = DensityOperator.from_hermitian(moved / np.trace(moved), 1, rows)
         raw = quadrature_lower_bound(rho).certificate["raw_value_bits"]
         assert raw > 0.0
         for other in (turned, moved):
@@ -1822,7 +1820,7 @@ class TestCrossCutoffSandwich:
                 lowers = [fock_diagonal_ncm(make_state(
                     StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, d), deficit_tol=1e-4)
                 ).lower.value for d in (30, 45, 70)]
-                assert all(b >= a - 2 * nonclassicality.FD_TOL_BITS
+                assert all(b >= a - 2 * _poisson.FD_TOL_BITS
                            for a, b in zip(lowers, lowers[1:])), (nu, p, lowers)
 
 
@@ -1869,3 +1867,12 @@ class TestSandwichDominance:
             assert lo.value >= b.value - 1e-12, b.certificate
         for b in uppers:
             assert hi.value <= b.value + 1e-12, b.certificate
+
+
+@pytest.mark.parametrize("name", ["coherent_sup_certified", "cat_gamma_lower_bound",
+                                  "fock_diagonal_ncm", "gamma_lower_bound",
+                                  "classical_ansatz_upper_bound", "bound_sandwich"])
+def test_traced_bounds_are_defined_here(name):
+    # bench/tracing.py wraps only the functions a layer module defines itself, so a traced
+    # bound moved out of cvres.nonclassicality would silently read zero calls and zero time
+    assert getattr(nonclassicality, name).__module__ == "cvres.nonclassicality"

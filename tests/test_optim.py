@@ -1,4 +1,5 @@
-"""The numpy optimisers of cvres._optim against scipy.optimize, which serves as the oracle."""
+"""The numpy optimisers of cvres._optim, and the Newton step of cvres._poisson, with
+scipy.optimize as the oracle where it has one."""
 
 import math
 
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.optimize import nnls as scipy_nnls
 
-from cvres import nonclassicality
-from cvres._optim import _newton_system, bounded_minimum, mixture_newton, simplex_lstsq
+from cvres import _poisson, nonclassicality
+from cvres._optim import bounded_minimum, simplex_lstsq
+from cvres._poisson import _newton_system, mixture_newton
 from cvres.states import StateSpec, make_state
 
 
@@ -110,7 +112,7 @@ def _problems():
         elif kind == 3:
             ks = np.arange(m, dtype=float)
             ts = np.repeat(rng.uniform(0.0, m, n), 2) + np.tile([0.0, 1e-7], n)
-            a = np.exp(nonclassicality._log_poisson(ks, ts))
+            a = np.exp(_poisson._log_poisson(ks, ts))
             a /= np.linalg.norm(a, axis=0)
             b = 2.0 * np.sqrt(rng.dirichlet(np.ones(m)))
             c = rng.uniform(0.5, 2.0, 2 * n)
@@ -160,7 +162,7 @@ def _mixture(seed, levels, n_atoms, with_zero):
     if with_zero and n_atoms > 1:
         atoms[0] = 0.0
     w = rng.dirichlet(np.ones(n_atoms))
-    return ks, p, atoms, w, np.exp(nonclassicality._log_poisson(ks, atoms))
+    return ks, p, atoms, w, np.exp(_poisson._log_poisson(ks, atoms))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -180,7 +182,7 @@ def test_newton_system_matches_central_differences(seed, levels, n_atoms, with_z
         w_x[i] = 1.0 - w_x[rest].sum()
         t_x = atoms.copy()
         t_x[free] = np.exp(x[n_atoms - 1:])
-        return float(p @ np.log(np.exp(nonclassicality._log_poisson(ks, t_x)) @ w_x))
+        return float(p @ np.log(np.exp(_poisson._log_poisson(ks, t_x)) @ w_x))
 
     x0 = np.concatenate([w[rest], np.log(atoms[free])])
     if x0.size == 0:
@@ -208,11 +210,11 @@ def test_mixture_newton_ascends_on_the_simplex(seed, levels, n_atoms, with_zero)
     t_cap = float(ks.max())
 
     def columns(ts):
-        return np.exp(nonclassicality._log_poisson(ks, ts))
+        return np.exp(_poisson._log_poisson(ks, ts))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = mixture_newton(p, ks, atoms, w, pois, columns, t_cap)
+        fit = mixture_newton(p, ks, atoms, w, pois, t_cap)
     if fit is None:
         return
     atoms_1, w_1, pois_1 = fit
@@ -226,14 +228,14 @@ def test_mixture_newton_merges_close_atoms():
     # two atoms 0.01 apart in sqrt(t) merge at their weighted mean; then the Newton step
     # moves the remaining atom towards the target's mean
     ks = np.arange(6.0)
-    p = np.exp(nonclassicality._log_poisson(ks, np.array([2.0]))[:, 0])
+    p = np.exp(_poisson._log_poisson(ks, np.array([2.0]))[:, 0])
     p /= p.sum()
     atoms = np.array([(math.sqrt(1.7) - 0.01) ** 2, 1.7])
     w = np.array([0.25, 0.75])
 
     def columns(ts):
-        return np.exp(nonclassicality._log_poisson(ks, ts))
+        return np.exp(_poisson._log_poisson(ks, ts))
 
-    atoms_1, w_1, _ = mixture_newton(p, ks, atoms, w, columns(atoms), columns, 5.0)
+    atoms_1, w_1, _ = mixture_newton(p, ks, atoms, w, columns(atoms), 5.0)
     assert atoms_1.size == 1 and w_1[0] == 1.0
     assert abs(atoms_1[0] - 2.0) < abs(w @ atoms - 2.0)

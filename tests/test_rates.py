@@ -246,8 +246,8 @@ class TestFreeEnergy:
         for _ in range(10):
             p = rng.dirichlet(np.ones(12))
             q = rng.dirichlet(np.ones(12))
-            a = DensityOperator.from_matrix(np.diag(p).astype(complex), 1, 12, validate=False)
-            b = DensityOperator.from_matrix(np.diag(q).astype(complex), 1, 12, validate=False)
+            a = DensityOperator.from_hermitian(np.diag(p).astype(complex), 1, 12)
+            b = DensityOperator.from_hermitian(np.diag(q).astype(complex), 1, 12)
             joint = tensor_states(a, b)
             assert free_energy(joint, beta) == pytest.approx(
                 free_energy(a, beta) + free_energy(b, beta), abs=1e-8
