@@ -3,10 +3,11 @@
 For a Fock-basis matrix L, F(t) = e^(-t) sum_s W_s t^(s/2), W_s from |L_jk|/sqrt(j!k!)
 over j + k = s, dominates <alpha|L|alpha> at |alpha|^2 = t for every phase.  It is
 kept as the finite ln W_s and their powers s/2, so cutoffs in the hundreds stay
-finite.  ``_envelope_sup_certified`` bounds sup_t min(F, cap) by branch-and-bound;
-``_envelope_max`` is its uncertified peak, polished by ``_peak_polisher``, which
-the even-cat search and the Poisson-mixture fit also use; ``_basel_envelope_sup``
-bounds the basel state's envelope over dyadic windows.
+finite.  ``_envelope_sup_certified`` bounds sup_t min(F, cap) by branch-and-bound.
+``_peak_polisher`` polishes the maxima of F sampled on a grid by Newton steps in
+sqrt(t), for the even-cat search and the Poisson-mixture fit, which need an
+uncertified peak; ``_basel_envelope_sup`` bounds the basel state's envelope over
+dyadic windows.
 """
 
 from __future__ import annotations
@@ -258,23 +259,6 @@ def _peak_polisher(powers: np.ndarray, grid: np.ndarray):
         return ts, fs
 
     return polish
-
-
-def _envelope_max(entries) -> float:
-    """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
-
-    F and the cap are those of the certified supremum, whose value is never below
-    this one.  F is sampled on ``_envelope_grid``; the largest of the maxima that
-    its ``_peak_polisher`` returns and F(0) = W_0 is its peak.  For searches that
-    need a certificate only at their winner.
-    """
-    cap, ln_w, powers = _envelope_terms(entries)
-    if not ln_w.size or cap == 0.0:
-        return 0.0
-    grid = _envelope_grid(powers)
-    fs = _peak_polisher(powers, grid)(ln_w, _envelope_at(ln_w, powers, grid))[1]
-    f_0 = math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0  # F(0) = W_0
-    return min(max(float(fs.max()), f_0), cap)
 
 
 def _basel_envelope_sup(n_max: int) -> float:

@@ -5,6 +5,23 @@ pois(k; t_j) by an exchange loop with a constrained-Newton weight step, and in i
 last rounds by ``mixture_newton``, damped Newton steps on the atoms and weights
 together.  The Poisson columns and their t-derivatives are formed here alone,
 from ``_log_poisson``.
+
+On a vacuum pair, levels {0, n} (noisy Fock p|n><n| + (1 - p)|0><0|), the program
+is solved in closed form and the loop never runs.  KL depends on q only through
+(q_0, q_n), and sum p_k ln q_k grows in both, so the optimum lies on the upper
+boundary of the convex hull of c(t) = (x, y) = e^(-t) (1, t^n/n!), t >= 0.  The
+curve has d^2 y/dx^2 = e^t t^(n-2) n (n - 1 - t)/n!, so it is concave for
+t > n - 1 and convex below.  For n >= 2 that boundary is therefore the tangent
+from c(0) to the curve, touching at t_s, then the curve from t_s to its top at
+t = n.  The chord from c(0) has the curve's slope -t^(n-1) (n - t)/n! where
+t = n (1 - e^(-t)); t_s is that equation's root in (n - 1, n) (``_tangent_atom``).
+On the curve, sum p_k ln q_k = -t + p n ln t + const peaks at t = p n, which is
+the optimum, one atom, if p n >= t_s.  Otherwise the optimum lies on the
+tangent, atoms {0, t_s} with weight s on t_s: (1 - p) ln(1 - s (1 - e^(-t_s)))
++ p ln s peaks at s = p/(1 - e^(-t_s)) <= 1, so w_0 = (1 - p) - p e^(-t_s)/(1 -
+e^(-t_s)), and then q_0 = 1 - p.  For n = 1 the curve is concave throughout and
+the optimum is one atom at t = p.  Nothing downstream trusts this derivation:
+``fock_diagonal_ncm`` still bounds the gap by the certified supremum of phi.
 """
 
 from __future__ import annotations
@@ -83,16 +100,37 @@ def _vertex_step(p: np.ndarray, q: np.ndarray, col: np.ndarray) -> float:
     return lo
 
 
+def _tangent_atom(n: float) -> float:
+    """The root t_s in (n - 1, n) of t = n (1 - e^(-t)) for n >= 2, and 0 for n = 1.
+
+    g(t) = t - n + n e^(-t) is convex, and increasing past ln n < t_s, so Newton
+    steps from g(n) = n e^(-n) > 0 fall monotonically onto the root; they stop
+    when one no longer moves t down."""
+    if n < 2.0:
+        return 0.0
+    t = n
+    for _ in range(64):
+        e = n * math.exp(-t)
+        step = (t - n + e) / (1.0 - e)
+        if not (step > 0.0 and t - step < t):
+            break
+        t -= step
+    return t
+
+
 def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     """Minimize KL(p || q), q_k = sum_j w_j pois(k; t_j), over mixing measures on [0, t_cap].
 
     The fit is optimal iff phi(t) = sum_k (p_k/q_k) pois(k; t) <= 1 for all t
     (Lindsay, Ann. Statist. 11, 1983); phi averages to exactly 1 under the
     mixing measure, and past the largest supported level it only falls, so
-    [0, t_cap] is exhaustive.  One exchange loop (the constrained Newton method
-    of Y. Wang, J. R. Stat. Soc. B 69, 2007): each round finds the local maxima
-    of phi with ``_phi_maxima``.  It stops once log2 sup phi <= FD_TOL_BITS/4,
-    or once KL(p || q) is that small, since [0, KL] is then already that narrow.
+    [0, t_cap] is exhaustive.  On levels {0, n} (t_cap = n) the fit returns the
+    closed-form optimum of the module docstring, with q from ``_log_poisson`` so
+    that n up to 4096 stays finite, in 0 rounds.  Any other support takes one
+    exchange loop (the constrained Newton method of Y. Wang, J. R. Stat. Soc. B
+    69, 2007): each round finds the local maxima of phi with ``_phi_maxima``.  It
+    stops once log2 sup phi <= FD_TOL_BITS/4, or once KL(p || q) is that small,
+    since [0, KL] is then already that narrow.
     Otherwise it adds the maxima with phi > 1 as atoms of zero weight and takes
     one weight step: ``simplex_lstsq`` on the quadratic model sum_k p_k (sum_j w_j
     pois(k; t_j)/q_k - 2)^2 over w >= 0 with sum_j w_j = 1, then an Armijo backtrack on
@@ -114,6 +152,15 @@ def _poisson_mixture_fit(ks: np.ndarray, p: np.ndarray, t_cap: float):
     primal value of L is exactly the dual minus log2 sup phi.  Returns the atoms,
     q on the supported levels and the number of rounds.
     """
+    if ks.size == 2 and ks[0] == 0.0:  # a vacuum pair: the closed form of the module docstring
+        n, t_s = float(ks[1]), _tangent_atom(float(ks[1]))
+        if p[1] * n >= t_s:
+            atoms, w = np.array([p[1] * n]), np.ones(1)
+        else:
+            room = -math.expm1(-t_s)
+            atoms = np.array([0.0, t_s])
+            w = np.array([p[0] - p[1] * math.exp(-t_s) / room, p[1] / room])
+        return atoms, np.exp(_log_poisson(ks, atoms)) @ w, 0
     phi_maxima = _phi_maxima(ks, t_cap)
     root_p = np.sqrt(p)
     # start with one atom per half unit of sqrt(t), carrying the weight of its nearest levels

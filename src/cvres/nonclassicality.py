@@ -324,7 +324,7 @@ def _even_cat_ansatz(psi: np.ndarray):
     the largest polished peak: sup F is convex in c, with slope F_tau at its peak.
 
     Returns (matrix, peak, search): (b, c) -> L; (b, c) -> (t, F) at the largest polished peak
-    of F on t > 0, whose max with F(0) = 1 is ``_envelope_max(L)`` for c >= 0 (F(t) is then
+    of F on t > 0, whose max with F(0) = 1 is the peak of L's envelope for c >= 0 (F(t) is then
     <sqrt t|L|sqrt t> at |b|, below the top eigenvalue, so the cap never binds); and
     search() -> (the winner's L, scaled so that <psi|log L|psi> = 0, its uncertified bound
     in bits, the peaks read, and whether Brent closed its bracket and the winner's solve met
@@ -443,13 +443,13 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
 
     For this class the whole monotone hierarchy collapses to one number, so a
     matched lower/upper pair is emitted.  The dual side is KL(p || q) for the
-    Poisson mixture q of ``_poisson_mixture_fit``, whose rounds find the maxima
-    of phi with the envelope peak's Newton polish, ``_peak_polisher``.  The
-    primal side is L = p/q on the supported levels and 0 elsewhere, whose value
+    Poisson mixture q of ``_poisson_mixture_fit``: in closed form on levels {0, n},
+    in no rounds, else by rounds that polish phi's maxima with ``_peak_polisher``.
+    The primal side is L = p/q on the supported levels and 0 elsewhere, whose value
     is the dual minus log2 sup phi; the certified supremum of diag(L) over all
-    amplitudes bounds sup phi, so its log2 is the duality gap.  Both sides carry an
-    outward allowance for the rounding of KL: where the fit is exact, as for noisy
-    Fock on levels {0, 1}, the float KL can fall an ulp below the true value.  The
+    amplitudes bounds sup phi, so its log2 is the duality gap, closed form or not.
+    Both sides carry an outward allowance for the rounding of KL: where the fit is
+    exact, as on levels {0, n}, the float KL can fall an ulp below the true value.  The
     allowance is 1.6e-12 nats for thermal nu = 5 on 150 levels, where the error
     measured against 40-digit arithmetic was 4.5e-16.
     """

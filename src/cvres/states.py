@@ -124,8 +124,18 @@ class FockDiagonalState:
     fock_diagonal = True  # not a field: the sparse form holds diagonal states only
 
     def __post_init__(self):
+        levels = tuple(self.indices)
+        if not levels or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                                 and k >= 0 for k in levels):
+            raise UsageError(f"Fock levels must be nonnegative integers, got {self.indices!r}")
+        if len(set(levels)) != len(levels):
+            raise UsageError(f"Fock levels must be distinct, got {self.indices!r}")
         w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(levels),) or not np.all(np.isfinite(w)):
+            raise UsageError(f"need one finite weight per Fock level, got {len(levels)} levels "
+                             f"and weights {self.weights!r}")
         w.setflags(write=False)
+        object.__setattr__(self, "indices", tuple(int(k) for k in levels))
         object.__setattr__(self, "weights", w)
         if np.any(w < -1e-15):
             raise UsageError("diagonal weights must be nonnegative")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from cvres._envelope import _envelope_at, _envelope_grid, _envelope_terms, _peak_polisher
 from cvres.entropies import QuadratureGrid, _husimi_on_grid, default_quadrature_grid
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator
@@ -44,6 +45,22 @@ def beam_splitter_unitary(lam: float, cutoff: int) -> np.ndarray:
             block = np.real(np.conj(phase)[:, None] * expm * phase[None, :])
         u[np.ix_(flat, flat)] = block
     return u
+
+
+def envelope_max(entries) -> float:
+    """Uncertified max over t of min(F(t), cap): the value ``coherent_sup_certified`` bounds.
+
+    F and the cap are those of the certified supremum, whose value is never below
+    this one.  F is sampled on ``_envelope_grid``; the largest of the maxima that
+    its ``_peak_polisher`` returns and F(0) = W_0 is its peak.
+    """
+    cap, ln_w, powers = _envelope_terms(entries)
+    if not ln_w.size or cap == 0.0:
+        return 0.0
+    grid = _envelope_grid(powers)
+    fs = _peak_polisher(powers, grid)(ln_w, _envelope_at(ln_w, powers, grid))[1]
+    f_0 = math.exp(ln_w[0]) if powers[0] == 0.0 else 0.0  # F(0) = W_0
+    return min(max(float(fs.max()), f_0), cap)
 
 
 def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: int = 0) -> float:

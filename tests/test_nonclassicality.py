@@ -10,7 +10,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gammaln
 
 from cvres import _envelope, _poisson, nonclassicality
-from cvres._envelope import _curvature_table, _envelope_log_weights, _envelope_max
+from cvres._envelope import _curvature_table, _envelope_log_weights
 from cvres.errors import UsageError
 from cvres.fock_core import (
     DensityOperator,
@@ -62,7 +62,7 @@ from cvres.nonclassicality import (
     wehrl_upper_bound,
 )
 
-from oracles import classical_gaussian_scan
+from oracles import classical_gaussian_scan, envelope_max
 
 LOG2E = math.log2(math.e)
 
@@ -290,7 +290,7 @@ class TestEnvelopeMax:
             mats = [_sup_test_matrix(kind, seed) for seed in range(3)]
         for l_mat in mats:
             cert = coherent_sup_certified(l_mat, tol=tol)
-            value = _envelope_max(l_mat)
+            value = envelope_max(l_mat)
             assert value <= cert.value
             assert value >= (cert.value - cert.gap) * (1 - 1e-9)
 
@@ -306,12 +306,12 @@ class TestEnvelopeMax:
             k = (1.0 + coupling) / math.sqrt(2.0)
             l_mat = np.array([[1.0, 0.0, k], [0.0, 0.0, 0.0], [k, 0.0, 0.0]])
         cert = coherent_sup_certified(l_mat, tol=1e-12)
-        value = _envelope_max(l_mat)
+        value = envelope_max(l_mat)
         assert (cert.value - cert.gap) * (1 - 1e-12) <= value <= cert.value
 
     def test_zero_and_negative_matrices(self):
-        assert _envelope_max(np.zeros((4, 4))) == 0.0
-        assert _envelope_max(-np.eye(3)) == 0.0
+        assert envelope_max(np.zeros((4, 4))) == 0.0
+        assert envelope_max(-np.eye(3)) == 0.0
 
 
 class TestEvenCatClosedForm:
@@ -332,7 +332,7 @@ class TestEvenCatClosedForm:
                 l_mat = matrix(b, c)
                 ref = basis.T @ np.array([[1.0, b], [b, c]]) @ basis
                 assert np.max(np.abs(l_mat - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
-                assert max(peak(b, c)[1], 1.0) == pytest.approx(_envelope_max(l_mat), rel=1e-12)
+                assert max(peak(b, c)[1], 1.0) == pytest.approx(envelope_max(l_mat), rel=1e-12)
 
 
 class TestCurvatureTable:
@@ -401,7 +401,9 @@ class TestFockDiagonal:
 
         for p in np.linspace(0.01, 0.99, 99):
             res = fock_diagonal_ncm(FockDiagonalState((0, 1), np.array([1.0 - p, p]), 0.0))
-            assert res.lower.value <= noisy_fock_closed_form(float(p)) <= res.upper.value, p
+            exact = noisy_fock_closed_form(float(p))
+            assert res.lower.value <= exact <= res.upper.value, p
+            assert max(res.upper.value - exact, exact - res.lower.value) <= 1e-12, p
             assert res.upper.value - res.lower.value <= 2e-13 + res.lower.certificate["duality_gap_bits"]
         for n in range(1, 30):
             res = fock_diagonal_ncm(FockDiagonalState((n,), np.array([1.0]), 0.0))
@@ -445,17 +447,22 @@ class TestFockDiagonal:
             assert b.certificate["duality_gap_bits"] == a.certificate["duality_gap_bits"]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(["sparse", "even", "geometric", "dense"]),
-           d=st.integers(2, 40), start=st.sampled_from([0, 2]),
+    @given(kind=st.sampled_from(["sparse", "even", "geometric", "dense", "vacuum-pair"]),
+           d=st.integers(1, 40), start=st.sampled_from([0, 2]),
            ratio=st.floats(0.2, 0.97), seed=st.integers(0, 2**32 - 1))
     @example(kind="geometric", d=31, start=0, ratio=0.83, seed=0)
     @example(kind="even", d=40, start=0, ratio=0.7, seed=0)
     @example(kind="even", d=9, start=2, ratio=0.5, seed=0)
+    @example(kind="vacuum-pair", d=1, start=0, ratio=0.5, seed=0)
+    @example(kind="vacuum-pair", d=40, start=0, ratio=0.97, seed=0)
     def test_random_diagonals_converge(self, kind, d, start, ratio, seed):
         from cvres.states import FockDiagonalState
 
         rng = np.random.default_rng(seed)
-        if kind == "sparse":
+        if kind == "vacuum-pair":  # levels {0, d}, which the fit solves in closed form
+            levels = np.array([0, d])
+            weights = np.array([1.0 - ratio, ratio])
+        elif kind == "sparse":
             levels = rng.choice(d, size=min(d, int(rng.integers(1, 4))), replace=False)
             weights = rng.uniform(0.05, 1.0, levels.size)
         elif kind == "even":
@@ -474,6 +481,8 @@ class TestFockDiagonal:
         assert res.lower.value <= res.upper.value
         assert res.lower.certificate["duality_gap_bits"] <= 2 * _poisson.FD_TOL_BITS
         assert res.lower.certificate["iterations"] <= _poisson.FD_MAX_ROUNDS
+        if kind == "vacuum-pair":
+            assert res.lower.certificate["iterations"] == 0
 
     def test_noisy_fock_found_row_converges(self):
         spec = StateSpec("noisy_fock", {"n": 2, "nu": 2, "p": 0.1}, 40)
@@ -520,8 +529,81 @@ class TestFockDiagonal:
     def test_certificate_counts_rounds(self):
         fock = fock_diagonal_ncm(fock_state(2, 20)).lower.certificate
         assert fock["iterations"] == 0  # one atom at t = 2 is already optimal
+        from cvres.states import FockDiagonalState
+
+        pair = fock_diagonal_ncm(FockDiagonalState((1, 3), (0.5, 0.5), 0.0))
+        assert pair.lower.certificate["iterations"] >= 1
+        # a vacuum pair is solved in closed form, in no rounds
         rho = make_state(StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.5}, 12))
-        assert fock_diagonal_ncm(rho).lower.certificate["iterations"] >= 1
+        assert fock_diagonal_ncm(rho).lower.certificate["iterations"] == 0
+
+
+def _vacuum_pair_search(n, p):
+    """Least KL(p || q) in bits over q = w0 pois(.; 0) + (1 - w0) pois(.; t) on levels {0, n}.
+
+    Nelder-Mead on (u, v), w0 = sin^2 u and t = v^2, from one atom at the mean p n
+    and from atoms {0, n} at the state's own weights; the better end is taken.  Its
+    value tolerance grows with n, as the rounding of n ln t does."""
+    ln_fact = float(gammaln(n + 1.0))
+
+    def kl(x):
+        sin, cos, t = abs(math.sin(x[0])), abs(math.cos(x[0])), x[1] ** 2
+        if cos == 0.0 or t == 0.0:
+            return math.inf
+        ln_w0 = 2.0 * math.log(sin) if sin > 0.0 else -math.inf
+        ln_q0 = float(np.logaddexp(ln_w0, 2.0 * math.log(cos) - t))
+        ln_qn = 2.0 * math.log(cos) + n * math.log(t) - t - ln_fact
+        return LOG2E * ((1.0 - p) * (math.log1p(-p) - ln_q0) + p * (math.log(p) - ln_qn))
+
+    starts = [(0.0, math.sqrt(p * n)), (math.asin(math.sqrt(1.0 - p)), math.sqrt(n))]
+    return min(minimize(kl, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-9, "fatol": 4e-15 * (n + 1), "maxiter": 1000}).fun
+               for x0 in starts)
+
+
+class TestVacuumPair:
+    """Levels {0, n}: the fit's closed form, against a search and its own phi."""
+
+    NS = [*range(1, 9), 50, 1000, 4096]
+    PS = [0.03, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97]
+
+    @staticmethod
+    def _state(n, p):
+        from cvres.states import FockDiagonalState
+
+        return FockDiagonalState((0, n), np.array([1.0 - p, p]), 0.0)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_interval_holds_the_searched_optimum(self, n):
+        for p in self.PS:
+            res = fock_diagonal_ncm(self._state(n, p))
+            assert res.lower.converged and res.upper.converged
+            assert res.lower.certificate["iterations"] == 0
+            oracle = _vacuum_pair_search(n, p)
+            # the search's end is a feasible mixture, so never below the optimum
+            assert res.lower.value <= oracle, (n, p)
+            assert oracle <= res.upper.value + 1e-12, (n, p, oracle - res.upper.value)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_phi_stays_below_one(self, n):
+        # Lindsay's condition: phi(t) = sum_k (p_k/q_k) pois(k; t) <= 1 for every t >= 0
+        ks = np.array([0.0, float(n)])
+        grid = 2.0 * n * np.linspace(0.0, 1.0, 40001) ** 2
+        for p in self.PS:
+            p_vec = np.array([1.0 - p, p])
+            q, rounds = _poisson._poisson_mixture_fit(ks, p_vec, float(n))[1:]
+            assert rounds == 0
+            ln_phi = _ln_phi(ks, np.log(p_vec / q), grid)
+            assert float(ln_phi.max()) <= 1e-12, (n, p)
+
+    @pytest.mark.parametrize("levels", [(1, 3), (0, 2, 5)])
+    def test_other_supports_take_the_exchange_loop(self, levels):
+        from cvres.states import FockDiagonalState
+
+        weights = np.full(len(levels), 1.0 / len(levels))
+        res = fock_diagonal_ncm(FockDiagonalState(levels, weights, 0.0))
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["iterations"] >= 1
 
 
 def _fit_grid_values(monkeypatch, ks, ln_ell, t_cap):
@@ -625,13 +707,24 @@ class TestPhiMaxima:
         assert res.lower.converged and res.upper.converged
         assert res.lower.certificate["iterations"] <= rounds
 
-    def test_newton_rounds_reach_the_single_atom(self):
-        # the optimum is one atom at t = 0.2; the exchange alone converges linearly there
-        # (11 rounds), Newton steps on the atom and the weights finish it
+    def test_newton_rounds_reach_the_single_atom(self, monkeypatch):
+        # levels {1, 3} at equal weights: the optimum is one atom, which the exchange
+        # approaches linearly; a Newton step on the atom and the weights finishes it
+        from cvres.states import FockDiagonalState
+
+        newton = _poisson.mixture_newton
+        calls = []
+        monkeypatch.setattr(_poisson, "mixture_newton", lambda *a: calls.append(1) or newton(*a))
+        res = fock_diagonal_ncm(FockDiagonalState((1, 3), (0.5, 0.5), 0.0))
+        assert res.lower.converged and res.upper.converged
+        assert res.lower.certificate["iterations"] <= 5
+        assert calls
+        assert "(1 atoms)" in res.lower.certificate["ansatz_description"]
+        # n = 1, p = 0.2 took 11 exchange rounds alone; it is a vacuum pair, now solved in none
         spec = StateSpec("noisy_fock", {"n": 1, "nu": 0, "p": 0.2}, 20)
         res = fock_diagonal_ncm(make_state(spec, deficit_tol=1e-4))
         assert res.lower.converged and res.upper.converged
-        assert res.lower.certificate["iterations"] <= 5
+        assert res.lower.certificate["iterations"] == 0
         assert "(1 atoms)" in res.lower.certificate["ansatz_description"]
 
     @pytest.mark.parametrize("family, params, cutoff, deficit_tol", [

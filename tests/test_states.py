@@ -303,6 +303,27 @@ class TestSpecOnState:
         assert rho.renormalized().spec is rho.spec
 
 
+class TestFockDiagonalStateChecks:
+    @pytest.mark.parametrize("indices, weights", [
+        ((1, 1), [0.5, 0.5]),  # |1><1| twice: read as a mixture, it certified NC = 0.44 < log2 e
+        ((0, 1), [0.2, 0.3, 0.5]),  # three weights on two levels
+        ((0, -2), [0.5, 0.5]),  # a negative level, once an IndexError deep in the bound
+        ((0, 2.5), [0.5, 0.5]),  # a fractional level
+        ((0, True), [0.5, 0.5]),
+        ((), []),
+        ((0, 1), [0.5, math.nan]),
+        ((0, 1), [[0.5, 0.5]]),
+    ])
+    def test_rejects_malformed_support(self, indices, weights):
+        with pytest.raises(UsageError):
+            FockDiagonalState(indices, np.array(weights), 0.0)
+
+    def test_numpy_levels_are_plain_ints(self):
+        state = FockDiagonalState(tuple(np.array([0, 3], dtype=np.int64)), [0.25, 0.75], 0.0)
+        assert state.indices == (0, 3) and all(type(k) is int for k in state.indices)
+        assert state.energy == 2.25
+
+
 class TestStateSpecJson:
     def test_round_trip(self):
         spec = StateSpec("cat", {"alpha": 1.5, "sign": "+"}, 40)
