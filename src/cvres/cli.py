@@ -9,12 +9,17 @@ Every subcommand's options live in one table, ``SUBCOMMANDS``.  A plain command
 line (exact long flags, each with one valid value) is read straight off it;
 anything else (-h, abbreviations, --flag=value, values starting with "-", bad
 values) goes to the argparse parser built from the same table, so help, error
-messages and exit codes are argparse's own.
+messages and exit codes are argparse's own.  Likewise each ``--which`` selector
+is one entry of ``SELECTORS`` (``BASEL_SELECTORS`` for the basel family) and each
+``--name`` one entry of ``FIGURES``: help, dispatch and unknown-name errors all
+read those keys.  A ``monotone`` command computes the sandwich at most once, however
+many of its selectors use it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,22 +32,14 @@ from .errors import CvresError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator
 from .states import FockDiagonalState, StateSpec, _count, gaussian_descriptor, make_state
 
-FIGURE_NAMES = ("noisy-fock-fixed-n", "noisy-fock-fixed-nu", "cat", "squeezed", "protocols")
-
 
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".9g")
-    return str(x)
+    return format(x, ".9g") if isinstance(x, float) else str(x)
 
 
-def _bits_out(x: float | None, nats: bool) -> float | None:
-    if x is None:
-        return None
+def _bits_out(x: float, nats: bool) -> float:
     return x * math.log(2.0) if nats else x
 
 
@@ -61,6 +58,26 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path, payload) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_payload(args, payload: dict) -> None:
+    """A protocol or certify payload: one CSV row of it flattened, or the payload as JSON."""
+    if args.format == "csv":
+        flat = _flatten(payload)
+        _write_csv(args.output, list(flat), [list(flat.values())])
+    else:
+        _write_json(args.output, payload)
+
+
+def _flatten(doc, prefix="") -> dict:
+    out = {}
+    for key, val in doc.items():
+        name = f"{prefix}{key}"
+        if isinstance(val, dict):
+            out.update(_flatten(val, name + "."))
+        else:
+            out[name] = val
+    return out
 
 
 def _load_state(text: str) -> DensityOperator | FockDiagonalState:
@@ -111,48 +128,33 @@ def _grid(text: str) -> list[float]:
 # monotone
 # ---------------------------------------------------------------------------
 
-_WHICH = ("ncm-lower", "nc-upper", "fd-exact", "energy-upper", "wehrl-upper",
-          "husimi-lower", "gaussian-lower", "gaussian-upper", "sandwich")
+def _gaussian(rho, side: int) -> list[nc.MonotoneBound]:
+    if rho.spec is None:
+        raise UsageError("gaussian bounds need a Gaussian state spec")
+    return [nc.gaussian_bounds(gaussian_descriptor(rho.spec))[side]]
 
 
-def _bounds_for(which: str, rho, max_iters: int) -> list[nc.MonotoneBound]:
-    if isinstance(rho, FockDiagonalState):
-        # sparse basel-family state: only the diagonal engines apply
-        if which == "ncm-lower":
-            value = max(0.0, nc.basel_divergence_bound(rho.spec.params["n_max"]))
-            return [nc.MonotoneBound(
-                "NCM", "lower", value,
-                {"ansatz_description": "log-domain diagonal divergence ansatz (ideal state)"},
-            )]
-        if which == "fd-exact":
-            res = nc.fock_diagonal_ncm(rho)
-            return [res.lower, res.upper]
-        raise UsageError(f"selector {which!r} is not available for the basel family; "
-                         "use ncm-lower or fd-exact")
-    if which == "ncm-lower":
-        lo, _ = nc.bound_sandwich(rho, max_iters=max_iters)
-        return [lo]
-    if which == "nc-upper":
-        _, hi = nc.bound_sandwich(rho, max_iters=max_iters)
-        return [hi]
-    if which == "sandwich":
-        lo, hi = nc.bound_sandwich(rho, max_iters=max_iters)
-        return [lo, hi]
-    if which == "fd-exact":
-        res = nc.fock_diagonal_ncm(rho)
-        return [res.lower, res.upper]
-    if which == "energy-upper":
-        return [nc.energy_upper_bound(nc.ideal_energy(rho), rho.modes)]
-    if which == "wehrl-upper":
-        return [nc.wehrl_upper_bound(rho)]
-    if which == "husimi-lower":
-        return [nc.husimi_lower_bound(rho)]
-    if which in ("gaussian-lower", "gaussian-upper"):
-        if rho.spec is None:
-            raise UsageError("gaussian bounds need a Gaussian state spec")
-        lo, hi = nc.gaussian_bounds(gaussian_descriptor(rho.spec))
-        return [lo if which == "gaussian-lower" else hi]
-    raise UsageError(f"unknown bound selector {which!r}; valid: {', '.join(_WHICH)}")
+# --which name -> the bounds it emits, from the state and the command's sandwich: a
+# zero-argument function that runs bound_sandwich on its first call and repeats that result
+SELECTORS = {
+    "ncm-lower": lambda rho, sandwich: [sandwich()[0]],
+    "nc-upper": lambda rho, sandwich: [sandwich()[1]],
+    "fd-exact": lambda rho, _: list(nc.fock_diagonal_ncm(rho)),
+    "energy-upper": lambda rho, _: [nc.energy_upper_bound(nc.ideal_energy(rho), rho.modes)],
+    "wehrl-upper": lambda rho, _: [nc.wehrl_upper_bound(rho)],
+    "husimi-lower": lambda rho, _: [nc.husimi_lower_bound(rho)],
+    "gaussian-lower": lambda rho, _: _gaussian(rho, 0),
+    "gaussian-upper": lambda rho, _: _gaussian(rho, 1),
+    "sandwich": lambda rho, sandwich: list(sandwich()),
+}
+
+# the same for the sparse basel-family state, to which only the diagonal engines apply
+BASEL_SELECTORS = {
+    "ncm-lower": lambda rho, _: [nc.MonotoneBound(
+        "NCM", "lower", max(0.0, nc.basel_divergence_bound(rho.spec.params["n_max"])),
+        {"ansatz_description": "log-domain diagonal divergence ansatz (ideal state)"})],
+    "fd-exact": SELECTORS["fd-exact"],
+}
 
 
 def cmd_monotone(args) -> int:
@@ -162,23 +164,25 @@ def cmd_monotone(args) -> int:
     selectors = [w.strip() for w in args.which.split(",") if w.strip()]
     if not selectors:
         raise UsageError("--which must name at least one bound")
+    table = BASEL_SELECTORS if isinstance(rho, FockDiagonalState) else SELECTORS
+    sandwich = functools.cache(lambda: nc.bound_sandwich(rho, max_iters=args.max_iters))
     bounds: list[nc.MonotoneBound] = []
     for sel in selectors:
-        bounds.extend(_bounds_for(sel, rho, args.max_iters))
-    payload = []
-    for b in bounds:
-        doc = json.loads(b.to_json())
+        if sel not in table:
+            if table is SELECTORS:
+                raise UsageError(f"unknown bound selector {sel!r}; valid: {', '.join(SELECTORS)}")
+            raise UsageError(f"selector {sel!r} is not available for the basel family; "
+                             f"use {' or '.join(BASEL_SELECTORS)}")
+        bounds.extend(table[sel](rho, sandwich))
+    payload = [json.loads(b.to_json()) for b in bounds]
+    for doc in payload:
         doc["value"] = _bits_out(doc["value"], args.nats)
-        payload.append(doc)
     if args.format == "json":
         _write_json(args.output, payload)
     else:
-        rows = [
-            [d["quantity"], d["direction"], d["value"],
-             _bits_out(d["certificate"].get("truncation_correction_bits", 0.0), args.nats),
-             d["converged"]]
-            for d in payload
-        ]
+        rows = [[d["quantity"], d["direction"], d["value"],
+                 _bits_out(d["certificate"].get("truncation_correction_bits", 0.0), args.nats),
+                 d["converged"]] for d in payload]
         _write_csv(args.output, ["quantity", "direction", "value_bits", "cert_bits", "converged"],
                    rows)
     return 0 if all(b.converged for b in bounds) else 2
@@ -256,22 +260,25 @@ def _figure_protocols(args) -> tuple[list[str], list[list], bool]:
     return ["alpha", "task", "lower_rate", "upper_rate"], rows, all(r["converged"] for r in data)
 
 
+# --name -> the builder of its (header, rows, converged)
+FIGURES = {
+    "noisy-fock-fixed-n": _figure_noisy_fock,
+    "noisy-fock-fixed-nu": _figure_noisy_fock,
+    "cat": _figure_cat,
+    "squeezed": _figure_squeezed,
+    "protocols": _figure_protocols,
+}
+
+
 def cmd_figure(args) -> int:
     # rows run serially: they are Python-bound, and a thread pool was slower on every figure
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     if args.cutoff is not None and args.cutoff < 1:
         raise UsageError(f"--cutoff must be at least 1, got {args.cutoff}")
-    if args.name in ("noisy-fock-fixed-n", "noisy-fock-fixed-nu"):
-        header, rows, converged = _figure_noisy_fock(args)
-    elif args.name == "cat":
-        header, rows, converged = _figure_cat(args)
-    elif args.name == "squeezed":
-        header, rows, converged = _figure_squeezed(args)
-    elif args.name == "protocols":
-        header, rows, converged = _figure_protocols(args)
-    else:
-        raise UsageError(f"unknown figure {args.name!r}; valid names: {', '.join(FIGURE_NAMES)}")
+    if args.name not in FIGURES:
+        raise UsageError(f"unknown figure {args.name!r}; valid names: {', '.join(FIGURES)}")
+    header, rows, converged = FIGURES[args.name](args)
     if args.nats:
         for row in rows:
             for i, (h, v) in enumerate(zip(header, row)):
@@ -285,65 +292,30 @@ def cmd_figure(args) -> int:
 # protocol
 # ---------------------------------------------------------------------------
 
+def _outcome(out: rates.ProtocolOutcome, **extra) -> dict:
+    """Probability and rate, then ``extra``, then the fidelity check: its CSV column order."""
+    return {"success_probability": out.success_probability,
+            "rate_lower_bound": out.rate_lower_bound,
+            **extra, "output_fidelity_check": out.output_fidelity_check}
+
+
 def cmd_protocol(args) -> int:
     if args.task == "fock-dilution":
         out = rates.fock_dilution(args.n, args.p, args.lam)
-        payload = {
-            "task": args.task,
-            "success_probability": out.success_probability,
-            "rate_lower_bound": out.rate_lower_bound,
-            "output_fidelity_check": out.output_fidelity_check,
-            "closed_form": out.details["closed_form"],
-        }
+        payload = {**_outcome(out), "closed_form": out.details["closed_form"]}
     elif args.task == "cat-amplify":
         outs = rates.cat_amplification(args.alpha, args.cutoff)
         forms = rates.cat_amplification_formulas(args.alpha)
-        payload = {
-            "task": args.task,
-            "ours": {
-                "success_probability": outs["ours"].success_probability,
-                "rate_lower_bound": outs["ours"].rate_lower_bound,
-                "closed_form": forms["ours"],
-                "output_fidelity_check": outs["ours"].output_fidelity_check,
-            },
-            "lund": {
-                "success_probability": outs["lund"].success_probability,
-                "rate_lower_bound": outs["lund"].rate_lower_bound,
-                "closed_form": forms["lund"],
-                "output_fidelity_check": outs["lund"].output_fidelity_check,
-            },
-        }
+        payload = {name: _outcome(outs[name], closed_form=forms[name]) for name in outs}
     elif args.task == "cat-dilute":
         out = rates.cat_dilution(args.alpha, args.cutoff)
-        forms = rates.cat_dilution_formulas(args.alpha)
-        payload = {
-            "task": args.task,
-            "success_probability": out.success_probability,
-            "rate_lower_bound": out.rate_lower_bound,
-            "branch_plus": out.details["branch_plus"],
-            "branch_minus": out.details["branch_minus"],
-            "closed_form_rate": forms["rate"],
-            "output_fidelity_check": out.output_fidelity_check,
-        }
+        payload = _outcome(out, branch_plus=out.details["branch_plus"],
+                           branch_minus=out.details["branch_minus"],
+                           closed_form_rate=rates.cat_dilution_formulas(args.alpha)["rate"])
     else:
         raise UsageError("task must be fock-dilution, cat-amplify or cat-dilute")
-    if args.format == "csv":
-        flat = _flatten(payload)
-        _write_csv(args.output, list(flat), [list(flat.values())])
-    else:
-        _write_json(args.output, payload)
+    _write_payload(args, {"task": args.task, **payload})
     return 0
-
-
-def _flatten(doc, prefix="") -> dict:
-    out = {}
-    for key, val in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            out.update(_flatten(val, name + "."))
-        else:
-            out[name] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +337,7 @@ def cmd_certify(args) -> int:
             _bits_out(max(0.0, lo.value - cert), args.nats),
             _bits_out(hi.value + cert, args.nats),
         ]
-    if args.format == "csv":
-        flat = _flatten(payload)
-        _write_csv(args.output, list(flat), [list(flat.values())])
-    else:
-        _write_json(args.output, payload)
+    _write_payload(args, payload)
     return 0 if converged else 2
 
 
@@ -388,12 +356,12 @@ _NATS = {"--nats": {"action": "store_true", "default": False,  # protocol output
 SUBCOMMANDS = {
     "monotone": ("certified bounds for one state", {
         "--state": {"required": True, "help": "state spec JSON, @file, or raw-matrix JSON file"},
-        "--which": {"default": "sandwich", "help": f"comma list from: {', '.join(_WHICH)}"},
+        "--which": {"default": "sandwich", "help": f"comma list from: {', '.join(SELECTORS)}"},
         "--max-iters": {"type": int, "default": 300},
         **_OUTPUT, **_FORMAT, **_NATS,
     }, cmd_monotone),
     "figure": ("CSV tables behind the survey figures", {
-        "--name": {"required": True, "help": f"one of: {', '.join(FIGURE_NAMES)}"},
+        "--name": {"required": True, "help": f"one of: {', '.join(FIGURES)}"},
         "--cutoff": {"type": int},
         "--p-grid": {},
         "--nu-grid": {},

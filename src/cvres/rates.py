@@ -14,36 +14,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropies import relative_entropy
+from .entropies import LOG2E, von_neumann_entropy
 from .errors import DegenerateParameterError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator, beam_splitter_fock_column, coherent_vector
 from .nonclassicality import MonotoneBound, bound_sandwich, fock_closed_form, product_interval
-from .states import StateSpec, cat_amplitudes, cat_norm, make_state, thermal_weights
+from .states import StateSpec, cat_amplitudes, cat_norm, make_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProtocolOutcome:
+    """An exact protocol turning ``copies_in`` sources into ``copies_out`` targets with
+    ``success_probability``.  Its rate is derived, never stored.  Keyword-only, so that a
+    positional call written for an older field order fails instead of shifting fields."""
+
     success_probability: float
     copies_in: float  # 1, 2 or 1/2, exact as floats
     copies_out: float
-    rate_lower_bound: float
     output_fidelity_check: float
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 <= self.success_probability <= 1.0 + 1e-12):
             raise UsageError("success probability outside [0, 1]")
-        expected = self.success_probability * (self.copies_out / self.copies_in)
-        if abs(self.rate_lower_bound - expected) > 1e-9:
-            raise UsageError("rate_lower_bound must equal success * copies_out/copies_in")
+
+    @property
+    def rate_lower_bound(self) -> float:
+        """success_probability * copies_out / copies_in: the achieved rate."""
+        return self.success_probability * self.copies_out / self.copies_in
 
 
 @dataclass(frozen=True)
 class RateBound:
+    """The ratio ``value`` of two certified bounds: NaN, read as ``undefined``, if none."""
+
     numerator: MonotoneBound
     denominator: MonotoneBound
     value: float
-    undefined: bool = False
+
+    @property
+    def undefined(self) -> bool:
+        return math.isnan(self.value)
 
 
 def rate_upper_bound(src_upper: MonotoneBound, tgt_lower: MonotoneBound) -> RateBound:
@@ -61,9 +71,9 @@ def rate_upper_bound(src_upper: MonotoneBound, tgt_lower: MonotoneBound) -> Rate
     den = tgt_lower.value
     if den <= 0.0:
         if num > 1e-12:
-            return RateBound(src_upper, tgt_lower, math.inf, undefined=False)
-        return RateBound(src_upper, tgt_lower, math.nan, undefined=True)
-    return RateBound(src_upper, tgt_lower, num / den, undefined=False)
+            return RateBound(src_upper, tgt_lower, math.inf)
+        return RateBound(src_upper, tgt_lower, math.nan)
+    return RateBound(src_upper, tgt_lower, num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +81,15 @@ def rate_upper_bound(src_upper: MonotoneBound, tgt_lower: MonotoneBound) -> Rate
 # ---------------------------------------------------------------------------
 
 def free_energy(rho: DensityOperator, beta: float) -> float:
-    """D(rho || gamma_beta) in bits, with the photon-number Hamiltonian."""
+    """D(rho || gamma_beta) in bits for the photon number N on m modes, from the identity
+    D = beta <N> log2(e) - m log2(1 - e^-beta) - S(rho) on the renormalized state.  It is
+    exact on the truncation and builds no thermal matrix, so a Gibbs level below machine
+    precision is no support violation.  The truncation itself is not folded in."""
     if beta <= 0:
         raise UsageError("inverse temperature must be positive")
-    w1 = thermal_weights(1.0 / (math.exp(beta) - 1.0), rho.cutoff)
-    w = w1
-    for _ in range(rho.modes - 1):
-        w = np.kron(w, w1)
-    gamma = DensityOperator.from_hermitian(np.diag(w.astype(complex)), rho.modes, rho.cutoff)
-    return relative_entropy(rho.renormalized(), gamma)
+    unit = rho.renormalized()
+    return (beta * unit.energy * LOG2E - unit.modes * math.log2(-math.expm1(-beta))
+            - von_neumann_entropy(unit))
 
 
 def thermo_rate_bound(rho: DensityOperator, sigma: DensityOperator, beta: float) -> RateBound:
@@ -90,7 +100,7 @@ def thermo_rate_bound(rho: DensityOperator, sigma: DensityOperator, beta: float)
     den = MonotoneBound("free_energy", "lower", den_val if den_val > 1e-9 else 0.0,
                         {"ansatz_description": f"free energy at beta={beta}"})
     if den.value == 0.0:
-        return RateBound(num, den, math.nan, undefined=True)
+        return RateBound(num, den, math.nan)
     return rate_upper_bound(num, den)
 
 
@@ -134,7 +144,6 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
         success_probability=success,
         copies_in=1.0,
         copies_out=1.0,
-        rate_lower_bound=success,
         output_fidelity_check=fid,
         details={
             "rounds_summed": 0,
@@ -203,10 +212,11 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
     joint = _balanced_split([(w, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)], d)
 
     a2 = alpha * alpha
-    c2 = math.cosh(2.0 * a2)
+    # closed forms in E_k = e^(-k a2), which cannot overflow: 1/cosh(2 a2) = 2 E_2 / (1 + E_4)
+    inv_c2 = 2.0 * math.exp(-2.0 * a2) / (1.0 + math.exp(-4.0 * a2))
     e0 = np.zeros(d)
     e0[0] = 1.0
-    chi = (math.sqrt(c2) * e0 - target) / (math.sqrt(2.0) * math.sinh(a2))
+    chi = e0 - math.sqrt(inv_c2) * target  # e0 cosh^(1/2)(2 a2) - target, rescaled
     chi = chi / np.linalg.norm(chi)
 
     u_vec = e0 - np.dot(target, e0) * target
@@ -215,7 +225,7 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
     w_seed[2] = 1.0
     w_vec = w_seed - np.dot(target, w_seed) * target - np.dot(u_vec, w_seed) * u_vec
     w_vec = w_vec / np.linalg.norm(w_vec)
-    cos_t = (1.0 - math.exp(-a2)) / math.sqrt(1.0 - 1.0 / c2)
+    cos_t = -math.expm1(-a2) / math.sqrt(1.0 - inv_c2)
     cos_t = min(cos_t, 1.0)
     phi_lund = cos_t * u_vec + math.sqrt(max(0.0, 1.0 - cos_t**2)) * w_vec
 
@@ -228,7 +238,6 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
             success_probability=prob,
             copies_in=2.0,
             copies_out=1.0,
-            rate_lower_bound=prob / 2.0,
             output_fidelity_check=fid,
             details={"cutoff": d},
         )
@@ -236,11 +245,12 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
 
 
 def cat_amplification_formulas(alpha: float) -> dict[str, float]:
+    """tanh^2(a2) / 2 and e^-a2 cosh(2 a2) sinh^2(a2/2) / cosh^2(a2), the latter written
+    as (1 + E_4)(1 - E_1)^2 / (2 (1 + E_2)^2) with E_k = e^(-k a2), which cannot overflow."""
     a2 = alpha * alpha
     ours = 0.5 * math.tanh(a2) ** 2
-    lund = (
-        math.exp(-a2) * math.cosh(2 * a2) * math.sinh(a2 / 2.0) ** 2 / math.cosh(a2) ** 2
-    )
+    lund = ((1.0 + math.exp(-4.0 * a2)) * math.expm1(-a2) ** 2
+            / (2.0 * (1.0 + math.exp(-2.0 * a2)) ** 2))
     return {"ours": ours, "lund": lund}
 
 
@@ -272,7 +282,6 @@ def cat_dilution(alpha: float, cutoff: int | None = None) -> ProtocolOutcome:
         success_probability=p_minus,
         copies_in=1.0,
         copies_out=0.5,
-        rate_lower_bound=p_minus / 2.0,
         output_fidelity_check=min(fid_plus, fid_minus),
         details={
             "branch_plus": p_plus,
@@ -284,13 +293,13 @@ def cat_dilution(alpha: float, cutoff: int | None = None) -> ProtocolOutcome:
 
 
 def cat_dilution_formulas(alpha: float) -> dict[str, float]:
+    """Branches cosh^2(a2) / cosh(2 a2) and sinh^2(a2) / cosh(2 a2), as (1 +- E_2)^2 /
+    (2 (1 + E_4)) with E_k = e^(-k a2), which cannot overflow; the rate is half the latter."""
     a2 = alpha * alpha
-    c2 = math.cosh(2 * a2)
-    return {
-        "branch_plus": math.cosh(a2) ** 2 / c2,
-        "branch_minus": math.sinh(a2) ** 2 / c2,
-        "rate": math.sinh(a2) ** 2 / (2.0 * c2),
-    }
+    e2 = math.exp(-2.0 * a2)
+    den = 2.0 * (1.0 + math.exp(-4.0 * a2))
+    minus = math.expm1(-2.0 * a2) ** 2 / den
+    return {"branch_plus": (1.0 + e2) ** 2 / den, "branch_minus": minus, "rate": minus / 2.0}
 
 
 def noisy_fock_dilution_rate_bound(n: int, p: float) -> RateBound:

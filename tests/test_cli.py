@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvres.cli import SUBCOMMANDS, _plain_parse, build_parser, main
+from cvres.cli import (BASEL_SELECTORS, FIGURES, SELECTORS, SUBCOMMANDS, _plain_parse,
+                       build_parser, main)
 
 
 def run_cli(args, capsys):
@@ -240,6 +242,25 @@ class TestMonotone:
         code, _, err = run_cli(["monotone", "--state", state, "--which", "nc-upper"], capsys)
         assert code == 1
         assert "basel" in err
+
+    def test_selector_list_computes_the_sandwich_once(self, capsys, monkeypatch):
+        from cvres import nonclassicality as nc
+
+        calls = []
+        real = nc.bound_sandwich
+
+        def counted(rho, **kw):
+            calls.append(kw)
+            return real(rho, **kw)
+
+        monkeypatch.setattr(nc, "bound_sandwich", counted)
+        cat = '{"family":"cat","params":{"alpha":1.0,"sign":"+"},"cutoff":30}'
+        code, halves, _ = run_cli(["monotone", "--state", cat, "--which", "ncm-lower,nc-upper"],
+                                  capsys)
+        assert code == 0 and len(calls) == 1
+        code, whole, _ = run_cli(["monotone", "--state", cat, "--which", "sandwich"], capsys)
+        assert code == 0 and len(calls) == 2
+        assert json.loads(halves) == json.loads(whole)
 
     def test_bound_report_round_trip(self, capsys):
         from cvres.nonclassicality import MonotoneBound
@@ -519,6 +540,20 @@ class TestProtocolCmd:
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["ours.success_probability"]) == pytest.approx(0.290013, abs=1e-6)
 
+    @pytest.mark.parametrize("task", ["cat-amplify", "cat-dilute"])
+    def test_alpha_19_runs(self, task, capsys):
+        # cosh(2 alpha^2) overflows here, yet the cutoff this cat needs, 2896, is valid
+        code, out, err = run_cli(["protocol", "--task", task, "--alpha", "19"], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        if task == "cat-amplify":
+            pairs = [(doc[v]["success_probability"], doc[v]["closed_form"])
+                     for v in ("ours", "lund")]
+        else:
+            pairs = [(doc["rate_lower_bound"], doc["closed_form_rate"])]
+        for simulated, closed_form in pairs:
+            assert simulated == pytest.approx(closed_form, abs=1e-9)
+
 
 class TestCertify:
     def test_hand_value(self, capsys):
@@ -725,6 +760,25 @@ def test_unworkable_cat_alpha_exit_1(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_name_lists_read_their_tables(capsys):
+    # help and unknown-name errors list the dispatch tables' keys, in table order, so a
+    # selector or figure cannot be added in one place only
+    def text(argv):
+        _, out, err = run_cli(argv, capsys)
+        return " ".join(re.sub(r"-\n\s*", "-", out + err).split())  # argparse wraps at hyphens
+
+    assert ("comma list from: " + ", ".join(SELECTORS) + " --max-iters"
+            in text(["monotone", "--help"]))
+    assert text(["monotone", "--state", FOCK1, "--which", "nonsense"]).endswith(
+        "valid: " + ", ".join(SELECTORS))
+    assert "--name NAME one of: " + ", ".join(FIGURES) + " --cutoff" in text(["figure", "--help"])
+    assert text(["figure", "--name", "nonsense"]).endswith("valid names: " + ", ".join(FIGURES))
+    basel = '{"family":"basel","params":{"n_max":3},"cutoff":9}'
+    assert text(["monotone", "--state", basel, "--which", "sandwich"]).endswith(
+        "use " + " or ".join(BASEL_SELECTORS))
+    assert set(BASEL_SELECTORS) <= set(SELECTORS)
 
 
 def test_no_import_inside_a_function():

@@ -125,6 +125,37 @@ class TestCatAmplification:
         assert err.value.required_cutoff > 10
 
 
+def _cosh_amplification_formulas(alpha):
+    a2 = alpha * alpha
+    lund = math.exp(-a2) * math.cosh(2 * a2) * math.sinh(a2 / 2) ** 2 / math.cosh(a2) ** 2
+    return {"ours": 0.5 * math.tanh(a2) ** 2, "lund": lund}
+
+
+def _cosh_dilution_formulas(alpha):
+    a2 = alpha * alpha
+    c2 = math.cosh(2 * a2)
+    return {"branch_plus": math.cosh(a2) ** 2 / c2, "branch_minus": math.sinh(a2) ** 2 / c2,
+            "rate": math.sinh(a2) ** 2 / (2 * c2)}
+
+
+class TestCatFormulasWithoutOverflow:
+    # cosh(2 alpha^2) overflows from alpha of about 18.9, below the cat cutoff limit of 4096
+    @pytest.mark.parametrize("alpha", [19.0, 22.0, 100.0])
+    def test_finite_at_large_alpha(self, alpha):
+        forms = {**cat_amplification_formulas(alpha), **cat_dilution_formulas(alpha)}
+        assert all(math.isfinite(v) for v in forms.values())
+        assert forms["ours"] == forms["lund"] == forms["branch_minus"] == 0.5
+
+    def test_match_the_cosh_forms(self):
+        for alpha in np.linspace(0.01, 5.0, 60):
+            for new, ref in ((cat_amplification_formulas(alpha),
+                              _cosh_amplification_formulas(alpha)),
+                             (cat_dilution_formulas(alpha), _cosh_dilution_formulas(alpha))):
+                assert new.keys() == ref.keys()
+                for key in ref:
+                    assert new[key] == pytest.approx(ref[key], rel=1e-14, abs=0.0)
+
+
 class TestCatDilution:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 4.0])
     def test_branches_match_formulas(self, alpha):
@@ -194,9 +225,14 @@ class TestDenseReference:
 
 
 class TestProtocolOutcome:
-    def test_rate_invariant_enforced(self):
-        with pytest.raises(UsageError):
-            ProtocolOutcome(0.5, 2.0, 1.0, 0.5, 1.0)
+    def test_rate_derived_and_keyword_only(self):
+        outs = [fock_dilution(3, 0.5, 0.4), *cat_amplification(1.0).values(), cat_dilution(1.0)]
+        assert len(outs) == 4
+        for out in outs:
+            assert out.rate_lower_bound == out.success_probability * out.copies_out / out.copies_in
+        # a positional call written for the old field order would shift every later field
+        with pytest.raises(TypeError):
+            ProtocolOutcome(0.5, 2.0, 1.0, 1.0)
 
 
 class TestRateBounds:
@@ -256,6 +292,18 @@ class TestFreeEnergy:
     def test_identity_ratio(self):
         one = fock_state(1, 30)
         assert thermo_rate_bound(one, one, 1.0).value == pytest.approx(1.0)
+
+    def test_deep_fock_levels_finite(self):
+        # e^(-2k) falls below 1e-15 from k = 18: that Gibbs level is no support violation
+        beta = 2.0
+        for n in (18, 19):
+            exact = beta * n * math.log2(math.e) - math.log2(1.0 - math.exp(-beta))
+            assert free_energy(fock_state(n, 20), beta) == pytest.approx(exact, rel=1e-13)
+        assert free_energy(fock_state(18, 20), beta) == pytest.approx(52.1468, abs=1e-4)
+        rb = thermo_rate_bound(fock_state(19, 20), fock_state(1, 20), beta)
+        assert not rb.undefined
+        assert rb.value == pytest.approx(free_energy(fock_state(19, 20), beta)
+                                         / free_energy(fock_state(1, 20), beta), rel=1e-14)
 
     def test_gibbs_denominator_undefined(self):
         beta = math.log(2)
