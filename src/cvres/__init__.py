@@ -13,8 +13,6 @@ from .fock_core import (
     coherent_vector,
     dephase,
     partial_trace,
-    tensor_states,
-    trace_distance,
 )
 from .states import (
     FockDiagonalState,
@@ -26,13 +24,8 @@ from .states import (
 )
 from .entropies import (
     OptimizerReport,
-    QuadratureGrid,
-    husimi_q,
-    kl_divergence,
     measured_relative_entropy,
-    relative_entropy,
     von_neumann_entropy,
-    wehrl_entropy,
 )
 from .nonclassicality import (
     MonotoneBound,
@@ -55,7 +48,6 @@ from .nonclassicality import (
     noisy_fock_closed_form,
     quadrature_lower_bound,
     truncation_certificate,
-    wehrl_upper_bound,
 )
 from .rates import (
     ProtocolOutcome,

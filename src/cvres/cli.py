@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+import textwrap
 
 import numpy as np
 
@@ -141,7 +142,6 @@ SELECTORS = {
     "nc-upper": lambda rho, sandwich: [sandwich()[1]],
     "fd-exact": lambda rho, _: list(nc.fock_diagonal_ncm(rho)),
     "energy-upper": lambda rho, _: [nc.energy_upper_bound(nc.ideal_energy(rho), rho.modes)],
-    "wehrl-upper": lambda rho, _: [nc.wehrl_upper_bound(rho)],
     "husimi-lower": lambda rho, _: [nc.husimi_lower_bound(rho)],
     "gaussian-lower": lambda rho, _: _gaussian(rho, 0),
     "gaussian-upper": lambda rho, _: _gaussian(rho, 1),
@@ -431,15 +431,24 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
            for flag, kw in options.items()})
 
 
+class _SpaceWrapFormatter(argparse.HelpFormatter):
+    """Help text wrapped at spaces only, so a hyphenated selector or figure name is
+    never split across two lines."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's full argparse parser, built from ``SUBCOMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="cvres",
         description="Certified nonclassicality bounds and protocol tables on truncated Fock space",
+        formatter_class=_SpaceWrapFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, handler) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_SpaceWrapFormatter)
         for flag, kw in options.items():
             p.add_argument(flag, **kw)
         p.set_defaults(func=handler)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientCutoffError, UsageError
+from .errors import InsufficientCutoffError, UsageError
 
 if TYPE_CHECKING:
     from .states import StateSpec
@@ -149,17 +149,6 @@ class DensityOperator:
                                fock_diagonal=self.fock_diagonal)
 
 
-def tensor_states(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker composition with ``a``'s modes first."""
-    if a.cutoff != b.cutoff:
-        raise ConfigurationError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    tr_a, tr_b = a.trace(), b.trace()
-    deficit = max(0.0, 1.0 - tr_a * tr_b)
-    energy = a.energy * tr_b + b.energy * tr_a
-    return DensityOperator(a.modes + b.modes, a.cutoff, np.kron(a.entries, b.entries), deficit,
-                           energy, fock_diagonal=a.fock_diagonal and b.fock_diagonal)
-
-
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out every mode not in ``keep`` (1-based mode indices)."""
     keep_set = sorted(set(int(k) for k in keep))
@@ -268,11 +257,3 @@ def dephase(rho: DensityOperator) -> DensityOperator:
     """Zero the off-diagonal Fock entries; trace and diagonal are untouched."""
     return DensityOperator(rho.modes, rho.cutoff, np.diag(np.diagonal(rho.entries)),
                            rho.trace_deficit, rho.energy, fock_diagonal=True)
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Trace norm ||rho - sigma||_1 (sum of absolute eigenvalues)."""
-    if rho.modes != sigma.modes or rho.cutoff != sigma.cutoff:
-        raise UsageError("trace_distance requires matching modes and cutoff")
-    evals = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return float(np.sum(np.abs(evals)))

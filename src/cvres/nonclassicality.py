@@ -8,9 +8,8 @@ whose every feasible L yields a valid lower bound; the inner supremum enters
 through a certified upper bound (``_envelope``), or exactly for the closed forms
 (Fock, and L = exp(-x X^2) on a quadrature), so reported values never overshoot.
 Upper bounds come from explicit classical ansatz states, the energy bound
-m*g(E/m), the Gaussian closed forms and the Poisson mixture of ``_poisson``;
-``wehrl_upper_bound`` is an uncertified estimate that no interval uses.  Bounds for
-the ideal (untruncated) state are obtained by folding in the spectral
+m*g(E/m), the Gaussian closed forms and the Poisson mixture of ``_poisson``.
+Bounds for the ideal (untruncated) state are obtained by folding in the spectral
 truncation certificate m*eps*g(2E/(m*eps)) + g(eps), at the energy E of the
 ideal state that ``make_state`` recorded on the state (``ideal_energy``).
 """
@@ -38,7 +37,6 @@ from .entropies import (
     exp_frechet_gradient,
     exp_hermitian,
     von_neumann_entropy,
-    wehrl_entropy,
 )
 from .errors import BoundConsistencyError, UsageError
 from .fock_core import DensityOperator, coherent_vector, displacement_columns, log_factorials
@@ -572,20 +570,6 @@ def energy_upper_bound(energy: float, modes: int = 1) -> MonotoneBound:
     return MonotoneBound("NC", "upper", value, {"ansatz_description": f"thermal family at E={energy}"})
 
 
-def wehrl_upper_bound(rho: DensityOperator) -> MonotoneBound:
-    """S_W - S plus the quadrature's certified tail: an estimate, not a certified bound.
-
-    Only the tail term is certified; the Gauss-Laguerre error on the grid is not
-    bounded, and on |1> and |2> at cutoff 20 it is +8.9e-5 and -1.9e-6 bits
-    against the closed form.
-    """
-    rho_n = rho.renormalized()
-    est = wehrl_entropy(rho_n)
-    return _certified(rho, "NC", "upper", est.bits + est.tail_bits - von_neumann_entropy(rho_n),
-                      {"grid_tail_bits": est.tail_bits,
-                       "ansatz_description": "Wehrl-entropy estimate"})
-
-
 def husimi_sup(rho: DensityOperator) -> float:
     """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
     if rho.modes != 1:
@@ -598,7 +582,7 @@ def husimi_lower_bound(rho: DensityOperator) -> MonotoneBound:
     rho_n = rho.renormalized()
     raw = -math.log2(max(math.pi**rho.modes * husimi_sup(rho_n), 1e-300)) - von_neumann_entropy(rho_n)
     return _certified(rho, "NCM", "lower", raw,
-                      {"ansatz_description": "Husimi-peak estimate", "raw_value_bits": raw})
+                      {"ansatz_description": "certified Husimi peak", "raw_value_bits": raw})
 
 
 def quadrature_lower_bound(rho: DensityOperator) -> MonotoneBound:

@@ -2,8 +2,7 @@
 
 Protocols are simulated through the beam-splitter identities, never through a
 dense two-mode unitary, so the joint state is a d x d amplitude matrix.  Branch
-probabilities are inner products with it, so sampling would only add noise; a
-seeded Monte Carlo mode exists purely as a cross-check.
+probabilities are inner products with it, so sampling would only add noise.
 """
 
 from __future__ import annotations
@@ -186,12 +185,15 @@ def _check_cutoff(alpha: float, cutoff: int | None) -> int:
 
 def _balanced_split(terms, d: int) -> np.ndarray:
     """sum_k w_k U|a_k>|b_k> at transmissivity 1/2 as a d x d matrix (rows: first
-    mode), from U|a>|b> = |(a+b)/sqrt2>|(b-a)/sqrt2> for real a and b."""
-    joint = np.zeros((d, d))
-    for w, a, b in terms:
-        left, right = (np.real(coherent_vector(x / math.sqrt(2.0), d)[0]) for x in (a + b, b - a))
-        joint += w * np.outer(left, right)
-    return joint
+    mode), from U|a>|b> = |(a+b)/sqrt2>|(b-a)/sqrt2> for real a and b.  The k weighted
+    left vectors and the k right vectors are stacked into (k, d) arrays, so one product
+    builds the matrix and no second d x d matrix is ever held."""
+    def amplitudes(x):
+        return np.real(coherent_vector(x / math.sqrt(2.0), d)[0])
+
+    left = np.array([w * amplitudes(a + b) for w, a, b in terms])
+    right = np.array([amplitudes(b - a) for _, a, b in terms])
+    return left.T @ right
 
 
 def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, ProtocolOutcome]:

@@ -22,15 +22,9 @@ from cvres.fock_core import (
     dephase,
     fock_state,
     total_photon_numbers,
-    trace_distance,
 )
 from cvres.states import StateSpec, make_state, exact_energy
-from cvres.entropies import (
-    kl_divergence,
-    measured_relative_entropy,
-    relative_entropy,
-    wehrl_entropy,
-)
+from cvres.entropies import measured_relative_entropy
 from cvres.nonclassicality import (
     basel_divergence_bound,
     bound_sandwich,
@@ -43,7 +37,6 @@ from cvres.nonclassicality import (
     husimi_lower_bound,
     noisy_fock_closed_form,
     truncation_certificate,
-    wehrl_upper_bound,
 )
 from cvres.rates import (
     cat_amplification,
@@ -55,7 +48,15 @@ from cvres.rates import (
     noisy_fock_dilution_rate_bound,
 )
 from cvres.states import gaussian_descriptor
-from oracles import beam_splitter_unitary, husimi_kl_on_grid
+from oracles import (
+    beam_splitter_unitary,
+    husimi_kl_on_grid,
+    kl_divergence,
+    relative_entropy,
+    trace_distance,
+    wehrl_entropy,
+    wehrl_upper_bound,
+)
 
 LOG2E = math.log2(math.e)
 

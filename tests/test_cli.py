@@ -5,7 +5,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import time
@@ -767,7 +766,7 @@ def test_name_lists_read_their_tables(capsys):
     # selector or figure cannot be added in one place only
     def text(argv):
         _, out, err = run_cli(argv, capsys)
-        return " ".join(re.sub(r"-\n\s*", "-", out + err).split())  # argparse wraps at hyphens
+        return " ".join((out + err).split())
 
     assert ("comma list from: " + ", ".join(SELECTORS) + " --max-iters"
             in text(["monotone", "--help"]))
@@ -779,6 +778,13 @@ def test_name_lists_read_their_tables(capsys):
     assert text(["monotone", "--state", basel, "--which", "sandwich"]).endswith(
         "use " + " or ".join(BASEL_SELECTORS))
     assert set(BASEL_SELECTORS) <= set(SELECTORS)
+
+
+def test_wehrl_selector_is_gone(capsys):
+    # the Wehrl quadrature is an uncertified estimate: its old selector is an unknown name
+    code, out, err = run_cli(["monotone", "--state", FOCK1, "--which", "wehrl-upper"], capsys)
+    assert (code, out) == (1, "")
+    assert err.strip().endswith("valid: " + ", ".join(SELECTORS))
 
 
 def test_no_import_inside_a_function():
@@ -797,7 +803,8 @@ def test_no_import_inside_a_function():
 def test_import_leaves_scipy_out():
     # numpy is the only runtime dependency: importing the CLI and certifying one
     # supremum must load no scipy module, nor numpy.ma (which np.unique pulls in), nor
-    # fractions and decimal, which cost about 2 ms of import
+    # fractions and decimal, which cost about 2 ms of import, nor numpy.polynomial
+    # (about 2 ms), which only the Wehrl quadrature of the test oracles uses
     import cvres
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(cvres.__file__)))
@@ -805,8 +812,21 @@ def test_import_leaves_scipy_out():
             "from cvres.nonclassicality import coherent_sup_certified\n"
             "coherent_sup_certified(np.diag([0.0, 1.0]))\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'fractions', 'decimal')))")
+            "             if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'fractions', 'decimal')\n"
+            "             or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_oracle_names_are_not_public():
+    # functions that only tests read live in tests/oracles.py, not in the package
+    import cvres
+    from cvres import entropies, fock_core, nonclassicality
+
+    moved = ["husimi_q", "kl_divergence", "relative_entropy", "QuadratureGrid",
+             "phase_space_tail_bits", "default_quadrature_grid", "WehrlEstimate",
+             "wehrl_entropy", "tensor_states", "trace_distance", "wehrl_upper_bound"]
+    modules = (cvres, entropies, fock_core, nonclassicality)
+    assert [(m.__name__, n) for m in modules for n in moved if hasattr(m, n)] == []

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from cvres.errors import UsageError
-from cvres.fock_core import DensityOperator, dephase, fock_state, trace_distance
-from cvres.entropies import (
-    QuadratureGrid,
-    ascend,
-    default_quadrature_grid,
-    husimi_q,
-    kl_divergence,
-    measured_relative_entropy,
-    relative_entropy,
-    von_neumann_entropy,
-    wehrl_entropy,
-)
+from cvres.fock_core import DensityOperator, dephase, fock_state
+from cvres.entropies import ascend, measured_relative_entropy, von_neumann_entropy
 from cvres.nonclassicality import husimi_sup
 from cvres.states import StateSpec, make_state
-from oracles import husimi_kl_on_grid
+from oracles import (
+    QuadratureGrid,
+    _husimi_on_grid,
+    default_quadrature_grid,
+    husimi_kl_on_grid,
+    husimi_q,
+    kl_divergence,
+    relative_entropy,
+    trace_distance,
+    wehrl_entropy,
+)
 
 LOG2E = math.log2(math.e)
 
@@ -138,8 +138,6 @@ class TestHusimi:
     def test_grid_normalization(self):
         rho = make_state(StateSpec("thermal", {"nu": 1}, 40))
         grid = default_quadrature_grid(rho.energy, rho.cutoff)
-        from cvres.entropies import _husimi_on_grid
-
         q = _husimi_on_grid(rho, grid)
         radial = grid.radial_weights * np.exp(grid.radial_nodes)
         mass = 0.5 * float(radial @ (q.mean(axis=1) * 2 * math.pi))

@@ -14,13 +14,11 @@ from cvres.fock_core import (
     fock_state,
     partial_trace,
     pure_state,
-    tensor_states,
     total_photon_numbers,
-    trace_distance,
     vacuum_state,
 )
 from cvres.states import StateSpec, cat_amplitudes, make_state, thermal_weights
-from oracles import beam_splitter_unitary
+from oracles import beam_splitter_unitary, tensor_states, trace_distance
 
 
 def fock_projector(n, d):

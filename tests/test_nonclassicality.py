@@ -20,12 +20,7 @@ from cvres.fock_core import (
     fock_state,
     pure_state,
 )
-from cvres.entropies import (
-    entropy_of_probabilities,
-    relative_entropy,
-    von_neumann_entropy,
-    wehrl_entropy,
-)
+from cvres.entropies import entropy_of_probabilities, von_neumann_entropy
 from cvres.rates import required_cat_cutoff
 from cvres.states import (
     GaussianDescriptor,
@@ -59,10 +54,15 @@ from cvres.nonclassicality import (
     quadrature_lower_bound,
     truncation_certificate,
     truncation_epsilon,
-    wehrl_upper_bound,
 )
 
-from oracles import classical_gaussian_scan, envelope_max
+from oracles import (
+    classical_gaussian_scan,
+    envelope_max,
+    relative_entropy,
+    wehrl_entropy,
+    wehrl_upper_bound,
+)
 
 LOG2E = math.log2(math.e)
 

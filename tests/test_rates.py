@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvres.errors import DegenerateParameterError, UsageError
-from cvres.fock_core import DensityOperator, fock_state, tensor_states
+from cvres.fock_core import DensityOperator, coherent_vector, fock_state
 from cvres.states import StateSpec, cat_amplitudes, make_state
 from cvres.nonclassicality import MonotoneBound, fock_closed_form
 from cvres import rates
@@ -23,7 +24,7 @@ from cvres.rates import (
     rate_upper_bound,
     thermo_rate_bound,
 )
-from oracles import beam_splitter_unitary, fock_dilution_monte_carlo
+from oracles import beam_splitter_unitary, fock_dilution_monte_carlo, tensor_states
 
 
 def loop_series_oracle(n, p, lam, rounds=100000):
@@ -222,6 +223,27 @@ class TestDenseReference:
         assert p0 == pytest.approx(float(np.sum(np.abs(out[:, 0]) ** 2)), abs=1e-10)
         assert p1 == pytest.approx(float(np.sum(np.abs(out[:, 1]) ** 2)), abs=1e-10)
         assert fid == pytest.approx(abs(out[n - 1, 1]) ** 2 / p1, abs=1e-10)
+
+    def test_balanced_split_holds_one_matrix(self):
+        # the k terms go into one (k, d) x (k, d) product: the joint matrix is the only
+        # d x d array alive, where summing k outer products held two
+        alpha = 10.0
+        d = rates._check_cutoff(alpha, None)
+        terms = [(0.5, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)]
+        reference = np.zeros((d, d))  # the loop form; the product sums in another order
+        for w, a, b in terms:
+            left, right = (np.real(coherent_vector(x / math.sqrt(2.0), d)[0])
+                           for x in (a + b, b - a))
+            reference += w * np.outer(left, right)
+        tracemalloc.start()
+        try:
+            joint = rates._balanced_split(terms, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d > 800
+        np.testing.assert_allclose(joint, reference, rtol=0.0, atol=8 * np.finfo(float).eps)
+        assert peak < 1.5 * 8 * d * d
 
 
 class TestProtocolOutcome:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvres.entropies import default_quadrature_grid
 from cvres.errors import InsufficientCutoffError, UsageError
 from cvres.fock_core import (
     DensityOperator,
@@ -13,7 +12,6 @@ from cvres.fock_core import (
     fock_state,
     partial_trace,
     total_photon_numbers,
-    tensor_states,
 )
 from cvres.states import (
     PURE_FAMILIES,
@@ -26,6 +24,7 @@ from cvres.states import (
     make_state,
     thermal_weights,
 )
+from oracles import default_quadrature_grid, tensor_states
 
 
 def _real(lo, hi):
