@@ -16,10 +16,8 @@ from .fock_core import (
 )
 from .states import (
     FockDiagonalState,
-    GaussianDescriptor,
     StateSpec,
     exact_energy,
-    gaussian_descriptor,
     make_state,
 )
 from .entropies import (
@@ -45,6 +43,7 @@ from .nonclassicality import (
     husimi_lower_bound,
     husimi_sup,
     ideal_energy,
+    ideal_entropy,
     noisy_fock_closed_form,
     quadrature_lower_bound,
     truncation_certificate,

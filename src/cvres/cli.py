@@ -31,7 +31,7 @@ from . import nonclassicality as nc
 from . import rates
 from .errors import CvresError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator
-from .states import FockDiagonalState, StateSpec, _count, gaussian_descriptor, make_state
+from .states import FockDiagonalState, StateSpec, _count, make_state
 
 
 def _fmt(x) -> str:
@@ -72,9 +72,9 @@ def _write_payload(args, payload: dict) -> None:
 
 def _flatten(doc, prefix="") -> dict:
     out = {}
-    for key, val in doc.items():
+    for key, val in doc.items() if isinstance(doc, dict) else enumerate(doc):
         name = f"{prefix}{key}"
-        if isinstance(val, dict):
+        if isinstance(val, (dict, list)):
             out.update(_flatten(val, name + "."))
         else:
             out[name] = val
@@ -129,12 +129,6 @@ def _grid(text: str) -> list[float]:
 # monotone
 # ---------------------------------------------------------------------------
 
-def _gaussian(rho, side: int) -> list[nc.MonotoneBound]:
-    if rho.spec is None:
-        raise UsageError("gaussian bounds need a Gaussian state spec")
-    return [nc.gaussian_bounds(gaussian_descriptor(rho.spec))[side]]
-
-
 # --which name -> the bounds it emits, from the state and the command's sandwich: a
 # zero-argument function that runs bound_sandwich on its first call and repeats that result
 SELECTORS = {
@@ -143,8 +137,8 @@ SELECTORS = {
     "fd-exact": lambda rho, _: list(nc.fock_diagonal_ncm(rho)),
     "energy-upper": lambda rho, _: [nc.energy_upper_bound(nc.ideal_energy(rho), rho.modes)],
     "husimi-lower": lambda rho, _: [nc.husimi_lower_bound(rho)],
-    "gaussian-lower": lambda rho, _: _gaussian(rho, 0),
-    "gaussian-upper": lambda rho, _: _gaussian(rho, 1),
+    "gaussian-lower": lambda rho, _: [nc.gaussian_bounds(rho)[0]],
+    "gaussian-upper": lambda rho, _: [nc.gaussian_bounds(rho)[1]],
     "sandwich": lambda rho, sandwich: list(sandwich()),
 }
 
@@ -241,7 +235,7 @@ def _figure_squeezed(args) -> tuple[list[str], list[list], bool]:
             # the default cutoff falls short from about r = 1.9: take the one the error names
             spec = StateSpec("squeezed", {"r": r}, exc.required_cutoff)
             rho = make_state(spec, deficit_tol=1e-5)
-        g_lower, _ = nc.gaussian_bounds(gaussian_descriptor(spec))
+        g_lower, _ = nc.gaussian_bounds(rho)
         up = nc.classical_ansatz_upper_bound(rho)
         # the thermal column is the ansatz's unsqueezed member, s = 0
         up_th = up.certificate["unsqueezed_raw_bits"] + up.certificate["truncation_correction_bits"]

@@ -44,7 +44,6 @@ from .states import (
     GAUSSIAN_FAMILIES,
     PURE_FAMILIES,
     FockDiagonalState,
-    GaussianDescriptor,
     cat_amplitudes,
     exact_energy,
 )
@@ -158,6 +157,27 @@ def ideal_energy(rho: DensityOperator | FockDiagonalState) -> float:
     """The certificate energy: that of the ideal state when ``make_state`` built ``rho``
     from a spec, else the mean photon number of the matrix itself, which is all there is."""
     return exact_energy(rho.spec) if rho.spec is not None else rho.energy
+
+
+def _h(x: float) -> float:
+    return -x * math.log2(x) if x > 0.0 else 0.0
+
+
+def ideal_entropy(rho: DensityOperator | FockDiagonalState) -> float:
+    """Entropy in bits of the ideal state that ``make_state`` built ``rho`` from: 0 if pure;
+    for p|n><n| + (1-p) tau_nu (fock at p = 1, thermal at p = 0), (1-p)(g(nu) - log2(1-p))
+    + h(k + p) - h(k), k = (1-p) nu^n/(1+nu)^(n+1), h(x) = -x log2 x.  No spec or basel:
+    UsageError."""
+    spec = rho.spec
+    if spec is None or spec.family == "basel":
+        raise UsageError("only a state built from a spec, basel excepted, has a closed-form "
+                         "ideal entropy")
+    p = spec.params
+    prob, nu = p.get("p", 1.0 if "n" in p else 0.0), p.get("nu", 0.0)
+    if spec.family in PURE_FAMILIES or prob == 1.0:
+        return 0.0
+    k = (1.0 - prob) * (nu / (1.0 + nu)) ** p.get("n", 0) / (1.0 + nu)
+    return (1.0 - prob) * (g_thermal(nu) - math.log2(1.0 - prob)) + (_h(k + prob) - _h(k))
 
 
 def _certified(
@@ -456,13 +476,14 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
         order = np.argsort(ks)  # the certificate's envelope takes its powers ascending
         ks, weights = ks[order], np.asarray(state.weights, dtype=float)[order]
         if max(state.indices) > 4096:
-            raise UsageError("support reaches too high a Fock level for the dense program; "
-                             "use basel_divergence_bound for the basel family")
+            raise UsageError("support reaches past Fock level 4096; the basel family's "
+                             "bound is basel_divergence_bound (--which ncm-lower)")
     else:
         if state.modes != 1:
             raise UsageError("fock_diagonal_ncm handles single-mode states")
         if not state.fock_diagonal:
-            raise UsageError("state is not Fock-diagonal; dephase it or use gamma_lower_bound")
+            raise UsageError("state is not Fock-diagonal; dephase it, or bound it with "
+                             "bound_sandwich (--which sandwich)")
         weights = np.clip(state.diagonal(), 0.0, None)
         ks = np.arange(weights.size, dtype=float)
     support = weights > 1e-15
@@ -602,28 +623,22 @@ def quadrature_lower_bound(rho: DensityOperator) -> MonotoneBound:
                        "raw_value_bits": raw})
 
 
-def _gaussian_entropy_bits(gd: GaussianDescriptor) -> float:
-    """Von Neumann entropy g((nu - 1)/2) of a single-mode state, nu = sqrt(det V)."""
-    (a, b), (c, d) = gd.V
-    nu = math.sqrt(a * d - b * c)
-    # nu within rounding of 1 is a pure state: g's infinite slope at 0 would turn
-    # that last-ulp noise into entropy of order 1e-14 bits
-    return g_thermal(0.5 * (nu - 1.0)) if nu > 1.0 + 1e-14 else 0.0
-
-
-def gaussian_bounds(gd: GaussianDescriptor) -> tuple[MonotoneBound, MonotoneBound]:
-    """Closed-form pair for a single-mode Gaussian state from its covariance matrix.
-
-    The state's entropy is read off the same covariance matrix.
-    """
-    if gd.modes != 1:
-        raise UsageError("Gaussian bounds are single mode")
-    excess = 0.5 * math.log2(np.linalg.det(gd.V + np.eye(2))) - _gaussian_entropy_bits(gd)
+def gaussian_bounds(rho: DensityOperator) -> tuple[MonotoneBound, MonotoneBound]:
+    """Closed-form pair for a state built from a coherent, thermal or squeezed spec: with
+    excess = 1/2 log2 det(V + 1) - S, read off the spec as 1 + {0, log2(1 + nu), log2 cosh r}
+    - ``ideal_entropy``, the pair is max(0, excess - 1) and excess + log2 e."""
+    spec = rho.spec
+    if spec is None or spec.family not in GAUSSIAN_FAMILIES:
+        raise UsageError(f"Gaussian bounds need a state built from a "
+                         f"{', '.join(GAUSSIAN_FAMILIES)} spec")
+    r = abs(spec.params.get("r", 0.0))  # 0 for coherent
+    # excess + S - 1: log2(1 + nu), or log2 cosh r as log1p(2 sinh^2(r/2)), accurate at small r
+    det_term = (math.log1p(spec.params["nu"]) if spec.family == "thermal" else
+                math.log1p(2.0 * math.sinh(0.5 * r) ** 2) if r < 700.0 else r - LN2) * LOG2E
+    raw = det_term - ideal_entropy(rho)  # excess - 1
     meta = {"ansatz_description": "Gaussian covariance closed form"}
-    return (
-        MonotoneBound("NCM", "lower", max(0.0, excess - 1), dict(meta, raw_value_bits=excess - 1)),
-        MonotoneBound("NC", "upper", excess + LOG2E, meta),
-    )
+    return (MonotoneBound("NCM", "lower", max(0.0, raw), dict(meta, raw_value_bits=raw)),
+            MonotoneBound("NC", "upper", 1.0 + raw + LOG2E, meta))
 
 
 def classical_ansatz_upper_bound(rho: DensityOperator) -> MonotoneBound:

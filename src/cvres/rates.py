@@ -16,7 +16,8 @@ import numpy as np
 from .entropies import LOG2E, von_neumann_entropy
 from .errors import DegenerateParameterError, InsufficientCutoffError, UsageError
 from .fock_core import DensityOperator, beam_splitter_fock_column, coherent_vector
-from .nonclassicality import MonotoneBound, bound_sandwich, fock_closed_form, product_interval
+from .nonclassicality import (MonotoneBound, bound_sandwich, fock_closed_form, ideal_energy,
+                              ideal_entropy, product_interval)
 from .states import StateSpec, cat_amplitudes, cat_norm, make_state
 
 
@@ -79,26 +80,36 @@ def rate_upper_bound(src_upper: MonotoneBound, tgt_lower: MonotoneBound) -> Rate
 # thermodynamics
 # ---------------------------------------------------------------------------
 
-def free_energy(rho: DensityOperator, beta: float) -> float:
-    """D(rho || gamma_beta) in bits for the photon number N on m modes, from the identity
-    D = beta <N> log2(e) - m log2(1 - e^-beta) - S(rho) on the renormalized state.  It is
-    exact on the truncation and builds no thermal matrix, so a Gibbs level below machine
-    precision is no support violation.  The truncation itself is not folded in."""
+def _free_energy_and_slack(rho: DensityOperator, beta: float) -> tuple[float, float]:
+    """``free_energy`` and its rounding allowance, 8 ulps of its terms' summed magnitudes."""
     if beta <= 0:
         raise UsageError("inverse temperature must be positive")
-    unit = rho.renormalized()
-    return (beta * unit.energy * LOG2E - unit.modes * math.log2(-math.expm1(-beta))
-            - von_neumann_entropy(unit))
+    if rho.spec is not None:
+        energy, entropy = ideal_energy(rho), ideal_entropy(rho)
+    else:
+        unit = rho.renormalized()
+        energy, entropy = unit.energy, von_neumann_entropy(unit)
+    a, b = beta * energy * LOG2E, rho.modes * math.log2(-math.expm1(-beta))
+    return a - b - entropy, 8.0 * np.finfo(float).eps * (abs(a) + abs(b) + abs(entropy))
+
+
+def free_energy(rho: DensityOperator, beta: float) -> float:
+    """D(rho || gamma_beta) in bits for the photon number N on m modes, from the identity
+    D = beta <N> log2(e) - m log2(1 - e^-beta) - S(rho), which builds no thermal matrix.
+    A state that ``make_state`` built reads the ideal <N> and S (``ideal_energy``,
+    ``ideal_entropy``); a matrix without a spec reads its own, renormalized."""
+    return _free_energy_and_slack(rho, beta)[0]
 
 
 def thermo_rate_bound(rho: DensityOperator, sigma: DensityOperator, beta: float) -> RateBound:
-    num = MonotoneBound("free_energy", "upper", free_energy(rho, beta),
-                        {"ansatz_description": f"free energy at beta={beta}"})
-    den_val = free_energy(sigma, beta)
-    # a thermal target has zero free energy up to truncation noise; flag it
-    den = MonotoneBound("free_energy", "lower", den_val if den_val > 1e-9 else 0.0,
-                        {"ansatz_description": f"free energy at beta={beta}"})
-    if den.value == 0.0:
+    """F(rho)/F(sigma), the numerator raised and the denominator lowered by its allowance."""
+    meta = {"ansatz_description": f"free energy at beta={beta}"}
+    value, slack = _free_energy_and_slack(rho, beta)
+    num = MonotoneBound("free_energy", "upper", value + slack, meta)
+    value, slack = _free_energy_and_slack(sigma, beta)
+    # a thermal target has zero free energy up to rounding; flag it
+    den = MonotoneBound("free_energy", "lower", max(value - slack, 0.0), dict(meta))
+    if den.value <= 1e-9:
         return RateBound(num, den, math.nan)
     return rate_upper_bound(num, den)
 

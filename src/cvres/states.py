@@ -178,11 +178,10 @@ def cat_amplitudes(alpha: float, sign: str, cutoff: int) -> np.ndarray:
 
 def squeezed_amplitudes(r: float, cutoff: int) -> np.ndarray:
     """Squeezed-vacuum amplitudes (cosh r)^(-1/2) sqrt(C(2n,n)) (-tanh(r)/2)^n on |2n>."""
-    amps = np.zeros(cutoff)
-    if r == 0.0:
+    amps, t = np.zeros(cutoff), math.tanh(r)
+    if abs(t) / 2.0 == 0.0:  # r = 0, or so small that log(|t|/2) fails: the vacuum to rounding
         amps[0] = 1.0
         return amps
-    t = math.tanh(r)
     n = np.arange((cutoff + 1) // 2)
     # cosh overflows from |r| ~ 710, where ln cosh r = |r| - ln 2 to rounding
     log_cosh = math.log(math.cosh(r)) if abs(r) < 700.0 else abs(r) - math.log(2.0)
@@ -295,59 +294,3 @@ def exact_energy(spec: StateSpec) -> float:
         return math.sinh(p["r"]) ** 2 if abs(p["r"]) < 355.0 else math.inf
     _, w, _ = basel_weights(p["n_max"])
     return float(sum(wi * 2.0**j for j, wi in enumerate(w)))
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianDescriptor:
-    """First and second moments: means s (length 2m) and covariance V (2m x 2m).
-
-    Convention: R = (x_1, p_1, ..., x_m, p_m), s_j = <R_j>,
-    V_jk = <{R_j, R_k}> - 2 s_j s_k, so the vacuum has V = identity.
-    """
-
-    s: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        v = np.asarray(self.V, dtype=float)
-        if v.shape != (s.size, s.size) or s.size % 2 != 0:
-            raise UsageError("descriptor needs s of length 2m and a matching square V")
-        if np.max(np.abs(v - v.T)) > 1e-12:
-            raise UsageError("covariance must be symmetric")
-        m = s.size // 2
-        omega = np.zeros((2 * m, 2 * m))
-        for j in range(m):
-            omega[2 * j, 2 * j + 1] = 1.0
-            omega[2 * j + 1, 2 * j] = -1.0
-        evals = np.linalg.eigvalsh(v + 1j * omega)
-        if evals[0] < -1e-10:
-            raise UsageError(f"V + i Omega not PSD (min eig {evals[0]:.3e})")
-        s.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "V", v)
-
-    @property
-    def modes(self) -> int:
-        return self.s.size // 2
-
-
-def gaussian_descriptor(spec: StateSpec) -> GaussianDescriptor:
-    """Moments of the Gaussian families.
-
-    The squeezed-vacuum amplitude convention used by make_state squeezes the x
-    quadrature, so squeezed(r) carries V = diag(e^(-2r), e^(2r)); this matches
-    the constructed state's moments (monotone values are invariant under the
-    quadrature swap).
-    """
-    if spec.family not in GAUSSIAN_FAMILIES:
-        raise UsageError(f"gaussian_descriptor supports {GAUSSIAN_FAMILIES}, got {spec.family!r}")
-    p = spec.params
-    if spec.family == "coherent":
-        s = math.sqrt(2.0) * np.array([p["alpha"].real, p["alpha"].imag])
-        return GaussianDescriptor(s, np.eye(2))
-    if spec.family == "thermal":
-        return GaussianDescriptor(np.zeros(2), (2.0 * p["nu"] + 1.0) * np.eye(2))
-    r = p["r"]
-    return GaussianDescriptor(np.zeros(2), np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]))

@@ -47,7 +47,6 @@ from cvres.rates import (
     fock_dilution,
     noisy_fock_dilution_rate_bound,
 )
-from cvres.states import gaussian_descriptor
 from oracles import (
     beam_splitter_unitary,
     husimi_kl_on_grid,
@@ -316,7 +315,7 @@ def test_criterion_12_truncation_certificate():
         if spec.family == "cat":
             return cat_gamma_lower_bound(rho).value
         if spec.family == "squeezed":
-            lo, _ = gaussian_bounds(gaussian_descriptor(spec_d))
+            lo, _ = gaussian_bounds(rho)
             eps = math.sqrt(max(rho.trace_deficit, 0.0))
             return max(0.0, lo.value - truncation_certificate(min(1.0, eps), energy, 1))
         if spec.family == "coherent":

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -241,6 +242,29 @@ class TestMonotone:
         code, _, err = run_cli(["monotone", "--state", state, "--which", "nc-upper"], capsys)
         assert code == 1
         assert "basel" in err
+
+    @pytest.mark.parametrize("state", [
+        '{"family":"cat","params":{"alpha":1,"sign":"+"},"cutoff":30}',
+        json.dumps({"modes": 1, "cutoff": 2, "entries_re": [0.5, 0.0, 0.0, 0.5]}),
+    ], ids=["cat", "raw"])
+    @pytest.mark.parametrize("which", ["gaussian-lower", "gaussian-upper"])
+    def test_gaussian_selector_needs_a_gaussian_spec(self, state, which, capsys):
+        code, out, err = run_cli(["monotone", "--state", state, "--which", which], capsys)
+        assert (code, out) == (1, "")
+        assert "coherent, thermal, squeezed" in err and "descriptor" not in err
+
+    def test_fd_exact_off_diagonal_names_the_sandwich(self, capsys):
+        coherent = '{"family":"coherent","params":{"alpha":0.5},"cutoff":12}'
+        code, out, err = run_cli(["monotone", "--state", coherent, "--which", "fd-exact"], capsys)
+        assert (code, out) == (1, "")
+        assert "not Fock-diagonal" in err and "--which sandwich" in err
+        assert "gamma_lower_bound" not in err
+
+    def test_fd_exact_on_deep_basel_names_ncm_lower(self, capsys):
+        basel = '{"family":"basel","params":{"n_max":13},"cutoff":8193}'
+        code, out, err = run_cli(["monotone", "--state", basel, "--which", "fd-exact"], capsys)
+        assert (code, out) == (1, "")
+        assert "4096" in err and "--which ncm-lower" in err
 
     def test_selector_list_computes_the_sandwich_once(self, capsys, monkeypatch):
         from cvres import nonclassicality as nc
@@ -616,6 +640,17 @@ class TestCertify:
         assert (code, out) == (1, "")
         assert "invalid" in err
 
+    def test_csv_with_state_flattens_interval(self, capsys):
+        argv = ["certify", "--epsilon", "0.01", "--energy", "1", "--state",
+                '{"family":"fock","params":{"n":1},"cutoff":5}']
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        header, row = list(csv.reader(out.splitlines()))
+        assert header[-2:] == ["corrected_interval.0", "corrected_interval.1"]
+        assert len(row) == len(header)
+        code, out, _ = run_cli(argv, capsys)
+        assert row[-2:] == [format(v, ".9g") for v in json.loads(out)["corrected_interval"]]
+
     def test_float_formatting_nine_digits(self, capsys):
         code, out, _ = run_cli(
             ["certify", "--epsilon", "0.1", "--energy", "1", "--format", "csv"], capsys
@@ -623,6 +658,30 @@ class TestCertify:
         assert code == 0
         value = out.strip().split("\n")[1].split(",")[-1]
         assert value == "1.06345708"  # %.9g
+
+
+@pytest.mark.parametrize("argv", [
+    ["monotone", "--state", FOCK1, "--which", "fd-exact,energy-upper"],
+    ["figure", "--name", "noisy-fock-fixed-n", "--p-grid", "0.5", "--nu-grid", "0,1"],
+    ["figure", "--name", "noisy-fock-fixed-nu", "--p-grid", "0.5", "--n-grid", "1,2"],
+    ["figure", "--name", "cat", "--alpha-grid", "0.8"],
+    ["figure", "--name", "squeezed", "--r-grid", "0.3,0.9"],
+    ["figure", "--name", "protocols", "--alpha-grid", "0.5"],
+    ["protocol", "--task", "fock-dilution"],
+    ["protocol", "--task", "cat-amplify"],
+    ["protocol", "--task", "cat-dilute"],
+    ["certify", "--epsilon", "0.01", "--energy", "1"],
+    ["certify", "--epsilon", "0.01", "--energy", "1", "--state", FOCK1],
+], ids=lambda argv: " ".join(argv[:3]) + (" --state" if "--state" in argv[3:] else ""))
+def test_csv_outputs_are_well_formed(argv, capsys):
+    # every CSV row has the header's field count, and every cell is one formatted scalar
+    if argv[0] != "figure":
+        argv = argv + ["--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert not [cell for row in rows for cell in row if any(t in cell for t in "[(") or "np." in cell]
 
 
 @pytest.mark.parametrize("argv", [
@@ -821,12 +880,14 @@ def test_import_leaves_scipy_out():
 
 
 def test_oracle_names_are_not_public():
-    # functions that only tests read live in tests/oracles.py, not in the package
+    # functions that only tests read live in tests/oracles.py, not in the package, and the
+    # covariance-matrix layer is gone: the Gaussian bounds read the spec's closed forms
     import cvres
-    from cvres import entropies, fock_core, nonclassicality
+    from cvres import entropies, fock_core, nonclassicality, states
 
     moved = ["husimi_q", "kl_divergence", "relative_entropy", "QuadratureGrid",
              "phase_space_tail_bits", "default_quadrature_grid", "WehrlEstimate",
-             "wehrl_entropy", "tensor_states", "trace_distance", "wehrl_upper_bound"]
-    modules = (cvres, entropies, fock_core, nonclassicality)
+             "wehrl_entropy", "tensor_states", "trace_distance", "wehrl_upper_bound",
+             "GaussianDescriptor", "gaussian_descriptor", "_gaussian_entropy_bits"]
+    modules = (cvres, entropies, fock_core, nonclassicality, states)
     assert [(m.__name__, n) for m in modules for n in moved if hasattr(m, n)] == []

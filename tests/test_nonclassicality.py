@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,11 +24,9 @@ from cvres.fock_core import (
 from cvres.entropies import entropy_of_probabilities, von_neumann_entropy
 from cvres.rates import required_cat_cutoff
 from cvres.states import (
-    GaussianDescriptor,
     StateSpec,
     cat_amplitudes,
     exact_energy,
-    gaussian_descriptor,
     make_state,
 )
 from cvres.nonclassicality import (
@@ -49,6 +48,7 @@ from cvres.nonclassicality import (
     gaussian_bounds,
     husimi_lower_bound,
     ideal_energy,
+    ideal_entropy,
     noisy_fock_closed_form,
     product_interval,
     quadrature_lower_bound,
@@ -1080,36 +1080,92 @@ class TestWehrlHusimiPair:
         assert husimi_lower_bound(rho).value == 0.0
 
 
+def gaussian_state(family, params):
+    """A state built from a Gaussian spec; the closed forms read only its spec."""
+    return make_state(StateSpec(family, params, 2), deficit_tol=1.0)
+
+
 class TestGaussianBounds:
     def test_vacuum(self):
-        lo, hi = gaussian_bounds(gaussian_descriptor(StateSpec("coherent", {"alpha": 0}, 8)))
+        lo, hi = gaussian_bounds(gaussian_state("coherent", {"alpha": 0}))
         assert lo.value == pytest.approx(0.0, abs=1e-12)
         assert hi.value == pytest.approx(1 + LOG2E, rel=1e-12)
 
     def test_squeezed(self):
-        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("squeezed", {"r": 1}, 8)))
+        lo, _ = gaussian_bounds(gaussian_state("squeezed", {"r": 1}))
         assert lo.value == pytest.approx(math.log2(math.cosh(1.0)), rel=1e-10)
 
     def test_thermal_floored(self):
-        lo, _ = gaussian_bounds(gaussian_descriptor(StateSpec("thermal", {"nu": 1}, 8)))
+        lo, _ = gaussian_bounds(gaussian_state("thermal", {"nu": 1}))
         assert lo.value == 0.0
         assert lo.certificate["raw_value_bits"] == pytest.approx(-1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("family, params, entropy", [
-        ("thermal", {"nu": 0.5}, g_thermal(0.5)),
-        ("thermal", {"nu": 2.0}, g_thermal(2.0)),
-        ("coherent", {"alpha": [0.5, 0.7]}, 0.0),
-        ("squeezed", {"r": 0.3}, 0.0),
-        ("squeezed", {"r": 1.2}, 0.0),
+    @given(st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-12),
+                     st.sampled_from([0.0, 5e-324, 1e-300, 1e-15, 4e-15, 1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_classical_raw_lower_never_positive(self, nu):
+        # a thermal state is classical: its raw lower bound reads no rounding as
+        # nonclassicality (nu = 1e-15 read +1.3e-15 bits through the covariance matrix)
+        lo, _ = gaussian_bounds(gaussian_state("thermal", {"nu": nu}))
+        assert lo.certificate["raw_value_bits"] <= 0.0 and lo.value == 0.0
+        amplitude = min(nu, 3.0)
+        lo, _ = gaussian_bounds(gaussian_state("coherent", {"alpha": [amplitude, -amplitude]}))
+        assert lo.certificate["raw_value_bits"] == 0.0
+
+    @given(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-4, 1e-4),
+                     st.sampled_from([1e-8, -1e-8, 1e-150, 0.3, 0.9])))
+    @settings(max_examples=200, deadline=None)
+    def test_squeezed_lower_is_log2_cosh(self, r):
+        lo, hi = gaussian_bounds(gaussian_state("squeezed", {"r": r}))
+        # cosh r - 1 is about r^2/2: keep 50 digits of it
+        with mpmath.workdps(50 + (2 * max(0, -math.floor(math.log10(abs(r)))) if r else 0)):
+            exact = float(mpmath.log(mpmath.cosh(mpmath.mpf(r)), 2))
+        assert lo.value == pytest.approx(exact, rel=1e-15, abs=1e-300)
+        assert hi.value == pytest.approx(1.0 + exact + LOG2E, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", [None, StateSpec("cat", {"alpha": 1, "sign": "-"}, 12),
+                                      StateSpec("fock", {"n": 1}, 4)])
+    def test_rejects_other_states(self, spec):
+        rho = fock_state(1, 4) if spec is None else make_state(spec, deficit_tol=1e-3)
+        with pytest.raises(UsageError, match="coherent, thermal, squeezed"):
+            gaussian_bounds(rho)
+
+
+class TestIdealEntropy:
+    @pytest.mark.parametrize("n, nu, p", [
+        (0, 0.3, 0.0), (0, 2.0, 0.0), (0, 5.0, 0.0), (2, 1.0, 0.5), (0, 0.7, 0.3),
+        (5, 0.2, 0.9), (3, 0.0, 0.4), (1, 2.0, 1e-6), (4, 3.0, 0.999), (1, 0.5, 0.5),
     ])
-    def test_entropy_from_covariance(self, family, params, entropy):
-        # S = g(nu) for thermal states and exactly 0 for the pure families
-        gd = gaussian_descriptor(StateSpec(family, params, 8))
-        got = nonclassicality._gaussian_entropy_bits(gd)
-        if entropy:
-            assert got == pytest.approx(entropy, rel=1e-12)
-        else:
-            assert got == 0.0
+    def test_matches_level_sum(self, n, nu, p):
+        # p|n><n| + (1-p) thermal(nu) against the 50-digit sum over levels < 2000
+        with mpmath.workdps(50):
+            nu_m, p_m = mpmath.mpf(nu), mpmath.mpf(p)
+            levels = [(1 - p_m) * nu_m**k / (1 + nu_m) ** (k + 1) + (p_m if k == n else 0)
+                      for k in range(2000)]
+            exact = -mpmath.fsum(w * mpmath.log(w, 2) for w in levels if w > 0)
+        rho = make_state(StateSpec("noisy_fock", {"n": n, "nu": nu, "p": p}, n + 1),
+                         deficit_tol=1.0)
+        assert ideal_entropy(rho) == pytest.approx(float(exact), rel=1e-12)
+        if p == 0.0:
+            thermal = make_state(StateSpec("thermal", {"nu": nu}, 1), deficit_tol=1.0)
+            assert ideal_entropy(thermal) == g_thermal(nu) == ideal_entropy(rho)
+
+    @pytest.mark.parametrize("family, params", [
+        ("fock", {"n": 3}), ("noisy_fock", {"n": 3, "nu": 2.0, "p": 1.0}),
+        ("noisy_fock", {"n": 0, "nu": 0.0, "p": 0.4}), ("thermal", {"nu": 0.0}),
+        ("coherent", {"alpha": [0.5, 0.7]}), ("cat", {"alpha": 1.0, "sign": "-"}),
+        ("squeezed", {"r": -1.2}),
+    ])
+    def test_pure_states_exactly_zero(self, family, params):
+        rho = make_state(StateSpec(family, params, 4), deficit_tol=1.0)
+        assert ideal_entropy(rho) == 0.0
+
+    @pytest.mark.parametrize("rho", [fock_state(1, 4),
+                                     make_state(StateSpec("basel", {"n_max": 3}, 9))],
+                             ids=["raw", "basel"])
+    def test_no_closed_form(self, rho):
+        with pytest.raises(UsageError, match="closed-form"):
+            ideal_entropy(rho)
 
 
 def _random_state(rng, d: int, rank: int | None = None) -> DensityOperator:
@@ -1947,7 +2003,7 @@ class TestSandwichDominance:
         lowers = [husimi_lower_bound(rho), quadrature_lower_bound(rho)]
         uppers = [energy_upper_bound(energy), classical_ansatz_upper_bound(rho)]
         if spec.family in ("coherent", "thermal", "squeezed"):
-            g_lower, g_upper = gaussian_bounds(gaussian_descriptor(spec))
+            g_lower, g_upper = gaussian_bounds(rho)
             lowers.append(g_lower)
             uppers.append(g_upper)
         if rho.fock_diagonal:

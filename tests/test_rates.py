@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,42 @@ from cvres.rates import (
     thermo_rate_bound,
 )
 from oracles import beam_splitter_unitary, fock_dilution_monte_carlo, tensor_states
+
+
+def ideal_free_energy(spec, beta):
+    """D(rho || gamma_beta) of the ideal state in bits, from 50-digit sums over levels < 2000."""
+    p = spec.params
+    with mpmath.workdps(50):
+        k = range(2000)
+        if spec.family in ("fock", "thermal", "noisy_fock"):
+            prob = mpmath.mpf(p.get("p", 1.0 if "n" in p else 0.0))
+            nu = mpmath.mpf(p.get("nu", 0.0))
+            w = [(1 - prob) * nu**j / (1 + nu) ** (j + 1) + (prob if j == p.get("n") else 0)
+                 for j in k]
+            entropy = -mpmath.fsum(x * mpmath.log(x, 2) for x in w if x > 0)
+        else:  # pure: |amplitude|^2 on each level, zero entropy
+            def series(first, ratio, size):
+                out = [first]
+                for j in range(1, size):
+                    out.append(out[-1] * ratio(j))
+                return out
+
+            if spec.family == "squeezed":
+                r = mpmath.mpf(p["r"])
+                quarter_t2 = (mpmath.tanh(r) / 2) ** 2
+                even = series(1 / mpmath.cosh(r), lambda n: 2 * (2 * n - 1) * quarter_t2 / n, 1000)
+                w = [x for e in even for x in (e, 0)]
+            else:
+                a2 = abs(mpmath.mpc(p["alpha"].real, p["alpha"].imag)) ** 2
+                w = series(mpmath.exp(-a2), lambda j: a2 / j, 2000)
+                if spec.family == "cat":
+                    parity = 0 if p["sign"] == "+" else 1
+                    w = [x if j % 2 == parity else 0 for j, x in enumerate(w)]
+            total = mpmath.fsum(w)
+            w = [x / total for x in w]
+            entropy = 0
+        energy = mpmath.fsum(j * x for j, x in zip(k, w))
+        return (beta * energy - mpmath.log(1 - mpmath.exp(-beta))) / mpmath.log(2) - entropy
 
 
 def loop_series_oracle(n, p, lam, rounds=100000):
@@ -332,6 +369,39 @@ class TestFreeEnergy:
         gamma = make_state(StateSpec("thermal", {"nu": 1}, 40))
         vac = fock_state(0, 40)
         assert thermo_rate_bound(vac, gamma, beta).undefined
+
+    @pytest.mark.parametrize("spec, beta", [
+        (StateSpec("thermal", {"nu": 0.4}, 40), 1.3),
+        (StateSpec("thermal", {"nu": 4.0}, 200), 0.5),
+        (StateSpec("fock", {"n": 3}, 4), 2.0),
+        (StateSpec("noisy_fock", {"n": 2, "nu": 1.0, "p": 0.5}, 40), 2.0),
+        (StateSpec("noisy_fock", {"n": 6, "nu": 0.3, "p": 0.05}, 40), 0.7),
+        (StateSpec("noisy_fock", {"n": 1, "nu": 0.0, "p": 0.8}, 2), 3.0),
+        (StateSpec("squeezed", {"r": 0.7}, 120), 1.0),
+        (StateSpec("cat", {"alpha": 1.5, "sign": "+"}, 40), 0.8),
+        (StateSpec("coherent", {"alpha": [0.5, -1.0]}, 40), 2.0),
+    ], ids=lambda v: v.to_json() if isinstance(v, StateSpec) else str(v))
+    def test_spec_state_reads_closed_form(self, spec, beta):
+        rho = make_state(spec, deficit_tol=1e-6)
+        assert free_energy(rho, beta) == pytest.approx(float(ideal_free_energy(spec, beta)),
+                                                       rel=1e-12)
+
+    # ROADMAP item 15's table: a truncation at these cutoffs read below the ideal value
+    @pytest.mark.parametrize("spec, tol, beta", [
+        (StateSpec("thermal", {"nu": 2.0}, 40), 1e-4, 2.0),
+        (StateSpec("thermal", {"nu": 2.0}, 40), 1e-4, 0.5),
+        (StateSpec("squeezed", {"r": 1.0}, 60), 1e-4, 2.0),
+        (StateSpec("squeezed", {"r": 1.0}, 120), 1e-8, 2.0),
+        (StateSpec("noisy_fock", {"n": 2, "nu": 1.0, "p": 0.5}, 30), 1e-4, 2.0),
+        (StateSpec("cat", {"alpha": 2.0, "sign": "-"}, 24), 1e-8, 2.0),
+    ], ids=lambda v: v.to_json() if isinstance(v, StateSpec) else str(v))
+    def test_rate_bracket_holds_the_ideal_value(self, spec, tol, beta):
+        rho = make_state(spec, deficit_tol=tol)
+        ideal = ideal_free_energy(spec, beta)
+        rb = thermo_rate_bound(rho, rho, beta)
+        assert rb.numerator.value >= ideal >= rb.denominator.value
+        truncated = free_energy(DensityOperator.from_matrix(rho.entries, 1, spec.cutoff), beta)
+        assert truncated < ideal  # what the spec's closed form mends
 
 
 @pytest.mark.slow

@@ -20,10 +20,10 @@ from cvres.states import (
     _levels,
     basel_weights,
     exact_energy,
-    gaussian_descriptor,
     make_state,
     thermal_weights,
 )
+from cvres.nonclassicality import g_thermal, gaussian_bounds
 from oracles import default_quadrature_grid, tensor_states
 
 
@@ -100,6 +100,13 @@ class TestMakeState:
     def test_squeezed_r0_is_vacuum(self):
         rho = make_state(StateSpec("squeezed", {"r": 0}, 10))
         assert rho.diagonal()[0] == 1.0
+
+    @pytest.mark.parametrize("r", [5e-324, -5e-324, 1e-323])
+    def test_squeezed_subnormal_r_builds(self, r):
+        # log(|tanh r|/2) failed once |tanh r|/2 underflowed to 0; the state is the vacuum
+        # to rounding, its level-2 amplitude |r|/sqrt(2) at most one subnormal
+        ent = make_state(StateSpec("squeezed", {"r": r}, 10)).entries
+        assert ent[0, 0] == 1.0 and np.all(np.abs(ent[1:, 1:]) <= 5e-324)
 
     def test_squeezed_amplitudes_formula(self):
         # rho[4,0] = c_2 * c_0 with c_n = sqrt(C(2n,n)) (-tanh(r)/2)^n / sqrt(cosh r)
@@ -406,20 +413,7 @@ def quadrature_moments(rho):
     return s, v
 
 
-class TestGaussianDescriptor:
-    def test_vacuum(self):
-        gd = gaussian_descriptor(StateSpec("coherent", {"alpha": 0}, 10))
-        assert np.allclose(gd.s, 0.0)
-        assert np.allclose(gd.V, np.eye(2))
-
-    def test_thermal(self):
-        gd = gaussian_descriptor(StateSpec("thermal", {"nu": 1}, 10))
-        assert np.allclose(gd.V, 3 * np.eye(2))
-
-    def test_coherent_means(self):
-        gd = gaussian_descriptor(StateSpec("coherent", {"alpha": [1.0, 0.5]}, 10))
-        assert np.allclose(gd.s, math.sqrt(2) * np.array([1.0, 0.5]))
-
+class TestGaussianClosedForms:
     @pytest.mark.parametrize(
         "spec",
         [
@@ -431,29 +425,27 @@ class TestGaussianDescriptor:
         ],
     )
     def test_moments_match_construction(self, spec):
-        rho = make_state(spec, deficit_tol=1e-6).renormalized()
-        s_num, v_num = quadrature_moments(rho)
-        gd = gaussian_descriptor(spec)
-        assert np.max(np.abs(s_num - gd.s)) < 1e-6
-        assert np.max(np.abs(v_num - gd.V)) < 1e-6
+        # the closed forms read off the spec agree with the covariance matrix of the state
+        # make_state builds: excess = 1/2 log2 det(V + 1) - g((sqrt(det V) - 1)/2)
+        rho = make_state(spec, deficit_tol=1e-6)
+        _, v_num = quadrature_moments(rho.renormalized())
+        det = float(np.linalg.det(v_num))
+        excess = 0.5 * math.log2(np.linalg.det(v_num + np.eye(2))) - g_thermal(
+            max(0.5 * (math.sqrt(det) - 1.0), 0.0))
+        lower, _ = gaussian_bounds(rho)
+        assert abs(lower.certificate["raw_value_bits"] + 1.0 - excess) < 1e-6
 
     def test_rejects_non_gaussian(self):
-        with pytest.raises(UsageError):
-            gaussian_descriptor(StateSpec("cat", {"alpha": 1, "sign": "+"}, 10))
-
-    def test_uncertainty_validation(self):
-        from cvres.states import GaussianDescriptor
-
-        with pytest.raises(UsageError):
-            GaussianDescriptor(np.zeros(2), 0.5 * np.eye(2))
+        with pytest.raises(UsageError, match="coherent, thermal, squeezed"):
+            gaussian_bounds(make_state(StateSpec("cat", {"alpha": 1, "sign": "+"}, 10),
+                                       deficit_tol=1e-3))
 
 
 @pytest.mark.parametrize("build", [
     lambda: fock_state(1, 3),
     lambda: make_state(StateSpec("basel", {"n_max": 3}, 9)),
-    lambda: gaussian_descriptor(StateSpec("squeezed", {"r": 0.3}, 40)),
     lambda: default_quadrature_grid(1.0, 20),
-], ids=["DensityOperator", "FockDiagonalState", "GaussianDescriptor", "QuadratureGrid"])
+], ids=["DensityOperator", "FockDiagonalState", "QuadratureGrid"])
 def test_array_holders_compare_by_identity(build):
     # a value __eq__ over an array field raises, and its __hash__ is unhashable
     a, b = build(), build()
