@@ -41,7 +41,6 @@ from .nonclassicality import (
     gamma_lower_bound,
     gaussian_bounds,
     husimi_lower_bound,
-    husimi_sup,
     ideal_energy,
     ideal_entropy,
     noisy_fock_closed_form,

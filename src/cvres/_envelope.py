@@ -29,19 +29,6 @@ class CertifiedSup(NamedTuple):
     splits: int  # interior nodes evaluated, SUP_FANOUT - 1 per split segment
 
 
-_HALF_LOG_FACTORIALS: dict[int, np.ndarray] = {}
-
-
-def _half_log_factorials(d: int) -> np.ndarray:
-    """(ln j! + ln k!)/2 for 0 <= j, k < d, cached per d and read-only since callers share it."""
-    if d not in _HALF_LOG_FACTORIALS:
-        log_fact = log_factorials(d)
-        table = 0.5 * (log_fact[:, None] + log_fact[None, :])
-        table.setflags(write=False)
-        _HALF_LOG_FACTORIALS[d] = table
-    return _HALF_LOG_FACTORIALS[d]
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values in ascending order; np.unique would import numpy.ma on first use."""
     out = np.sort(values)
@@ -53,8 +40,9 @@ def _envelope_log_weights(entries: np.ndarray) -> np.ndarray:
     mag = np.abs(np.asarray(entries))
     d = mag.shape[0]
     j = np.arange(d)
+    lf = log_factorials(d)
     with np.errstate(divide="ignore"):
-        ln_c = np.log(mag) - _half_log_factorials(d)
+        ln_c = np.log(mag) - 0.5 * (lf[:, None] + lf[None, :])
     by_s = np.full((2 * d - 1, d), -np.inf)  # row s = j + k holds the terms of W_s
     by_s[j[:, None] + j[None, :], j[:, None]] = ln_c
     m = np.max(by_s, axis=1)

@@ -19,6 +19,7 @@ many of its selectors use it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -168,7 +169,7 @@ def cmd_monotone(args) -> int:
             raise UsageError(f"selector {sel!r} is not available for the basel family; "
                              f"use {' or '.join(BASEL_SELECTORS)}")
         bounds.extend(table[sel](rho, sandwich))
-    payload = [json.loads(b.to_json()) for b in bounds]
+    payload = [dataclasses.asdict(b) for b in bounds]
     for doc in payload:
         doc["value"] = _bits_out(doc["value"], args.nats)
     if args.format == "json":

@@ -16,7 +16,6 @@ ideal state that ``make_state`` recorded on the state (``ideal_energy``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -129,28 +128,6 @@ class MonotoneBound:
             raise UsageError("direction must be lower or upper")
         if self.direction == "lower" and self.value < 0:
             raise UsageError("lower bounds must be floored at zero before construction")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "quantity": self.quantity,
-                "direction": self.direction,
-                "value": self.value,
-                "certificate": self.certificate,
-                "converged": self.converged,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonotoneBound":
-        doc = json.loads(text)
-        return cls(
-            doc["quantity"],
-            doc["direction"],
-            float(doc["value"]),
-            dict(doc["certificate"]),
-            bool(doc["converged"]),
-        )
 
 
 def ideal_energy(rho: DensityOperator | FockDiagonalState) -> float:
@@ -291,8 +268,9 @@ def gamma_lower_bound(rho: DensityOperator, *, max_iters: int = 300) -> Monotone
     at zero) is a valid bound for the ideal state whose truncation this is.
     """
     if rho.modes != 1:
-        raise UsageError("gamma_lower_bound operates on single-mode states; use product "
-                         "ansatz helpers for tensor inputs")
+        raise UsageError(f"the dense ascent takes a single-mode state, not {rho.modes} modes; "
+                         "bound a product state factor by factor and add the intervals "
+                         "with product_interval")
     raw, cert, report = _gamma_ascent_dense(rho.renormalized().entries, max_iters)
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": "dense exp(H) ascent", "raw_value_bits": raw,
@@ -480,7 +458,9 @@ def fock_diagonal_ncm(state) -> FockDiagonalResult:
                              "bound is basel_divergence_bound (--which ncm-lower)")
     else:
         if state.modes != 1:
-            raise UsageError("fock_diagonal_ncm handles single-mode states")
+            raise UsageError(f"the exact Fock-diagonal program takes a single-mode state, not "
+                             f"{state.modes} modes; the sandwich (--which sandwich) and the "
+                             "energy bound (--which energy-upper) take any number of modes")
         if not state.fock_diagonal:
             raise UsageError("state is not Fock-diagonal; dephase it, or bound it with "
                              "bound_sandwich (--which sandwich)")
@@ -591,17 +571,16 @@ def energy_upper_bound(energy: float, modes: int = 1) -> MonotoneBound:
     return MonotoneBound("NC", "upper", value, {"ansatz_description": f"thermal family at E={energy}"})
 
 
-def husimi_sup(rho: DensityOperator) -> float:
-    """Certified upper bound on sup_alpha Q_rho(alpha) (single mode)."""
-    if rho.modes != 1:
-        raise UsageError("husimi_sup supports single-mode states")
-    return coherent_sup_certified(rho.entries, tol=INNER_TOL).value / math.pi
-
-
 def husimi_lower_bound(rho: DensityOperator) -> MonotoneBound:
-    """-log2(pi^m sup Q) - S, floored at zero."""
+    """-log2(pi sup Q) - S, floored at zero, for a single mode: pi Q(alpha) = <alpha|rho|alpha>,
+    whose supremum is certified from above."""
+    if rho.modes != 1:
+        raise UsageError(f"the Husimi bound takes a single-mode state, not {rho.modes} modes; "
+                         "the sandwich (--which sandwich) and the energy bound "
+                         "(--which energy-upper) take any number of modes")
     rho_n = rho.renormalized()
-    raw = -math.log2(max(math.pi**rho.modes * husimi_sup(rho_n), 1e-300)) - von_neumann_entropy(rho_n)
+    sup = coherent_sup_certified(rho_n.entries, tol=INNER_TOL).value
+    raw = -math.log2(max(sup, 1e-300)) - von_neumann_entropy(rho_n)
     return _certified(rho, "NCM", "lower", raw,
                       {"ansatz_description": "certified Husimi peak", "raw_value_bits": raw})
 

@@ -1,8 +1,9 @@
 """Transformation-rate bounds and exact linear-optics protocol simulation.
 
 Protocols are simulated through the beam-splitter identities, never through a
-dense two-mode unitary, so the joint state is a d x d amplitude matrix.  Branch
-probabilities are inner products with it, so sampling would only add noise.
+dense two-mode unitary.  Each herald contracts the ancilla before any two-mode state
+exists, so a branch is one length-d amplitude vector and its probability is exact:
+sampling would only add noise.
 """
 
 from __future__ import annotations
@@ -119,19 +120,13 @@ def thermo_rate_bound(rho: DensityOperator, sigma: DensityOperator, beta: float)
 # ---------------------------------------------------------------------------
 
 def closed_form_ps(n: int, p: float, lam: float) -> float:
-    """p n (1-lam) lam^(2n-1) / ((1-lam^n)(p lam^n + 1 - p))."""
-    return p * n * (1.0 - lam) * lam ** (2 * n - 1) / ((1.0 - lam**n) * (p * lam**n + 1.0 - p))
-
-
-def _one_round_branches(n: int, lam: float) -> tuple[float, float, float]:
-    """Ancilla-count branches for |n,0>: returns (P0, P1, fidelity of the one-count
-    output against |n-1>).
-
-    U|n,0> = sum_l c_l |n-l, l>, so l ancilla counts leave exactly |n-l> with
-    probability c_l^2.  Photon number is conserved, so the fidelity is 1.
-    """
-    c = beam_splitter_fock_column(n, lam)
-    return float(c[0] ** 2), float(c[1] ** 2), 1.0
+    """p n (1-lam) lam^(2n-1) / ((1-lam^n)(p lam^n + 1 - p)), the powers of lam taken in
+    the log domain: p lam^n + 1 - p is e^logaddexp(ln p + n ln lam, ln(1 - p)), which
+    neither cancels at p = 1 nor reaches 0 once lam^n falls below an ulp of 1."""
+    ln_lam = math.log(lam)
+    with np.errstate(divide="ignore"):  # ln(1 - p) = -inf at p = 1
+        ln_mix = float(np.logaddexp(np.log(p) + n * ln_lam, np.log1p(-p)))
+    return p * n * (1.0 - lam) * math.exp((2 * n - 1) * ln_lam - ln_mix) / -math.expm1(n * ln_lam)
 
 
 def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
@@ -148,20 +143,15 @@ def fock_dilution(n: int, p: float, lam: float) -> ProtocolOutcome:
         raise UsageError("p must lie in (0, 1]")
     if not (0.0 < lam < 1.0):
         raise DegenerateParameterError("transmissivity must lie strictly inside (0, 1)")
-    p0_fock, p1_fock, fid = _one_round_branches(n, lam)
-    success = p * p1_fock / (1.0 - p0_fock)
-    return ProtocolOutcome(
-        success_probability=success,
-        copies_in=1.0,
-        copies_out=1.0,
-        output_fidelity_check=fid,
-        details={
-            "rounds_summed": 0,
-            "p0_fock_simulated": p0_fock,
-            "p1_fock_simulated": p1_fock,
-            "closed_form": closed_form_ps(n, p, lam),
-        },
-    )
+    # U|n,0> = sum_l c_l |n-l, l>: l ancilla counts leave exactly |n-l> with probability
+    # c_l^2, since photon number is conserved, so the output fidelity is 1
+    c = beam_splitter_fock_column(n, lam)
+    p0_fock, p1_fock = float(c[0] ** 2), float(c[1] ** 2)
+    return ProtocolOutcome(success_probability=p * p1_fock / (1.0 - p0_fock), copies_in=1.0,
+                           copies_out=1.0, output_fidelity_check=1.0,
+                           details={"rounds_summed": 0, "p0_fock_simulated": p0_fock,
+                                    "p1_fock_simulated": p1_fock,
+                                    "closed_form": closed_form_ps(n, p, lam)})
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +184,23 @@ def _check_cutoff(alpha: float, cutoff: int | None) -> int:
     return cutoff
 
 
-def _balanced_split(terms, d: int) -> np.ndarray:
-    """sum_k w_k U|a_k>|b_k> at transmissivity 1/2 as a d x d matrix (rows: first
-    mode), from U|a>|b> = |(a+b)/sqrt2>|(b-a)/sqrt2> for real a and b.  The k weighted
-    left vectors and the k right vectors are stacked into (k, d) arrays, so one product
-    builds the matrix and no second d x d matrix is ever held."""
+def _heralded(terms, d: int, ket: np.ndarray) -> np.ndarray:
+    """sum_k w_k <ket|(b_k-a_k)/sqrt2> |(a_k+b_k)/sqrt2>: the first mode of sum_k w_k
+    U|a_k>|b_k> at transmissivity 1/2, heralded on ``ket`` in the second, from
+    U|a>|b> = |(a+b)/sqrt2>|(b-a)/sqrt2> for real a and b.  The ancilla is contracted
+    term by term, so no two-mode state is formed."""
     def amplitudes(x):
         return np.real(coherent_vector(x / math.sqrt(2.0), d)[0])
 
     left = np.array([w * amplitudes(a + b) for w, a, b in terms])
     right = np.array([amplitudes(b - a) for _, a, b in terms])
-    return left.T @ right
+    return (right @ ket) @ left
+
+
+def _branch(amp: np.ndarray, kept: np.ndarray) -> tuple[float, float]:
+    """(probability, fidelity against ``kept``) of an unnormalised heralded output."""
+    prob = float(np.sum(np.abs(amp) ** 2))
+    return prob, float(np.abs(np.vdot(kept, amp)) ** 2 / prob) if prob > 0 else 0.0
 
 
 def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, ProtocolOutcome]:
@@ -213,47 +209,43 @@ def cat_amplification(alpha: float, cutoff: int | None = None) -> dict[str, Prot
     Both variants herald on a rank-one measurement of the ancilla mode: "ours"
     projects onto the vacuum component orthogonal to the large cat (the optimal
     choice), while "lund" realizes the heralding statistics of the Lund et al.
-    interferometric scheme.  Success leaves exactly the target cat.
+    interferometric scheme.  Success leaves exactly the target cat.  Both heralds come
+    from tail sums of the normalised target T, so small alpha keeps its digits.
     """
     if alpha <= 0:
         raise UsageError("alpha must be positive")
     d = _check_cutoff(alpha, cutoff)
     target = cat_amplitudes(math.sqrt(2.0) * alpha, "+", d)
     target = target / np.linalg.norm(target)
-    # cat x cat = sum over s, t = +-1 of |s alpha>|t alpha> / N^2
-    w = 1.0 / cat_norm(alpha, "+") ** 2
-    joint = _balanced_split([(w, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)], d)
-
-    a2 = alpha * alpha
-    # closed forms in E_k = e^(-k a2), which cannot overflow: 1/cosh(2 a2) = 2 E_2 / (1 + E_4)
-    inv_c2 = 2.0 * math.exp(-2.0 * a2) / (1.0 + math.exp(-4.0 * a2))
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    chi = e0 - math.sqrt(inv_c2) * target  # e0 cosh^(1/2)(2 a2) - target, rescaled
-    chi = chi / np.linalg.norm(chi)
-
-    u_vec = e0 - np.dot(target, e0) * target
-    u_vec = u_vec / np.linalg.norm(u_vec)
-    w_seed = np.zeros(d)
-    w_seed[2] = 1.0
-    w_vec = w_seed - np.dot(target, w_seed) * target - np.dot(u_vec, w_seed) * u_vec
+    # 1 - T_0^2 and 1 - T_0^2 - T_2^2 as the sums they equal
+    tail_1 = float(np.sum(target[1:] ** 2))
+    tail_3 = float(target[1] ** 2 + np.sum(target[3:] ** 2))
+    if tail_3 == 0.0:
+        raise UsageError(f"cat amplification at alpha = {alpha}: the target cat beyond Fock "
+                         "level 2 is 0 in floating point, so no herald orthogonal to it exists")
+    # u: the vacuum less its projection on T, (1 - T_0^2, -T_0 T_1, ...) / sqrt(1 - T_0^2)
+    u_vec = -target[0] * target
+    u_vec[0] = tail_1
+    u_vec = u_vec / math.sqrt(tail_1)
+    # w: e_2 orthogonalised against T and u, (0, -T_2 T_1, 1 - T_0^2 - T_2^2, -T_2 T_3, ...)
+    # / (1 - T_0^2) before normalising
+    w_vec = -target[2] / tail_1 * target
+    w_vec[0], w_vec[2] = 0.0, tail_3 / tail_1
     w_vec = w_vec / np.linalg.norm(w_vec)
-    cos_t = -math.expm1(-a2) / math.sqrt(1.0 - inv_c2)
+    # cos theta = (1 - E_1) / sqrt(1 - sech(2 a2)) with E_k = e^(-k a2), without cancelling
+    a2 = alpha * alpha
+    cos_t = math.expm1(-a2) * math.sqrt(1.0 + math.exp(-4.0 * a2)) / math.expm1(-2.0 * a2)
     cos_t = min(cos_t, 1.0)
     phi_lund = cos_t * u_vec + math.sqrt(max(0.0, 1.0 - cos_t**2)) * w_vec
 
+    # cat x cat = sum over s, t = +-1 of |s alpha>|t alpha> / N^2
+    w = 1.0 / cat_norm(alpha, "+") ** 2
+    terms = [(w, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)]
     outcomes = {}
-    for name, ket in (("ours", chi), ("lund", phi_lund)):
-        amp = joint @ ket  # contract the ancilla mode
-        prob = float(np.sum(np.abs(amp) ** 2))
-        fid = float(np.abs(np.vdot(target, amp)) ** 2 / prob) if prob > 0 else 0.0
-        outcomes[name] = ProtocolOutcome(
-            success_probability=prob,
-            copies_in=2.0,
-            copies_out=1.0,
-            output_fidelity_check=fid,
-            details={"cutoff": d},
-        )
+    for name, ket in (("ours", u_vec), ("lund", phi_lund)):
+        prob, fid = _branch(_heralded(terms, d, ket), target)
+        outcomes[name] = ProtocolOutcome(success_probability=prob, copies_in=2.0, copies_out=1.0,
+                                         output_fidelity_check=fid, details={"cutoff": d})
     return outcomes
 
 
@@ -277,32 +269,17 @@ def cat_dilution(alpha: float, cutoff: int | None = None) -> ProtocolOutcome:
     if alpha <= 0:
         raise UsageError("alpha must be positive")
     d = _check_cutoff(alpha, cutoff)
-    plus = cat_amplitudes(alpha, "+", d)
-    plus = plus / np.linalg.norm(plus)
-    minus = cat_amplitudes(alpha, "-", d)
-    minus = minus / np.linalg.norm(minus)
+    plus, minus = (v / np.linalg.norm(v) for v in (cat_amplitudes(alpha, s, d) for s in "+-"))
     # big cat x vacuum = (|sqrt2 alpha>|0> + |-sqrt2 alpha>|0>) / N_big
     big = math.sqrt(2.0) * alpha
     w = 1.0 / cat_norm(big, "+")
-    joint = _balanced_split([(w, big, 0.0), (w, -big, 0.0)], d)
-    amp_plus = joint @ plus
-    amp_minus = joint @ minus
-    p_plus = float(np.sum(np.abs(amp_plus) ** 2))
-    p_minus = float(np.sum(np.abs(amp_minus) ** 2))
-    fid_plus = float(np.abs(np.vdot(plus, amp_plus)) ** 2 / p_plus) if p_plus > 0 else 0.0
-    fid_minus = float(np.abs(np.vdot(minus, amp_minus)) ** 2 / p_minus) if p_minus > 0 else 0.0
-    return ProtocolOutcome(
-        success_probability=p_minus,
-        copies_in=1.0,
-        copies_out=0.5,
-        output_fidelity_check=min(fid_plus, fid_minus),
-        details={
-            "branch_plus": p_plus,
-            "branch_minus": p_minus,
-            "branch_sum": p_plus + p_minus,
-            "cutoff": d,
-        },
-    )
+    terms = [(w, big, 0.0), (w, -big, 0.0)]
+    p_plus, fid_plus = _branch(_heralded(terms, d, plus), plus)
+    p_minus, fid_minus = _branch(_heralded(terms, d, minus), minus)
+    return ProtocolOutcome(success_probability=p_minus, copies_in=1.0, copies_out=0.5,
+                           output_fidelity_check=min(fid_plus, fid_minus),
+                           details={"branch_plus": p_plus, "branch_minus": p_minus,
+                                    "branch_sum": p_plus + p_minus, "cutoff": d})
 
 
 def cat_dilution_formulas(alpha: float) -> dict[str, float]:

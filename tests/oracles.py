@@ -19,9 +19,9 @@ from scipy.optimize import minimize_scalar
 from cvres._envelope import _envelope_at, _envelope_grid, _envelope_terms, _peak_polisher
 from cvres.entropies import von_neumann_entropy
 from cvres.errors import ConfigurationError, UsageError
-from cvres.fock_core import DensityOperator, coherent_vector, log_factorials
+from cvres.fock_core import (DensityOperator, beam_splitter_fock_column, coherent_vector,
+                             log_factorials)
 from cvres.nonclassicality import MonotoneBound, _certified
-from cvres.rates import _one_round_branches
 
 _ZERO_BIN = 1e-15
 SUPPORT_TOL = 1e-10  # weight of rho outside the support of sigma that makes D(rho||sigma) infinite
@@ -84,7 +84,8 @@ def fock_dilution_monte_carlo(n: int, p: float, lam: float, shots: int, seed: in
     Each shot draws |n> with probability p, else vacuum, which never heralds;
     |n> then runs count rounds until one count (success) or more (failure).
     """
-    p0_fock, p1_fock, _ = _one_round_branches(n, lam)
+    c = beam_splitter_fock_column(n, lam)  # l ancilla counts with probability c_l^2
+    p0_fock, p1_fock = float(c[0] ** 2), float(c[1] ** 2)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(shots):

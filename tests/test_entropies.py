@@ -6,7 +6,7 @@ import pytest
 from cvres.errors import UsageError
 from cvres.fock_core import DensityOperator, dephase, fock_state
 from cvres.entropies import ascend, measured_relative_entropy, von_neumann_entropy
-from cvres.nonclassicality import husimi_sup
+from cvres.nonclassicality import coherent_sup_certified
 from cvres.states import StateSpec, make_state
 from oracles import (
     QuadratureGrid,
@@ -143,16 +143,19 @@ class TestHusimi:
         mass = 0.5 * float(radial @ (q.mean(axis=1) * 2 * math.pi))
         assert mass == pytest.approx(rho.trace(), abs=1e-8)
 
-    def test_husimi_sup_vacuum(self):
-        assert husimi_sup(fock_state(0, 10)) == pytest.approx(1 / math.pi, rel=1e-8)
+    # sup_alpha <alpha|rho|alpha> = pi sup Q, the certified peak the Husimi bound reads
+    def test_husimi_peak_vacuum(self):
+        assert coherent_sup_certified(fock_state(0, 10).entries).value == pytest.approx(
+            1.0, rel=1e-8)
 
-    def test_husimi_sup_fock1(self):
-        assert husimi_sup(fock_state(1, 12)) == pytest.approx(math.exp(-1) / math.pi, rel=1e-8)
+    def test_husimi_peak_fock1(self):
+        assert coherent_sup_certified(fock_state(1, 12).entries).value == pytest.approx(
+            math.exp(-1), rel=1e-8)
 
-    def test_husimi_sup_cat_window(self):
+    def test_husimi_peak_cat_window(self):
         rho = make_state(StateSpec("cat", {"alpha": 1, "sign": "+"}, 30))
-        sup = husimi_sup(rho)
-        assert husimi_q(rho, 1.0) <= sup <= 2 / math.pi
+        sup = coherent_sup_certified(rho.entries).value
+        assert math.pi * husimi_q(rho, 1.0) <= sup <= 2
 
 
 class TestWehrl:

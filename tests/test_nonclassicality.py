@@ -778,6 +778,11 @@ class TestGamma:
         bound = gamma_lower_bound(rho)
         assert abs(bound.value - LOG2E) <= 1e-3 or not bound.converged
 
+    def test_two_modes_name_the_product_remedy(self):
+        rho = DensityOperator.from_hermitian(np.eye(4) / 4, 2, 2)
+        with pytest.raises(UsageError, match="not 2 modes.*product_interval"):
+            gamma_lower_bound(rho)
+
     def test_classical_states_near_zero(self):
         coh = make_state(StateSpec("coherent", {"alpha": 1}, 30))
         assert gamma_lower_bound(coh).value <= 1e-6
@@ -1856,11 +1861,6 @@ class TestBasel:
 
 
 class TestMonotoneBound:
-    def test_json_round_trip(self):
-        bound = MonotoneBound("NCM", "lower", 1.25, {"truncation_epsilon": 0.0}, True)
-        again = MonotoneBound.from_json(bound.to_json())
-        assert again == bound
-
     def test_lower_must_be_nonnegative(self):
         with pytest.raises(UsageError):
             MonotoneBound("NCM", "lower", -0.1, {})

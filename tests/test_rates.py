@@ -12,7 +12,6 @@ from cvres.nonclassicality import MonotoneBound, fock_closed_form
 from cvres import rates
 from cvres.rates import (
     ProtocolOutcome,
-    _one_round_branches,
     cat_amplification,
     cat_amplification_formulas,
     cat_dilution,
@@ -107,6 +106,19 @@ class TestFockDilution:
                 fock_dilution(n, p_post, lam).success_probability, abs=1e-10
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 30, 52, 53, 60, 200, 2000])
+    def test_printed_formula_against_50_digits(self, n):
+        # lam^n below an ulp of 1 made p lam^n + 1 - p read 0 at p = 1 (n log2(1/lam) >= 53)
+        # and lost its digits before that; 1 - p is grouped so that mpmath does not cancel
+        with mpmath.workdps(50):
+            for lam in (0.3, 0.5, 0.9, 0.999):
+                for p in (0.1, 0.5, 1.0):
+                    mp_lam, mp_p = mpmath.mpf(lam), mpmath.mpf(p)
+                    ref = (mp_p * n * (1 - mp_lam) * mp_lam ** (2 * n - 1)
+                           / ((1 - mp_lam**n) * (mp_p * mp_lam**n + (1 - mp_p))))
+                    assert closed_form_ps(n, p, lam) == pytest.approx(float(ref), rel=1e-12,
+                                                                      abs=0.0), (lam, p)
+
     @pytest.mark.parametrize("n,p", [(2, 0.5), (3, 1.0), (4, 0.7)])
     def test_lambda_to_one_limit(self, n, p):
         out = fock_dilution(n, p, 0.999)
@@ -154,6 +166,24 @@ class TestCatAmplification:
         for alpha in np.linspace(1.0, 3.0, 9):
             forms = cat_amplification_formulas(alpha)
             assert forms["ours"] >= forms["lund"]
+
+    @pytest.mark.parametrize("alpha", [1e-4, 3e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0, 3.0, 10.0,
+                                       22.5])
+    def test_small_and_large_alpha_keep_their_digits(self, alpha):
+        # 1 - sech(2 a^2) and the old herald's e_0 - sqrt(sech(2 a^2)) T cancelled as a^4:
+        # "lund" read 5.7e3 times its value at alpha = 1e-3
+        sims = cat_amplification(alpha)
+        forms = cat_amplification_formulas(alpha)
+        for name in ("ours", "lund"):
+            assert sims[name].success_probability == pytest.approx(forms[name], rel=1e-10, abs=0.0)
+            assert sims[name].output_fidelity_check == pytest.approx(1.0, abs=1e-10)
+
+    def test_tiny_alpha(self):
+        sims = cat_amplification(1e-8)
+        for name, form in cat_amplification_formulas(1e-8).items():
+            assert sims[name].success_probability == pytest.approx(form, rel=1e-10, abs=0.0)
+        with pytest.raises(UsageError, match="0 in floating point"):
+            cat_amplification(1e-300)
 
     def test_insufficient_cutoff_named(self):
         from cvres.errors import InsufficientCutoffError
@@ -214,19 +244,20 @@ class TestCatDilution:
 class TestDenseReference:
     """The beam-splitter identities against contracting the dense unitary.
 
-    Each protocol is run twice: once as is, and once with its joint amplitude
-    matrix replaced by the dense unitary applied to the product input, so the
-    heralds and the contraction are shared and only the joint state differs.
+    Each protocol is run twice: once as is, and once with each heralded output
+    replaced by the dense unitary applied to the product input and contracted with
+    the herald, so the heralds and the branch arithmetic are shared and only the
+    joint state differs.
     """
 
     @staticmethod
     def run_dense(monkeypatch, protocol, alpha, left, right):
-        def dense_split(terms, d):
+        def dense_heralded(terms, d, ket):
             u = beam_splitter_unitary(0.5, d)
-            return (u @ np.kron(left(d), right(d))).reshape(d, d)
+            return (u @ np.kron(left(d), right(d))).reshape(d, d) @ ket
 
         with monkeypatch.context() as m:
-            m.setattr(rates, "_balanced_split", dense_split)
+            m.setattr(rates, "_heralded", dense_heralded)
             return protocol(alpha)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -256,31 +287,35 @@ class TestDenseReference:
         vec = np.zeros(d * d, dtype=complex)
         vec[n * d] = 1.0
         out = (beam_splitter_unitary(lam, d) @ vec).reshape(d, d)
-        p0, p1, fid = _one_round_branches(n, lam)
-        assert p0 == pytest.approx(float(np.sum(np.abs(out[:, 0]) ** 2)), abs=1e-10)
-        assert p1 == pytest.approx(float(np.sum(np.abs(out[:, 1]) ** 2)), abs=1e-10)
-        assert fid == pytest.approx(abs(out[n - 1, 1]) ** 2 / p1, abs=1e-10)
+        sim = fock_dilution(n, 1.0, lam)
+        p1 = float(np.sum(np.abs(out[:, 1]) ** 2))
+        assert sim.details["p0_fock_simulated"] == pytest.approx(
+            float(np.sum(np.abs(out[:, 0]) ** 2)), abs=1e-10)
+        assert sim.details["p1_fock_simulated"] == pytest.approx(p1, abs=1e-10)
+        assert sim.output_fidelity_check == pytest.approx(abs(out[n - 1, 1]) ** 2 / p1, abs=1e-10)
 
-    def test_balanced_split_holds_one_matrix(self):
-        # the k terms go into one (k, d) x (k, d) product: the joint matrix is the only
-        # d x d array alive, where summing k outer products held two
+    def test_herald_holds_no_joint_state(self):
+        # the ancilla is contracted term by term: no d x d array is formed, where the
+        # joint amplitude matrix alone took 8 d^2 bytes
         alpha = 10.0
         d = rates._check_cutoff(alpha, None)
         terms = [(0.5, s * alpha, t * alpha) for s in (1, -1) for t in (1, -1)]
-        reference = np.zeros((d, d))  # the loop form; the product sums in another order
+        reference = np.zeros((d, d))  # the joint amplitude matrix as a sum of outer products
         for w, a, b in terms:
             left, right = (np.real(coherent_vector(x / math.sqrt(2.0), d)[0])
                            for x in (a + b, b - a))
             reference += w * np.outer(left, right)
+        ket = np.random.default_rng(7).normal(size=d)
+        ket /= np.linalg.norm(ket)
         tracemalloc.start()
         try:
-            joint = rates._balanced_split(terms, d)
+            amp = rates._heralded(terms, d, ket)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert d > 800
-        np.testing.assert_allclose(joint, reference, rtol=0.0, atol=8 * np.finfo(float).eps)
-        assert peak < 1.5 * 8 * d * d
+        np.testing.assert_allclose(amp, reference @ ket, rtol=0.0, atol=8 * np.finfo(float).eps)
+        assert peak < 8 * d * d / 20
 
 
 class TestProtocolOutcome:
